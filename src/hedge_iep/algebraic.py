@@ -73,11 +73,6 @@ def refined_xi(eps: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def xi_approx(eps: Fraction = Fraction(1, 10**15)) -> Fraction:
-    lo, hi = refined_xi(Fraction(eps))
-    return (lo + hi) / 2
-
-
 def _coerce(x) -> "QXi | None":
     if isinstance(x, QXi):
         return x

@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -49,25 +48,40 @@ def _parse_number(s: str):
         return float(s)
 
 
+_LAMBDA_NAMES = ("alpha1", "alpha2", "beta2", "beta3", "beta4")
+
+
+class BadLambda(ValueError):
+    pass
+
+
+def _lambda_tuple(vals: dict) -> LambdaTuple:
+    unknown = sorted(set(vals) - set(_LAMBDA_NAMES))
+    if unknown:
+        raise BadLambda(f"unknown value name(s) {unknown}; expected {_LAMBDA_NAMES}")
+    if "alpha1" not in vals:
+        raise BadLambda("alpha1 is required")
+    return LambdaTuple(**vals)
+
+
 def _lambda_from_args(args) -> LambdaTuple:
     if getattr(args, "lambda_file", None):
         with open(args.lambda_file) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise BadLambda("the lambda file must hold a JSON object")
         vals = {
             k: _parse_number(str(data[k]))
-            for k in ("alpha1", "alpha2", "beta2", "beta3", "beta4")
+            for k in _LAMBDA_NAMES
             if k in data and data[k] is not None
         }
-        return LambdaTuple(**vals)
-    names = ("alpha1", "alpha2", "beta2", "beta3", "beta4")
+        return _lambda_tuple(vals)
     vals = {}
-    for n in names:
+    for n in _LAMBDA_NAMES:
         v = getattr(args, n, None)
         if v is not None:
             vals[n] = _parse_number(v)
-    if "alpha1" not in vals:
-        raise SystemExit(2)
-    return LambdaTuple(**vals)
+    return _lambda_tuple(vals)
 
 
 def cmd_hedge_info(args) -> int:
@@ -175,7 +189,7 @@ def cmd_pth_recognize(args) -> int:
         for piece in args.assign.split(","):
             key, _, sval = piece.partition("=")
             vals[key.strip()] = _parse_number(sval.strip())
-        lam = LambdaTuple(**vals)
+        lam = _lambda_tuple(vals)
         try:
             res = pth.recognize(w.as_float(), lam)
         except pth.NotFromConstruction as exc:
@@ -204,15 +218,7 @@ def cmd_pth_rs_sweep(args) -> int:
     hi = Fraction(args.x_to)
     xs = [lo + (hi - lo) * Fraction(k, args.steps + 1) for k in range(1, args.steps + 1)]
 
-    def one(x: Fraction):
-        spec = pth.t31_exact_spectrum(x, prof)
-        return [x] + list(gap_vector(spec).p)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            rows = list(ex.map(one, xs))
-    else:
-        rows = [one(x) for x in xs]
+    rows = [[x] + list(gap_vector(pth.t31_exact_spectrum(x, prof)).p) for x in xs]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x"] + [f"gap{i}" for i in range(1, len(rows[0]))])
@@ -280,7 +286,7 @@ def cmd_repro(args) -> int:
 
 def _add_lambda_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-file", help="JSON file with alpha1..beta4")
-    for name in ("alpha1", "alpha2", "beta2", "beta3", "beta4"):
+    for name in _LAMBDA_NAMES:
         p.add_argument(f"--{name}", help="number or fraction, e.g. 2/5")
 
 
@@ -349,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--to", dest="x_to", required=True)
     ps.add_argument("--steps", type=int, default=50)
     ps.add_argument("--out", required=True)
-    ps.add_argument("--jobs", type=int, default=1)
     ps.set_defaults(func=cmd_pth_rs_sweep)
     pce = pthp.add_parser("counterexample", parents=[seed_parent], help="conjecture counterexamples")
     pce.add_argument("kind", choices=["splitting", "zeroone"])

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polys import NonzeroRemainder, PolyQ
+from .numeric import trailing_spectra
+from .polys import NonzeroRemainder, PolyQ, three_term_polys
 from .trees import RootedTree
 from .weights import WeightedMatrix
 
@@ -132,30 +133,14 @@ def in_B3(lam: LambdaTuple) -> bool:
     vals = (lam.alpha1, lam.alpha2, lam.beta2, lam.beta3)
     if any(v is None for v in vals) or len(set(vals)) != 4:
         return False
-    b2 = (lam.beta2 - lam.alpha1) * (lam.alpha1 - lam.alpha2)
-    b3 = (lam.beta3 - lam.alpha2) * (lam.beta3 - lam.beta2)
-    return b2 > 0 and b3 > 0
+    return all(bi > 0 for bi in abc_closed_forms(lam, 3)[1])
 
 
-def abc_coefficients(lam: LambdaTuple, n: int) -> tuple[list, list]:
+def abc_closed_forms(lam: LambdaTuple, n: int) -> tuple[list, list]:
     """The diagonal entries a_1..a_n and superdiagonal entries b_2..b_n of
-    the greedy family, by the closed forms; every b_i must come out positive."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    need = 1 if n == 1 else (3 if n == 2 else (4 if n == 3 else 5))
-    vals = lam.values()
-    if len(vals) < need:
-        raise NotInB(f"n = {n} needs {need} distinguished values")
-    if len(set(vals)) != len(vals):
-        raise DuplicateValues("distinguished values must be pairwise distinct")
-    if n >= 4 and lam.alpha2 + lam.beta2 == lam.beta3 + lam.beta4:
-        raise DegenerateSum("alpha2 + beta2 = beta3 + beta4 breaks the recipe")
-    a = []
-    for i in range(1, n + 1):
-        if i == 2:
-            a.append(-lam.alpha1 + lam.alpha2 + lam.beta2)
-        else:
-            a.append(lam.alpha(i))
+    the greedy family by the closed forms, over any scalar ring (floats,
+    Fractions, Q[xi], polynomials in the free parameters); no checks."""
+    a = [-lam.alpha1 + lam.alpha2 + lam.beta2 if i == 2 else lam.alpha(i) for i in range(1, n + 1)]
     b = []
     for i in range(2, n + 1):
         if i == 2:
@@ -170,10 +155,28 @@ def abc_coefficients(lam: LambdaTuple, n: int) -> tuple[list, list]:
             ) / (lam.beta4 - lam.beta2)
         else:
             bi = (lam.beta(i) - lam.alpha1) * (lam.beta(i) - lam.alpha2)
+        b.append(bi)
+    return a, b
+
+
+def abc_coefficients(lam: LambdaTuple, n: int) -> tuple[list, list]:
+    """The closed forms of abc_closed_forms for a feasible tuple: enough
+    pairwise distinct values, no degenerate sum, every b_i positive."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    need = 1 if n == 1 else (3 if n == 2 else (4 if n == 3 else 5))
+    vals = lam.values()
+    if len(vals) < need:
+        raise NotInB(f"n = {n} needs {need} distinguished values")
+    if len(set(vals)) != len(vals):
+        raise DuplicateValues("distinguished values must be pairwise distinct")
+    if n >= 4 and lam.alpha2 + lam.beta2 == lam.beta3 + lam.beta4:
+        raise DegenerateSum("alpha2 + beta2 = beta3 + beta4 breaks the recipe")
+    a, b = abc_closed_forms(lam, n)
+    for i, bi in enumerate(b, start=2):
         if not bi > 0:
             err = NotInB3 if n <= 3 else NotInB
             raise err(f"b_{i} = {bi} is not positive")
-        b.append(bi)
     return a, b
 
 
@@ -196,11 +199,7 @@ def build_C(lam: LambdaTuple, n: int) -> WeightedMatrix:
 def char_polys(lam: LambdaTuple, n: int) -> list[PolyQ]:
     """Exact characteristic polynomials p_0..p_n of the trailing submatrices,
     by the three-term recursion; needs exact scalars."""
-    a, b = abc_coefficients(lam, n)
-    ps = [PolyQ.of(1), PolyQ.x_minus(a[0])]
-    for k in range(2, n + 1):
-        ps.append(PolyQ.x_minus(a[k - 1]) * ps[k - 1] - PolyQ.const(b[k - 2]) * ps[k - 2])
-    return ps
+    return three_term_polys(*abc_coefficients(lam, n))
 
 
 def remainder_poly(lam: LambdaTuple, n: int) -> PolyQ:
@@ -219,21 +218,6 @@ def remainder_poly(lam: LambdaTuple, n: int) -> PolyQ:
         ) from exc
 
 
-def level_spectra_numeric(lam: LambdaTuple, n: int) -> list[np.ndarray]:
-    """Eigenvalues of C_1..C_n as float arrays (via the symmetric image)."""
-    a, b = abc_coefficients(lam, n)
-    af = [float(x) for x in a]
-    bf = [float(x) for x in b]
-    out = []
-    for k in range(1, n + 1):
-        m = np.diag(af[k - 1 :: -1])
-        for i in range(k - 1):
-            x = np.sqrt(bf[k - 2 - i])
-            m[i, i + 1] = m[i + 1, i] = x
-        out.append(np.sort(np.linalg.eigvalsh(m)))
-    return out
-
-
 def step_lemma_checks(lam: LambdaTuple, n: int, tol: float = 1e-8) -> list[str]:
     """Check, on the built family, the subpath eigenvalue-step facts:
     consecutive spectra are disjoint, an eigenvalue of C_{k-2} recurs in C_k
@@ -248,13 +232,7 @@ def step_lemma_checks(lam: LambdaTuple, n: int, tol: float = 1e-8) -> list[str]:
 def step_lemma_checks_raw(a: list, b: list, tol: float = 1e-8) -> list[str]:
     """Same checks for an arbitrary coefficient family (a_1.., b_2..)."""
     n = len(a)
-    specs = [np.array([])]
-    for k in range(1, n + 1):
-        m = np.diag(a[k - 1 :: -1])
-        for i in range(k - 1):
-            x = np.sqrt(b[k - 2 - i])
-            m[i, i + 1] = m[i + 1, i] = x
-        specs.append(np.sort(np.linalg.eigvalsh(m)))
+    specs = [np.array([])] + trailing_spectra(a, b, n)
     width = max(1.0, float(specs[n][-1] - specs[n][0]))
     close = lambda x, y: abs(x - y) <= tol * width
     member = lambda x, spec: bool(np.min(np.abs(spec - x)) <= tol * width)

@@ -259,15 +259,15 @@ def _powers(x, d: int) -> list:
     return out
 
 
-def bareiss_determinant(matrix: list[list[MPolyQ]]) -> MPolyQ:
-    """Fraction-free Gaussian elimination; all interior divisions are exact
-    over the polynomial ring."""
+def bareiss_determinant(matrix: list[list]):
+    """Fraction-free Gaussian elimination over any exact ring whose elements
+    offer ``is_zero`` and ``exact_div`` (MPolyQ, PolyQ); every interior
+    division is exact.  The first step divides by one, so it is skipped."""
     n = len(matrix)
     if n == 0:
         return MPolyQ.const(1)
     m = [row[:] for row in matrix]
     sign = 1
-    prev = MPolyQ.const(1)
     for k in range(n - 1):
         if m[k][k].is_zero():
             for i in range(k + 1, n):
@@ -276,15 +276,14 @@ def bareiss_determinant(matrix: list[list[MPolyQ]]) -> MPolyQ:
                     sign = -sign
                     break
             else:
-                return MPolyQ(())
+                return m[k][k]
         pivot = m[k][k]
         for i in range(k + 1, n):
             row_i = m[i]
             head = row_i[k]
             for j in range(k + 1, n):
                 num = row_i[j] * pivot - head * m[k][j]
-                row_i[j] = num.exact_div(prev)
-            row_i[k] = MPolyQ(())
+                row_i[j] = num.exact_div(prev) if k else num
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det

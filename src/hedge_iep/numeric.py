@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polys import PolyQ
+from .mpoly import bareiss_determinant
+from .polys import PolyQ, three_term_polys
 from .spectra import SpectrumMultiset
 
 
@@ -60,49 +61,20 @@ def eigenvalues_sym(m: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
         raise NoConvergence(str(exc)) from exc
 
 
-def eigenvalues_tridiag(t: SymTridiag) -> np.ndarray:
-    return eigenvalues_sym(t.dense())
-
-
-def char_poly_tridiag(diag, sup) -> PolyQ:
-    """Characteristic polynomial of the matrix with the given diagonal
-    (a_n..a_1 top to bottom), superdiagonal (b_n..b_2) and unit subdiagonal,
-    via the trailing-submatrix three-term recursion."""
-    n = len(diag)
-    a = list(reversed(diag))  # a[0] = a_1
-    b = list(reversed(sup))  # b[0] = b_2
-    p_prev = PolyQ.of(1)
-    if n == 0:
-        return p_prev
-    p_cur = PolyQ.x_minus(a[0])
-    for k in range(2, n + 1):
-        p_next = PolyQ.x_minus(a[k - 1]) * p_cur - PolyQ.const(b[k - 2]) * p_prev
-        p_prev, p_cur = p_cur, p_next
-    return p_cur
-
-
-def _bareiss_det_poly(mat: list[list[PolyQ]]) -> PolyQ:
-    """Fraction-free determinant for a matrix of exact polynomials."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = PolyQ.of(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return PolyQ(())
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+def trailing_spectra(a, b, n: int) -> list[np.ndarray]:
+    """Sorted float spectra of the trailing k-by-k submatrices, k = 1..n, of
+    the path matrix with diagonal a_1..a_n (bottom to top), superdiagonal
+    products b_2..b_n and unit subdiagonal, each solved in its symmetric form
+    with off-diagonal sqrt(b_i)."""
+    af = [float(x) for x in a]
+    bf = [float(x) for x in b]
+    out = []
+    for k in range(1, n + 1):
+        m = np.diag(af[k - 1 :: -1])
+        for i in range(k - 1):
+            m[i, i + 1] = m[i + 1, i] = np.sqrt(bf[k - 2 - i])
+        out.append(np.sort(np.linalg.eigvalsh(m)))
+    return out
 
 
 def char_poly_exact(entries) -> PolyQ:
@@ -116,17 +88,12 @@ def char_poly_exact(entries) -> PolyQ:
     is_tridiag = all(
         rows[i][j] == 0 for i in range(n) for j in range(n) if abs(i - j) > 1
     )
-    unit_sub = all(rows[i + 1][i] == 1 for i in range(n - 1))
-    if is_tridiag and unit_sub:
-        diag = [rows[i][i] for i in range(n)]
-        sup = [rows[i][i + 1] for i in range(n - 1)]
-        return char_poly_tridiag(diag, sup)
-    if is_tridiag and n > 1:
+    if is_tridiag:
         # similarity-invariant reduction: char poly depends only on the
         # products of opposite off-diagonal entries
-        diag = [rows[i][i] for i in range(n)]
-        sup = [rows[i][i + 1] * rows[i + 1][i] for i in range(n - 1)]
-        return char_poly_tridiag(diag, sup)
+        a = [rows[i][i] for i in range(n - 1, -1, -1)]
+        b = [rows[i][i + 1] * rows[i + 1][i] for i in range(n - 2, -1, -1)]
+        return three_term_polys(a, b)[-1]
     mat = [
         [
             PolyQ.x_minus(rows[i][j]) if i == j else PolyQ.const(-rows[i][j])
@@ -134,7 +101,7 @@ def char_poly_exact(entries) -> PolyQ:
         ]
         for i in range(n)
     ]
-    return _bareiss_det_poly(mat)
+    return bareiss_determinant(mat)
 
 
 def cluster_multiplicities(values, tol: float = 1e-7) -> SpectrumMultiset:

@@ -130,6 +130,19 @@ class PolyQ:
         return self.scale(1 / lc) if lc != 1 else self
 
 
+def three_term_polys(a, b) -> list[PolyQ]:
+    """Characteristic polynomials p_0..p_n of the trailing submatrices of the
+    path matrix with diagonal a_1..a_n, superdiagonal products b_2..b_n and
+    unit subdiagonal: p_k = (x - a_k) p_{k-1} - b_k p_{k-2}, over whatever
+    exact ring the a_i live in (p_0 is that ring's one)."""
+    if not a:
+        return [PolyQ.of(1)]
+    ps = [PolyQ.const(a[0] * 0 + 1), PolyQ.x_minus(a[0])]
+    for k in range(2, len(a) + 1):
+        ps.append(PolyQ.x_minus(a[k - 1]) * ps[k - 1] - PolyQ.const(b[k - 2]) * ps[k - 2])
+    return ps
+
+
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     """Monic gcd over a field (Fraction coefficients)."""
     while not b.is_zero():
@@ -176,24 +189,6 @@ def count_real_roots(p: PolyQ, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi] via Sturm's theorem."""
     seq = sturm_sequence(p)
     return _sign_changes(seq, Fraction(lo)) - _sign_changes(seq, Fraction(hi))
-
-
-def refine_root(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect a sign-changing interval down to width eps."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    flo = p(lo)
-    if flo == 0:
-        return lo, lo
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        fm = p(mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Fraction]:

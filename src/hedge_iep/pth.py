@@ -22,11 +22,10 @@ from .lambdas import (
     NotInB3,
     abc_coefficients,
     build_C,
-    char_polys,
     in_B3,
     remainder_poly,
 )
-from .numeric import cluster_multiplicities, eigenvalues_sym
+from .numeric import cluster_multiplicities, eigenvalues_sym, trailing_spectra
 from .polys import PolyQ, poly_gcd
 from .spectra import GapVector, MultiplicityList, SpectrumMultiset, gap_vector
 from .trees import (
@@ -46,7 +45,14 @@ from .weights import (
     symmetric_representative,
 )
 
-DEFAULT_TOL = 1e-9
+#: absolute tolerance of the cascade's weight comparisons (relative in the
+#: final membership check)
+CASCADE_TOL = 1e-9
+#: gap, relative to the spectrum's width, that separates two eigenvalues when
+#: recognize_search clusters the dense spectrum; the rigid list uses the same.
+#: Near-coincident distinguished values (4e-5 apart in a spectrum 1e3 wide)
+#: must stay apart.
+SEARCH_CLUSTER_TOL = 1e-9
 
 
 class HeightMismatch(ValueError):
@@ -159,21 +165,12 @@ def level_submatrix_spectra(c, n: int | None = None) -> list[np.ndarray]:
     """Float spectra of the trailing i-by-i submatrices of a path matrix."""
     w_c = _path_weight(c)
     m = w_c.tree.n
-    n = m if n is None else n
-    diag = [float(w_c.v(i)) for i in w_c.tree.vertices]
-    off = [float(w_c.e(i, i + 1)) for i in range(1, m)]
-    out = []
-    for i in range(1, n + 1):
-        d = diag[m - i :]
-        e = [np.sqrt(x) for x in off[m - i :]]
-        mat = np.diag(d)
-        for k in range(i - 1):
-            mat[k, k + 1] = mat[k + 1, k] = e[k]
-        out.append(np.sort(np.linalg.eigvalsh(mat)))
-    return out
+    a = [w_c.v(i) for i in range(m, 0, -1)]  # the bottom vertex carries a_1
+    b = [w_c.e(i, i + 1) for i in range(m - 1, 0, -1)]
+    return trailing_spectra(a, b, m if n is None else n)
 
 
-def ph_spectrum(c, prof: HedgeProfile, cluster_tol: float = 1e-7) -> SpectrumMultiset:
+def ph_spectrum(c, prof: HedgeProfile) -> SpectrumMultiset:
     """Spectrum of any member of the family: the union over levels i of
     ell_i copies of the trailing i-by-i submatrix spectrum."""
     specs = level_submatrix_spectra(c, prof.height + 1)
@@ -184,7 +181,7 @@ def ph_spectrum(c, prof: HedgeProfile, cluster_tol: float = 1e-7) -> SpectrumMul
             continue
         for v in specs[i - 1]:
             values.extend([float(v)] * li)
-    return cluster_multiplicities(values, cluster_tol)
+    return cluster_multiplicities(values)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +278,7 @@ def _expected_chain_weight(a: list, b: list, h: int):
     return diag, off
 
 
-def recognize(
-    w: WeightFn, lam: LambdaTuple, tol: float = DEFAULT_TOL
-) -> RecognizeResult:
+def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:
     """Run the collapse cascade for a designated eigenvalue assignment.
 
     Verifies the height-parity diagonal conditions, collapses pendent
@@ -300,7 +295,7 @@ def recognize(
     )
 
     def close(x, y):
-        return x == y if exact else abs(float(x) - float(y)) <= tol
+        return x == y if exact else abs(float(x) - float(y)) <= CASCADE_TOL
 
     try:
         a, b = abc_coefficients(lam, height + 1)
@@ -334,7 +329,7 @@ def recognize(
                         h, f"chain {q.vertices}: edge weight {got} != b value"
                     )
         try:
-            result = collapse_pendent_k_paths(cur, h, tol=tol)
+            result = collapse_pendent_k_paths(cur, h, tol=CASCADE_TOL)
         except Exception as exc:
             raise NotFromConstruction(h, f"collapse failed: {exc}") from exc
         cur = result.weight
@@ -351,11 +346,16 @@ def recognize(
             raise NotFromConstruction(height, f"final edge {cur.e(i, i + 1)} != b value")
 
     target = build_C(lam, height + 1)
-    _assert_ph_member(w, target.weight() if exact else target.weight().as_float())
+    try:
+        _assert_ph_member(
+            w, target.weight() if exact else target.weight().as_float(), CASCADE_TOL
+        )
+    except AssertionError as exc:
+        raise NotFromConstruction(height, str(exc)) from exc
     return RecognizeResult(lam, lam.region(), cur, target)
 
 
-def recognize_search(w: WeightFn, tol: float = DEFAULT_TOL, cluster_tol: float = 1e-7):
+def recognize_search(w: WeightFn) -> RecognizeResult:
     """Recover the eigenvalue assignment from the spectrum alone: enumerate
     the assignments consistent with the critical thresholds and return the
     first for which the cascade succeeds."""
@@ -366,7 +366,7 @@ def recognize_search(w: WeightFn, tol: float = DEFAULT_TOL, cluster_tol: float =
     thr = critical_thresholds(prof)
     ell3 = prof.ell_at(3)
     spec = cluster_multiplicities(
-        eigenvalues_sym(symmetric_representative(w).to_numpy()), cluster_tol
+        eigenvalues_sym(symmetric_representative(w).to_numpy()), SEARCH_CLUSTER_TOL
     )
     vals = spec.values
     mult = {v: m for v, m in spec.entries}
@@ -386,7 +386,7 @@ def recognize_search(w: WeightFn, tol: float = DEFAULT_TOL, cluster_tol: float =
                             continue
                         lam = LambdaTuple(a1, a2, b2, b3, b4)
                         try:
-                            return recognize(w, lam, tol)
+                            return recognize(w, lam)
                         except (NotFromConstruction, NotInB) as exc:
                             failures.append(str(exc))
     raise NotFromConstruction(
@@ -511,10 +511,6 @@ def splitting_counterexample(
         lam = LambdaTuple(
             Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(3)
         )
-    ps = char_polys(lam, height + 1)
-    distinguished = {1: [lam.alpha1], 2: [lam.alpha2, lam.beta2]}
-    for i in range(3, height + 2):
-        distinguished[i] = [lam.alpha(i), lam.beta(i)]
     rs = {i: remainder_poly(lam, i) for i in range(3, height + 2)}
     # genericity: remainder roots never hit distinguished values ...
     all_distinguished = set(lam.values())

@@ -29,10 +29,6 @@ class UnknownExample(ValueError):
     pass
 
 
-class MismatchReport(RuntimeError):
-    pass
-
-
 @dataclass
 class RunReport:
     command: str

@@ -20,9 +20,10 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .algebraic import QXi
-from .lambdas import LambdaTuple, char_polys, region_of
+from .lambdas import LambdaTuple, abc_closed_forms, region_of, remainder_poly
 from .mpoly import MPolyQ, bareiss_determinant
-from .polys import PolyQ, ZeroPolynomial
+from .numeric import trailing_spectra
+from .polys import PolyQ, ZeroPolynomial, three_term_polys
 from .trees import HedgeProfile
 
 
@@ -39,6 +40,8 @@ A2 = MPolyQ.var("alpha2")
 B3 = MPolyQ.var("beta3")
 BETA2 = MPolyQ.const(-1)
 BETA4 = MPolyQ.const(1)
+#: the normalized tuple with the three free parameters as ring elements
+SYMBOLIC = LambdaTuple(A1, A2, BETA2, B3, BETA4)
 
 #: nonconstant linear forms that cannot vanish on the feasibility set: the
 #: pairwise differences of the five distinguished values plus the sum form
@@ -56,39 +59,10 @@ TRIVIAL_FORMS: tuple[tuple[str, MPolyQ], ...] = (
 )
 
 
-def _alpha(i: int) -> MPolyQ:
-    return A1 if i % 2 == 1 else A2
-
-
-def _beta(i: int) -> MPolyQ:
-    return (BETA2, B3, BETA4)[(i - 2) % 3]
-
-
-def _a_entry(i: int) -> MPolyQ:
-    if i == 2:
-        return -A1 + A2 - 1
-    return _alpha(i)
-
-
-def _b_entry(i: int) -> MPolyQ:
-    if i == 2:
-        return (BETA2 - A1) * (A1 - A2)
-    if i == 3:
-        return (B3 - A2) * (B3 + 1)
-    if i == 4:
-        # the denominator beta4 - beta2 = 2 is rational after normalization
-        return ((BETA4 - A1) * (B3 - BETA4) * (A2 - B3 - 2)) * Fraction(1, 2)
-    return (_beta(i) - A1) * (_beta(i) - A2)
-
-
 @lru_cache(maxsize=None)
 def char_poly_symbolic(n: int) -> PolyQ:
     """p_n as a polynomial in x with trivariate coefficients."""
-    ps = [PolyQ((MPolyQ.const(1),)), PolyQ.x_minus(_a_entry(1))]
-    for k in range(2, n + 1):
-        nxt = PolyQ.x_minus(_a_entry(k)) * ps[k - 1] - PolyQ.const(_b_entry(k)) * ps[k - 2]
-        ps.append(nxt)
-    return ps[n]
+    return three_term_polys(*abc_closed_forms(SYMBOLIC, n))[n]
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +70,7 @@ def remainder_symbolic(n: int) -> PolyQ:
     """r_n = p_n / ((x - alpha_n)(x - beta_n)), exact over the parameter ring."""
     if n < 3:
         raise ValueError("remainder polynomials start at n = 3")
-    divisor = PolyQ.x_minus(_alpha(n)) * PolyQ.x_minus(_beta(n))
+    divisor = PolyQ.x_minus(SYMBOLIC.alpha(n)) * PolyQ.x_minus(SYMBOLIC.beta(n))
     return char_poly_symbolic(n).exact_div(divisor)
 
 
@@ -235,37 +209,22 @@ def route_b_values() -> dict[str, QXi]:
     }
 
 
+def _float_remainders(a1: float, a2: float, b3: float) -> dict[int, np.ndarray]:
+    """r_3..r_9 at a float point as numpy coefficient arrays.  Route A keeps
+    its own float recursion: PolyQ needs an exact ``== 0``."""
+    lam = LambdaTuple(a1, a2, -1.0, b3, 1.0)
+    a, b = abc_closed_forms(lam, 9)
+    ps = [np.array([1.0]), np.array([1.0, -a[0]])]
+    for k in range(2, 10):
+        ps.append(np.polysub(np.polymul([1.0, -a[k - 1]], ps[k - 1]), b[k - 2] * ps[k - 2]))
+    return {
+        k: np.polydiv(ps[k], np.polymul([1.0, -lam.alpha(k)], [1.0, -lam.beta(k)]))[0]
+        for k in range(3, 10)
+    }
+
+
 def _route_a_objective(v: np.ndarray) -> np.ndarray:
-    a1, a2, b3 = (float(x) for x in v)
-    n = 9
-    a = [0.0] * (n + 1)
-    b = [0.0] * (n + 1)
-    for i in range(1, n + 1):
-        if i == 2:
-            a[i] = -a1 + a2 - 1.0
-        else:
-            a[i] = a1 if i % 2 == 1 else a2
-    beta = lambda i: (-1.0, b3, 1.0)[(i - 2) % 3]
-    for i in range(2, n + 1):
-        if i == 2:
-            b[i] = (-1.0 - a1) * (a1 - a2)
-        elif i == 3:
-            b[i] = (b3 - a2) * (b3 + 1.0)
-        elif i == 4:
-            b[i] = (1.0 - a1) * (b3 - 1.0) * (a2 - b3 - 2.0) / 2.0
-        else:
-            b[i] = (beta(i) - a1) * (beta(i) - a2)
-    ps = {0: np.array([1.0]), 1: np.array([1.0, -a[1]])}
-    for k in range(2, n + 1):
-        ps[k] = np.polysub(
-            np.polymul(np.array([1.0, -a[k]]), ps[k - 1]), b[k] * ps[k - 2]
-        )
-    rs = {}
-    for k in range(3, n + 1):
-        alpha_k = a1 if k % 2 == 1 else a2
-        div = np.polymul([1.0, -alpha_k], [1.0, -beta(k)])
-        q, _ = np.polydiv(ps[k], div)
-        rs[k] = q
+    rs = _float_remainders(*(float(x) for x in v))
     delta1 = -rs[3][1] / rs[3][0]
     rho = np.roots(rs[4])
     f1 = float(np.polyval(rs[7], delta1))
@@ -334,21 +293,7 @@ def solve_route_a(seed: int = 0, starts: int = 20) -> dict[str, float]:
     # the coincident eigenvalues, numerically
     delta1 = a2 - 1.0 - b3  # root of r_3: alpha2 + beta2 - beta3
     # roots of r_4, labelled by which later remainder they annihilate
-    lam = LambdaTuple(a1, a2, -1.0, b3, 1.0)
-    from .lambdas import abc_coefficients
-
-    av, bv = abc_coefficients(lam, 9)
-    ps = {0: np.array([1.0]), 1: np.array([1.0, -av[0]])}
-    for k in range(2, 10):
-        ps[k] = np.polysub(
-            np.polymul([1.0, -av[k - 1]], ps[k - 1]), bv[k - 2] * ps[k - 2]
-        )
-    alphas = {k: (a1 if k % 2 == 1 else a2) for k in range(1, 10)}
-    betas = {k: (-1.0, b3, 1.0)[(k - 2) % 3] for k in range(2, 10)}
-    rrs = {}
-    for k in (4, 8, 9):
-        q, _ = np.polydiv(ps[k], np.polymul([1.0, -alphas[k]], [1.0, -betas[k]]))
-        rrs[k] = q
+    rrs = _float_remainders(a1, a2, b3)
     rho = sorted(float(np.real(r)) for r in np.roots(rrs[4]))
     if abs(np.polyval(rrs[8], rho[0])) < abs(np.polyval(rrs[8], rho[1])):
         l48, l49 = rho[0], rho[1]
@@ -407,17 +352,9 @@ def solve_rigid(seed: int = 0) -> RigidSolution:
 
 
 @lru_cache(maxsize=None)
-def _rigid_char_polys(n: int) -> list[PolyQ]:
-    sol = solve_rigid()
-    return char_polys(sol.lam, n)
-
-
 def rigid_remainder(n: int) -> PolyQ:
     """r_n over Q[xi] at the rigid tuple."""
-    sol = solve_rigid()
-    ps = _rigid_char_polys(n)
-    div = PolyQ.x_minus(sol.lam.alpha(n)) * PolyQ.x_minus(sol.lam.beta(n))
-    return ps[n].exact_div(div)
+    return remainder_poly(solve_rigid().lam, n)
 
 
 def certify_coincidences() -> dict[str, bool]:
@@ -442,46 +379,13 @@ def certify_coincidences() -> dict[str, bool]:
 
 def rigid_b_values(up_to: int = 41) -> list[QXi]:
     """The superdiagonal entries b_2..b_{up_to} at the rigid tuple, exactly."""
-    sol = solve_rigid()
-    lam = sol.lam
-    out = []
-    for i in range(2, up_to + 1):
-        if i == 2:
-            bi = (lam.beta2 - lam.alpha1) * (lam.alpha1 - lam.alpha2)
-        elif i == 3:
-            bi = (lam.beta3 - lam.alpha2) * (lam.beta3 - lam.beta2)
-        elif i == 4:
-            bi = (
-                (lam.beta4 - lam.alpha1)
-                * (lam.beta3 - lam.beta4)
-                * (lam.alpha2 + lam.beta2 - lam.beta3 - lam.beta4)
-            ) / (lam.beta4 - lam.beta2)
-        else:
-            bi = (lam.beta(i) - lam.alpha1) * (lam.beta(i) - lam.alpha2)
-        out.append(bi)
-    return out
+    return abc_closed_forms(solve_rigid().lam, up_to)[1]
 
 
 def rigid_level_spectra(max_level: int) -> list[np.ndarray]:
     """Float spectra of C_1..C_max at the rigid tuple (exact coefficients
     rounded once, then LAPACK)."""
-    sol = solve_rigid()
-    lam = sol.lam
-    a = []
-    for i in range(1, max_level + 1):
-        if i == 2:
-            a.append(float(-lam.alpha1 + lam.alpha2 + lam.beta2))
-        else:
-            a.append(float(lam.alpha(i)))
-    b = [float(x) for x in rigid_b_values(max_level)] if max_level >= 2 else []
-    out = []
-    for k in range(1, max_level + 1):
-        m = np.diag(a[k - 1 :: -1])
-        for i in range(k - 1):
-            x = np.sqrt(b[k - 2 - i])
-            m[i, i + 1] = m[i + 1, i] = x
-        out.append(np.sort(np.linalg.eigvalsh(m)))
-    return out
+    return trailing_spectra(*abc_closed_forms(solve_rigid().lam, max_level), max_level)
 
 
 _EXPECTED_LEVEL_SETS = {

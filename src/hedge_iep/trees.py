@@ -375,7 +375,7 @@ def tree_to_json(t: RootedTree) -> dict:
 
 
 def tree_from_json(data: dict) -> RootedTree:
-    if set(data) < {"n", "parent"}:
+    if not isinstance(data, dict) or not {"n", "parent"} <= set(data):
         raise TreeError("tree JSON needs 'n' and 'parent'")
     parent = tuple(int(p) for p in data["parent"])
     if len(parent) != int(data["n"]):

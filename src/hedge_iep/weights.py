@@ -35,6 +35,10 @@ class BadSplit(ValueError):
     pass
 
 
+class WeightFormatError(ValueError):
+    pass
+
+
 class NotCollapsible(ValueError):
     def __init__(self, vertex: int, detail: str):
         super().__init__(f"branches at vertex {vertex} are not collapsible: {detail}")
@@ -417,6 +421,8 @@ def weight_from_json(data: dict) -> WeightFn:
             return Fraction(x)
         return x
 
+    if not isinstance(data, dict) or not {"tree", "vertexWeight", "edgeWeight"} <= set(data):
+        raise WeightFormatError("weight JSON needs 'tree', 'vertexWeight' and 'edgeWeight'")
     t = tree_from_json(data["tree"])
     vw = {int(u): num(x) for u, x in data["vertexWeight"].items()}
     ew = {}

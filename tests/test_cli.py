@@ -135,7 +135,7 @@ def test_rs_sweep(tmp_path, t31_file, capsys):
         [
             "pth", "rs-sweep", "--tree", t31_file, "--param", "x",
             "--from", "1687/5000", "--to", "2733/5000", "--steps", "12",
-            "--out", str(out_file), "--jobs", "2",
+            "--out", str(out_file),
         ]
     )
     assert rc == 0
@@ -147,6 +147,35 @@ def test_rs_sweep(tmp_path, t31_file, capsys):
         gaps = [Fraction(g) for g in row[1:]]
         assert sum(gaps) == 1
         assert all(g > 0 for g in gaps)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "spectrum", "{no_tree}"],
+        ["pth", "recognize", "{no_tree}"],
+        ["hedge", "info", "{no_parent}"],
+        ["lambda", "build", "--lambda-file", "{no_alpha1}", "--n", "3"],
+        ["pth", "recognize", "{weight}", "--assign", "alpha9=1"],
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    files = {
+        "no_tree": {"vertexWeight": {"1": "1"}, "edgeWeight": {}},
+        "no_parent": {"n": 2, "foo": [0, 1]},
+        "no_alpha1": {"alpha2": 1, "beta2": -1},
+    }
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    paths["weight"] = tmp_path / "w.json"
+    save_weight(
+        WeightFn(RootedTree((0, 1)), {1: Fraction(1), 2: Fraction(2)}, {(1, 2): Fraction(3)}),
+        paths["weight"],
+    )
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_counterexample_commands(t31_file, tmp_path, capsys):

@@ -14,14 +14,13 @@ from hedge_iep.lambdas import (
     build_C,
     char_polys,
     in_B3,
-    level_spectra_numeric,
     region_of,
     remainder_poly,
     sample_in_region,
     step_lemma_checks,
     step_lemma_checks_raw,
 )
-from hedge_iep.numeric import char_poly_exact
+from hedge_iep.numeric import char_poly_exact, trailing_spectra
 from hedge_iep.polys import PolyQ
 from hedge_iep.pth import t31_lambda
 
@@ -118,7 +117,7 @@ def test_abc_degenerate_sum():
 def test_level_spectra_contain_distinguished(rng):
     for reg in (1, 5, 8):
         lam = sample_in_region(reg, rng)
-        specs = level_spectra_numeric(lam, 7)
+        specs = trailing_spectra(*abc_coefficients(lam, 7), 7)
         width = specs[-1][-1] - specs[-1][0]
         member = lambda x, s: np.min(np.abs(s - float(x))) < 1e-8 * width
         assert member(lam.alpha1, specs[0]) and len(specs[0]) == 1

@@ -30,7 +30,7 @@ from hedge_iep.pth import (
 )
 from hedge_iep.lambdas import NotInB3
 from hedge_iep.spectra import MultiplicityList, SingleEigenvalue, SpectrumMultiset
-from hedge_iep.trees import RootedTree, profile, smallest_lush_hedge
+from hedge_iep.trees import RootedTree, build_hedge, profile, smallest_lush_hedge
 from hedge_iep.weights import WeightFn, symmetric_representative
 
 from conftest import random_lush_hedge, random_splits
@@ -214,6 +214,43 @@ def test_recognize_search_recovers_construction(rng):
             assert abs(float(got.v(i)) - float(want.v(i))) < 1e-9
         for u, v in want.tree.edges:
             assert abs(float(got.e(u, v)) - float(want.e(u, v))) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "values, parents",
+    [
+        # beta2 and beta4 lie 4e-5 apart in a spectrum about 1e3 wide; a
+        # cluster gap of 1e-7 of the width merges them
+        (
+            (0.002020835158913492, 1.7046822355696492, -2.757355753477057,
+             2.363338781372388, -2.7573164661183522),
+            None,
+        ),
+        # alpha2 and beta3 nearly coincide; the b_i rebuilt from the
+        # clustered eigenvalues carry about 1e-12 relative error
+        (
+            (1.9269621260654723, 2.1410431433299006, -2.5095255158963683,
+             2.1602418280926425, 1.8794699523692895),
+            (0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 6, 6, 6,
+             7, 7, 8, 8, 8, 9, 9, 10, 10, 10, 11, 11, 11, 12, 12, 13, 13, 14,
+             14, 14, 15, 15, 16, 16, 17, 17, 17, 18, 18, 18, 19, 19),
+        ),
+    ],
+)
+def test_recognize_search_near_coincident_values(values, parents):
+    t = smallest_lush_hedge(3) if parents is None else build_hedge(parents)
+    lam = LambdaTuple(*values)
+    c = build_C(lam, t.height + 1)
+    res = recognize_search(ph_construct(c, t))
+    assert abs(res.lam.alpha1 - lam.alpha1) < 1e-9
+    assert abs(res.lam.alpha2 - lam.alpha2) < 1e-9
+    assert abs(res.lam.beta2 - lam.beta2) < 1e-9
+    got = res.target.weight()
+    want = c.weight()
+    for i in want.tree.vertices:
+        assert abs(float(got.v(i)) - float(want.v(i))) < 1e-9
+    for u, v in want.tree.edges:
+        assert abs(float(got.e(u, v)) - float(want.e(u, v))) < 1e-9
 
 
 def test_recognize_exact_rational(t31):
