@@ -225,21 +225,24 @@ class QXi:
             phi *= hi
         return vlo, vhi
 
+    def _refine_until(self, decide, failure: str):
+        """Refine xi (at most 64 rounds, each 2^-8 narrower) until
+        ``decide(vlo, vhi)`` on the value interval returns non-None."""
+        eps = _XI_HI - _XI_LO
+        for _ in range(64):
+            out = decide(*self._interval_value(*refined_xi(eps)))
+            if out is not None:
+                return out
+            eps /= 2**8
+        raise ArithmeticError(failure)
+
     def sign(self) -> int:
         """Exact sign via interval refinement; zero iff all coordinates are."""
         if self.is_zero():
             return 0
-        eps = _XI_HI - _XI_LO
-        for _ in range(64):
-            lo, hi = refined_xi(eps)
-            vlo, vhi = self._interval_value(lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            eps /= 2**8
-        raise ArithmeticError(
-            "sign undecided after deep refinement; is the element truly nonzero?"
+        return self._refine_until(
+            lambda vlo, vhi: 1 if vlo > 0 else -1 if vhi < 0 else None,
+            "sign undecided after deep refinement; is the element truly nonzero?",
         )
 
     def __lt__(self, other):
@@ -276,7 +279,12 @@ class QXi:
         return (vlo + vhi) / 2
 
     def __float__(self) -> float:
-        return float(self.approx())
+        """Correctly rounded: both ends of the value interval round to the
+        same float, whatever earlier calls did to the interval of xi."""
+        return self._refine_until(
+            lambda vlo, vhi: float(vlo) if float(vlo) == float(vhi) else None,
+            "float rounding undecided after deep refinement",
+        )
 
     def __repr__(self) -> str:
         terms = []

@@ -22,10 +22,6 @@ VARS = ("alpha1", "alpha2", "beta3")
 Monomial = tuple[int, int, int]
 
 
-def _lex_key(m: Monomial) -> Monomial:
-    return m
-
-
 @dataclass(frozen=True)
 class MPolyQ:
     terms: tuple[tuple[Monomial, Fraction], ...]  # sorted descending lex
@@ -33,7 +29,7 @@ class MPolyQ:
     @classmethod
     def from_dict(cls, d: dict[Monomial, Fraction]) -> "MPolyQ":
         items = [(m, c) for m, c in d.items() if c != 0]
-        items.sort(key=lambda t: _lex_key(t[0]), reverse=True)
+        items.sort(key=lambda t: t[0], reverse=True)
         return cls(tuple(items))
 
     @classmethod
@@ -46,19 +42,6 @@ class MPolyQ:
         i = VARS.index(name)
         mono = tuple(1 if j == i else 0 for j in range(3))
         return cls(((mono, Fraction(1)),))
-
-    @classmethod
-    def linear(cls, const, a1=0, a2=0, b3=0) -> "MPolyQ":
-        d: dict[Monomial, Fraction] = {}
-        for mono, c in (
-            ((0, 0, 0), Fraction(const)),
-            ((1, 0, 0), Fraction(a1)),
-            ((0, 1, 0), Fraction(a2)),
-            ((0, 0, 1), Fraction(b3)),
-        ):
-            if c != 0:
-                d[mono] = c
-        return cls.from_dict(d)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -169,12 +152,8 @@ class MPolyQ:
         lm, lc = other.leading()
         quo: dict[Monomial, Fraction] = {}
         rem = dict(self.terms)
-
-        def lead(d):
-            return max(d, key=_lex_key) if d else None
-
         while rem:
-            m = lead(rem)
+            m = max(rem)  # the lex-leading monomial
             exps = tuple(a - b for a, b in zip(m, lm))
             if any(e < 0 for e in exps):
                 break  # everything below divides no further in lex order
@@ -195,10 +174,13 @@ class MPolyQ:
             raise InexactDivision("claimed-exact division left a remainder")
         return q
 
-    def divides(self, other: "MPolyQ") -> bool:
-        """True iff self divides other (by attempted exact division)."""
-        q, r = other.divmod_lex(self)
-        return r.is_zero()
+    def diff(self, i: int) -> "MPolyQ":
+        """The exact partial derivative with respect to ``VARS[i]``."""
+        d: dict[Monomial, Fraction] = {}
+        for m, c in self.terms:
+            if m[i]:
+                d[m[:i] + (m[i] - 1,) + m[i + 1:]] = c * m[i]
+        return MPolyQ.from_dict(d)
 
     def content(self) -> Fraction:
         from math import gcd

@@ -85,11 +85,6 @@ class PolyQ:
     def scale(self, s) -> "PolyQ":
         return PolyQ(_trim([c * s for c in self.coeffs]))
 
-    def shift_mul_x(self, k: int) -> "PolyQ":
-        if self.is_zero():
-            return self
-        return PolyQ((0,) * k + self.coeffs)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):

@@ -4,22 +4,25 @@ coincidence constraints, and the completely rigid multiplicity list.
 
 Everything runs after the shift-and-scale normalization beta2 = -1,
 beta4 = 1, which leaves the three free parameters (alpha1, alpha2, beta3).
-Two independent routes produce the solution: a damped numerical solve of the
-polynomial system, and exact evaluation of the closed-form coordinates in
-Q[xi]; they must agree to nine decimals and the exact route must zero the
-three simplified resultants identically.
+Two independent routes produce the solution.  Route A runs a damped Newton
+iteration on the three simplified resultants r'_37, r'_48, r'_49 from seeded
+random starts, with the exact Jacobian from ``MPolyQ.diff``, and keeps only
+simple roots inside the region box; they must all be one point.  Route B
+evaluates the closed-form coordinates exactly in Q[xi].  The routes must
+agree to nine decimals and route B must zero the three simplified
+resultants identically.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .algebraic import QXi
+from .algebraic import SEXTIC, QXi
 from .lambdas import LambdaTuple, abc_closed_forms, region_of, remainder_poly
 from .mpoly import MPolyQ, bareiss_determinant
 from .numeric import trailing_spectra
@@ -233,56 +236,91 @@ def _route_a_objective(v: np.ndarray) -> np.ndarray:
     return np.array([f1, f2, f3])
 
 
-def _rprime_float_system():
-    systems = []
-    for (a, b) in ((3, 7), (4, 8), (4, 9)):
-        residual, _, _ = simplify_resultant(a, b)
-        systems.append([(m, float(c)) for m, c in residual.terms])
-    return systems
+def _route_a_system():
+    """F = (r'_37, r'_48, r'_49) and its exact Jacobian at a float point, from
+    one float coefficient matrix over the union of the monomials of the
+    three residuals and their nine partial derivatives."""
+    polys = [simplify_resultant(a, b)[0] for (a, b) in ((3, 7), (4, 8), (4, 9))]
+    polys += [p.diff(j) for p in polys for j in range(3)]
+    monos = sorted({m for p in polys for m, _ in p.terms})
+    column = {m: k for k, m in enumerate(monos)}
+    coeffs = np.zeros((len(polys), len(monos)))
+    for row, p in enumerate(polys):
+        for m, c in p.terms:
+            coeffs[row, column[m]] = float(c)
+    exps = np.array(monos)
+
+    def residual_and_jacobian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vals = coeffs @ np.prod(x**exps, axis=1)
+        return vals[:3], vals[3:].reshape(3, 3)
+
+    return residual_and_jacobian
+
+
+#: Newton steps per start; starts that reach the true root need at most 15
+NEWTON_STEPS = 50
+#: a root whose Jacobian has sigma_min / sigma_max below this is not simple;
+#: starts that creep toward the degenerate corner (alpha1, alpha2, beta3) =
+#: (-1, 1, 1) end there, cost below 1e-24, ratio ~1e-9 (1.26e-2 at the root)
+SIMPLE_ROOT_RATIO = 1e-6
+
+
+def _damped_newton(system, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton from x, halving any step that leaves the open box |x| < 1 or
+    does not lower |F|; stops when no halving down to 2^-30 helps."""
+    f, jac = system(x)
+    for _ in range(NEWTON_STEPS):
+        step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        for k in range(31):
+            y = x + step / 2**k
+            if np.max(np.abs(y)) < 1.0:
+                fy, jy = system(y)
+                if np.linalg.norm(fy) < np.linalg.norm(f):
+                    break
+        else:
+            break
+        x, f, jac = y, fy, jy
+    return x, f, jac
+
+
+def _route_a_rejection(x: np.ndarray, f: np.ndarray, jac: np.ndarray) -> str | None:
+    """Why the end point of one start is not accepted, or None."""
+    a1, a2, b3 = (float(v) for v in x)
+    if 0.5 * float(f @ f) > 1e-24:
+        return "cost"
+    if not (-1.0 < a1 < a2 < b3 < 1.0):
+        return "order"
+    if region_of((a1, a2, -1.0, b3, 1.0)) != 1:
+        return "region"
+    if np.max(np.abs(_route_a_objective(x))) > 1e-8:
+        return "objective"
+    sigma = np.linalg.svd(jac, compute_uv=False)
+    if sigma[-1] < SIMPLE_ROOT_RATIO * sigma[0]:
+        return "not simple"
+    return None
 
 
 def solve_route_a(seed: int = 0, starts: int = 20) -> dict[str, float]:
-    """Damped numerical root-finding on the simplified system
-    r'_37 = r'_48 = r'_49 = 0 from random starts inside the region box
-    -1 < alpha1 < alpha2 < beta3 < 1; the accepted solutions must coincide
-    and must also zero the full resultants built independently from the
-    characteristic-polynomial recursion."""
-    systems = _rprime_float_system()
-
-    def objective(v):
-        a1, a2, b3 = (float(x) for x in v)
-        out = []
-        for terms in systems:
-            acc = 0.0
-            for (e1, e2, e3), c in terms:
-                acc += c * a1**e1 * a2**e2 * b3**e3
-            out.append(acc)
-        return np.array(out)
-
+    """Damped Newton on the simplified system r'_37 = r'_48 = r'_49 = 0 from
+    random starts inside the region box -1 < alpha1 < alpha2 < beta3 < 1;
+    the accepted simple roots must coincide and must also zero the full
+    resultants built independently from the characteristic-polynomial
+    recursion."""
+    system = _route_a_system()
     rng = np.random.default_rng(seed)
     sols = []
+    rejected: Counter[str] = Counter()
     for _ in range(starts):
-        x0 = np.sort(rng.uniform(-0.99, 0.99, size=3))
-        res = least_squares(
-            objective,
-            x0,
-            bounds=([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-        )
-        a1, a2, b3 = (float(x) for x in res.x)
-        if res.cost > 1e-24:
-            continue
-        if not (-1.0 < a1 < a2 < b3 < 1.0):
-            continue
-        if region_of((a1, a2, -1.0, b3, 1.0)) != 1:
-            continue
-        if np.max(np.abs(_route_a_objective(res.x))) > 1e-8:
-            continue
-        sols.append((a1, a2, b3))
+        x, f, jac = _damped_newton(system, np.sort(rng.uniform(-0.99, 0.99, size=3)))
+        reason = _route_a_rejection(x, f, jac)
+        if reason:
+            rejected[reason] += 1
+        else:
+            sols.append(tuple(float(v) for v in x))
     if not sols:
-        raise RoutesDisagree("route A found no solution in the region box")
+        raise RoutesDisagree(
+            f"route A found no solution in the region box; rejected {dict(rejected)}"
+        )
     uniq: list[tuple[float, float, float]] = []
     for s in sols:
         if not any(max(abs(x - y) for x, y in zip(s, u)) < 1e-8 for u in uniq):
@@ -295,12 +333,9 @@ def solve_route_a(seed: int = 0, starts: int = 20) -> dict[str, float]:
     # roots of r_4, labelled by which later remainder they annihilate
     rrs = _float_remainders(a1, a2, b3)
     rho = sorted(float(np.real(r)) for r in np.roots(rrs[4]))
-    if abs(np.polyval(rrs[8], rho[0])) < abs(np.polyval(rrs[8], rho[1])):
-        l48, l49 = rho[0], rho[1]
-    else:
-        l48, l49 = rho[1], rho[0]
-    sext = [1.0, -3.0, -11.0, 24.0, -6.0, -48.0, 16.0]
-    xs = [float(np.real(r)) for r in np.roots(sext) if abs(np.imag(r)) < 1e-9]
+    l48, l49 = sorted(rho, key=lambda r: abs(np.polyval(rrs[8], r)))
+    sext = np.roots([float(c) for c in reversed(SEXTIC.coeffs)])
+    xs = [float(np.real(r)) for r in sext if abs(np.imag(r)) < 1e-9]
     xi_a = min(x for x in xs if x > 0)
     return {
         "xi": xi_a,

@@ -39,12 +39,6 @@ class SpectrumMultiset:
     def values(self) -> tuple:
         return tuple(v for v, _ in self.entries)
 
-    def multiplicity(self, value) -> int:
-        for v, m in self.entries:
-            if v == value:
-                return m
-        return 0
-
     def union(self, other: "SpectrumMultiset") -> "SpectrumMultiset":
         return SpectrumMultiset.from_pairs(list(self.entries) + list(other.entries))
 
@@ -52,14 +46,6 @@ class SpectrumMultiset:
         if s == 0:
             return SpectrumMultiset(())
         return SpectrumMultiset(tuple((v, s * m) for v, m in self.entries))
-
-    def difference(self, other: "SpectrumMultiset") -> "SpectrumMultiset":
-        out = []
-        for v, m in self.entries:
-            m2 = m - other.multiplicity(v)
-            if m2 > 0:
-                out.append((v, m2))
-        return SpectrumMultiset(tuple(out))
 
     def ordered_multiplicities(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.entries)

@@ -377,8 +377,14 @@ def tree_to_json(t: RootedTree) -> dict:
 def tree_from_json(data: dict) -> RootedTree:
     if not isinstance(data, dict) or not {"n", "parent"} <= set(data):
         raise TreeError("tree JSON needs 'n' and 'parent'")
-    parent = tuple(int(p) for p in data["parent"])
-    if len(parent) != int(data["n"]):
+    if not isinstance(data["parent"], list):
+        raise TreeError("tree JSON 'parent' must be a list")
+    try:
+        parent = tuple(int(p) for p in data["parent"])
+        n = int(data["n"])
+    except (TypeError, ValueError) as exc:
+        raise TreeError(f"tree JSON has a non-integer entry: {exc}") from None
+    if len(parent) != n:
         raise TreeError("parent array length disagrees with n")
     return RootedTree(parent)
 

@@ -79,13 +79,6 @@ class WeightFn:
             {e: float(w) for e, w in self.edge_weight.items()},
         )
 
-    def as_fraction(self) -> "WeightFn":
-        return WeightFn(
-            self.tree,
-            {u: Fraction(w) for u, w in self.vertex_weight.items()},
-            {e: Fraction(w) for e, w in self.edge_weight.items()},
-        )
-
     def is_exact(self) -> bool:
         return all(
             isinstance(w, (Fraction, int)) for w in self.vertex_weight.values()
@@ -293,17 +286,6 @@ class CollapseResult:
     branch_weights: dict[int, WeightFn]  # attach vertex -> weight on P_k
     old_to_new: dict[int, int]
 
-    @property
-    def common_branch_weight(self) -> WeightFn | None:
-        ws = list(self.branch_weights.values())
-        if not ws:
-            return None
-        first = ws[0]
-        for other in ws[1:]:
-            if not _path_weights_close(first, other):
-                return None
-        return first
-
 
 def _path_weights_close(a: WeightFn, b: WeightFn, tol: float = FLOAT_WEIGHT_TOL) -> bool:
     if a.tree.n != b.tree.n:
@@ -419,10 +401,14 @@ def weight_from_json(data: dict) -> WeightFn:
     def num(x):
         if isinstance(x, str):
             return Fraction(x)
-        return x
+        if isinstance(x, (int, float)):
+            return x
+        raise WeightFormatError(f"weight {x!r} is not a number")
 
     if not isinstance(data, dict) or not {"tree", "vertexWeight", "edgeWeight"} <= set(data):
         raise WeightFormatError("weight JSON needs 'tree', 'vertexWeight' and 'edgeWeight'")
+    if not (isinstance(data["vertexWeight"], dict) and isinstance(data["edgeWeight"], dict)):
+        raise WeightFormatError("'vertexWeight' and 'edgeWeight' must be objects")
     t = tree_from_json(data["tree"])
     vw = {int(u): num(x) for u, x in data["vertexWeight"].items()}
     ew = {}

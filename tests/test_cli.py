@@ -157,6 +157,8 @@ def test_rs_sweep(tmp_path, t31_file, capsys):
         ["hedge", "info", "{no_parent}"],
         ["lambda", "build", "--lambda-file", "{no_alpha1}", "--n", "3"],
         ["pth", "recognize", "{weight}", "--assign", "alpha9=1"],
+        ["hedge", "info", "{scalar_parent}"],
+        ["weights", "spectrum", "{list_vertex_weight}"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -164,6 +166,12 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "no_tree": {"vertexWeight": {"1": "1"}, "edgeWeight": {}},
         "no_parent": {"n": 2, "foo": [0, 1]},
         "no_alpha1": {"alpha2": 1, "beta2": -1},
+        "scalar_parent": {"n": 1, "parent": 5},
+        "list_vertex_weight": {
+            "tree": {"n": 2, "parent": [0, 1]},
+            "vertexWeight": ["1", "2"],
+            "edgeWeight": {"1-2": "3"},
+        },
     }
     paths = {}
     for name, data in files.items():

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hedge_iep
 from hedge_iep.algebraic import (
     QXi,
     isolating_interval,
@@ -73,6 +78,14 @@ def test_qxi_comparisons():
     assert xi < QXi.of(Fraction(17, 50))
     assert (xi - xi).sign() == 0
     assert float(xi) == pytest.approx(0.334981556, abs=5e-10)
+
+
+def test_qxi_float_is_correctly_rounded():
+    values = route_b_values()
+    before = {k: float(v) for k, v in values.items()}
+    refined_xi(Fraction(1, 10**60))
+    for k, v in values.items():
+        assert float(v) == before[k] == float(v.approx(Fraction(1, 10**40)))
 
 
 def test_qxi_approx_precision():
@@ -170,11 +183,32 @@ def test_solve_rigid_reference_decimals():
     assert sol.region == 1
 
 
-def test_route_a_unique(rng):
-    vals = solve_route_a(seed=7, starts=10)
+@pytest.mark.parametrize("seed", range(6))
+def test_route_a_unique(seed):
+    # seeds 0, 1, 3 and 5 each have a start that ends near the degenerate
+    # corner (-1, 1, 1) with a tiny residual; only the simple-root gate
+    # rejects it
+    vals = solve_route_a(seed=seed, starts=20)
     sol = solve_rigid()
     for key in vals:
         assert abs(vals[key] - float(sol.exact_values()[key])) < 1e-9
+
+
+def test_mpoly_partial_derivatives():
+    p = A1 * A1 * B3 + A2 * 3 - 5
+    assert p.diff(0) == A1 * B3 * 2
+    assert p.diff(1) == MPolyQ.const(3)
+    assert p.diff(2) == A1 * A1
+    assert MPolyQ.const(7).diff(0).is_zero()
+
+
+def test_package_import_needs_no_scipy():
+    code = "import sys, hedge_iep; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = {**os.environ, "PYTHONPATH": str(Path(hedge_iep.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_exact_substitution_zero():
