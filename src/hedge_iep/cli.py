@@ -22,6 +22,7 @@ from .numeric import cluster_multiplicities, eigenvalues_sym
 from .spectra import gap_vector
 from .trees import is_hedge, is_lush, load_tree, profile
 from .weights import (
+    exact_number,
     load_weight,
     save_weight,
     symmetric_representative,
@@ -39,15 +40,6 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _parse_number(s: str):
-    if "/" in s:
-        return Fraction(s)
-    try:
-        return Fraction(s)  # integers and decimal strings stay exact
-    except ValueError:
-        return float(s)
-
-
 _LAMBDA_NAMES = ("alpha1", "alpha2", "beta2", "beta3", "beta4")
 
 
@@ -59,8 +51,8 @@ def _lambda_tuple(vals: dict) -> LambdaTuple:
     unknown = sorted(set(vals) - set(_LAMBDA_NAMES))
     if unknown:
         raise BadLambda(f"unknown value name(s) {unknown}; expected {_LAMBDA_NAMES}")
-    if "alpha1" not in vals:
-        raise BadLambda("alpha1 is required")
+    if not vals or set(vals) != set(_LAMBDA_NAMES[: len(vals)]):
+        raise BadLambda(f"give alpha1 and the values after it in the order {_LAMBDA_NAMES}")
     return LambdaTuple(**vals)
 
 
@@ -71,7 +63,7 @@ def _lambda_from_args(args) -> LambdaTuple:
         if not isinstance(data, dict):
             raise BadLambda("the lambda file must hold a JSON object")
         vals = {
-            k: _parse_number(str(data[k]))
+            k: exact_number(str(data[k]))
             for k in _LAMBDA_NAMES
             if k in data and data[k] is not None
         }
@@ -80,7 +72,7 @@ def _lambda_from_args(args) -> LambdaTuple:
     for n in _LAMBDA_NAMES:
         v = getattr(args, n, None)
         if v is not None:
-            vals[n] = _parse_number(v)
+            vals[n] = exact_number(v)
     return _lambda_tuple(vals)
 
 
@@ -145,7 +137,7 @@ def cmd_lambda_build(args) -> int:
 
 
 def cmd_lambda_region(args) -> int:
-    vals = tuple(_parse_number(v) for v in args.values)
+    vals = tuple(exact_number(v) for v in args.values)
     reg = region_of(vals)
     print(f"region: {reg if reg is not None else 'none'}")
     return 0
@@ -188,7 +180,7 @@ def cmd_pth_recognize(args) -> int:
         vals = {}
         for piece in args.assign.split(","):
             key, _, sval = piece.partition("=")
-            vals[key.strip()] = _parse_number(sval.strip())
+            vals[key.strip()] = exact_number(sval.strip())
         lam = _lambda_tuple(vals)
         try:
             res = pth.recognize(w.as_float(), lam)
@@ -214,8 +206,9 @@ def cmd_pth_recognize(args) -> int:
 def cmd_pth_rs_sweep(args) -> int:
     t = load_tree(args.tree)
     prof = profile(t)
-    lo = Fraction(args.x_from)
-    hi = Fraction(args.x_to)
+    lo, hi = exact_number(args.x_from), exact_number(args.x_to)
+    if args.steps < 1:
+        raise ValueError("--steps must be at least 1")
     xs = [lo + (hi - lo) * Fraction(k, args.steps + 1) for k in range(1, args.steps + 1)]
 
     rows = [[x] + list(gap_vector(pth.t31_exact_spectrum(x, prof)).p) for x in xs]
@@ -350,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_pth_recognize)
     ps = pthp.add_parser("rs-sweep", parents=[seed_parent], help="gap-vector sweep of the explicit family")
     ps.add_argument("--tree", required=True)
-    ps.add_argument("--param", default="x")
     ps.add_argument("--from", dest="x_from", required=True)
     ps.add_argument("--to", dest="x_to", required=True)
     ps.add_argument("--steps", type=int, default=50)

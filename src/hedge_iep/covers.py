@@ -87,7 +87,12 @@ def _chain_from(adj: Adjacency, v: int, start: int) -> list[int] | None:
 
 
 def _cover_component(adj: Adjacency, comp: set[int]) -> list[tuple[int, ...]]:
-    """Minimal path cover of one tree component by appropriate-vertex peeling."""
+    """Minimal path cover of one tree component by appropriate-vertex peeling.
+
+    Each path starts at a vertex that forces along it: the far end of the
+    first pendent chain at an appropriate vertex, or the smaller end of a
+    leftover bare path.  zero_forcing_number relies on this orientation.
+    """
     live = set(comp)
     paths: list[tuple[int, ...]] = []
     while live:
@@ -107,17 +112,11 @@ def _cover_component(adj: Adjacency, comp: set[int]) -> list[tuple[int, ...]]:
                 appropriate = (v, chains)
                 break
         if appropriate is None:
-            # every remaining component is a bare path; peel them all
+            # every remaining component is a bare path; peel each from its
+            # smaller end (an end is its own parent in the walk)
             for piece in _components(sub):
-                ends = sorted(v for v in piece if len(sub[v] & piece) <= 1)
-                path = [ends[0]]
-                prev = None
-                while len(path) < len(piece):
-                    cur = path[-1]
-                    nxt = [w for w in sub[cur] if w in piece and w != prev]
-                    prev = cur
-                    path.append(nxt[0])
-                paths.append(tuple(path))
+                end = min(v for v in piece if len(sub[v]) <= 1)
+                paths.append(tuple(_chain_from(sub, end, end)))
             break
         v, (c1, c2) = appropriate
         path = tuple(reversed(c1)) + (v,) + tuple(c2)
@@ -149,9 +148,7 @@ def path_cover_number(t: RootedTree, vertices=None) -> tuple[int, PathCover]:
     """Minimum number of vertex-disjoint induced paths covering the induced
     subforest, with a witness cover."""
     adj = _adjacency(t, vertices)
-    paths = []
-    for comp in _components(adj):
-        paths.extend(_cover_component(adj, comp))
+    paths = [p for comp in _components(adj) for p in _cover_component(adj, comp)]
     cover = PathCover(_canonical_paths(paths))
     return len(cover), cover
 
@@ -248,54 +245,20 @@ def derived_set(t: RootedTree, blue, vertices=None) -> frozenset[int]:
     return forcing_process(t, blue, vertices).blue
 
 
-def _forcing_set_from_peeling(adj: Adjacency, comp: set[int]) -> set[int]:
-    """A forcing set of size P(component): one end of the path extracted at
-    each appropriate vertex, plus one end of every leftover bare path."""
-    live = set(comp)
-    chosen: set[int] = set()
-    while live:
-        sub = {v: {w for w in adj[v] if w in live} for v in live}
-        appropriate = None
-        for v in sorted(live):
-            if len(sub[v]) < 3:
-                continue
-            chains = []
-            for w in sorted(sub[v]):
-                c = _chain_from(sub, v, w)
-                if c is not None:
-                    chains.append(c)
-                if len(chains) == 2:
-                    break
-            if len(chains) == 2:
-                appropriate = (v, chains)
-                break
-        if appropriate is None:
-            for piece in _components(sub):
-                ends = sorted(v for v in piece if len(sub[v] & piece) <= 1)
-                chosen.add(ends[0])
-            break
-        v, (c1, c2) = appropriate
-        chosen.add(c1[-1])  # far end of the first pendent path
-        live -= set(c1) | {v} | set(c2)
-    return chosen
-
-
 def zero_forcing_number(t: RootedTree, vertices=None) -> tuple[int, frozenset[int]]:
     """Zero forcing number with a witness minimal forcing set.
 
-    For forests Z equals the path cover number; the witness is constructed
-    from the peeling order and validated by simulation.
+    For forests Z equals the path cover number.  The witness is the first
+    vertex of every path that the path cover peeling extracts (the far end
+    of the first pendent path at an appropriate vertex, the smaller end of
+    a leftover bare path); it is validated by simulation.
     """
     adj = _adjacency(t, vertices)
-    p, _ = path_cover_number(t, vertices)
-    blue: set[int] = set()
-    for comp in _components(adj):
-        blue |= _forcing_set_from_peeling(adj, comp)
-    if len(blue) != p:
-        raise AssertionError("forcing witness size disagrees with path cover number")
+    paths = [p for comp in _components(adj) for p in _cover_component(adj, comp)]
+    blue = frozenset(p[0] for p in paths)
     if derived_set(t, blue, vertices) != set(adj):
         raise AssertionError("constructed forcing set does not force the forest")
-    return p, frozenset(blue)
+    return len(paths), blue
 
 
 def brute_force_zero_forcing(t: RootedTree, vertices=None) -> int:

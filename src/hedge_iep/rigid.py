@@ -45,6 +45,8 @@ BETA2 = MPolyQ.const(-1)
 BETA4 = MPolyQ.const(1)
 #: the normalized tuple with the three free parameters as ring elements
 SYMBOLIC = LambdaTuple(A1, A2, BETA2, B3, BETA4)
+#: the engineered coincidences: each value is a root of r_a and of r_b
+COINCIDENCES = {"lambda_37": (3, 7), "lambda_48": (4, 8), "lambda_49": (4, 9)}
 
 #: nonconstant linear forms that cannot vanish on the feasibility set: the
 #: pairwise differences of the five distinguished values plus the sum form
@@ -240,7 +242,7 @@ def _route_a_system():
     """F = (r'_37, r'_48, r'_49) and its exact Jacobian at a float point, from
     one float coefficient matrix over the union of the monomials of the
     three residuals and their nine partial derivatives."""
-    polys = [simplify_resultant(a, b)[0] for (a, b) in ((3, 7), (4, 8), (4, 9))]
+    polys = [simplify_resultant(a, b)[0] for (a, b) in COINCIDENCES.values()]
     polys += [p.diff(j) for p in polys for j in range(3)]
     monos = sorted({m for p in polys for m, _ in p.terms})
     column = {m: k for k, m in enumerate(monos)}
@@ -355,7 +357,7 @@ def solve_rigid(seed: int = 0) -> RigidSolution:
     lam = LambdaTuple(
         exact["alpha1"], exact["alpha2"], QXi.of(-1), exact["beta3"], QXi.of(1)
     )
-    for (a, b) in ((3, 7), (4, 8), (4, 9)):
+    for (a, b) in COINCIDENCES.values():
         residual, _, _ = simplify_resultant(a, b)
         value = residual.evaluate(exact["alpha1"], exact["alpha2"], exact["beta3"])
         if not value.is_zero():
@@ -396,20 +398,10 @@ def certify_coincidences() -> dict[str, bool]:
     """Exact: each engineered eigenvalue is a root of both its remainder
     polynomials."""
     sol = solve_rigid()
-    out = {}
-    out["lambda_37"] = (
-        rigid_remainder(3)(sol.lambda_37).is_zero()
-        and rigid_remainder(7)(sol.lambda_37).is_zero()
-    )
-    out["lambda_48"] = (
-        rigid_remainder(4)(sol.lambda_48).is_zero()
-        and rigid_remainder(8)(sol.lambda_48).is_zero()
-    )
-    out["lambda_49"] = (
-        rigid_remainder(4)(sol.lambda_49).is_zero()
-        and rigid_remainder(9)(sol.lambda_49).is_zero()
-    )
-    return out
+    return {
+        name: all(rigid_remainder(n)(getattr(sol, name)).is_zero() for n in pair)
+        for name, pair in COINCIDENCES.items()
+    }
 
 
 def rigid_b_values(up_to: int = 41) -> list[QXi]:
@@ -429,9 +421,10 @@ _EXPECTED_LEVEL_SETS = {
     "beta2": lambda n: frozenset(i for i in range(2, n + 1) if (i - 2) % 3 == 0),
     "beta3": lambda n: frozenset(i for i in range(3, n + 1) if (i - 3) % 3 == 0),
     "beta4": lambda n: frozenset(i for i in range(4, n + 1) if (i - 4) % 3 == 0),
-    "lambda_37": lambda n: frozenset(i for i in (3, 7) if i <= n),
-    "lambda_48": lambda n: frozenset(i for i in (4, 8) if i <= n),
-    "lambda_49": lambda n: frozenset(i for i in (4, 9) if i <= n),
+    **{
+        name: lambda n, pair=pair: frozenset(i for i in pair if i <= n)
+        for name, pair in COINCIDENCES.items()
+    },
 }
 
 

@@ -39,9 +39,6 @@ class SpectrumMultiset:
     def values(self) -> tuple:
         return tuple(v for v, _ in self.entries)
 
-    def union(self, other: "SpectrumMultiset") -> "SpectrumMultiset":
-        return SpectrumMultiset.from_pairs(list(self.entries) + list(other.entries))
-
     def scaled(self, s: int) -> "SpectrumMultiset":
         if s == 0:
             return SpectrumMultiset(())
@@ -67,10 +64,6 @@ class MultiplicityList:
     def __post_init__(self) -> None:
         if any(m < 0 for m in self.ordered):
             raise ValueError("multiplicities must be >= 0")
-
-    @property
-    def unordered(self) -> tuple[int, ...]:
-        return tuple(sorted(self.ordered, reverse=True))
 
     @property
     def total(self) -> int:

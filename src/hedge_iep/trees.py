@@ -379,11 +379,9 @@ def tree_from_json(data: dict) -> RootedTree:
         raise TreeError("tree JSON needs 'n' and 'parent'")
     if not isinstance(data["parent"], list):
         raise TreeError("tree JSON 'parent' must be a list")
-    try:
-        parent = tuple(int(p) for p in data["parent"])
-        n = int(data["n"])
-    except (TypeError, ValueError) as exc:
-        raise TreeError(f"tree JSON has a non-integer entry: {exc}") from None
+    n, parent = data["n"], tuple(data["parent"])
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, *parent)):
+        raise TreeError("tree JSON 'n' and 'parent' entries must be integers")
     if len(parent) != n:
         raise TreeError("parent array length disagrees with n")
     return RootedTree(parent)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -109,16 +110,6 @@ class WeightedMatrix:
         }
         return WeightFn(t, vw, ew)
 
-    def submatrix(self, vertices) -> "WeightedMatrix":
-        from .trees import induced_tree
-
-        sub, back = induced_tree(self.tree, vertices)
-        order = [back[i] for i in sub.vertices]
-        rows = tuple(
-            tuple(self.entries[u - 1][v - 1] for v in order) for u in order
-        )
-        return WeightedMatrix(sub, rows)
-
 
 @dataclass(frozen=True)
 class DuplicationSplit:
@@ -197,25 +188,23 @@ def _branch_signature(w: WeightFn, root: int):
     return enc(root)
 
 
+def _close(x, y, tol: float) -> bool:
+    """Equal, or within tol when either side is a float."""
+    if isinstance(x, float) or isinstance(y, float):
+        return not abs(float(x) - float(y)) > tol
+    return x == y
+
+
 def _sig_close(s1, s2, tol: float) -> bool:
-    v1, subs1 = s1
-    v2, subs2 = s2
-    if len(subs1) != len(subs2):
-        return False
-    if isinstance(v1, float) or isinstance(v2, float):
-        if abs(float(v1) - float(v2)) > tol:
-            return False
-    elif v1 != v2:
-        return False
-    for (e1, c1), (e2, c2) in zip(subs1, subs2):
-        if isinstance(e1, float) or isinstance(e2, float):
-            if abs(float(e1) - float(e2)) > tol:
-                return False
-        elif e1 != e2:
-            return False
-        if not _sig_close(c1, c2, tol):
-            return False
-    return True
+    (v1, subs1), (v2, subs2) = s1, s2
+    return (
+        len(subs1) == len(subs2)
+        and _close(v1, v2, tol)
+        and all(
+            _close(e1, e2, tol) and _sig_close(c1, c2, tol)
+            for (e1, c1), (e2, c2) in zip(subs1, subs2)
+        )
+    )
 
 
 def collapsible_branches(
@@ -283,39 +272,6 @@ def duplicate_branch(
 class CollapseResult:
     weight: WeightFn
     removed_count: int
-    branch_weights: dict[int, WeightFn]  # attach vertex -> weight on P_k
-    old_to_new: dict[int, int]
-
-
-def _path_weights_close(a: WeightFn, b: WeightFn, tol: float = FLOAT_WEIGHT_TOL) -> bool:
-    if a.tree.n != b.tree.n:
-        return False
-    k = a.tree.n
-    for i in range(1, k + 1):
-        x, y = a.v(i), b.v(i)
-        if isinstance(x, float) or isinstance(y, float):
-            if abs(float(x) - float(y)) > tol:
-                return False
-        elif x != y:
-            return False
-    for i in range(1, k):
-        x, y = a.e(i, i + 1), b.e(i, i + 1)
-        if isinstance(x, float) or isinstance(y, float):
-            if abs(float(x) - float(y)) > tol:
-                return False
-        elif x != y:
-            return False
-    return True
-
-
-def path_weight_of_chain(w: WeightFn, chain: tuple[int, ...]) -> WeightFn:
-    """Weight restricted to a hanging chain, as a weight on P_k rooted at the
-    attached end."""
-    k = len(chain)
-    t = RootedTree(tuple(range(0, k)))  # parent of vertex i+1 is i; root 1
-    vw = {i + 1: w.v(chain[i]) for i in range(k)}
-    ew = {(i, i + 1): w.e(chain[i - 1], chain[i]) for i in range(1, k)}
-    return WeightFn(t, vw, ew)
 
 
 def collapse_pendent_k_paths(
@@ -338,24 +294,19 @@ def collapse_pendent_k_paths(
         by_vertex.setdefault(q.attach_point, []).append(q)
     removed_vertices: set[int] = set()
     removed_count = 0
-    branch_weights: dict[int, WeightFn] = {}
     new_edge_at: dict[tuple[int, int], object] = {}
     for v in sorted(by_vertex):
-        qs = sorted(by_vertex[v], key=lambda q: q.vertices[0])
-        rep = qs[0]
-        rep_weight = path_weight_of_chain(w, rep.vertices)
-        for q in qs[1:]:
-            qw = path_weight_of_chain(w, q.vertices)
-            if not _path_weights_close(rep_weight, qw, tol):
+        rep, *rest = sorted(by_vertex[v], key=lambda q: q.vertices[0])
+        rep_sig = _branch_signature(w, rep.vertices[0])
+        total = w.e(v, rep.vertices[0])
+        for q in rest:
+            if not _sig_close(rep_sig, _branch_signature(w, q.vertices[0]), tol):
                 raise NotCollapsible(
                     v, f"paths {rep.vertices} and {q.vertices} carry different weights"
                 )
-        branch_weights[v] = rep_weight
-        total = w.e(v, rep.vertices[0])
-        for q in qs[1:]:
             total = total + w.e(v, q.vertices[0])
             removed_vertices.update(q.vertices)
-            removed_count += 1
+        removed_count += len(rest)
         new_edge_at[_edge_key(v, rep.vertices[0])] = total
     keep = [u for u in t.vertices if u not in removed_vertices]
     old_to_new = {u: i + 1 for i, u in enumerate(keep)}
@@ -371,9 +322,7 @@ def collapse_pendent_k_paths(
             continue
         val = new_edge_at.get(_edge_key(u, vv), w.e(u, vv))
         ew[_edge_key(old_to_new[u], old_to_new[vv])] = val
-    return CollapseResult(
-        WeightFn(new_tree, vw, ew), removed_count, branch_weights, old_to_new
-    )
+    return CollapseResult(WeightFn(new_tree, vw, ew), removed_count)
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +344,28 @@ def weight_to_json(w: WeightFn) -> dict:
     }
 
 
+def exact_number(s: str) -> Fraction:
+    """The exact value of an integer, fraction or decimal string; ValueError
+    unless it has a nonzero denominator and lies within the float range."""
+    try:
+        x = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        x = None
+    if x is None or abs(x) > sys.float_info.max:
+        raise ValueError(f"{s!r} is not a finite number within the float range")
+    return x
+
+
 def weight_from_json(data: dict) -> WeightFn:
     from .trees import tree_from_json
 
     def num(x):
         if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, (int, float)):
-            return x
-        raise WeightFormatError(f"weight {x!r} is not a number")
+            return exact_number(x)
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            if abs(x) <= sys.float_info.max:
+                return x
+        raise WeightFormatError(f"weight {x!r} is not a finite number")
 
     if not isinstance(data, dict) or not {"tree", "vertexWeight", "edgeWeight"} <= set(data):
         raise WeightFormatError("weight JSON needs 'tree', 'vertexWeight' and 'edgeWeight'")

@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedge_iep.cli import main
 from hedge_iep.trees import (
@@ -10,6 +16,7 @@ from hedge_iep.trees import (
     ten_vertex_hedge,
     save_tree,
     smallest_lush_hedge,
+    tree_to_json,
 )
 from hedge_iep.weights import WeightFn, save_weight
 
@@ -133,7 +140,7 @@ def test_rs_sweep(tmp_path, t31_file, capsys):
     out_file = tmp_path / "points.csv"
     rc = main(
         [
-            "pth", "rs-sweep", "--tree", t31_file, "--param", "x",
+            "pth", "rs-sweep", "--tree", t31_file,
             "--from", "1687/5000", "--to", "2733/5000", "--steps", "12",
             "--out", str(out_file),
         ]
@@ -159,6 +166,17 @@ def test_rs_sweep(tmp_path, t31_file, capsys):
         ["pth", "recognize", "{weight}", "--assign", "alpha9=1"],
         ["hedge", "info", "{scalar_parent}"],
         ["weights", "spectrum", "{list_vertex_weight}"],
+        ["lambda", "build", "--alpha1", "1/0", "--n", "3"],
+        ["lambda", "build", "--lambda-file", "{zero_den_lambda}", "--n", "3"],
+        ["lambda", "region", "1/0", "1", "2", "3", "4"],
+        ["weights", "spectrum", "{zero_den_weight}"],
+        ["pth", "recognize", "{weight}", "--assign", "alpha1=1/0"],
+        ["pth", "rs-sweep", "--tree", "{tree}", "--from", "1/0", "--to", "1/2", "--out", "{csv}"],
+        ["pth", "rs-sweep", "--tree", "{tree}", "--from", "1687/5000", "--to", "2733/5000",
+         "--steps", "0", "--out", "{csv}"],
+        ["hedge", "info", "{float_parent}"],
+        ["lambda", "build", "--alpha1", "0", "--alpha2", "1", "--beta3", "2", "--n", "2"],
+        ["pth", "recognize", "{huge_weight}"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -172,8 +190,21 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
             "vertexWeight": ["1", "2"],
             "edgeWeight": {"1-2": "3"},
         },
+        "zero_den_lambda": {"alpha1": "1/0"},
+        "zero_den_weight": {
+            "tree": {"n": 2, "parent": [0, 1]},
+            "vertexWeight": {"1": "1/0", "2": "2"},
+            "edgeWeight": {"1-2": "3"},
+        },
+        "float_parent": {"n": 2, "parent": [0, 1.5]},
+        "huge_weight": {
+            "tree": {"n": 2, "parent": [0, 1]},
+            "vertexWeight": {"1": "1e400", "2": "2"},
+            "edgeWeight": {"1-2": "3"},
+        },
     }
-    paths = {}
+    paths = {"tree": tmp_path / "t31.json", "csv": tmp_path / "points.csv"}
+    save_tree(smallest_lush_hedge(3), paths["tree"])
     for name, data in files.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(data))
@@ -184,6 +215,108 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     )
     assert main([a.format(**paths) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+_LAMBDA_NAMES = ("alpha1", "alpha2", "beta2", "beta3", "beta4")
+# fraction strings for command-line values, one in six with a zero denominator
+_FRACTIONS = st.builds("{}/{}".format, st.integers(-6, 6), st.integers(0, 5))
+_NUMBERS = st.builds("{}/{}".format, st.integers(-6, 6), st.integers(1, 5)) | st.integers(
+    -4, 4
+) | st.floats(-3, 3)
+_POSITIVE = st.builds("{}/{}".format, st.integers(1, 6), st.integers(1, 5)) | st.integers(
+    1, 4
+) | st.floats(0.1, 3)
+_JUNK = st.sampled_from([True, None, [1], "1e400", "abc", "1/0", -1, 0])
+_HEDGES = [tree_to_json(t) for t in (smallest_lush_hedge(2), smallest_lush_hedge(3), ten_vertex_hedge())]
+
+
+@st.composite
+def _tree_json(draw):
+    """Lush hedges, random trees, and random trees with one malformed entry."""
+    kind = draw(st.sampled_from(["hedge", "hedge", "tree", "junk"]))
+    if kind == "hedge":
+        return draw(st.sampled_from(_HEDGES))
+    n = draw(st.integers(1, 6))
+    parent = [0] + [draw(st.integers(1, v - 1)) for v in range(2, n + 1)]
+    if kind == "junk":
+        parent[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, n + 1, 1.5, True, "1", None]))
+        return {"n": draw(st.sampled_from([n, n + 1, 0, 2.0, "2"])), "parent": parent}
+    return {"n": n, "parent": parent}
+
+
+@st.composite
+def _weight_json(draw):
+    """Weights on a generated tree; some have one malformed value."""
+    tree = draw(_tree_json())
+    parent = tree["parent"]
+    vertex_weight = {str(v): draw(_NUMBERS) for v in range(1, len(parent) + 1)}
+    edge_weight = {
+        f"{p}-{v}": draw(_POSITIVE)
+        for v, p in enumerate(parent, start=1)
+        if isinstance(p, int) and 0 < p < v
+    }
+    if draw(st.integers(0, 2)) == 0:
+        table = draw(st.sampled_from([vertex_weight, edge_weight]))
+        key = draw(st.sampled_from(sorted(table) + ["0", "x", "1-2-3"]))
+        table[key] = draw(_JUNK)
+    return {"tree": tree, "vertexWeight": vertex_weight, "edgeWeight": edge_weight}
+
+
+@st.composite
+def _lambda_values(draw, values):
+    """Values for a prefix of the lambda names, sometimes with a gap."""
+    names = list(_LAMBDA_NAMES[: draw(st.integers(0, 5))])
+    if names and draw(st.integers(0, 3)) == 0:
+        names.pop(draw(st.integers(0, len(names) - 1)))
+    return {name: draw(values) for name in names}
+
+
+@st.composite
+def _argv(draw, tmp: Path):
+    """One command line over generated tree, weight and lambda files."""
+
+    def write(name, data):
+        (tmp / name).write_text(json.dumps(data))
+        return str(tmp / name)
+
+    command = draw(st.sampled_from(
+        ["hedge info", "covers", "weights spectrum", "pth recognize", "lambda build",
+         "pth rs-sweep", "rigid levels"]
+    ))
+    if command in ("hedge info", "covers"):
+        return command.split() + [write("tree.json", draw(_tree_json()))]
+    if command == "weights spectrum":
+        return ["weights", "spectrum", write("w.json", draw(_weight_json()))]
+    if command == "pth recognize":
+        argv = ["pth", "recognize", write("w.json", draw(_weight_json()))]
+        if draw(st.booleans()):
+            lam = draw(_lambda_values(_FRACTIONS))
+            argv.append("--assign=" + ",".join(f"{k}={v}" for k, v in lam.items()))
+        return argv
+    if command == "lambda build":
+        argv = ["lambda", "build", f"--n={draw(st.integers(-1, 8))}", f"--out={tmp / 'c.json'}"]
+        if draw(st.booleans()):
+            lam = draw(_lambda_values(_NUMBERS | _JUNK))
+            return argv + ["--lambda-file", write("lam.json", lam)]
+        return argv + [f"--{k}={v}" for k, v in draw(_lambda_values(_FRACTIONS)).items()]
+    if command == "pth rs-sweep":
+        bounds = _FRACTIONS | st.sampled_from(["1687/5000", "2733/5000"])
+        return [
+            "pth", "rs-sweep", "--tree", write("tree.json", draw(_tree_json())),
+            f"--from={draw(bounds)}", f"--to={draw(bounds)}",
+            f"--steps={draw(st.integers(-1, 3))}", f"--out={tmp / 'points.csv'}",
+        ]
+    return ["rigid", "levels", f"--max={draw(st.integers(-1, 12))}", f"--out={tmp / 'l.csv'}"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_exit_code_contract(data):
+    """Any generated input ends in exit 0, 1 or 2, never in a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(_argv(Path(tmp)))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
 
 
 def test_counterexample_commands(t31_file, tmp_path, capsys):

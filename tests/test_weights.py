@@ -172,6 +172,25 @@ def test_collapse_not_collapsible():
         collapse_pendent_k_paths(w, 1)
 
 
+def test_collapse_two_paths_internal_edge():
+    """Two pendent 2-paths at the root that differ only in their internal edge."""
+    t = RootedTree((0, 1, 2, 1, 4))
+
+    def weight(e23, e45):
+        num = type(e23)
+        vw = {1: num(0), 2: num(1), 3: num(2), 4: num(1), 5: num(2)}
+        return WeightFn(t, vw, {(1, 2): num(1), (2, 3): e23, (1, 4): num(2), (4, 5): e45})
+
+    with pytest.raises(NotCollapsible):
+        collapse_pendent_k_paths(weight(Fraction(1), Fraction(1) + Fraction(1, 10**12)), 2)
+    with pytest.raises(NotCollapsible):
+        collapse_pendent_k_paths(weight(1.0, 1.0 + 1e-6), 2, tol=1e-9)
+    res = collapse_pendent_k_paths(weight(1.0, 1.0 + 1e-12), 2, tol=1e-9)
+    assert res.removed_count == 1
+    assert res.weight.tree == RootedTree((0, 1, 2))
+    assert res.weight.e(1, 2) == 3.0 and res.weight.e(2, 3) == 1.0
+
+
 def test_full_cascade_recovers_path(hedge10):
     from hedge_iep.pth import ph_construct
 
