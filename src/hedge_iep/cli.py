@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 when an assertion or comparison fails, 2 on
-usage errors.  All randomized commands take --seed (default from
-HEDGE_IEP_SEED, else 0) and reports embed the seed.
+usage errors.  The two randomized commands, `pth construct` and `repro`,
+take --seed (default from HEDGE_IEP_SEED, else 0) and report the seed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from . import covers, pth, repro, rigid
 from .lambdas import LambdaTuple, build_C, region_of
 from .numeric import cluster_multiplicities, eigenvalues_sym
 from .spectra import gap_vector
+from .tolerance import CLUSTER_TOL
 from .trees import is_hedge, is_lush, load_tree, profile
 from .weights import (
     exact_number,
@@ -31,7 +32,11 @@ from .weights import (
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("HEDGE_IEP_SEED", "0"))
+    raw = os.environ.get("HEDGE_IEP_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"HEDGE_IEP_SEED must be an integer, got {raw!r}") from None
 
 
 def _fmt(x) -> str:
@@ -217,7 +222,7 @@ def cmd_pth_rs_sweep(args) -> int:
         writer.writerow(["x"] + [f"gap{i}" for i in range(1, len(rows[0]))])
         for row in rows:
             writer.writerow([str(v) for v in row])
-    print(f"wrote {args.out} ({len(rows)} rows, seed {args.seed})")
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
@@ -289,17 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="path-to-hedge constructions and spectral rigidity on trees",
     )
     seed_parent = argparse.ArgumentParser(add_help=False)
-    seed_parent.add_argument("--seed", type=int, default=_default_seed())
+    seed_parent.add_argument("--seed", type=int, help="default: HEDGE_IEP_SEED, else 0")
     sub = ap.add_subparsers(dest="command", required=True)
 
     hedge = sub.add_parser("hedge", help="tree utilities").add_subparsers(
         dest="sub", required=True
     )
-    info = hedge.add_parser("info", parents=[seed_parent], help="height, level sizes, ell vector, lush flag")
+    info = hedge.add_parser("info", help="height, level sizes, ell vector, lush flag")
     info.add_argument("treefile")
     info.set_defaults(func=cmd_hedge_info)
 
-    cov = sub.add_parser("covers", parents=[seed_parent], help="path cover and zero forcing numbers")
+    cov = sub.add_parser("covers", help="path cover and zero forcing numbers")
     cov.add_argument("treefile")
     cov.add_argument("--oracle", action="store_true", help="run brute-force cross-check")
     cov.set_defaults(func=cmd_covers)
@@ -307,20 +312,20 @@ def build_parser() -> argparse.ArgumentParser:
     wts = sub.add_parser("weights", help="weight utilities").add_subparsers(
         dest="sub", required=True
     )
-    spectrum = wts.add_parser("spectrum", parents=[seed_parent], help="eigenvalues with multiplicities")
+    spectrum = wts.add_parser("spectrum", help="eigenvalues with multiplicities")
     spectrum.add_argument("weightfile")
-    spectrum.add_argument("--cluster-tol", type=float, default=1e-7)
+    spectrum.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
     spectrum.set_defaults(func=cmd_weights_spectrum)
 
     lam = sub.add_parser("lambda", help="distinguished-eigenvalue tools").add_subparsers(
         dest="sub", required=True
     )
-    lb = lam.add_parser("build", parents=[seed_parent], help="build the greedy path matrix")
+    lb = lam.add_parser("build", help="build the greedy path matrix")
     _add_lambda_options(lb)
     lb.add_argument("--n", type=int, required=True)
     lb.add_argument("--out")
     lb.set_defaults(func=cmd_lambda_build)
-    lr = lam.add_parser("region", parents=[seed_parent], help="classify five values")
+    lr = lam.add_parser("region", help="classify five values")
     lr.add_argument("values", nargs=5)
     lr.set_defaults(func=cmd_lambda_region)
 
@@ -333,22 +338,22 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", required=True)
     pc.add_argument("--random-splits", action="store_true")
     pc.set_defaults(func=cmd_pth_construct)
-    psp = pthp.add_parser("spectrum", parents=[seed_parent], help="family spectrum by the level formula")
+    psp = pthp.add_parser("spectrum", help="family spectrum by the level formula")
     _add_lambda_options(psp)
     psp.add_argument("--tree", required=True)
     psp.set_defaults(func=cmd_pth_spectrum)
-    pr = pthp.add_parser("recognize", parents=[seed_parent], help="run the collapse cascade")
+    pr = pthp.add_parser("recognize", help="run the collapse cascade")
     pr.add_argument("weightfile")
     pr.add_argument("--assign", help="alpha1=..,alpha2=..,beta2=..,beta3=..[,beta4=..]")
     pr.set_defaults(func=cmd_pth_recognize)
-    ps = pthp.add_parser("rs-sweep", parents=[seed_parent], help="gap-vector sweep of the explicit family")
+    ps = pthp.add_parser("rs-sweep", help="gap-vector sweep of the explicit family")
     ps.add_argument("--tree", required=True)
     ps.add_argument("--from", dest="x_from", required=True)
     ps.add_argument("--to", dest="x_to", required=True)
     ps.add_argument("--steps", type=int, default=50)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_pth_rs_sweep)
-    pce = pthp.add_parser("counterexample", parents=[seed_parent], help="conjecture counterexamples")
+    pce = pthp.add_parser("counterexample", help="conjecture counterexamples")
     pce.add_argument("kind", choices=["splitting", "zeroone"])
     pce.add_argument("treefile")
     pce.set_defaults(func=cmd_pth_counterexample)
@@ -356,12 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     rg = sub.add_parser("rigid", help="exact rigidity engine").add_subparsers(
         dest="sub", required=True
     )
-    rs = rg.add_parser("solve", parents=[seed_parent], help="the unique rigid tuple, both routes")
+    rs = rg.add_parser("solve", help="the unique rigid tuple, both routes")
     rs.set_defaults(func=cmd_rigid_solve)
-    rl = rg.add_parser("list", parents=[seed_parent], help="rigid ordered multiplicity list for a hedge")
+    rl = rg.add_parser("list", help="rigid ordered multiplicity list for a hedge")
     rl.add_argument("--tree", required=True)
     rl.set_defaults(func=cmd_rigid_list)
-    rv = rg.add_parser("levels", parents=[seed_parent], help="level eigenvalue data as CSV")
+    rv = rg.add_parser("levels", help="level eigenvalue data as CSV")
     rv.add_argument("--max", type=int, default=40)
     rv.add_argument("--out", required=True)
     rv.set_defaults(func=cmd_rigid_levels)
@@ -378,6 +383,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if "seed" in args and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

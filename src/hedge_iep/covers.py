@@ -336,12 +336,12 @@ def sigma_counts(t: RootedTree, h: int, q: PendentPath | None = None) -> tuple[i
     return p_without_q, p_with_q
 
 
-def nullity_bound_check(t: RootedTree, subtrees, a, tol: float = 1e-8) -> bool:
+def nullity_bound_check(t: RootedTree, subtrees, a) -> bool:
     """Invertible-subtrees bound: nullity(A) <= P(T minus the subtrees).
 
     ``subtrees`` is a list of vertex collections; they must be mutually
     independent (no edge of t between two of them) and each principal
-    submatrix must be invertible at the given tolerance.
+    submatrix must be invertible, by ``numeric.numeric_nullity``.
     """
     m = np.asarray(a, dtype=float)
     subs = [sorted(set(s)) for s in subtrees]
@@ -357,10 +357,8 @@ def nullity_bound_check(t: RootedTree, subtrees, a, tol: float = 1e-8) -> bool:
             raise SubtreesNotIndependent(f"edge {u}-{v} joins two subtrees")
     for s in subs:
         idx = [v - 1 for v in s]
-        block = m[np.ix_(idx, idx)]
-        sv = np.linalg.svd(block, compute_uv=False)
-        if sv.size and sv[-1] < tol * max(1.0, float(sv[0])):
-            raise SubmatrixSingular(f"submatrix on {s} is singular at tol {tol}")
+        if numeric.numeric_nullity(m[np.ix_(idx, idx)]) > 0:
+            raise SubmatrixSingular(f"submatrix on {s} is singular")
     rest = set(t.vertices) - set(flat)
     p, _ = path_cover_number(t, rest)
-    return numeric.numeric_nullity(m, tol) <= p
+    return numeric.numeric_nullity(m) <= p

@@ -17,6 +17,7 @@ import numpy as np
 
 from .numeric import trailing_spectra
 from .polys import NonzeroRemainder, PolyQ, three_term_polys
+from .tolerance import SINGULAR_TOL, close
 from .trees import RootedTree
 from .weights import WeightedMatrix
 
@@ -218,7 +219,7 @@ def remainder_poly(lam: LambdaTuple, n: int) -> PolyQ:
         ) from exc
 
 
-def step_lemma_checks(lam: LambdaTuple, n: int, tol: float = 1e-8) -> list[str]:
+def step_lemma_checks(lam: LambdaTuple, n: int) -> list[str]:
     """Check, on the built family, the subpath eigenvalue-step facts:
     consecutive spectra are disjoint, an eigenvalue of C_{k-2} recurs in C_k
     iff a_k equals it, and one of C_{k-3} recurs iff b_k matches the product
@@ -226,28 +227,29 @@ def step_lemma_checks(lam: LambdaTuple, n: int, tol: float = 1e-8) -> list[str]:
     if n < 4:
         raise ValueError("the checks need n >= 4")
     a, b = abc_coefficients(lam, n)
-    return step_lemma_checks_raw([float(x) for x in a], [float(x) for x in b], tol)
+    return step_lemma_checks_raw([float(x) for x in a], [float(x) for x in b])
 
 
-def step_lemma_checks_raw(a: list, b: list, tol: float = 1e-8) -> list[str]:
-    """Same checks for an arbitrary coefficient family (a_1.., b_2..)."""
+def step_lemma_checks_raw(a: list, b: list) -> list[str]:
+    """Same checks for an arbitrary coefficient family (a_1.., b_2..), with
+    eigenvalues equal within SINGULAR_TOL times max(1, width of spec C_n)."""
     n = len(a)
     specs = [np.array([])] + trailing_spectra(a, b, n)
     width = max(1.0, float(specs[n][-1] - specs[n][0]))
-    close = lambda x, y: abs(x - y) <= tol * width
-    member = lambda x, spec: bool(np.min(np.abs(spec - x)) <= tol * width)
+    cut = SINGULAR_TOL * width
+    member = lambda x, spec: bool(np.min(np.abs(spec - x)) <= cut)
     bad = []
     for k in range(2, n + 1):
         gap = min(abs(x - y) for x in specs[k] for y in specs[k - 1])
-        if gap <= tol * width:
+        if gap <= cut:
             bad.append(f"spec(C_{k-1}) meets spec(C_{k})")
     for k in range(3, n + 1):
         for x in specs[k - 2]:
-            if member(x, specs[k]) != close(a[k - 1], x):
+            if member(x, specs[k]) != close(a[k - 1], x, SINGULAR_TOL, width):
                 bad.append(f"alpha-step fails at k={k}, value {x}")
     for k in range(4, n + 1):
         for x in specs[k - 3]:
-            rule = close(b[k - 1 - 1], (x - a[k - 1]) * (x - a[k - 2]))
+            rule = close(b[k - 1 - 1], (x - a[k - 1]) * (x - a[k - 2]), SINGULAR_TOL, width)
             if member(x, specs[k]) != rule:
                 bad.append(f"beta-step fails at k={k}, value {x}")
     return bad

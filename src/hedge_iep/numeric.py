@@ -15,6 +15,7 @@ import numpy as np
 from .mpoly import bareiss_determinant
 from .polys import PolyQ, three_term_polys
 from .spectra import SpectrumMultiset
+from .tolerance import CLUSTER_TOL, ROUNDING_TOL, SINGULAR_TOL, gap_clusters
 
 
 class NotSymmetric(ValueError):
@@ -47,13 +48,13 @@ class SymTridiag:
         return m
 
 
-def eigenvalues_sym(m: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
+def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of a dense symmetric matrix."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric("matrix must be square")
     scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.T)) > sym_tol * scale:
+    if np.max(np.abs(m - m.T)) > ROUNDING_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     try:
         return np.sort(np.linalg.eigvalsh(m))
@@ -104,31 +105,18 @@ def char_poly_exact(entries) -> PolyQ:
     return bareiss_determinant(mat)
 
 
-def cluster_multiplicities(values, tol: float = 1e-7) -> SpectrumMultiset:
-    """Greedy gap clustering of a sorted value list, after normalizing the
-    spectrum to unit width."""
+def cluster_multiplicities(values, tol: float = CLUSTER_TOL) -> SpectrumMultiset:
+    """Greedy gap clustering of the sorted values, gaps relative to the
+    spectrum's width."""
     vals = sorted(float(v) for v in values)
-    if not vals:
-        return SpectrumMultiset(())
-    width = vals[-1] - vals[0]
-    if width == 0:
-        return SpectrumMultiset(((vals[0], len(vals)),))
-    groups: list[list[float]] = [[vals[0]]]
-    for v in vals[1:]:
-        if v - groups[-1][-1] > tol * width:
-            groups.append([v])
-        else:
-            groups[-1].append(v)
-    return SpectrumMultiset(
-        tuple((sum(g) / len(g), len(g)) for g in groups)
-    )
+    return SpectrumMultiset(tuple((mean, len(r)) for mean, r in gap_clusters(vals, tol)))
 
 
-def numeric_nullity(m: np.ndarray, tol: float = 1e-8) -> int:
-    """Nullity as the count of singular values below tol * max(1, s_max)."""
+def numeric_nullity(m: np.ndarray) -> int:
+    """Nullity as the count of singular values below SINGULAR_TOL * max(1, s_max)."""
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    cut = tol * max(1.0, float(s[0]))
+    cut = SINGULAR_TOL * max(1.0, float(s[0]))
     return int(np.sum(s < cut))

@@ -28,6 +28,7 @@ from .lambdas import (
 from .numeric import cluster_multiplicities, eigenvalues_sym, trailing_spectra
 from .polys import PolyQ, poly_gcd
 from .spectra import GapVector, MultiplicityList, SpectrumMultiset, gap_vector
+from .tolerance import ROUNDING_TOL, SPECTRUM_TOL, WEIGHT_TOL, close
 from .trees import (
     HedgeProfile,
     NotLush,
@@ -44,15 +45,6 @@ from .weights import (
     collapse_pendent_k_paths,
     symmetric_representative,
 )
-
-#: absolute tolerance of the cascade's weight comparisons (relative in the
-#: final membership check)
-CASCADE_TOL = 1e-9
-#: gap, relative to the spectrum's width, that separates two eigenvalues when
-#: recognize_search clusters the dense spectrum; the rigid list uses the same.
-#: Near-coincident distinguished values (4e-5 apart in a spectrum 1e3 wide)
-#: must stay apart.
-SEARCH_CLUSTER_TOL = 1e-9
 
 
 class HeightMismatch(ValueError):
@@ -134,20 +126,22 @@ def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
     return out
 
 
-def _assert_ph_member(w: WeightFn, w_c: WeightFn, tol: float = 1e-12) -> None:
+def _assert_ph_member(w: WeightFn, w_c: WeightFn, tol: float = ROUNDING_TOL) -> None:
     """Membership by definition: heights carry the path's vertex weights and
-    children edge weights sum to the path's edge weight."""
+    children edge weights sum to the path's edge weight, each within tol
+    relative to the path's value when a float takes part."""
     t = w.tree
     hm = t.height_map
     height = t.height
     path_at = {height - (i - 1): i for i in w_c.tree.vertices}
-    exact = w.is_exact() and w_c.is_exact()
-
-    def close(x, y):
-        return x == y if exact else abs(float(x) - float(y)) <= tol * max(1.0, abs(float(y)))
-
+    # max(1, |value|) of each path vertex and edge weight, converted once
+    scale = {
+        k: max(1.0, abs(float(y)))
+        for k, y in [*w_c.vertex_weight.items(), *w_c.edge_weight.items()]
+    }
     for v in t.vertices:
-        if not close(w.v(v), w_c.v(path_at[hm[v]])):
+        i = path_at[hm[v]]
+        if not close(w.v(v), w_c.v(i), tol, scale[i]):
             raise AssertionError(f"vertex weight at {v} disagrees with the path")
     for v in t.vertices:
         kids = t.children[v]
@@ -157,7 +151,7 @@ def _assert_ph_member(w: WeightFn, w_c: WeightFn, tol: float = 1e-12) -> None:
         total = w.e(v, kids[0])
         for u in kids[1:]:
             total = total + w.e(v, u)
-        if not close(total, w_c.e(i, i + 1)):
+        if not close(total, w_c.e(i, i + 1), tol, scale[(i, i + 1)]):
             raise AssertionError(f"edge weights at {v} do not sum to the path weight")
 
 
@@ -290,12 +284,6 @@ def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:
     if not is_lush(t) or t.height < 2:
         raise NotLush("the cascade runs on lush hedges of height >= 2")
     height = t.height
-    exact = w.is_exact() and all(
-        isinstance(v, (Fraction, int)) for v in lam.values()
-    )
-
-    def close(x, y):
-        return x == y if exact else abs(float(x) - float(y)) <= CASCADE_TOL
 
     try:
         a, b = abc_coefficients(lam, height + 1)
@@ -305,9 +293,9 @@ def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:
     hm = t.height_map
     for v in t.vertices:
         hv = hm[v]
-        if hv % 2 == 0 and not close(w.v(v), lam.alpha1):
+        if hv % 2 == 0 and not close(w.v(v), lam.alpha1, WEIGHT_TOL):
             raise NotFromConstruction(0, f"even-height vertex {v} has diagonal {w.v(v)}")
-        if hv % 2 == 1 and hv >= 3 and not close(w.v(v), lam.alpha2):
+        if hv % 2 == 1 and hv >= 3 and not close(w.v(v), lam.alpha2, WEIGHT_TOL):
             raise NotFromConstruction(0, f"odd-height vertex {v} has diagonal {w.v(v)}")
 
     cur = w
@@ -318,18 +306,18 @@ def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:
             raise NotFromConstruction(h, "no pendent paths to collapse")
         for q in chains:
             for pos, u in enumerate(q.vertices):
-                if not close(cur.v(u), diag[pos]):
+                if not close(cur.v(u), diag[pos], WEIGHT_TOL):
                     raise NotFromConstruction(
                         h, f"chain {q.vertices}: vertex weight {cur.v(u)} != a value"
                     )
             for pos in range(h - 1):
                 got = cur.e(q.vertices[pos], q.vertices[pos + 1])
-                if not close(got, off[pos]):
+                if not close(got, off[pos], WEIGHT_TOL):
                     raise NotFromConstruction(
                         h, f"chain {q.vertices}: edge weight {got} != b value"
                     )
         try:
-            result = collapse_pendent_k_paths(cur, h, tol=CASCADE_TOL)
+            result = collapse_pendent_k_paths(cur, h)
         except Exception as exc:
             raise NotFromConstruction(h, f"collapse failed: {exc}") from exc
         cur = result.weight
@@ -339,17 +327,15 @@ def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:
         raise NotFromConstruction(height, "cascade did not end on the bare path")
     diag, off = _expected_chain_weight(a, b, height + 1)
     for i in range(1, height + 2):
-        if not close(cur.v(i), diag[i - 1]):
+        if not close(cur.v(i), diag[i - 1], WEIGHT_TOL):
             raise NotFromConstruction(height, f"final diagonal {cur.v(i)} != a value")
     for i in range(1, height + 1):
-        if not close(cur.e(i, i + 1), off[i - 1]):
+        if not close(cur.e(i, i + 1), off[i - 1], WEIGHT_TOL):
             raise NotFromConstruction(height, f"final edge {cur.e(i, i + 1)} != b value")
 
     target = build_C(lam, height + 1)
     try:
-        _assert_ph_member(
-            w, target.weight() if exact else target.weight().as_float(), CASCADE_TOL
-        )
+        _assert_ph_member(w, target.weight(), WEIGHT_TOL)
     except AssertionError as exc:
         raise NotFromConstruction(height, str(exc)) from exc
     return RecognizeResult(lam, lam.region(), cur, target)
@@ -366,7 +352,7 @@ def recognize_search(w: WeightFn) -> RecognizeResult:
     thr = critical_thresholds(prof)
     ell3 = prof.ell_at(3)
     spec = cluster_multiplicities(
-        eigenvalues_sym(symmetric_representative(w).to_numpy()), SEARCH_CLUSTER_TOL
+        eigenvalues_sym(symmetric_representative(w).to_numpy()), SPECTRUM_TOL
     )
     vals = spec.values
     mult = {v: m for v, m in spec.entries}

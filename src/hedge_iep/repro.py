@@ -21,6 +21,7 @@ from . import pth, rigid
 from .lambdas import LambdaTuple, build_C
 from .numeric import cluster_multiplicities, eigenvalues_sym
 from .spectra import SpectrumMultiset, gap_vector
+from .tolerance import ROUTE_TOL, SPECTRUM_TOL, close
 from .trees import RootedTree, ten_vertex_hedge, profile, smallest_lush_hedge
 from .weights import WeightFn, symmetric_representative
 
@@ -122,7 +123,7 @@ def _c3_prime_weight() -> WeightFn:
     )
 
 
-def _multiset_close(spec: SpectrumMultiset, expected, tol: float) -> bool:
+def _multiset_close(spec: SpectrumMultiset, expected) -> bool:
     got = spec.as_sorted_list()
     want = []
     for v, m in expected:
@@ -130,7 +131,7 @@ def _multiset_close(spec: SpectrumMultiset, expected, tol: float) -> bool:
     if len(got) != len(want):
         return False
     width = max(want) - min(want)
-    return all(abs(a - b) <= tol * width for a, b in zip(got, want))
+    return all(close(a, b, SPECTRUM_TOL, width) for a, b in zip(got, want))
 
 
 def repro_table1(report: RunReport, seed: int) -> None:
@@ -140,10 +141,10 @@ def repro_table1(report: RunReport, seed: int) -> None:
     w = pth.ph_construct(wc3, hedge10)
     spec = pth.ph_spectrum(wc3, prof)
     expected = MANIFEST["table1"]["spectrum"]
-    report.check("level-formula spectrum", _multiset_close(spec, expected, 1e-9))
+    report.check("level-formula spectrum", _multiset_close(spec, expected))
     direct = eigenvalues_sym(symmetric_representative(w).to_numpy())
     spec2 = cluster_multiplicities(direct)
-    report.check("direct eigendecomposition", _multiset_close(spec2, expected, 1e-9))
+    report.check("direct eigendecomposition", _multiset_close(spec2, expected))
     report.outputs["spectrum"] = [(v, m) for v, m in spec.entries]
 
 
@@ -154,12 +155,12 @@ def repro_table2(report: RunReport, seed: int) -> None:
     s6 = float(np.sqrt(6.0))
     expected = [(3 - 2 * s6, 1), (1, 2), (2, 4), (5, 2), (3 + 2 * s6, 1)]
     spec = pth.ph_spectrum(wc, prof)
-    report.check("level-formula spectrum", _multiset_close(spec, expected, 1e-9))
+    report.check("level-formula spectrum", _multiset_close(spec, expected))
     w = pth.ph_construct(wc, hedge10)
     direct = cluster_multiplicities(
         eigenvalues_sym(symmetric_representative(w).to_numpy())
     )
-    report.check("direct eigendecomposition", _multiset_close(direct, expected, 1e-9))
+    report.check("direct eigendecomposition", _multiset_close(direct, expected))
     report.check(
         "ordered multiplicities", direct.ordered_multiplicities() == (1, 2, 4, 2, 1)
     )
@@ -186,7 +187,7 @@ def repro_bf_rs(report: RunReport, seed: int) -> None:
             report.check("ordered list (1,2,4,2,1)", False, str(spec.entries))
             return
         gv = gap_vector(spec)
-        if abs(gv.p[0] - gv.p[3]) > 1e-9:
+        if not close(gv.p[0], gv.p[3], SPECTRUM_TOL):
             report.check("gap1 = gap4", False, f"{gv.p}")
             return
         trials += 1
@@ -274,7 +275,7 @@ def repro_rigid_values(report: RunReport, seed: int) -> None:
         )
         report.check(
             f"{key} routes agree",
-            abs(exact - sol.route_a[key]) < 1e-9,
+            abs(exact - sol.route_a[key]) < ROUTE_TOL,
         )
     certs = rigid.certify_coincidences()
     report.check("exact coincidences in the number field", all(certs.values()))
@@ -295,7 +296,7 @@ def repro_levels_40(report: RunReport, seed: int) -> None:
     bs = rigid.rigid_b_values(41)
     report.check("b_i > 0 up to level 41 (exact signs)", all(b.sign() == 1 for b in bs))
     gap = rigid.consecutive_interlacing_gap(40)
-    report.check("consecutive levels stay disjoint", gap > 1e-9, f"min gap {gap:.3e}")
+    report.check("consecutive levels stay disjoint", gap > SPECTRUM_TOL, f"min gap {gap:.3e}")
     report.outputs["rows"] = len(rows)
 
 

@@ -27,6 +27,7 @@ from .lambdas import LambdaTuple, abc_closed_forms, region_of, remainder_poly
 from .mpoly import MPolyQ, bareiss_determinant
 from .numeric import trailing_spectra
 from .polys import PolyQ, ZeroPolynomial, three_term_polys
+from .tolerance import ROUTE_TOL, SPECTRUM_TOL, close, gap_clusters
 from .trees import HedgeProfile
 
 
@@ -352,7 +353,7 @@ def solve_route_a(seed: int = 0, starts: int = 20) -> dict[str, float]:
 
 @lru_cache(maxsize=1)
 def solve_rigid(seed: int = 0) -> RigidSolution:
-    """Both routes; exact substitution check; 1e-9 agreement."""
+    """Both routes; exact substitution check; agreement within ROUTE_TOL."""
     exact = route_b_values()
     lam = LambdaTuple(
         exact["alpha1"], exact["alpha2"], QXi.of(-1), exact["beta3"], QXi.of(1)
@@ -369,7 +370,7 @@ def solve_rigid(seed: int = 0) -> RigidSolution:
         raise RoutesDisagree("exact tuple left the expected region")
     route_a = solve_route_a(seed)
     for key, val in exact.items():
-        if abs(route_a[key] - float(val)) > 1e-9:
+        if abs(route_a[key] - float(val)) > ROUTE_TOL:
             raise RoutesDisagree(
                 f"routes disagree on {key}: {route_a[key]} vs {float(val)}"
             )
@@ -438,7 +439,7 @@ class RigidList:
         return sum(self.ordered)
 
 
-def rigid_multiplicity_list(prof: HedgeProfile, tol: float = 1e-9) -> RigidList:
+def rigid_multiplicity_list(prof: HedgeProfile, tol: float = SPECTRUM_TOL) -> RigidList:
     """Ordered multiplicity list of the rigid construction on a lush hedge
     with the given profile (height >= 8), assembled from level spectra; no
     giant matrix is ever formed.
@@ -459,12 +460,11 @@ def rigid_multiplicity_list(prof: HedgeProfile, tol: float = 1e-9) -> RigidList:
             points.append((float(v), level))
     points.sort()
     width = points[-1][0] - points[0][0]
-    clusters: list[list[tuple[float, int]]] = [[points[0]]]
-    for p in points[1:]:
-        if p[0] - clusters[-1][-1][0] > tol * width:
-            clusters.append([p])
-        else:
-            clusters[-1].append(p)
+    # (value, levels of its members) per cluster
+    clusters = [
+        (value, [points[i][1] for i in r])
+        for value, r in gap_clusters([v for v, _ in points], tol)
+    ]
     sol = solve_rigid()
     named = {
         "alpha1": float(sol.lam.alpha1),
@@ -478,14 +478,14 @@ def rigid_multiplicity_list(prof: HedgeProfile, tol: float = 1e-9) -> RigidList:
     }
     ordered = []
     table = []
-    for cl in clusters:
-        levels = frozenset(level for _, level in cl)
+    level_hits = {i: 0 for i in range(1, n + 1)}
+    for value, cl in clusters:
+        levels = frozenset(cl)
         if len(levels) != len(cl):
             raise UnexpectedCoincidence("two eigenvalues of one level clustered")
-        value = sum(v for v, _ in cl) / len(cl)
         label = ""
         for name, target in named.items():
-            if abs(value - target) <= tol * max(1.0, width):
+            if close(value, target, tol, max(1.0, width)):
                 label = name
                 break
         if len(levels) > 1:
@@ -498,11 +498,9 @@ def rigid_multiplicity_list(prof: HedgeProfile, tol: float = 1e-9) -> RigidList:
         mult = sum(prof.ell_at(level) for level in levels)
         ordered.append(mult)
         table.append((value, mult, label))
-    # every ell contributes to exactly i of the multiplicities
-    level_hits = {i: 0 for i in range(1, n + 1)}
-    for cl in clusters:
-        for level in {l for _, l in cl}:
+        for level in levels:
             level_hits[level] += 1
+    # every ell contributes to exactly i of the multiplicities
     for i in range(1, n + 1):
         if level_hits[i] != i:
             raise UnexpectedCoincidence(

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .tolerance import ROUNDING_TOL, close
 
 
 class SingleEigenvalue(ValueError):
@@ -32,17 +33,8 @@ class SpectrumMultiset:
         return cls(tuple(sorted(merged.items(), key=lambda p: p[0])))
 
     @property
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    @property
     def values(self) -> tuple:
         return tuple(v for v, _ in self.entries)
-
-    def scaled(self, s: int) -> "SpectrumMultiset":
-        if s == 0:
-            return SpectrumMultiset(())
-        return SpectrumMultiset(tuple((v, s * m) for v, m in self.entries))
 
     def ordered_multiplicities(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.entries)
@@ -65,10 +57,6 @@ class MultiplicityList:
         if any(m < 0 for m in self.ordered):
             raise ValueError("multiplicities must be >= 0")
 
-    @property
-    def total(self) -> int:
-        return sum(self.ordered)
-
     def __len__(self) -> int:
         return len(self.ordered)
 
@@ -82,11 +70,7 @@ class GapVector:
     def __post_init__(self) -> None:
         if any(not x > 0 for x in self.p):
             raise ValueError("gaps must be strictly positive")
-        s = sum(self.p)
-        if isinstance(s, Fraction):
-            if s != 1:
-                raise ValueError("gaps must sum to 1")
-        elif abs(s - 1.0) > 1e-12:
+        if not close(sum(self.p), 1, ROUNDING_TOL):
             raise ValueError("gaps must sum to 1")
 
     def __len__(self) -> int:

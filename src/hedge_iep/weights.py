@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tolerance import ROUNDING_TOL, WEIGHT_TOL, close
 from .trees import RootedTree
-
-FLOAT_WEIGHT_TOL = 1e-9  # absolute tolerance for float weight equality
 
 
 class NonPositiveEdgeWeight(ValueError):
@@ -119,11 +118,7 @@ class DuplicationSplit:
         if any(not x > 0 for x in self.t):
             raise BadSplit("split entries must be strictly positive")
         s = sum(self.t)
-        exact = all(isinstance(x, (Fraction, int)) for x in self.t)
-        if exact:
-            if s != 1:
-                raise BadSplit(f"split must sum to 1, got {s}")
-        elif abs(s - 1.0) > 1e-12:
+        if not close(s, 1, ROUNDING_TOL):
             raise BadSplit(f"split must sum to 1, got {s}")
 
     @classmethod
@@ -188,28 +183,19 @@ def _branch_signature(w: WeightFn, root: int):
     return enc(root)
 
 
-def _close(x, y, tol: float) -> bool:
-    """Equal, or within tol when either side is a float."""
-    if isinstance(x, float) or isinstance(y, float):
-        return not abs(float(x) - float(y)) > tol
-    return x == y
-
-
-def _sig_close(s1, s2, tol: float) -> bool:
+def _sig_close(s1, s2) -> bool:
     (v1, subs1), (v2, subs2) = s1, s2
     return (
         len(subs1) == len(subs2)
-        and _close(v1, v2, tol)
+        and close(v1, v2, WEIGHT_TOL)
         and all(
-            _close(e1, e2, tol) and _sig_close(c1, c2, tol)
+            close(e1, e2, WEIGHT_TOL) and _sig_close(c1, c2)
             for (e1, c1), (e2, c2) in zip(subs1, subs2)
         )
     )
 
 
-def collapsible_branches(
-    w: WeightFn, v: int, tol: float = FLOAT_WEIGHT_TOL
-) -> list[list[int]]:
+def collapsible_branches(w: WeightFn, v: int) -> list[list[int]]:
     """Partition of the branches at v (by their connecting child) into
     maximal groups that are mutually collapsible for w."""
     t = w.tree
@@ -217,7 +203,7 @@ def collapsible_branches(
     for c in t.children[v]:
         sig = _branch_signature(w, c)
         for gsig, members in groups:
-            if _sig_close(gsig, sig, tol):
+            if _sig_close(gsig, sig):
                 members.append(c)
                 break
         else:
@@ -274,9 +260,7 @@ class CollapseResult:
     removed_count: int
 
 
-def collapse_pendent_k_paths(
-    w: WeightFn, k: int, tol: float = FLOAT_WEIGHT_TOL
-) -> CollapseResult:
+def collapse_pendent_k_paths(w: WeightFn, k: int) -> CollapseResult:
     """Collapse every family of pendent k-paths meeting a common vertex to a
     single representative (the smallest-labelled one, which is the branch
     containing the default distinguished child).
@@ -300,7 +284,7 @@ def collapse_pendent_k_paths(
         rep_sig = _branch_signature(w, rep.vertices[0])
         total = w.e(v, rep.vertices[0])
         for q in rest:
-            if not _sig_close(rep_sig, _branch_signature(w, q.vertices[0]), tol):
+            if not _sig_close(rep_sig, _branch_signature(w, q.vertices[0])):
                 raise NotCollapsible(
                     v, f"paths {rep.vertices} and {q.vertices} carry different weights"
                 )

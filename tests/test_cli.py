@@ -2,9 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,10 @@ def test_rs_sweep(tmp_path, t31_file, capsys):
         ["hedge", "info", "{float_parent}"],
         ["lambda", "build", "--alpha1", "0", "--alpha2", "1", "--beta3", "2", "--n", "2"],
         ["pth", "recognize", "{huge_weight}"],
+        ["weights", "spectrum", "{weight3}", "--cluster-tol", "nan"],
+        ["weights", "spectrum", "{weight3}", "--cluster-tol", "inf"],
+        ["weights", "spectrum", "{weight3}", "--cluster-tol", "0"],
+        ["weights", "spectrum", "{weight3}", "--cluster-tol", "-1"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -213,8 +219,37 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         WeightFn(RootedTree((0, 1)), {1: Fraction(1), 2: Fraction(2)}, {(1, 2): Fraction(3)}),
         paths["weight"],
     )
+    # eigenvalues 0, 3 and 11
+    paths["weight3"] = tmp_path / "w3.json"
+    save_weight(
+        WeightFn(
+            RootedTree((0, 1, 2)),
+            {1: Fraction(8), 2: Fraction(4), 3: Fraction(2)},
+            {(1, 2): Fraction(20), (2, 3): Fraction(3)},
+        ),
+        paths["weight3"],
+    )
     assert main([a.format(**paths) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["repro", "table1"],
+        ["pth", "construct", "--alpha1", "0", "--alpha2", "1", "--beta2", "-1", "--beta3", "2",
+         "--beta4", "3", "--tree", "{tree}", "--out", "{out}"],
+    ],
+)
+def test_bad_seed_environment_exits_2(tmp_path, monkeypatch, capsys, argv):
+    tree = tmp_path / "t31.json"
+    save_tree(smallest_lush_hedge(3), tree)
+    monkeypatch.setenv("HEDGE_IEP_SEED", "abc")
+    assert main([a.format(tree=tree, out=tmp_path / "w.json") for a in argv]) == 2
+    assert "HEDGE_IEP_SEED" in capsys.readouterr().err
+    # an explicit --seed needs no environment value; other commands never read it
+    assert main([a.format(tree=tree, out=tmp_path / "w.json") for a in argv] + ["--seed", "3"]) == 0
+    assert main(["hedge", "info", str(tree)]) == 0
 
 
 _LAMBDA_NAMES = ("alpha1", "alpha2", "beta2", "beta3", "beta4")
@@ -228,6 +263,10 @@ _POSITIVE = st.builds("{}/{}".format, st.integers(1, 6), st.integers(1, 5)) | st
 ) | st.floats(0.1, 3)
 _JUNK = st.sampled_from([True, None, [1], "1e400", "abc", "1/0", -1, 0])
 _HEDGES = [tree_to_json(t) for t in (smallest_lush_hedge(2), smallest_lush_hedge(3), ten_vertex_hedge())]
+# --cluster-tol strings, finite and positive or not
+_TOLS = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-7", "5e-324"]) | st.floats().map(repr)
+# HEDGE_IEP_SEED values; None leaves the variable unset
+_SEEDS = st.sampled_from([None, "", "abc", "1.5", " 2 ", "-3"]) | st.integers(-5, 2**40).map(str)
 
 
 @st.composite
@@ -281,12 +320,22 @@ def _argv(draw, tmp: Path):
 
     command = draw(st.sampled_from(
         ["hedge info", "covers", "weights spectrum", "pth recognize", "lambda build",
-         "pth rs-sweep", "rigid levels"]
+         "pth rs-sweep", "rigid levels", "pth construct", "repro"]
     ))
     if command in ("hedge info", "covers"):
         return command.split() + [write("tree.json", draw(_tree_json()))]
     if command == "weights spectrum":
-        return ["weights", "spectrum", write("w.json", draw(_weight_json()))]
+        argv = ["weights", "spectrum", write("w.json", draw(_weight_json()))]
+        return argv + ([f"--cluster-tol={draw(_TOLS)}"] if draw(st.booleans()) else [])
+    if command in ("pth construct", "repro"):
+        if command == "repro":
+            argv = ["repro", draw(st.sampled_from(["table1", "zeroone-11", "nonconvexity", "x"]))]
+        else:
+            lam = draw(_lambda_values(_FRACTIONS))
+            argv = ["pth", "construct", "--tree", write("tree.json", draw(_tree_json())),
+                    f"--out={tmp / 'w.json'}"] + [f"--{k}={v}" for k, v in lam.items()]
+            argv += ["--random-splits"] if draw(st.booleans()) else []
+        return argv + ([f"--seed={draw(st.integers(-3, 3))}"] if draw(st.booleans()) else [])
     if command == "pth recognize":
         argv = ["pth", "recognize", write("w.json", draw(_weight_json()))]
         if draw(st.booleans()):
@@ -309,13 +358,18 @@ def _argv(draw, tmp: Path):
     return ["rigid", "levels", f"--max={draw(st.integers(-1, 12))}", f"--out={tmp / 'l.csv'}"]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_exit_code_contract(data):
     """Any generated input ends in exit 0, 1 or 2, never in a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = data.draw(_argv(Path(tmp)))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        seed = data.draw(_SEEDS)
+        env = {k: v for k, v in os.environ.items() if k != "HEDGE_IEP_SEED"}
+        env.update({} if seed is None else {"HEDGE_IEP_SEED": seed})
+        with mock.patch.dict(os.environ, env, clear=True), contextlib.redirect_stdout(
+            io.StringIO()
+        ), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
 
 

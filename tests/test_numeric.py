@@ -81,6 +81,11 @@ def test_cluster_examples():
     assert cluster_multiplicities(table1).ordered_multiplicities() == (1, 2, 3, 1, 2, 1)
 
 
+def test_cluster_of_equal_values_keeps_the_value():
+    # the mean would round: sum([0.1] * 3) / 3 == 0.10000000000000002
+    assert cluster_multiplicities([0.1] * 3).entries == ((0.1, 3),)
+
+
 def test_eigensolver_vs_exact_roots(rng):
     # LAPACK against Sturm-bisected exact roots on random rational path
     # matrices

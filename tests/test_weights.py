@@ -172,6 +172,13 @@ def test_collapse_not_collapsible():
         collapse_pendent_k_paths(w, 1)
 
 
+def test_collapse_nan_weight_is_not_collapsible():
+    t = RootedTree((0, 1, 1))
+    w = WeightFn(t, {1: 0.0, 2: float("nan"), 3: 5.0}, {(1, 2): 1.0, (1, 3): 1.0})
+    with pytest.raises(NotCollapsible):
+        collapse_pendent_k_paths(w, 1)
+
+
 def test_collapse_two_paths_internal_edge():
     """Two pendent 2-paths at the root that differ only in their internal edge."""
     t = RootedTree((0, 1, 2, 1, 4))
@@ -184,8 +191,8 @@ def test_collapse_two_paths_internal_edge():
     with pytest.raises(NotCollapsible):
         collapse_pendent_k_paths(weight(Fraction(1), Fraction(1) + Fraction(1, 10**12)), 2)
     with pytest.raises(NotCollapsible):
-        collapse_pendent_k_paths(weight(1.0, 1.0 + 1e-6), 2, tol=1e-9)
-    res = collapse_pendent_k_paths(weight(1.0, 1.0 + 1e-12), 2, tol=1e-9)
+        collapse_pendent_k_paths(weight(1.0, 1.0 + 1e-6), 2)
+    res = collapse_pendent_k_paths(weight(1.0, 1.0 + 1e-12), 2)
     assert res.removed_count == 1
     assert res.weight.tree == RootedTree((0, 1, 2))
     assert res.weight.e(1, 2) == 3.0 and res.weight.e(2, 3) == 1.0
