@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import covers, pth, repro, rigid
-from .lambdas import LambdaTuple, build_C, region_of
-from .numeric import cluster_multiplicities, eigenvalues_sym
+from .lambdas import NAMES, LambdaTuple, build_C, region_of
+from .numeric import cluster_multiplicities
 from .spectra import gap_vector
 from .tolerance import CLUSTER_TOL
 from .trees import is_hedge, is_lush, load_tree, profile
@@ -26,7 +26,7 @@ from .weights import (
     exact_number,
     load_weight,
     save_weight,
-    symmetric_representative,
+    spectrum_of,
     weight_to_json,
 )
 
@@ -45,19 +45,16 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-_LAMBDA_NAMES = ("alpha1", "alpha2", "beta2", "beta3", "beta4")
-
-
 class BadLambda(ValueError):
     pass
 
 
 def _lambda_tuple(vals: dict) -> LambdaTuple:
-    unknown = sorted(set(vals) - set(_LAMBDA_NAMES))
+    unknown = sorted(set(vals) - set(NAMES))
     if unknown:
-        raise BadLambda(f"unknown value name(s) {unknown}; expected {_LAMBDA_NAMES}")
-    if not vals or set(vals) != set(_LAMBDA_NAMES[: len(vals)]):
-        raise BadLambda(f"give alpha1 and the values after it in the order {_LAMBDA_NAMES}")
+        raise BadLambda(f"unknown value name(s) {unknown}; expected {NAMES}")
+    if not vals or set(vals) != set(NAMES[: len(vals)]):
+        raise BadLambda(f"give alpha1 and the values after it in the order {NAMES}")
     return LambdaTuple(**vals)
 
 
@@ -69,12 +66,12 @@ def _lambda_from_args(args) -> LambdaTuple:
             raise BadLambda("the lambda file must hold a JSON object")
         vals = {
             k: exact_number(str(data[k]))
-            for k in _LAMBDA_NAMES
+            for k in NAMES
             if k in data and data[k] is not None
         }
         return _lambda_tuple(vals)
     vals = {}
-    for n in _LAMBDA_NAMES:
+    for n in NAMES:
         v = getattr(args, n, None)
         if v is not None:
             vals[n] = exact_number(v)
@@ -115,8 +112,7 @@ def cmd_covers(args) -> int:
 
 def cmd_weights_spectrum(args) -> int:
     w = load_weight(args.weightfile)
-    vals = eigenvalues_sym(symmetric_representative(w).to_numpy())
-    spec = cluster_multiplicities(vals, args.cluster_tol)
+    spec = cluster_multiplicities(spectrum_of(w), args.cluster_tol)
     for v, m in spec.entries:
         print(f"{v:.12g}" + (f" (x{m})" if m > 1 else ""))
     return 0
@@ -284,7 +280,7 @@ def cmd_repro(args) -> int:
 
 def _add_lambda_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-file", help="JSON file with alpha1..beta4")
-    for name in _LAMBDA_NAMES:
+    for name in NAMES:
         p.add_argument(f"--{name}", help="number or fraction, e.g. 2/5")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .numeric import trailing_spectra
 from .polys import NonzeroRemainder, PolyQ, three_term_polys
 from .tolerance import SINGULAR_TOL, close
-from .trees import RootedTree
+from .trees import HedgeProfile, RootedTree
 from .weights import WeightedMatrix
 
 
@@ -83,6 +83,29 @@ def region_of(values) -> int | None:
     return None
 
 
+#: the distinguished values in their canonical order
+NAMES = ("alpha1", "alpha2", "beta2", "beta3", "beta4")
+
+
+def level_names(i: int) -> tuple[str, ...]:
+    """The distinguished values in the spectrum of C_i: alpha_i (alpha1 on
+    odd levels, alpha2 on even ones) and, from level 2 on, beta_i (beta2,
+    beta3, beta4 with period three)."""
+    alpha = NAMES[0] if i % 2 == 1 else NAMES[1]
+    return (alpha,) if i < 2 else (alpha, NAMES[2 + (i - 2) % 3])
+
+
+def generic_multiplicities(prof: HedgeProfile) -> dict[str, int]:
+    """Multiplicity of each distinguished value in a family member on a hedge
+    with this profile: the sum of ell_i over the levels i whose C_i carries
+    it (no coincidences beyond the level pattern)."""
+    mult = dict.fromkeys(NAMES, 0)
+    for i in range(1, prof.height + 2):
+        for name in level_names(i):
+            mult[name] += prof.ell_at(i)
+    return mult
+
+
 @dataclass(frozen=True)
 class LambdaTuple:
     """The distinguished eigenvalues; beta4 (and beta3) may be omitted when
@@ -108,17 +131,13 @@ class LambdaTuple:
 
     def alpha(self, i: int):
         """alpha_i: period two, alpha1 on odd indices."""
-        if i == 1:
-            return self.alpha1
-        if i == 2:
-            return self.alpha2
-        return self.alpha1 if i % 2 == 1 else self.alpha2
+        return getattr(self, level_names(i)[0])
 
     def beta(self, i: int):
         """beta_i for i >= 2: period three extending (beta2, beta3, beta4)."""
         if i < 2:
             raise ValueError("beta_i is defined for i >= 2")
-        return (self.beta2, self.beta3, self.beta4)[(i - 2) % 3]
+        return getattr(self, level_names(i)[1])
 
     def negated(self) -> "LambdaTuple":
         neg = lambda x: None if x is None else -x

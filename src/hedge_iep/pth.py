@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -22,10 +23,11 @@ from .lambdas import (
     NotInB3,
     abc_coefficients,
     build_C,
+    generic_multiplicities,
     in_B3,
     remainder_poly,
 )
-from .numeric import cluster_multiplicities, eigenvalues_sym, trailing_spectra
+from .numeric import cluster_multiplicities, trailing_spectra
 from .polys import PolyQ, poly_gcd
 from .spectra import GapVector, MultiplicityList, SpectrumMultiset, gap_vector
 from .tolerance import ROUNDING_TOL, SPECTRUM_TOL, WEIGHT_TOL, close
@@ -40,10 +42,11 @@ from .trees import (
 )
 from .weights import (
     DuplicationSplit,
+    NotCollapsible,
     WeightFn,
     WeightedMatrix,
     collapse_pendent_k_paths,
-    symmetric_representative,
+    spectrum_of,
 )
 
 
@@ -202,6 +205,21 @@ def critical_thresholds(prof: HedgeProfile) -> tuple[int, ...]:
     )
 
 
+def _critical_assignments(entries, thr: tuple[int, ...], ell3: int):
+    """Index tuples (i1, ..., i5) of distinct entries meeting the thresholds,
+    in index order; the fifth entry must also stay below ell3, and i5 = None,
+    the zero placeholder, follows the real fifth entries when its threshold
+    is zero."""
+    pools = [[i for i, v in enumerate(entries) if v >= k] for k in thr]
+    pools[4] = [i for i in pools[4] if entries[i] < ell3]
+    if thr[4] == 0 and 0 < ell3:
+        pools[4].append(None)
+    for idx in product(*pools):
+        real = [i for i in idx if i is not None]
+        if len(set(real)) == len(real):
+            yield idx
+
+
 def critical_check(t: RootedTree, m: MultiplicityList) -> CriticalWitness | None:
     """First assignment (in index order) of five list entries meeting the
     critical thresholds, allowing an implicit zero placeholder for the last
@@ -210,35 +228,10 @@ def critical_check(t: RootedTree, m: MultiplicityList) -> CriticalWitness | None
         raise NotLush("critical lists are defined for lush hedges of height >= 2")
     prof = profile(t)
     thr = critical_thresholds(prof)
-    ell3 = prof.ell_at(3)
-    entries = list(m.ordered)
-    idxs = range(len(entries))
-
-    def candidates(threshold, upper=None):
-        for i in idxs:
-            v = entries[i]
-            if v >= threshold and (upper is None or v < upper):
-                yield i
-
-    for i1 in candidates(thr[0]):
-        for i2 in candidates(thr[1]):
-            if i2 == i1:
-                continue
-            for i3 in candidates(thr[2]):
-                if i3 in (i1, i2):
-                    continue
-                for i4 in candidates(thr[3]):
-                    if i4 in (i1, i2, i3):
-                        continue
-                    used = {i1, i2, i3, i4}
-                    for i5 in candidates(thr[4], upper=ell3):
-                        if i5 in used:
-                            continue
-                        mult5 = (entries[i1], entries[i2], entries[i3], entries[i4], entries[i5])
-                        return CriticalWitness((i1, i2, i3, i4, i5), mult5, thr)
-                    if thr[4] == 0 and 0 < ell3:
-                        mult5 = (entries[i1], entries[i2], entries[i3], entries[i4], 0)
-                        return CriticalWitness((i1, i2, i3, i4, None), mult5, thr)
+    entries = m.ordered
+    for idx in _critical_assignments(entries, thr, prof.ell_at(3)):
+        mult5 = tuple(0 if i is None else entries[i] for i in idx)
+        return CriticalWitness(idx, mult5, thr)
     return None
 
 
@@ -318,7 +311,7 @@ def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:
                     )
         try:
             result = collapse_pendent_k_paths(cur, h)
-        except Exception as exc:
+        except NotCollapsible as exc:
             raise NotFromConstruction(h, f"collapse failed: {exc}") from exc
         cur = result.weight
 
@@ -349,32 +342,17 @@ def recognize_search(w: WeightFn) -> RecognizeResult:
     if not is_lush(t) or t.height < 2:
         raise NotLush("the cascade runs on lush hedges of height >= 2")
     prof = profile(t)
-    thr = critical_thresholds(prof)
-    ell3 = prof.ell_at(3)
-    spec = cluster_multiplicities(
-        eigenvalues_sym(symmetric_representative(w).to_numpy()), SPECTRUM_TOL
-    )
+    spec = cluster_multiplicities(spectrum_of(w), SPECTRUM_TOL)
     vals = spec.values
-    mult = {v: m for v, m in spec.entries}
-
-    def options(threshold, upper=None):
-        return [v for v in vals if mult[v] >= threshold and (upper is None or mult[v] < upper)]
-
-    beta4_opts: list = options(thr[4], upper=ell3) if thr[4] > 0 else [None]
     failures = []
-    for a1 in options(thr[0]):
-        for a2 in options(thr[1]):
-            for b2 in options(thr[2]):
-                for b3 in options(thr[3]):
-                    for b4 in beta4_opts:
-                        chosen = [a1, a2, b2, b3] + ([b4] if b4 is not None else [])
-                        if len(set(chosen)) != len(chosen):
-                            continue
-                        lam = LambdaTuple(a1, a2, b2, b3, b4)
-                        try:
-                            return recognize(w, lam)
-                        except (NotFromConstruction, NotInB) as exc:
-                            failures.append(str(exc))
+    for idx in _critical_assignments(
+        spec.ordered_multiplicities(), critical_thresholds(prof), prof.ell_at(3)
+    ):
+        lam = LambdaTuple(*(vals[i] for i in idx if i is not None))
+        try:
+            return recognize(w, lam)
+        except (NotFromConstruction, NotInB) as exc:
+            failures.append(str(exc))
     raise NotFromConstruction(
         "search",
         f"no eigenvalue assignment admits the cascade "
@@ -413,17 +391,10 @@ def t31_exact_spectrum(x: Fraction, prof: HedgeProfile) -> SpectrumMultiset:
     if r4 != PolyQ.of(0, -1, 1):
         raise AssertionError("level-4 remainder is not x^2 - x")
     delta1 = lam.alpha2 + lam.beta2 - lam.beta3
-    l1, l2, l3, l4 = (prof.ell_at(i) for i in (1, 2, 3, 4))
-    pairs = [
-        (lam.alpha1, l1 + l3),
-        (lam.alpha2, l2 + l4),
-        (lam.beta2, l2),
-        (lam.beta3, l3),
-        (delta1, l3),
-        (lam.beta4, l4),
-        (Fraction(0), l4),
-        (Fraction(1), l4),
-    ]
+    pairs = [(getattr(lam, name), m) for name, m in generic_multiplicities(prof).items()]
+    # the remainder roots: delta_1 of r_3, then 0 and 1 of r_4
+    l3, l4 = prof.ell_at(3), prof.ell_at(4)
+    pairs += [(delta1, l3), (Fraction(0), l4), (Fraction(1), l4)]
     return SpectrumMultiset.from_pairs(pairs)
 
 
@@ -471,6 +442,16 @@ def set_notation(ms) -> str:
     return "{" + ", ".join(str(m) for m in ms) + "}"
 
 
+def _generic_list(prof: HedgeProfile) -> tuple[int, ...]:
+    """Unordered multiplicity list of a family member with no coincidences
+    beyond the level pattern, descending: each distinguished value that
+    occurs, then each of the i - 2 remainder roots of every level i >= 3."""
+    entries = [m for m in generic_multiplicities(prof).values() if m]
+    for i in range(3, prof.height + 2):
+        entries.extend([prof.ell_at(i)] * (i - 2))
+    return tuple(sorted(entries, reverse=True))
+
+
 def _distinct_value_budget(height: int) -> int:
     # one new value at level 1, two at level 2, then i-2 remainder roots plus
     # the new beta at levels 3 and 4
@@ -509,16 +490,9 @@ def splitting_counterexample(
         for j in rs:
             if i < j and poly_gcd(rs[i], rs[j]).degree > 0:
                 raise AssertionError(f"tuple is not generic: r_{i}, r_{j} share a root")
-    alpha1_mult = sum(prof.ell_at(i) for i in range(1, height + 2) if i % 2 == 1)
-    alpha2_mult = sum(prof.ell_at(i) for i in range(2, height + 2) if i % 2 == 0)
-    entries = [alpha1_mult, alpha2_mult]
-    for j in (2, 3, 4):
-        entries.append(covers.Mhat_formula(prof, j - 1))
     delta1 = lam.alpha2 + lam.beta2 - lam.beta3
     forced_mult = prof.ell_at(3)
-    for i in range(3, height + 2):
-        entries.extend([prof.ell_at(i)] * (i - 2))
-    m = tuple(sorted(entries, reverse=True))
+    m = _generic_list(prof)
     budget = _distinct_value_budget(height)
     if len(m) != budget:
         raise AssertionError("generic list length disagrees with the level budget")
@@ -561,9 +535,7 @@ def zero_one_counterexample_check(t: RootedTree) -> ZeroOneReport:
     prof = profile(t)
     hm = t.height_map
     counts = {v: len(t.children[v]) for v in t.vertices if hm[v] == 1}
-    l1, l2, l3 = prof.ell
-    critical = tuple(sorted((l1 + l3, l2, l2, 1, 1), reverse=True))
-    return ZeroOneReport(counts, critical, len(set(counts.values())) > 1)
+    return ZeroOneReport(counts, _generic_list(prof), len(set(counts.values())) > 1)
 
 
 # re-exported for API completeness

@@ -19,11 +19,11 @@ import numpy as np
 
 from . import pth, rigid
 from .lambdas import LambdaTuple, build_C
-from .numeric import cluster_multiplicities, eigenvalues_sym
+from .numeric import cluster_multiplicities
 from .spectra import SpectrumMultiset, gap_vector
 from .tolerance import ROUTE_TOL, SPECTRUM_TOL, close
 from .trees import RootedTree, ten_vertex_hedge, profile, smallest_lush_hedge
-from .weights import WeightFn, symmetric_representative
+from .weights import WeightFn, spectrum_of
 
 
 class UnknownExample(ValueError):
@@ -134,33 +134,28 @@ def _multiset_close(spec: SpectrumMultiset, expected) -> bool:
     return all(close(a, b, SPECTRUM_TOL, width) for a, b in zip(got, want))
 
 
-def repro_table1(report: RunReport, seed: int) -> None:
+def _check_hedge10_spectra(report: RunReport, wc: WeightFn, expected):
+    """Check the family member of the path weight wc on the ten-vertex hedge
+    against the expected spectrum twice, by the level formula and by a direct
+    eigendecomposition; returns both spectra."""
     hedge10 = ten_vertex_hedge()
-    prof = profile(hedge10)
-    wc3 = _c3_example_weight()
-    w = pth.ph_construct(wc3, hedge10)
-    spec = pth.ph_spectrum(wc3, prof)
-    expected = MANIFEST["table1"]["spectrum"]
+    spec = pth.ph_spectrum(wc, profile(hedge10))
     report.check("level-formula spectrum", _multiset_close(spec, expected))
-    direct = eigenvalues_sym(symmetric_representative(w).to_numpy())
-    spec2 = cluster_multiplicities(direct)
-    report.check("direct eigendecomposition", _multiset_close(spec2, expected))
+    direct = cluster_multiplicities(spectrum_of(pth.ph_construct(wc, hedge10)))
+    report.check("direct eigendecomposition", _multiset_close(direct, expected))
+    return spec, direct
+
+
+def repro_table1(report: RunReport, seed: int) -> None:
+    expected = MANIFEST["table1"]["spectrum"]
+    spec, _ = _check_hedge10_spectra(report, _c3_example_weight(), expected)
     report.outputs["spectrum"] = [(v, m) for v, m in spec.entries]
 
 
 def repro_table2(report: RunReport, seed: int) -> None:
-    hedge10 = ten_vertex_hedge()
-    prof = profile(hedge10)
-    wc = _c3_prime_weight()
     s6 = float(np.sqrt(6.0))
     expected = [(3 - 2 * s6, 1), (1, 2), (2, 4), (5, 2), (3 + 2 * s6, 1)]
-    spec = pth.ph_spectrum(wc, prof)
-    report.check("level-formula spectrum", _multiset_close(spec, expected))
-    w = pth.ph_construct(wc, hedge10)
-    direct = cluster_multiplicities(
-        eigenvalues_sym(symmetric_representative(w).to_numpy())
-    )
-    report.check("direct eigendecomposition", _multiset_close(direct, expected))
+    _, direct = _check_hedge10_spectra(report, _c3_prime_weight(), expected)
     report.check(
         "ordered multiplicities", direct.ordered_multiplicities() == (1, 2, 4, 2, 1)
     )
@@ -177,12 +172,9 @@ def repro_bf_rs(report: RunReport, seed: int) -> None:
         lam = LambdaTuple(float(a1), float(a2), float(b2), float(b3))
         try:
             c = build_C(lam, 3)
-        except Exception:
+        except ValueError:  # NotInB, DuplicateValues, DegenerateSum
             continue
-        w = pth.ph_construct(c, hedge10)
-        spec = cluster_multiplicities(
-            eigenvalues_sym(symmetric_representative(w).to_numpy())
-        )
+        spec = cluster_multiplicities(spectrum_of(pth.ph_construct(c, hedge10)))
         if spec.ordered_multiplicities() != (1, 2, 4, 2, 1):
             report.check("ordered list (1,2,4,2,1)", False, str(spec.entries))
             return
@@ -238,11 +230,7 @@ def repro_splitting_t31(report: RunReport, seed: int) -> None:
         str(ce.not_realizable),
     )
     # certify realizability of m by an explicit construction
-    c = build_C(ce.lam, 4)
-    w = pth.ph_construct(c, t31)
-    spec = cluster_multiplicities(
-        eigenvalues_sym(symmetric_representative(w.as_float()).to_numpy())
-    )
+    spec = cluster_multiplicities(spectrum_of(pth.ph_construct(build_C(ce.lam, 4), t31)))
     got = tuple(sorted(spec.ordered_multiplicities(), reverse=True))
     report.check("realizability by eigendecomposition", got == ce.realizable, str(got))
     report.check(

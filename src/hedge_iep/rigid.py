@@ -23,7 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 from .algebraic import SEXTIC, QXi
-from .lambdas import LambdaTuple, abc_closed_forms, region_of, remainder_poly
+from .lambdas import (
+    NAMES,
+    LambdaTuple,
+    abc_closed_forms,
+    level_names,
+    region_of,
+    remainder_poly,
+)
 from .mpoly import MPolyQ, bareiss_determinant
 from .numeric import trailing_spectra
 from .polys import PolyQ, ZeroPolynomial, three_term_polys
@@ -141,29 +148,9 @@ def companion_double_root_entry() -> tuple[MPolyQ, MPolyQ, Fraction]:
     r4 = remainder_symbolic(4)
     if r4.degree != 2 or r4.leading() != 1:
         raise AssertionError("r_4 must be a monic quadratic")
-    c0, c1, _ = r4.coeffs
-    c0 = c0 if isinstance(c0, MPolyQ) else MPolyQ.const(c0)
-    c1 = c1 if isinstance(c1, MPolyQ) else MPolyQ.const(c1)
-    one = MPolyQ.const(1)
-    zero = MPolyQ(())
-    comp = ((-c1, -c0), (one, zero))  # negatives of coefficients on row one
-
-    def mat_mul(x, y):
-        return tuple(
-            tuple(sum((x[i][k] * y[k][j] for k in range(2)), MPolyQ(())) for j in range(2))
-            for i in range(2)
-        )
-
-    r8 = remainder_symbolic(8)
-    acc = ((zero, zero), (zero, zero))
-    for c in list(r8.coeffs)[::-1]:  # Horner in the matrix argument
-        cm = c if isinstance(c, MPolyQ) else MPolyQ.const(c)
-        acc = mat_mul(acc, comp)
-        acc = (
-            (acc[0][0] + cm, acc[0][1]),
-            (acc[1][0], acc[1][1] + cm),
-        )
-    entry = acc[1][0]
+    # Cayley-Hamilton: with r_8 = q r_4 + u x + v, r_8(C) = u C + v I at the
+    # companion matrix C of r_4, whose (2,1) entry is 1; so the entry is u
+    entry = remainder_symbolic(8).divmod(r4)[1].coeffs[1]
     target = (B3 - 1) * (A1 + 1) * (BETA2 - A2) * (A1 - 1) * (A2 - B3 - 2)
     ep, es = entry.normalized()
     tp, ts = target.normalized()
@@ -416,19 +403,6 @@ def rigid_level_spectra(max_level: int) -> list[np.ndarray]:
     return trailing_spectra(*abc_closed_forms(solve_rigid().lam, max_level), max_level)
 
 
-_EXPECTED_LEVEL_SETS = {
-    "alpha1": lambda n: frozenset(i for i in range(1, n + 1) if i % 2 == 1),
-    "alpha2": lambda n: frozenset(i for i in range(2, n + 1) if i % 2 == 0),
-    "beta2": lambda n: frozenset(i for i in range(2, n + 1) if (i - 2) % 3 == 0),
-    "beta3": lambda n: frozenset(i for i in range(3, n + 1) if (i - 3) % 3 == 0),
-    "beta4": lambda n: frozenset(i for i in range(4, n + 1) if (i - 4) % 3 == 0),
-    **{
-        name: lambda n, pair=pair: frozenset(i for i in pair if i <= n)
-        for name, pair in COINCIDENCES.items()
-    },
-}
-
-
 @dataclass(frozen=True)
 class RigidList:
     ordered: tuple[int, ...]
@@ -466,46 +440,35 @@ def rigid_multiplicity_list(prof: HedgeProfile, tol: float = SPECTRUM_TOL) -> Ri
         for value, r in gap_clusters([v for v, _ in points], tol)
     ]
     sol = solve_rigid()
+    # (value, levels) of each distinguished and each engineered eigenvalue
     named = {
-        "alpha1": float(sol.lam.alpha1),
-        "alpha2": float(sol.lam.alpha2),
-        "beta2": -1.0,
-        "beta3": float(sol.lam.beta3),
-        "beta4": 1.0,
-        "lambda_37": float(sol.lambda_37),
-        "lambda_48": float(sol.lambda_48),
-        "lambda_49": float(sol.lambda_49),
-    }
+        name: (
+            float(getattr(sol.lam, name)),
+            {i for i in range(1, n + 1) if name in level_names(i)},
+        )
+        for name in NAMES
+    } | {name: (float(getattr(sol, name)), set(pair)) for name, pair in COINCIDENCES.items()}
     ordered = []
     table = []
-    level_hits = {i: 0 for i in range(1, n + 1)}
     for value, cl in clusters:
         levels = frozenset(cl)
         if len(levels) != len(cl):
             raise UnexpectedCoincidence("two eigenvalues of one level clustered")
         label = ""
-        for name, target in named.items():
+        for name, (target, _) in named.items():
             if close(value, target, tol, max(1.0, width)):
                 label = name
                 break
         if len(levels) > 1:
-            if label not in _EXPECTED_LEVEL_SETS:
+            if not label:
                 raise UnexpectedCoincidence(f"unlabelled coincidence at {value}")
-            if levels != _EXPECTED_LEVEL_SETS[label](n):
+            if levels != named[label][1]:
                 raise UnexpectedCoincidence(
                     f"{label} appears at levels {sorted(levels)}"
                 )
         mult = sum(prof.ell_at(level) for level in levels)
         ordered.append(mult)
         table.append((value, mult, label))
-        for level in levels:
-            level_hits[level] += 1
-    # every ell contributes to exactly i of the multiplicities
-    for i in range(1, n + 1):
-        if level_hits[i] != i:
-            raise UnexpectedCoincidence(
-                f"level {i} contributes to {level_hits[i]} multiplicities"
-            )
     return RigidList(tuple(ordered), tuple(table))
 
 

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from hedge_iep.lambdas import (
     DegenerateSum,
     DuplicateValues,
+    NAMES,
     LambdaTuple,
     NotInB,
     abc_coefficients,
     build_C,
     char_polys,
     in_B3,
+    level_names,
     region_of,
     remainder_poly,
     sample_in_region,
@@ -33,6 +35,19 @@ def test_region_direct_examples():
     vals = (lam.alpha1, lam.alpha2, lam.beta2, lam.beta3, lam.beta4)
     assert vals[3] < vals[2] < vals[4] < vals[0] < vals[1]
     assert region_of(vals) == 5
+
+
+def test_level_names_follow_the_two_ladders():
+    lam = LambdaTuple(*NAMES)  # each value is its own name
+    assert level_names(1) == ("alpha1",)
+    for i in range(2, 42):
+        alpha = "alpha1" if i % 2 == 1 else "alpha2"
+        beta = ("beta2", "beta3", "beta4")[(i - 2) % 3]
+        assert level_names(i) == (alpha, beta)
+        assert (lam.alpha(i), lam.beta(i)) == (alpha, beta)
+    assert lam.alpha(1) == "alpha1"
+    with pytest.raises(ValueError):
+        lam.beta(1)
 
 
 def test_region_negation_is_shift_by_six(rng):

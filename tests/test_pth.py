@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedge_iep.lambdas import LambdaTuple, build_C, sample_in_region
+from hedge_iep.lambdas import LambdaTuple, build_C, generic_multiplicities, sample_in_region
 from hedge_iep.numeric import cluster_multiplicities, eigenvalues_sym
 from hedge_iep.pth import (
     BadShape,
@@ -30,7 +30,13 @@ from hedge_iep.pth import (
 )
 from hedge_iep.lambdas import NotInB3
 from hedge_iep.spectra import MultiplicityList, SingleEigenvalue, SpectrumMultiset
-from hedge_iep.trees import RootedTree, build_hedge, profile, smallest_lush_hedge
+from hedge_iep.trees import (
+    HedgeProfile,
+    RootedTree,
+    build_hedge,
+    profile,
+    smallest_lush_hedge,
+)
 from hedge_iep.weights import WeightFn, symmetric_representative
 
 from conftest import random_lush_hedge, random_splits
@@ -144,6 +150,25 @@ def test_critical_check_hedge10_placeholder(hedge10):
     wit = critical_check(hedge10, m)
     assert wit is not None
     assert wit.indices[4] is None and wit.multiplicities[4] == 0
+
+
+def test_critical_check_prefers_an_explicit_zero(hedge10):
+    # at height 2 the last threshold is 0 and ell_3 = 1: an explicit zero
+    # entry qualifies as the fifth and comes before the placeholder
+    wit = critical_check(hedge10, MultiplicityList((1, 2, 4, 2, 1, 0)))
+    assert wit.indices[4] == 5 and wit.multiplicities[4] == 0
+
+
+def test_critical_thresholds_are_the_generic_multiplicities(rng):
+    # the cover formulas M, Mhat against the level model of lambdas
+    for _ in range(2000):
+        height = int(rng.integers(0, 12))
+        ell = tuple(int(x) for x in rng.integers(1, 50, size=height)) + (1,)
+        sizes = [1]
+        for li in reversed(ell[:-1]):
+            sizes.insert(0, sizes[0] + li)
+        prof = HedgeProfile(height, tuple(sizes), ell)
+        assert critical_thresholds(prof) == tuple(generic_multiplicities(prof).values())
 
 
 def test_critical_check_split_list_still_critical(t31):

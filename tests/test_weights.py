@@ -1,11 +1,14 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hedge_iep
 from hedge_iep.numeric import eigenvalues_sym
 from hedge_iep.trees import RootedTree
 from hedge_iep.weights import (
@@ -59,6 +62,36 @@ def test_symmetric_representative_path_adjacency():
 
 def test_symmetric_representative_c3():
     assert np.allclose(spectrum_of(c3_weight()), [0, 3, 11], atol=1e-9)
+
+
+def test_spectrum_of_is_the_representative_spectrum(rng):
+    # bitwise: the direct fill and the tuple representative share one entry rule
+    for exact in (False, True):
+        for _ in range(100):
+            w = random_weight(random_tree(int(rng.integers(1, 25)), rng), rng, exact)
+            want = eigenvalues_sym(symmetric_representative(w).to_numpy())
+            assert spectrum_of(w).tobytes() == want.tobytes()
+
+
+def _eigensolver_calls(node) -> int:
+    return sum(
+        isinstance(n, ast.Call)
+        and "eigenvalues_sym" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        for n in ast.walk(node)
+    )
+
+
+def test_dense_eigensolver_has_one_caller():
+    # every dense spectrum of a weight goes through weights.spectrum_of
+    src = Path(hedge_iep.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    calls = {name: _eigensolver_calls(t) for name, t in trees.items()}
+    assert {name: k for name, k in calls.items() if k} == {"weights.py": 1}
+    (fn,) = [
+        n for n in trees["weights.py"].body
+        if isinstance(n, ast.FunctionDef) and n.name == "spectrum_of"
+    ]
+    assert _eigensolver_calls(fn) == 1
 
 
 def test_nonpositive_edge_rejected():
