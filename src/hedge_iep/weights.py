@@ -132,25 +132,18 @@ class DuplicationSplit:
         return len(self.t)
 
 
-def _symmetric_entries(w: WeightFn):
-    """(row, column, value) of each diagonal entry and each edge entry above
-    the diagonal of the symmetric representative: diagonal float(v),
-    off-diagonal sqrt(float(e)); every other entry is 0.0."""
-    t = w.tree
-    for u in t.vertices:
-        yield u - 1, u - 1, float(w.v(u))
-    for u, v in t.edges:
-        yield u - 1, v - 1, math.sqrt(float(w.e(u, v)))
-
-
 def symmetric_representative(w: WeightFn) -> WeightedMatrix:
     """The symmetric matrix with off-diagonal entries sqrt(edge weight);
     cospectral with every member of the weight class.  Always float."""
-    n = w.tree.n
+    t = w.tree
+    n = t.n
     rows = [[0.0] * n for _ in range(n)]
-    for i, j, x in _symmetric_entries(w):
-        rows[i][j] = rows[j][i] = x
-    return WeightedMatrix(w.tree, tuple(tuple(r) for r in rows))
+    for u in t.vertices:
+        rows[u - 1][u - 1] = float(w.v(u))
+    for u, v in t.edges:
+        x = math.sqrt(float(w.e(u, v)))
+        rows[u - 1][v - 1] = rows[v - 1][u - 1] = x
+    return WeightedMatrix(t, tuple(tuple(r) for r in rows))
 
 
 def unit_lower_representative(w: WeightFn) -> WeightedMatrix:
@@ -170,12 +163,8 @@ def unit_lower_representative(w: WeightFn) -> WeightedMatrix:
 
 def spectrum_of(w: WeightFn) -> np.ndarray:
     """Sorted float eigenvalues of the weight class: the one dense
-    eigendecomposition of a weight, filled straight from the weight."""
-    n = w.tree.n
-    m = np.zeros((n, n))
-    for i, j, x in _symmetric_entries(w):
-        m[i, j] = m[j, i] = x
-    return eigenvalues_sym(m)
+    eigendecomposition of a weight."""
+    return eigenvalues_sym(symmetric_representative(w).to_numpy())
 
 
 # ---------------------------------------------------------------------------

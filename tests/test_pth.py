@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedge_iep.lambdas import LambdaTuple, build_C, generic_multiplicities, sample_in_region
+from hedge_iep.covers import M_formula, Mhat_formula
+from hedge_iep.lambdas import LambdaTuple, build_C, sample_in_region
 from hedge_iep.numeric import cluster_multiplicities, eigenvalues_sym
 from hedge_iep.pth import (
     BadShape,
@@ -159,8 +160,8 @@ def test_critical_check_prefers_an_explicit_zero(hedge10):
     assert wit.indices[4] == 5 and wit.multiplicities[4] == 0
 
 
-def test_critical_thresholds_are_the_generic_multiplicities(rng):
-    # the cover formulas M, Mhat against the level model of lambdas
+def test_generic_multiplicities_are_the_cover_formulas(rng):
+    # the level model of lambdas against the cover formulas M, Mhat
     for _ in range(2000):
         height = int(rng.integers(0, 12))
         ell = tuple(int(x) for x in rng.integers(1, 50, size=height)) + (1,)
@@ -168,7 +169,13 @@ def test_critical_thresholds_are_the_generic_multiplicities(rng):
         for li in reversed(ell[:-1]):
             sizes.insert(0, sizes[0] + li)
         prof = HedgeProfile(height, tuple(sizes), ell)
-        assert critical_thresholds(prof) == tuple(generic_multiplicities(prof).values())
+        assert critical_thresholds(prof) == (
+            M_formula(prof, 0),
+            M_formula(prof, 1),
+            Mhat_formula(prof, 1),
+            Mhat_formula(prof, 2),
+            Mhat_formula(prof, 3),
+        )
 
 
 def test_critical_check_split_list_still_critical(t31):

@@ -64,15 +64,6 @@ def test_symmetric_representative_c3():
     assert np.allclose(spectrum_of(c3_weight()), [0, 3, 11], atol=1e-9)
 
 
-def test_spectrum_of_is_the_representative_spectrum(rng):
-    # bitwise: the direct fill and the tuple representative share one entry rule
-    for exact in (False, True):
-        for _ in range(100):
-            w = random_weight(random_tree(int(rng.integers(1, 25)), rng), rng, exact)
-            want = eigenvalues_sym(symmetric_representative(w).to_numpy())
-            assert spectrum_of(w).tobytes() == want.tobytes()
-
-
 def _eigensolver_calls(node) -> int:
     return sum(
         isinstance(n, ast.Call)
