@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polys import PolyQ, count_real_roots, poly_xgcd
+from .polys import PolyQ, count_real_roots, poly_xgcd, sign_at
 
 # ascending coefficients of the defining sextic
 SEXTIC = PolyQ.of(16, -48, -6, 24, -11, -3, 1)
@@ -35,6 +35,7 @@ if not (SEXTIC(_XI_LO) > 0) != (SEXTIC(_XI_HI) > 0):  # pragma: no cover
     raise AssertionError("the seed interval must bracket a sign change")
 
 _interval = [_XI_LO, _XI_HI]
+_sextic_sign = sign_at(SEXTIC)
 
 
 def isolating_interval() -> tuple[Fraction, Fraction]:
@@ -58,14 +59,14 @@ def verify_isolation() -> bool:
 def refined_xi(eps: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink (and cache) the isolating interval to width below eps."""
     lo, hi = _interval
-    sign_lo = 1 if SEXTIC(lo) > 0 else -1
+    sign_lo = _sextic_sign(lo)
     while hi - lo >= eps:
         mid = (lo + hi) / 2
-        v = SEXTIC(mid)
+        v = _sextic_sign(mid)
         if v == 0:  # pragma: no cover - xi is irrational
             lo = hi = mid
             break
-        if (1 if v > 0 else -1) == sign_lo:
+        if v == sign_lo:
             lo = mid
         else:
             hi = mid

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -171,28 +172,45 @@ def sturm_sequence(p: PolyQ) -> list[PolyQ]:
     return seq
 
 
-def _sign_changes(seq: list[PolyQ], x: Fraction) -> int:
-    signs = []
-    for p in seq:
-        v = p(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sign_at(p: PolyQ):
+    """The exact sign (-1, 0 or 1) of a rational polynomial p as a function
+    of a rational point.  The coefficients are scaled to integers once; at
+    x = a/b with b > 0, integer Horner computes b^deg(p) * c * p(x) for the
+    positive scale c, which has the sign of p(x)."""
+    coeffs = [Fraction(c) for c in reversed(p.coeffs)]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+
+    def sign(x) -> int:
+        a, b = x.numerator, x.denominator
+        acc, bk = 0, 1
+        for z in ints:
+            acc = acc * a + z * bk
+            bk *= b
+        return (acc > 0) - (acc < 0)
+
+    return sign
+
+
+def _sign_changes(signs: list, x: Fraction) -> int:
+    s = [v for v in (sign(x) for sign in signs) if v]
+    return sum(1 for a, b in zip(s, s[1:]) if a != b)
 
 
 def count_real_roots(p: PolyQ, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi] via Sturm's theorem."""
-    seq = sturm_sequence(p)
-    return _sign_changes(seq, Fraction(lo)) - _sign_changes(seq, Fraction(hi))
+    signs = [sign_at(q) for q in sturm_sequence(p)]
+    return _sign_changes(signs, Fraction(lo)) - _sign_changes(signs, Fraction(hi))
 
 
 def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Fraction]:
     """All distinct real roots in (lo, hi], isolated by Sturm bisection and
     refined to width eps; returns midpoints."""
-    seq = sturm_sequence(p)
+    signs = [sign_at(q) for q in sturm_sequence(p)]
+    sign_p = signs[0]
 
     def count(a: Fraction, b: Fraction) -> int:
-        return _sign_changes(seq, a) - _sign_changes(seq, b)
+        return _sign_changes(signs, a) - _sign_changes(signs, b)
 
     out: list[Fraction] = []
     stack = [(Fraction(lo), Fraction(hi))]
@@ -203,21 +221,21 @@ def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Frac
             continue
         if c == 1:
             aa, bb = a, b
-            fa, fb = p(aa), p(bb)
+            fa, fb = sign_p(aa), sign_p(bb)
             if fb == 0:
                 out.append(bb)
                 continue
-            if fa != 0 and (fa > 0) != (fb > 0):
+            if fa != 0 and fa != fb:
                 # simple sign change: refine on p alone, much cheaper than
                 # re-evaluating the Sturm sequence
                 while bb - aa > eps:
                     mid = (aa + bb) / 2
-                    fm = p(mid)
+                    fm = sign_p(mid)
                     if fm == 0:
                         aa = bb = mid
                         break
-                    if (fm > 0) == (fa > 0):
-                        aa, fa = mid, fm
+                    if fm == fa:
+                        aa = mid
                     else:
                         bb = mid
             else:
@@ -235,7 +253,7 @@ def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Frac
         # intervals (a, mid] and (mid, b] partition the root set
         mid = (a + b) / 2
         k = 3
-        while p(mid) == 0 and k < 2 * len(p.coeffs) + 10:
+        while sign_p(mid) == 0 and k < 2 * len(p.coeffs) + 10:
             mid = a + (b - a) / k
             k += 1
         stack.append((a, mid))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import pth, rigid
+from . import __version__, pth, rigid
 from .lambdas import LambdaTuple, build_C
 from .numeric import cluster_multiplicities
 # unused here; perfbench/tests checks that its tracer rebinds this name
@@ -34,7 +34,7 @@ class UnknownExample(ValueError):
 
 @dataclass
 class RunReport:
-    command: str
+    example: str
     seed: int
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
     outputs: dict = field(default_factory=dict)
@@ -48,10 +48,17 @@ class RunReport:
         return all(ok for _, ok, _ in self.checks)
 
     def to_json(self) -> dict:
-        digest = hashlib.sha256(self.command.encode()).hexdigest()[:16]
+        # the digest covers what determines the run
+        inputs = {
+            "example": self.example,
+            "seed": self.seed,
+            "manifest": MANIFEST.get(self.example),
+            "version": __version__,
+        }
+        digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()[:16]
         return {
             "schema": "hedge-iep/1",
-            "command": self.command,
+            "command": f"repro {self.example}",
             "inputs_digest": digest,
             "seed": self.seed,
             "checks": [
@@ -311,7 +318,7 @@ def run_repro(example_id: str, seed: int = 0) -> RunReport:
         raise UnknownExample(
             f"unknown example '{example_id}'; choose from {sorted(REPROS)}"
         )
-    report = RunReport(command=f"repro {example_id}", seed=seed)
+    report = RunReport(example_id, seed)
     t0 = time.time()
     REPROS[example_id](report, seed)
     report.wall_time = time.time() - t0

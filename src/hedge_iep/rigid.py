@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -87,8 +88,19 @@ def remainder_symbolic(n: int) -> PolyQ:
     return char_poly_symbolic(n).exact_div(divisor)
 
 
+def _cleared(f: PolyQ) -> tuple[list[MPolyQ], int]:
+    """The coefficients of c * f, descending, all with denominator 1, and
+    the smallest such positive integer c."""
+    coeffs = [x if isinstance(x, MPolyQ) else MPolyQ.const(x) for x in reversed(f.coeffs)]
+    c = lcm(*(x.den for x in coeffs))
+    return [x * c for x in coeffs], c
+
+
 def resultant(f: PolyQ, g: PolyQ) -> MPolyQ:
-    """Sylvester-matrix resultant by fraction-free Bareiss elimination."""
+    """Sylvester-matrix resultant by fraction-free Bareiss elimination.  The
+    matrix is built from c f and d g, which clears every denominator, so
+    the elimination runs in Z[alpha1, alpha2, beta3]; res(c f, d g) =
+    c^deg g d^deg f res(f, g) undoes the scaling."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("resultants need two nonzero polynomials")
     m, n = f.degree, g.degree
@@ -96,18 +108,14 @@ def resultant(f: PolyQ, g: PolyQ) -> MPolyQ:
         return MPolyQ.const(1)
     size = m + n
     zero = MPolyQ(())
-
-    def as_mpoly(c):
-        return c if isinstance(c, MPolyQ) else MPolyQ.const(c)
-
-    fc = [as_mpoly(c) for c in reversed(f.coeffs)]  # descending
-    gc = [as_mpoly(c) for c in reversed(g.coeffs)]
+    fc, c = _cleared(f)
+    gc, d = _cleared(g)
     rows = []
     for i in range(n):
         rows.append([zero] * i + fc + [zero] * (size - m - 1 - i))
     for i in range(m):
         rows.append([zero] * i + gc + [zero] * (size - n - 1 - i))
-    return bareiss_determinant(rows)
+    return bareiss_determinant(rows) / (c**n * d**m)
 
 
 @lru_cache(maxsize=None)
@@ -232,12 +240,12 @@ def _route_a_system():
     three residuals and their nine partial derivatives."""
     polys = [simplify_resultant(a, b)[0] for (a, b) in COINCIDENCES.values()]
     polys += [p.diff(j) for p in polys for j in range(3)]
-    monos = sorted({m for p in polys for m, _ in p.terms})
+    monos = sorted({m for p in polys for m, _ in p.nums})
     column = {m: k for k, m in enumerate(monos)}
     coeffs = np.zeros((len(polys), len(monos)))
     for row, p in enumerate(polys):
-        for m, c in p.terms:
-            coeffs[row, column[m]] = float(c)
+        for m, n in p.nums:
+            coeffs[row, column[m]] = n / p.den  # rounds as float(Fraction(n, p.den))
     exps = np.array(monos)
 
     def residual_and_jacobian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

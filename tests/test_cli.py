@@ -417,3 +417,16 @@ def test_repro_json(capsys):
     data = json.loads(payload)
     assert data["schema"] == "hedge-iep/1"
     assert all(c["pass"] for c in data["checks"])
+
+
+def test_repro_inputs_digest_follows_the_seed(capsys):
+    def digest(*extra):
+        assert main(["repro", "table1", "--json", *extra]) == 0
+        out = capsys.readouterr().out
+        return json.loads(out[out.index("{"):])["inputs_digest"]
+
+    first = digest("--seed", "1")
+    assert digest("--seed", "1") == first
+    assert digest("--seed", "2") != first
+    with mock.patch("hedge_iep.repro.__version__", "0.0.0"):
+        assert digest("--seed", "1") != first

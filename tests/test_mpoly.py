@@ -1,0 +1,202 @@
+"""MPolyQ against a plain dict-of-Fraction reference: the ring operations,
+the scalar operations, derivatives, content, lex division and printing."""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hedge_iep.mpoly import VARS, InexactDivision, MPolyQ
+
+A1 = MPolyQ.var("alpha1")
+
+fractions = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 4, 6])
+)
+nonzero_fractions = fractions.filter(bool)
+monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+ref_polys = st.dictionaries(monomials, fractions, max_size=5).map(
+    lambda d: {m: c for m, c in d.items() if c}
+)
+nonzero_ref_polys = ref_polys.filter(bool)
+scalars = st.one_of(st.integers(-9, 9), fractions)
+
+ring_tests = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def build(ref: dict) -> MPolyQ:
+    """The MPolyQ of a reference polynomial, from constants and variables."""
+    out = MPolyQ.const(0)
+    for m, c in ref.items():
+        term = MPolyQ.const(c)
+        for name, e in zip(VARS, m):
+            for _ in range(e):
+                term = term * MPolyQ.var(name)
+        out = out + term
+    return out
+
+
+def as_ref(p: MPolyQ) -> dict:
+    """The coefficients of p, checking the canonical form on the way."""
+    assert p.den > 0
+    assert all(n for _, n in p.nums)
+    assert [m for m, _ in p.nums] == sorted((m for m, _ in p.nums), reverse=True)
+    assert gcd(p.den, *(n for _, n in p.nums)) == 1
+    return {m: Fraction(n, p.den) for m, n in p.nums}
+
+
+def ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_divmod(a: dict, b: dict) -> tuple[dict, dict]:
+    """Lex division as the Fraction implementation did it: cancel the
+    leading term of the remainder while the divisor's leading monomial
+    divides it."""
+    lm = max(b)
+    quo: dict = {}
+    rem = dict(a)
+    while rem:
+        m = max(rem)
+        e = tuple(x - y for x, y in zip(m, lm))
+        if min(e) < 0:
+            break
+        coeff = rem[m] / b[lm]
+        quo[e] = quo.get(e, 0) + coeff
+        rem = ref_add(rem, ref_mul({e: coeff}, b), -1)
+    return quo, rem
+
+
+def ref_repr(a: dict) -> str:
+    if not a:
+        return "0"
+    parts = []
+    for m in sorted(a, reverse=True):
+        mono = "*".join(
+            f"{VARS[i]}^{e}" if e > 1 else VARS[i] for i, e in enumerate(m) if e > 0
+        )
+        parts.append(f"{a[m]}*{mono}" if mono else str(a[m]))
+    return " + ".join(parts)
+
+
+@ring_tests
+@given(ref_polys, ref_polys)
+def test_ring_operations_match_the_reference(a, b):
+    p, q = build(a), build(b)
+    assert as_ref(p) == a and as_ref(q) == b
+    assert as_ref(p + q) == ref_add(a, b)
+    assert as_ref(p - q) == ref_add(a, b, -1)
+    assert as_ref(-p) == ref_add({}, a, -1)
+    assert as_ref(p * q) == ref_mul(a, b)
+    assert (p + q == q + p) and (p * q == q * p)
+    assert hash(p + q) == hash(q + p)
+
+
+@ring_tests
+@given(ref_polys, scalars, st.one_of(st.integers(1, 9), st.integers(-9, -1), nonzero_fractions))
+def test_scalar_operations_match_the_reference(a, s, t):
+    p = build(a)
+    assert as_ref(p * s) == ref_mul(a, {(0, 0, 0): Fraction(s)}) == as_ref(s * p)
+    assert as_ref(p / t) == ref_mul(a, {(0, 0, 0): 1 / Fraction(t)})
+    assert as_ref(p + s) == ref_add(a, {(0, 0, 0): Fraction(s)}) == as_ref(s + p)
+    assert as_ref(s - p) == ref_add({(0, 0, 0): Fraction(s)}, a, -1)
+
+
+@ring_tests
+@given(ref_polys, st.integers(0, 2))
+def test_derivatives_match_the_reference(a, i):
+    want = {}
+    for m, c in a.items():
+        if m[i]:
+            want[m[:i] + (m[i] - 1,) + m[i + 1:]] = c * m[i]
+    assert as_ref(build(a).diff(i)) == want
+
+
+@ring_tests
+@given(ref_polys)
+def test_content_normalized_and_printing_match_the_reference(a):
+    p = build(a)
+    content = (
+        Fraction(gcd(*(c.numerator for c in a.values())), lcm(*(c.denominator for c in a.values())))
+        if a
+        else Fraction(1)
+    )
+    assert p.content() == content
+    primitive, scale = p.normalized()
+    if a:
+        want = content if a[max(a)] > 0 else -content
+        assert scale == want
+        assert as_ref(primitive) == {m: c / want for m, c in a.items()}
+        assert primitive.den == 1 and primitive.leading()[1] > 0
+        assert p.leading() == (max(a), a[max(a)])
+    else:
+        assert primitive.is_zero() and scale == 1
+    assert repr(p) == ref_repr(a)
+    assert len(p) == len(a)
+    assert p.total_degree() == max((sum(m) for m in a), default=-1)
+    point = (Fraction(1, 3), Fraction(-2), Fraction(5, 7))
+    assert p.evaluate(*point) == sum(
+        (c * point[0] ** m[0] * point[1] ** m[1] * point[2] ** m[2] for m, c in a.items()),
+        Fraction(0),
+    )
+
+
+@ring_tests
+@given(fractions)
+def test_constants_equal_and_hash_like_numbers(c):
+    p = MPolyQ.const(c)
+    assert p.is_constant() and p.constant_value() == c
+    assert p == c and p == MPolyQ.const(c)
+    assert hash(p) == hash(c) == hash(MPolyQ.const(c))
+    if c.denominator == 1:
+        assert p == int(c) and hash(p) == hash(int(c))
+    assert (p + A1 == c) is False
+    assert p != c + 1
+
+
+@ring_tests
+@given(ref_polys, nonzero_ref_polys)
+def test_exact_division_recovers_the_factor(a, b):
+    p, q = build(a), build(b)
+    assert (p * q).exact_div(q) == p
+    assert (p * q) / q == p
+
+
+@ring_tests
+@given(ref_polys, nonzero_ref_polys, ref_polys)
+def test_lex_division_matches_the_reference(a, b, r):
+    num = ref_add(ref_mul(a, b), r)
+    p, q = build(num), build(b)
+    want_q, want_r = ref_divmod(num, b)
+    got_q, got_r = p.divmod_lex(q)
+    assert as_ref(got_q) == want_q and as_ref(got_r) == want_r
+    if want_r:
+        with pytest.raises(InexactDivision):
+            p.exact_div(q)
+    else:
+        assert p.exact_div(q) == got_q
+
+
+def test_exact_division_with_fractional_quotients():
+    a2 = MPolyQ.var("alpha2")
+    assert A1.exact_div(2 * A1) == Fraction(1, 2)
+    assert (A1 * a2 + A1).exact_div(3 * a2 + 3) == A1 / 3
+    assert (A1 / 2).exact_div(A1 / 6) == 3
+    with pytest.raises(InexactDivision):
+        (A1 + 1).exact_div(2 * A1)
+    with pytest.raises(ZeroDivisionError):
+        A1.divmod_lex(MPolyQ.const(0))

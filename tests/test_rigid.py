@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -122,6 +123,56 @@ def test_resultant_numeric_oracle(rng):
         got = float(r34.evaluate(a1, a2, b3))
         # both detect shared roots; compare up to the fixed sign convention
         assert abs(abs(got) - abs(want)) < 1e-6 * max(1.0, abs(want))
+
+
+#: the 15 level pairs of the benchmark's resultant scan
+SCAN_PAIRS = tuple((a, b) for a in range(3, 8) for b in range(a + 1, 8)) + (
+    (3, 8), (4, 8), (5, 8), (3, 9), (4, 9),
+)
+
+
+def test_scan_resultants_golden_digests():
+    # SHA-256 of the printed r_{a,b} and of their simplified forms, frozen
+    # from the engine with Fraction coefficients
+    text = "\n".join(f"{a},{b}:{level_resultant(a, b)!r}" for a, b in SCAN_PAIRS)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2091f6ef43c6ed183999f3af44f2d6fc32d99731a1334212390c40eea25c6dcb"
+    )
+    text = "\n".join(
+        f"{a},{b}:{r!r}|{','.join(removed)}|{scale}"
+        for a, b in SCAN_PAIRS
+        for r, removed, scale in [simplify_resultant(a, b)]
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "02dcc1716cea139997c266298e5e0af52dda4f21e4fdd542a4a6dbbe874b9cc9"
+    )
+
+
+@pytest.mark.parametrize("a,b", [(3, 4), (3, 7), (4, 5)])
+def test_resultant_matches_sympy(a, b):
+    # sympy's Sylvester convention differs from ours by (-1)^(m n)
+    sympy = pytest.importorskip("sympy")
+    x, *params = sympy.symbols("x alpha1 alpha2 beta3")
+
+    def to_sympy(p: MPolyQ):
+        return sum(
+            (sympy.Rational(n, p.den) * sympy.prod([v**e for v, e in zip(params, m)])
+             for m, n in p.nums),
+            sympy.Integer(0),
+        )
+
+    def poly_x(f: PolyQ):
+        return sum(
+            to_sympy(c if isinstance(c, MPolyQ) else MPolyQ.const(c)) * x**i
+            for i, c in enumerate(f.coeffs)
+        )
+
+    f, g = remainder_symbolic(a), remainder_symbolic(b)
+    got = sympy.Poly(sympy.resultant(poly_x(f), poly_x(g), x), *params)
+    want = level_resultant(a, b) * (-1) ** (f.degree * g.degree)
+    assert {m: Fraction(int(c.p), int(c.q)) for m, c in got.terms()} == {
+        m: Fraction(n, want.den) for m, n in want.nums
+    }
 
 
 def test_r37_vanishes_exactly_at_rigid_point():
