@@ -2,54 +2,40 @@
 
     x^6 - 3 x^5 - 11 x^4 + 24 x^3 - 6 x^2 - 48 x + 16.
 
-Elements are degree-6 coordinate vectors over the rationals; products reduce
-by the sextic.  Sign tests refine the isolating interval of xi by bisection
-and bound the coordinate polynomial with interval arithmetic, so comparisons
-are exact decisions, never float guesses.
+Elements are rational coordinate vectors against 1, xi, ..., xi^5.  Ring
+operations go through ``PolyQ``: a product is the polynomial product reduced
+by the monic sextic through ``PolyQ.divmod``, and an inverse comes from
+``poly_xgcd`` with the sextic.  Sign tests refine the isolating interval of
+xi by bisection and bound the coordinate polynomial with interval
+arithmetic, so comparisons are exact decisions, never float guesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
-from .polys import PolyQ, count_real_roots, poly_xgcd, sign_at
+from .polys import PolyQ, bisect_root, count_real_roots, poly_xgcd, sign_at
 
 # ascending coefficients of the defining sextic
 SEXTIC = PolyQ.of(16, -48, -6, 24, -11, -3, 1)
 
-# xi^6 in terms of lower powers
-_REDUCE = (
-    Fraction(-16),
-    Fraction(48),
-    Fraction(6),
-    Fraction(-24),
-    Fraction(11),
-    Fraction(3),
-)
+# the seed isolating interval (lo, hi] of xi
+XI_INTERVAL = (Fraction(1, 3), Fraction(17, 50))
 
-_XI_LO = Fraction(1, 3)
-_XI_HI = Fraction(17, 50)
-
-if not (SEXTIC(_XI_LO) > 0) != (SEXTIC(_XI_HI) > 0):  # pragma: no cover
+if not (SEXTIC(XI_INTERVAL[0]) > 0) != (SEXTIC(XI_INTERVAL[1]) > 0):  # pragma: no cover
     raise AssertionError("the seed interval must bracket a sign change")
 
-_interval = [_XI_LO, _XI_HI]
+_interval = list(XI_INTERVAL)
 _sextic_sign = sign_at(SEXTIC)
-
-
-def isolating_interval() -> tuple[Fraction, Fraction]:
-    return _XI_LO, _XI_HI
-
-
-def minimal_polynomial() -> PolyQ:
-    return SEXTIC
+_ZERO = Fraction(0)
 
 
 def verify_isolation() -> bool:
     """Sturm counts: no root of the sextic in (0, lo], exactly one in
     (lo, hi], so xi is the smallest positive root."""
-    lo, hi = _XI_LO, _XI_HI
+    lo, hi = XI_INTERVAL
     return (
         count_real_roots(SEXTIC, Fraction(0), lo) == 0
         and count_real_roots(SEXTIC, lo, hi) == 1
@@ -58,30 +44,20 @@ def verify_isolation() -> bool:
 
 def refined_xi(eps: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink (and cache) the isolating interval to width below eps."""
-    lo, hi = _interval
-    sign_lo = _sextic_sign(lo)
-    while hi - lo >= eps:
-        mid = (lo + hi) / 2
-        v = _sextic_sign(mid)
-        if v == 0:  # pragma: no cover - xi is irrational
-            lo = hi = mid
-            break
-        if v == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    _interval[0], _interval[1] = lo, hi
-    return lo, hi
+    sign_lo = _sextic_sign(_interval[0])
+    _interval[:] = bisect_root(*_interval, eps, lambda m: sign_lo * _sextic_sign(m))
+    return tuple(_interval)
 
 
 def _coerce(x) -> "QXi | None":
     if isinstance(x, QXi):
         return x
     if isinstance(x, (int, Fraction)):
-        return QXi((Fraction(x),) + (Fraction(0),) * 5)
+        return QXi((Fraction(x),) + (_ZERO,) * 5)
     return None
 
 
+@total_ordering
 @dataclass(frozen=True)
 class QXi:
     """An element of Q[xi] as coordinates against (1, xi, ..., xi^5)."""
@@ -138,46 +114,30 @@ class QXi:
             return NotImplemented
         return o - self
 
+    def _poly(self) -> PolyQ:
+        return PolyQ.of(*self.coords)
+
+    @staticmethod
+    def _of_poly(p: PolyQ) -> "QXi":
+        # a PolyQ product leaves the positions it never adds to as int 0
+        cs = tuple(c or _ZERO for c in p.coeffs)
+        return QXi(cs + (_ZERO,) * (6 - len(cs)))
+
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        prod = [Fraction(0)] * 11
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coords):
-                if b == 0:
-                    continue
-                prod[i + j] += a * b
-        for d in range(10, 5, -1):
-            c = prod[d]
-            if c == 0:
-                continue
-            prod[d] = Fraction(0)
-            for i, r in enumerate(_REDUCE):
-                prod[d - 6 + i] += c * r
-        return QXi(tuple(prod[:6]))
+        return QXi._of_poly((self._poly() * o._poly()).divmod(SEXTIC)[1])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QXi":
         if self.is_zero():
             raise ZeroDivisionError("zero element of Q[xi]")
-        p = PolyQ(tuple(self.coords[: self._degree() + 1]))
-        g, s, _ = poly_xgcd(p, SEXTIC)
+        g, s, _ = poly_xgcd(self._poly(), SEXTIC)
         if g.degree != 0:
             raise ArithmeticError("element shares a factor with the sextic")
-        inv = s.scale(1 / g.coeffs[0])
-        cs = list(inv.coeffs) + [Fraction(0)] * 6
-        out = QXi(tuple(cs[:6]))
-        return out
-
-    def _degree(self) -> int:
-        for i in range(5, -1, -1):
-            if self.coords[i] != 0:
-                return i
-        return 0
+        return QXi._of_poly(s)
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -210,7 +170,8 @@ class QXi:
         return self.coords == o.coords
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        # a rational element hashes like the Fraction it equals
+        return hash(self.coords[0]) if not any(self.coords[1:]) else hash(self.coords)
 
     def _interval_value(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         # xi > 0, so monomial bounds are monotone in the endpoints
@@ -229,7 +190,7 @@ class QXi:
     def _refine_until(self, decide, failure: str):
         """Refine xi (at most 64 rounds, each 2^-8 narrower) until
         ``decide(vlo, vhi)`` on the value interval returns non-None."""
-        eps = _XI_HI - _XI_LO
+        eps = XI_INTERVAL[1] - XI_INTERVAL[0]
         for _ in range(64):
             out = decide(*self._interval_value(*refined_xi(eps)))
             if out is not None:
@@ -252,31 +213,13 @@ class QXi:
             return NotImplemented
         return (self - o).sign() < 0
 
-    def __le__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
-
     def approx(self, eps: Fraction = Fraction(1, 10**15)) -> Fraction:
-        lo, hi = refined_xi(Fraction(eps))
-        vlo, vhi = self._interval_value(lo, hi)
-        # one more refinement round if the value interval is still wide
-        while vhi - vlo > eps:
-            lo, hi = refined_xi((hi - lo) / 2**8)
-            vlo, vhi = self._interval_value(lo, hi)
+        """A rational within eps/2 of the value.  On (lo, hi] inside the seed
+        interval the value interval is at most ``slope`` times as wide as
+        (lo, hi], so one refinement of xi to eps / slope suffices."""
+        hi = XI_INTERVAL[1]
+        slope = sum(i * abs(c) * hi ** (i - 1) for i, c in enumerate(self.coords))
+        vlo, vhi = self._interval_value(*refined_xi(Fraction(eps) / max(slope, 1)))
         return (vlo + vhi) / 2
 
     def __float__(self) -> float:

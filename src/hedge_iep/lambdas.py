@@ -19,7 +19,7 @@ from .numeric import trailing_spectra
 from .polys import NonzeroRemainder, PolyQ, three_term_polys
 from .tolerance import SINGULAR_TOL, close
 from .trees import HedgeProfile, RootedTree
-from .weights import WeightedMatrix
+from .weights import WeightedMatrix, WeightFn, unit_lower_representative
 
 
 class DuplicateValues(ValueError):
@@ -204,16 +204,14 @@ def build_C(lam: LambdaTuple, n: int) -> WeightedMatrix:
     """The n-by-n greedy path matrix: unit subdiagonal, diagonal
     (a_n, ..., a_1), superdiagonal (b_n, ..., b_2)."""
     a, b = abc_coefficients(lam, n)
-    zero = lam.alpha1 * 0
-    one = zero + 1
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = a[n - 1 - i]
-    for i in range(n - 1):
-        rows[i][i + 1] = b[n - 2 - i]  # b list starts at b_2
-        rows[i + 1][i] = one
     path = RootedTree(tuple(range(0, n)))
-    return WeightedMatrix(path, tuple(tuple(r) for r in rows))
+    return unit_lower_representative(
+        WeightFn(
+            path,
+            {u: a[n - u] for u in path.vertices},
+            {(u, u + 1): b[n - 1 - u] for u in range(1, n)},
+        )
+    )
 
 
 def char_polys(lam: LambdaTuple, n: int) -> list[PolyQ]:

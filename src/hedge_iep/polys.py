@@ -80,7 +80,8 @@ class PolyQ:
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+                # the product first: Fraction + int is Fraction's fast path
+                out[i + j] = a * b + out[i + j]
         return PolyQ(_trim(out))
 
     def scale(self, s) -> "PolyQ":
@@ -104,14 +105,17 @@ class PolyQ:
         q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         lc = other.leading()
         d = other.degree
-        while len(_trim(rem)) - 1 >= d:
-            rem = list(_trim(rem))
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lc if lc != 1 else rem[-1]
+        low = other.coeffs[:-1]
+        for k in range(len(q) - 1, -1, -1):
+            top = rem[k + d]
+            if top == 0:
+                continue
+            factor = top / lc if lc != 1 else top
             q[k] = factor
-            for i, c in enumerate(other.coeffs):
+            # the leading term cancels exactly, so rem[k + d] is left as is
+            for i, c in enumerate(low):
                 rem[k + i] = rem[k + i] - factor * c
-        return PolyQ(_trim(q)), PolyQ(_trim(rem))
+        return PolyQ(_trim(q)), PolyQ(_trim(rem[:d]))
 
     def exact_div(self, other: "PolyQ") -> "PolyQ":
         q, r = self.divmod(other)
@@ -203,9 +207,25 @@ def count_real_roots(p: PolyQ, lo: Fraction, hi: Fraction) -> int:
     return _sign_changes(signs, Fraction(lo)) - _sign_changes(signs, Fraction(hi))
 
 
+def bisect_root(lo: Fraction, hi: Fraction, eps: Fraction, side) -> tuple[Fraction, Fraction]:
+    """Halve (lo, hi] around its one root until it is narrower than eps.
+    ``side(m)`` is negative when the root lies in (lo, m], positive when it
+    lies in (m, hi], and 0 when m is the root, which returns (m, m)."""
+    while hi - lo >= eps:
+        mid = (lo + hi) / 2
+        s = side(mid)
+        if s == 0:
+            return mid, mid
+        if s < 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Fraction]:
     """All distinct real roots in (lo, hi], isolated by Sturm bisection and
-    refined to width eps; returns midpoints."""
+    refined to width below eps; returns midpoints."""
     signs = [sign_at(q) for q in sturm_sequence(p)]
     sign_p = signs[0]
 
@@ -220,33 +240,22 @@ def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Frac
         if c == 0:
             continue
         if c == 1:
-            aa, bb = a, b
-            fa, fb = sign_p(aa), sign_p(bb)
+            fa, fb = sign_p(a), sign_p(b)
             if fb == 0:
-                out.append(bb)
+                out.append(b)
                 continue
             if fa != 0 and fa != fb:
                 # simple sign change: refine on p alone, much cheaper than
                 # re-evaluating the Sturm sequence
-                while bb - aa > eps:
-                    mid = (aa + bb) / 2
-                    fm = sign_p(mid)
-                    if fm == 0:
-                        aa = bb = mid
-                        break
-                    if fm == fa:
-                        aa = mid
-                    else:
-                        bb = mid
+                aa, bb = bisect_root(a, b, eps, lambda m: fa * sign_p(m))
             else:
-                # tangency at an endpoint or an even crossing: narrow by
-                # Sturm counting
-                while bb - aa > eps:
-                    mid = (aa + bb) / 2
-                    if count(aa, mid) == 1:
-                        bb = mid
-                    else:
-                        aa = mid
+                # tangency at an endpoint or an even crossing: the root lies
+                # in (a, m] when (m, b] holds none.  A Sturm count is valid
+                # only between points that are not roots of p (a may be one,
+                # b is not), and a root at m is the root itself
+                aa, bb = bisect_root(
+                    a, b, eps, lambda m: 0 if sign_p(m) == 0 else 1 if count(m, b) else -1
+                )
             out.append((aa + bb) / 2)
             continue
         # pick a split point that is not itself a root so the half-open

@@ -320,13 +320,13 @@ def pendent_paths(t: RootedTree, k: int) -> list[PendentPath]:
     return out
 
 
-def subtree_chain(t: RootedTree, child_policy=min) -> SubtreeChain:
-    """Subtree chain of a hedge; the default policy picks the
-    smallest-labelled child as the distinguished one."""
+def subtree_chain(t: RootedTree) -> SubtreeChain:
+    """Subtree chain of a hedge; the smallest-labelled child of each vertex
+    is its distinguished one."""
     _require_hedge(t)
     h = t.height_map
     height = t.height
-    star = {v: child_policy(t.children[v]) for v in t.vertices if t.children[v]}
+    star = {v: min(t.children[v]) for v in t.vertices if t.children[v]}
     sets = []
     for level in range(height + 1):
         keep = {v for v in t.vertices if h[v] >= level}

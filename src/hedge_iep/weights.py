@@ -99,7 +99,7 @@ class WeightedMatrix:
         return len(self.entries)
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries])
+        return np.array(self.entries, dtype=float)
 
     def weight(self) -> WeightFn:
         t = self.tree

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hedge_iep.algebraic import QXi
 from hedge_iep.lambdas import (
     DegenerateSum,
     DuplicateValues,
@@ -60,8 +61,10 @@ def test_region_negation_is_shift_by_six(rng):
 
 
 def test_region_duplicate_values():
-    with pytest.raises(DuplicateValues):
-        region_of((0, 0, 1, 2, 3))
+    # QXi.of(-1) and -1 are one value: equal elements hash alike
+    for values in ((0, 0, 1, 2, 3), (QXi.of(-1), QXi.of(0), -1, QXi.of(1), QXi.of(2))):
+        with pytest.raises(DuplicateValues):
+            region_of(values)
 
 
 def test_region_boundary_gives_none():

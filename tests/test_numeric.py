@@ -107,6 +107,14 @@ def test_eigensolver_vs_exact_roots(rng):
         assert np.max(np.abs(vals - np.array([float(r) for r in roots]))) < 1e-10 * scale
 
 
+def test_real_roots_double_root_on_a_bisection_point():
+    # x (x + 7)^2 on (-12, 12]: narrowing around the double root lands on -7
+    eps = Fraction(1, 10**6)
+    roots = real_roots(PolyQ.of(0, 49, 14, 1), Fraction(-12), Fraction(12), eps)
+    assert len(roots) == 2
+    assert abs(roots[0] + 7) <= eps and abs(roots[1]) <= eps
+
+
 def test_tridiag_simple_eigenvalues(rng):
     for _ in range(10):
         n = int(rng.integers(2, 10))

@@ -9,13 +9,7 @@ import numpy as np
 import pytest
 
 import hedge_iep
-from hedge_iep.algebraic import (
-    QXi,
-    isolating_interval,
-    minimal_polynomial,
-    refined_xi,
-    verify_isolation,
-)
+from hedge_iep.algebraic import SEXTIC, XI_INTERVAL, QXi, refined_xi, verify_isolation
 from hedge_iep.mpoly import InexactDivision, MPolyQ
 from hedge_iep.polys import PolyQ, count_real_roots, is_squarefree
 from hedge_iep.rigid import (
@@ -49,18 +43,17 @@ B3 = MPolyQ.var("beta3")
 
 def test_xi_isolation():
     assert verify_isolation()
-    lo, hi = isolating_interval()
+    lo, hi = XI_INTERVAL
     assert lo == Fraction(1, 3) and hi == Fraction(17, 50)
-    assert is_squarefree(minimal_polynomial())
+    assert is_squarefree(SEXTIC)
     # no other positive root below the interval
-    assert count_real_roots(minimal_polynomial(), Fraction(0), lo) == 0
+    assert count_real_roots(SEXTIC, Fraction(0), lo) == 0
 
 
 def test_qxi_field_arithmetic():
     xi = QXi.xi()
-    m = minimal_polynomial()
     # the defining relation holds
-    assert m(xi).is_zero()
+    assert SEXTIC(xi).is_zero()
     a = QXi.of(1, -2, 0, 3)
     b = QXi.of(Fraction(1, 2), 5)
     assert (a + b) - b == a
@@ -69,6 +62,16 @@ def test_qxi_field_arithmetic():
     assert (a / b) * b == a
     inv = a.inverse()
     assert (a * inv) == QXi.of(1)
+    assert QXi.of(2).inverse() == Fraction(1, 2)
+    assert xi**-2 * xi**2 == 1
+
+
+def test_qxi_hash_agrees_with_equality():
+    # a rational element equals, and so must hash like, its Fraction
+    for q in (3, Fraction(-7, 2), 0):
+        assert QXi.of(q) == q and hash(QXi.of(q)) == hash(q)
+    assert len({QXi.of(3), 3, Fraction(3)}) == 1
+    assert len({QXi.xi(), QXi.of(0, 1)}) == 1
 
 
 def test_qxi_comparisons():
@@ -78,6 +81,9 @@ def test_qxi_comparisons():
     assert third < xi  # xi = 0.3349... > 1/3
     assert xi < QXi.of(Fraction(17, 50))
     assert (xi - xi).sign() == 0
+    assert xi <= xi and xi >= xi and not xi < xi and not xi > xi
+    assert xi > third and xi >= third and not xi <= third
+    assert 1 > xi and 0 <= xi and not 0 >= xi
     assert float(xi) == pytest.approx(0.334981556, abs=5e-10)
 
 
@@ -92,9 +98,15 @@ def test_qxi_float_is_correctly_rounded():
 def test_qxi_approx_precision():
     xi = QXi.xi()
     approx = xi.approx(Fraction(1, 10**30))
-    assert minimal_polynomial()(approx) != 0  # xi is irrational
+    assert SEXTIC(approx) != 0  # xi is irrational
     lo, hi = refined_xi(Fraction(1, 10**30))
     assert lo <= approx <= hi
+    # far below the ~10^-156 that 64 rounds of 2^-8 from the seed interval reach
+    eps = Fraction(1, 10**200)
+    for v in route_b_values().values():
+        close = v.approx(eps)
+        assert abs(close - v.approx(eps / 10**10)) <= eps
+        assert float(close) == float(v)
 
 
 # ---------------------------------------------------------------------------

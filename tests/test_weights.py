@@ -99,6 +99,9 @@ def test_unit_lower_c3_exact():
         (Fraction(0), Fraction(1), Fraction(2)),
     )
     assert m.weight() == c3_weight()
+    a = m.to_numpy()
+    assert a.dtype == np.float64
+    assert a.tolist() == [[8.0, 20.0, 0.0], [1.0, 4.0, 3.0], [0.0, 1.0, 2.0]]
 
 
 def test_unit_lower_small():
