@@ -187,25 +187,22 @@ class QXi:
             phi *= hi
         return vlo, vhi
 
-    def _refine_until(self, decide, failure: str):
-        """Refine xi (at most 64 rounds, each 2^-8 narrower) until
-        ``decide(vlo, vhi)`` on the value interval returns non-None."""
-        eps = XI_INTERVAL[1] - XI_INTERVAL[0]
-        for _ in range(64):
-            out = decide(*self._interval_value(*refined_xi(eps)))
-            if out is not None:
-                return out
-            eps /= 2**8
-        raise ArithmeticError(failure)
+    def _refine_until(self, decide):
+        """Decide on the cached interval of xi, else refine it to 2^-8 of its
+        width and retry until ``decide(vlo, vhi)`` returns non-None.  This
+        ends: the sextic is irreducible, so an irrational element has an
+        irrational value, which no sign or rounding boundary equals, and a
+        rational element has a point value interval."""
+        lo, hi = _interval
+        while (out := decide(*self._interval_value(lo, hi))) is None:
+            lo, hi = refined_xi((hi - lo) / 2**8)
+        return out
 
     def sign(self) -> int:
         """Exact sign via interval refinement; zero iff all coordinates are."""
         if self.is_zero():
             return 0
-        return self._refine_until(
-            lambda vlo, vhi: 1 if vlo > 0 else -1 if vhi < 0 else None,
-            "sign undecided after deep refinement; is the element truly nonzero?",
-        )
+        return self._refine_until(lambda vlo, vhi: 1 if vlo > 0 else -1 if vhi < 0 else None)
 
     def __lt__(self, other):
         o = _coerce(other)
@@ -226,8 +223,7 @@ class QXi:
         """Correctly rounded: both ends of the value interval round to the
         same float, whatever earlier calls did to the interval of xi."""
         return self._refine_until(
-            lambda vlo, vhi: float(vlo) if float(vlo) == float(vhi) else None,
-            "float rounding undecided after deep refinement",
+            lambda vlo, vhi: float(vlo) if float(vlo) == float(vhi) else None
         )
 
     def __repr__(self) -> str:

@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lambda_options(psp)
     psp.add_argument("--tree", required=True)
     psp.set_defaults(func=cmd_pth_spectrum)
-    pr = pthp.add_parser("recognize", help="run the collapse cascade")
+    pr = pthp.add_parser("recognize", help="check a weight against the path-to-hedge recipe")
     pr.add_argument("weightfile")
     pr.add_argument("--assign", help="alpha1=..,alpha2=..,beta2=..,beta3=..[,beta4=..]")
     pr.set_defaults(func=cmd_pth_recognize)

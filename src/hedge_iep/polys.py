@@ -167,13 +167,17 @@ def poly_xgcd(a: PolyQ, b: PolyQ) -> tuple[PolyQ, PolyQ, PolyQ]:
 
 
 def sturm_sequence(p: PolyQ) -> list[PolyQ]:
+    """Sturm chain of the squarefree part of p: the remainder chain of p and
+    p', each member divided by the last one, gcd(p, p').  No point is a root
+    of two consecutive members, so counts hold at multiple roots of p too."""
     seq = [p, p.derivative()]
     while not seq[-1].is_zero():
         rem = seq[-2].divmod(seq[-1])[1]
         if rem.is_zero():
             break
         seq.append(-rem)
-    return seq
+    g = seq[-1]
+    return seq if g.degree <= 0 else [q.exact_div(g) for q in seq]
 
 
 def sign_at(p: PolyQ):
@@ -225,9 +229,10 @@ def bisect_root(lo: Fraction, hi: Fraction, eps: Fraction, side) -> tuple[Fracti
 
 def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Fraction]:
     """All distinct real roots in (lo, hi], isolated by Sturm bisection and
-    refined to width below eps; returns midpoints."""
+    refined to width below eps; returns midpoints.  Every root is a simple
+    sign change of the squarefree part q, the chain's first member."""
     signs = [sign_at(q) for q in sturm_sequence(p)]
-    sign_p = signs[0]
+    sign_q = signs[0]
 
     def count(a: Fraction, b: Fraction) -> int:
         return _sign_changes(signs, a) - _sign_changes(signs, b)
@@ -240,31 +245,15 @@ def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Frac
         if c == 0:
             continue
         if c == 1:
-            fa, fb = sign_p(a), sign_p(b)
+            fb = sign_q(b)
             if fb == 0:
                 out.append(b)
                 continue
-            if fa != 0 and fa != fb:
-                # simple sign change: refine on p alone, much cheaper than
-                # re-evaluating the Sturm sequence
-                aa, bb = bisect_root(a, b, eps, lambda m: fa * sign_p(m))
-            else:
-                # tangency at an endpoint or an even crossing: the root lies
-                # in (a, m] when (m, b] holds none.  A Sturm count is valid
-                # only between points that are not roots of p (a may be one,
-                # b is not), and a root at m is the root itself
-                aa, bb = bisect_root(
-                    a, b, eps, lambda m: 0 if sign_p(m) == 0 else 1 if count(m, b) else -1
-                )
+            # q has the sign fb on (root, b] and -fb on (a, root)
+            aa, bb = bisect_root(a, b, eps, lambda m: -fb * sign_q(m))
             out.append((aa + bb) / 2)
             continue
-        # pick a split point that is not itself a root so the half-open
-        # intervals (a, mid] and (mid, b] partition the root set
         mid = (a + b) / 2
-        k = 3
-        while sign_p(mid) == 0 and k < 2 * len(p.coeffs) + 10:
-            mid = a + (b - a) / k
-            k += 1
         stack.append((a, mid))
         stack.append((mid, b))
     return sorted(out)

@@ -1,11 +1,10 @@
 """Path-to-hedge construction, its spectrum, critical lists and the
-cascade that inverts the construction.
+recognizer that inverts the construction.
 
 The forward direction distributes a path matrix's edge weights over a hedge;
 the spectrum is the union of level spectra weighted by the branching profile.
-The recognizer runs the collapse cascade: fix diagonals by height parity,
-then collapse pendent h-paths for h = 1..H, insisting at every step that the
-hanging chains all carry the weight of the corresponding trailing submatrix.
+The recognizer checks the recipe once per vertex: a vertex at height h must
+carry a_{h+1} and its child edges must sum to b_{h+1}.
 """
 
 from __future__ import annotations
@@ -38,17 +37,9 @@ from .trees import (
     RootedTree,
     is_hedge,
     is_lush,
-    pendent_paths,
     profile,
 )
-from .weights import (
-    DuplicationSplit,
-    NotCollapsible,
-    WeightFn,
-    WeightedMatrix,
-    collapse_pendent_k_paths,
-    spectrum_of,
-)
+from .weights import DuplicationSplit, WeightFn, WeightedMatrix, spectrum_of
 
 
 class HeightMismatch(ValueError):
@@ -61,7 +52,7 @@ class BadSplit(ValueError):
 
 class NotFromConstruction(ValueError):
     def __init__(self, step, detail: str):
-        super().__init__(f"cascade fails at step {step}: {detail}")
+        super().__init__(f"recognizer fails at step {step}: {detail}")
         self.step = step
         self.detail = detail
 
@@ -130,32 +121,36 @@ def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
     return out
 
 
+def _levels(w: WeightFn) -> dict[int, tuple]:
+    """(height, vertex weight, sum of the child edge weights) of every vertex,
+    the sum taken over the children in label order; None at a leaf."""
+    t = w.tree
+    hm = t.height_map
+    out = {}
+    for v in t.vertices:
+        kids = t.children[v]
+        total = w.e(v, kids[0]) if kids else None
+        for u in kids[1:]:
+            total = total + w.e(v, u)
+        out[v] = (hm[v], w.v(v), total)
+    return out
+
+
 def _assert_ph_member(w: WeightFn, w_c: WeightFn, tol: float = ROUNDING_TOL) -> None:
     """Membership by definition: heights carry the path's vertex weights and
     children edge weights sum to the path's edge weight, each within tol
     relative to the path's value when a float takes part."""
-    t = w.tree
-    hm = t.height_map
-    height = t.height
-    path_at = {height - (i - 1): i for i in w_c.tree.vertices}
+    height = w.tree.height
     # max(1, |value|) of each path vertex and edge weight, converted once
     scale = {
         k: max(1.0, abs(float(y)))
         for k, y in [*w_c.vertex_weight.items(), *w_c.edge_weight.items()]
     }
-    for v in t.vertices:
-        i = path_at[hm[v]]
-        if not close(w.v(v), w_c.v(i), tol, scale[i]):
+    for v, (h, x, total) in _levels(w).items():
+        i = height + 1 - h  # the path vertex at height h
+        if not close(x, w_c.v(i), tol, scale[i]):
             raise AssertionError(f"vertex weight at {v} disagrees with the path")
-    for v in t.vertices:
-        kids = t.children[v]
-        if not kids:
-            continue
-        i = path_at[hm[v]]
-        total = w.e(v, kids[0])
-        for u in kids[1:]:
-            total = total + w.e(v, u)
-        if not close(total, w_c.e(i, i + 1), tol, scale[(i, i + 1)]):
+        if total is not None and not close(total, w_c.e(i, i + 1), tol, scale[(i, i + 1)]):
             raise AssertionError(f"edge weights at {v} do not sum to the path weight")
 
 
@@ -254,25 +249,17 @@ class RecognizeResult:
     target: WeightedMatrix  # C_{H+1}^Lambda built from the recipe
 
 
-def _expected_chain_weight(a: list, b: list, h: int):
-    """Vertex and edge weights a pendent h-path must carry: the trailing
-    h-by-h submatrix, listed from the attached end downwards."""
-    diag = [a[h - j] for j in range(1, h + 1)]  # a_h .. a_1
-    off = [b[h - j - 1] for j in range(1, h)]  # b_h .. b_2 (b list starts at b_2)
-    return diag, off
-
-
 def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:
-    """Run the collapse cascade for a designated eigenvalue assignment.
+    """Check the recipe for a designated eigenvalue assignment: every vertex
+    at height h carries a_{h+1} and its child edges sum to b_{h+1}.
 
-    Verifies the height-parity diagonal conditions, collapses pendent
-    h-paths for h = 1..H checking every hanging chain against the trailing
-    submatrix weight, and finally matches the leftover path against the full
-    recipe matrix.  Raises NotFromConstruction at the first mismatch.
+    Raises NotFromConstruction at the first vertex that disagrees, with step
+    h + 1.  The recovered path weight is read off the root's chain of
+    smallest children.
     """
     t = w.tree
     if not is_lush(t) or t.height < 2:
-        raise NotLush("the cascade runs on lush hedges of height >= 2")
+        raise NotLush("the recognizer runs on lush hedges of height >= 2")
     height = t.height
 
     try:
@@ -280,64 +267,31 @@ def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:
     except (NotInB, ValueError) as exc:
         raise NotFromConstruction(0, f"assignment is not feasible: {exc}") from exc
 
-    hm = t.height_map
-    for v in t.vertices:
-        hv = hm[v]
-        if hv % 2 == 0 and not close(w.v(v), lam.alpha1, WEIGHT_TOL):
-            raise NotFromConstruction(0, f"even-height vertex {v} has diagonal {w.v(v)}")
-        if hv % 2 == 1 and hv >= 3 and not close(w.v(v), lam.alpha2, WEIGHT_TOL):
-            raise NotFromConstruction(0, f"odd-height vertex {v} has diagonal {w.v(v)}")
+    levels = _levels(w)
+    for v, (h, x, total) in levels.items():
+        if not close(x, a[h], WEIGHT_TOL):
+            raise NotFromConstruction(h + 1, f"vertex {v}: weight {x} != a")
+        if total is not None and not close(total, b[h - 1], WEIGHT_TOL):
+            raise NotFromConstruction(h + 1, f"vertex {v}: child edges sum to {total} != b")
 
-    cur = w
-    for h in range(1, height + 1):
-        diag, off = _expected_chain_weight(a, b, h)
-        chains = pendent_paths(cur.tree, h)
-        if not chains:
-            raise NotFromConstruction(h, "no pendent paths to collapse")
-        for q in chains:
-            for pos, u in enumerate(q.vertices):
-                if not close(cur.v(u), diag[pos], WEIGHT_TOL):
-                    raise NotFromConstruction(
-                        h, f"chain {q.vertices}: vertex weight {cur.v(u)} != a value"
-                    )
-            for pos in range(h - 1):
-                got = cur.e(q.vertices[pos], q.vertices[pos + 1])
-                if not close(got, off[pos], WEIGHT_TOL):
-                    raise NotFromConstruction(
-                        h, f"chain {q.vertices}: edge weight {got} != b value"
-                    )
-        try:
-            result = collapse_pendent_k_paths(cur, h)
-        except NotCollapsible as exc:
-            raise NotFromConstruction(h, f"collapse failed: {exc}") from exc
-        cur = result.weight
-
-    # what remains must be the path carrying the full recipe weight
-    if cur.tree.n != height + 1:
-        raise NotFromConstruction(height, "cascade did not end on the bare path")
-    diag, off = _expected_chain_weight(a, b, height + 1)
-    for i in range(1, height + 2):
-        if not close(cur.v(i), diag[i - 1], WEIGHT_TOL):
-            raise NotFromConstruction(height, f"final diagonal {cur.v(i)} != a value")
-    for i in range(1, height + 1):
-        if not close(cur.e(i, i + 1), off[i - 1], WEIGHT_TOL):
-            raise NotFromConstruction(height, f"final edge {cur.e(i, i + 1)} != b value")
-
-    target = build_C(lam, height + 1)
-    try:
-        _assert_ph_member(w, target.weight(), WEIGHT_TOL)
-    except AssertionError as exc:
-        raise NotFromConstruction(height, str(exc)) from exc
-    return RecognizeResult(lam, lam.region(), cur, target)
+    chain = [t.root]
+    while t.children[chain[-1]]:
+        chain.append(t.children[chain[-1]][0])
+    path_weight = WeightFn(
+        RootedTree(tuple(range(height + 1))),
+        {i: levels[u][1] for i, u in enumerate(chain, start=1)},
+        {(i, i + 1): levels[u][2] for i, u in enumerate(chain[:-1], start=1)},
+    )
+    return RecognizeResult(lam, lam.region(), path_weight, build_C(lam, height + 1))
 
 
 def recognize_search(w: WeightFn) -> RecognizeResult:
     """Recover the eigenvalue assignment from the spectrum alone: enumerate
     the assignments consistent with the critical thresholds and return the
-    first for which the cascade succeeds."""
+    first that the recognizer accepts."""
     t = w.tree
     if not is_lush(t) or t.height < 2:
-        raise NotLush("the cascade runs on lush hedges of height >= 2")
+        raise NotLush("the recognizer runs on lush hedges of height >= 2")
     prof = profile(t)
     spec = cluster_multiplicities(spectrum_of(w), SPECTRUM_TOL)
     vals = spec.values
@@ -352,7 +306,7 @@ def recognize_search(w: WeightFn) -> RecognizeResult:
             failures.append(str(exc))
     raise NotFromConstruction(
         "search",
-        f"no eigenvalue assignment admits the cascade "
+        f"no eigenvalue assignment admits the recipe "
         f"({len(failures)} candidate(s) failed)" if failures
         else "the multiplicity list does not meet the critical thresholds",
     )

@@ -238,56 +238,25 @@ def profile(t: RootedTree) -> HedgeProfile:
     return HedgeProfile(height, tuple(sizes), tuple(ell))
 
 
-def build_hedge(spec: Sequence[int], *, from_ell: bool = False) -> RootedTree:
-    """Build a tree from a parent array, or a hedge from its ell profile.
-
-    With ``from_ell`` the spec is (ell_1, ..., ell_{H+1}) and children are
-    distributed over the previous level as evenly as possible, which
-    reproduces the minimal lush hedges used throughout.
-    """
-    if not from_ell:
-        return RootedTree(tuple(spec))
-    ell = list(spec)
-    if not ell or ell[-1] != 1:
-        raise TreeError("ell profile must end with ell_{H+1} = 1")
-    height = len(ell) - 1
-    sizes = [0] * (height + 1)  # |V_H| .. |V_0| built top down
-    sizes[0] = 1
-    for i in range(1, height + 1):
-        # level at height H-i has |V_{H-i+1}| + ell_{H-i+1} vertices
-        sizes[i] = sizes[i - 1] + ell[height - i]
-    parent = [0]
-    labels_above = [1]
-    next_label = 2
-    for i in range(1, height + 1):
-        count = sizes[i]
-        na = len(labels_above)
-        base, extra = divmod(count, na)
-        level_labels = []
-        for j, p in enumerate(labels_above):
-            take = base + (1 if j < extra else 0)
-            for _ in range(take):
-                parent.append(p)
-                level_labels.append(next_label)
-                next_label += 1
-        labels_above = level_labels
-    return RootedTree(tuple(parent))
+def build_hedge(parents: Sequence[int]) -> RootedTree:
+    """The tree of a parent array (the root maps to 0)."""
+    return RootedTree(tuple(parents))
 
 
 def smallest_lush_hedge(height: int) -> RootedTree:
-    """Minimal lush hedge of the given height (ternary branching, leaf pairs)."""
-    if height == 0:
-        return RootedTree((0,))
-    if height == 1:
-        return build_hedge([1, 1], from_ell=True)  # K_{1,2}
-    sizes = [1]
-    for _ in range(height - 1):
-        sizes.append(sizes[-1] * 3)
-    sizes.append(sizes[-1] * 2)  # leaves come in pairs
-    # sizes[i] = |V_{H-i}|; ell_i = |V_{i-1}| - |V_i|
-    by_height = sizes[::-1]
-    ell = [by_height[i - 1] - by_height[i] for i in range(1, height + 1)] + [1]
-    return build_hedge(ell, from_ell=True)
+    """Minimal lush hedge of the given height: three children at every
+    internal vertex above height 1, leaf pairs below, labelled level by level."""
+    parent = [0]
+    level = [1]
+    for depth in range(height):
+        arity = 2 if depth == height - 1 else 3
+        level_below = []
+        for p in level:
+            for _ in range(arity):
+                parent.append(p)
+                level_below.append(len(parent))
+        level = level_below
+    return RootedTree(tuple(parent))
 
 
 def ten_vertex_hedge() -> RootedTree:

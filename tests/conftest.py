@@ -65,6 +65,16 @@ def random_lush_hedge(rng: np.random.Generator, max_n: int = 40) -> RootedTree:
     raise AssertionError("could not sample a lush hedge")
 
 
+def relabel(t: RootedTree, rng: np.random.Generator) -> tuple[RootedTree, dict[int, int]]:
+    """The tree under a uniform random relabelling, and the map old -> new."""
+    new = {v: int(x) + 1 for v, x in zip(t.vertices, rng.permutation(t.n))}
+    parent = [0] * t.n
+    for v in t.vertices:
+        p = t.parent[v - 1]
+        parent[new[v] - 1] = 0 if p in (0, v) else new[p]
+    return RootedTree(tuple(parent)), new
+
+
 def random_splits(t: RootedTree, rng: np.random.Generator) -> dict[int, tuple]:
     out = {}
     for v in t.vertices:

@@ -13,14 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedge_iep.cli import main
+from hedge_iep.lambdas import LambdaTuple, build_C
+from hedge_iep.pth import ph_construct
 from hedge_iep.trees import (
     RootedTree,
     ten_vertex_hedge,
     save_tree,
     smallest_lush_hedge,
+    tree_from_json,
     tree_to_json,
 )
-from hedge_iep.weights import WeightFn, save_weight
+from hedge_iep.weights import WeightFn, save_weight, weight_to_json
 
 
 @pytest.fixture
@@ -108,6 +111,20 @@ def test_pth_pipeline(tmp_path, t31_file, capsys):
         ]
     )
     assert rc == 0
+
+
+def test_pth_recognize_on_relabelled_hedge(tmp_path, capsys):
+    # the ten-vertex hedge with labels 1 and 2 swapped: vertex 2 is the root
+    tree_file, w_file = tmp_path / "swapped.json", tmp_path / "w.json"
+    save_tree(RootedTree((2, 0, 1, 2, 4, 2, 6, 1, 4, 6)), tree_file)
+    lam = ["--alpha1", "0", "--alpha2", "1", "--beta2", "-1", "--beta3", "2"]
+    for splits in ([], ["--random-splits"]):
+        argv = ["pth", "construct", *lam, "--tree", str(tree_file), "--out", str(w_file)]
+        assert main(argv + splits) == 0
+        assert main(["pth", "recognize", str(w_file)]) == 0
+        assign = "alpha1=0,alpha2=1,beta2=-1,beta3=2"
+        assert main(["pth", "recognize", str(w_file), "--assign", assign]) == 0
+    assert capsys.readouterr().out.count("recognized:") == 4
 
 
 def test_pth_recognize_rejects(tmp_path, t31_file, capsys):
@@ -263,6 +280,8 @@ _POSITIVE = st.builds("{}/{}".format, st.integers(1, 6), st.integers(1, 5)) | st
 ) | st.floats(0.1, 3)
 _JUNK = st.sampled_from([True, None, [1], "1e400", "abc", "1/0", -1, 0])
 _HEDGES = [tree_to_json(t) for t in (smallest_lush_hedge(2), smallest_lush_hedge(3), ten_vertex_hedge())]
+# feasible tuples for path-to-hedge members (regions 1 and 7)
+_MEMBER_LAMBDAS = [(0, 1, -1, 2, 3), (0, -1, 1, -2, -3)]
 # --cluster-tol strings, finite and positive or not
 _TOLS = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-7", "5e-324"]) | st.floats().map(repr)
 # HEDGE_IEP_SEED values; None leaves the variable unset
@@ -270,11 +289,23 @@ _SEEDS = st.sampled_from([None, "", "abc", "1.5", " 2 ", "-3"]) | st.integers(-5
 
 
 @st.composite
+def _hedge_json(draw):
+    """One of the lush hedges, under a random relabelling half of the time."""
+    hedge = draw(st.sampled_from(_HEDGES))
+    n, parent = hedge["n"], hedge["parent"]
+    new = draw(st.permutations(range(1, n + 1))) if draw(st.booleans()) else range(1, n + 1)
+    moved = [0] * n
+    for v, p in enumerate(parent, start=1):
+        moved[new[v - 1] - 1] = 0 if p == 0 else new[p - 1]
+    return {"n": n, "parent": moved}
+
+
+@st.composite
 def _tree_json(draw):
     """Lush hedges, random trees, and random trees with one malformed entry."""
     kind = draw(st.sampled_from(["hedge", "hedge", "tree", "junk"]))
     if kind == "hedge":
-        return draw(st.sampled_from(_HEDGES))
+        return draw(_hedge_json())
     n = draw(st.integers(1, 6))
     parent = [0] + [draw(st.integers(1, v - 1)) for v in range(2, n + 1)]
     if kind == "junk":
@@ -285,7 +316,20 @@ def _tree_json(draw):
 
 @st.composite
 def _weight_json(draw):
-    """Weights on a generated tree; some have one malformed value."""
+    """Weights on a generated tree; some have one malformed value, and some
+    are path-to-hedge members, so that recognize reaches the recipe check."""
+    if draw(st.integers(0, 3)) == 0:
+        t = tree_from_json(draw(_hedge_json()))
+        lam = LambdaTuple(*map(Fraction, draw(st.sampled_from(_MEMBER_LAMBDAS))))
+        splits = "uniform"
+        if draw(st.booleans()):
+            splits = {}
+            for v in t.vertices:
+                k = len(t.children[v])
+                if k:
+                    parts = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+                    splits[v] = tuple(Fraction(x, sum(parts)) for x in parts)
+        return weight_to_json(ph_construct(build_C(lam, t.height + 1), t, splits))
     tree = draw(_tree_json())
     parent = tree["parent"]
     vertex_weight = {str(v): draw(_NUMBERS) for v in range(1, len(parent) + 1)}

@@ -13,7 +13,13 @@ from hedge_iep.numeric import (
     numeric_nullity,
     trailing_spectra,
 )
-from hedge_iep.polys import NonzeroRemainder, PolyQ, real_roots, three_term_polys
+from hedge_iep.polys import (
+    NonzeroRemainder,
+    PolyQ,
+    count_real_roots,
+    real_roots,
+    three_term_polys,
+)
 
 
 
@@ -113,6 +119,41 @@ def test_real_roots_double_root_on_a_bisection_point():
     roots = real_roots(PolyQ.of(0, 49, 14, 1), Fraction(-12), Fraction(12), eps)
     assert len(roots) == 2
     assert abs(roots[0] + 7) <= eps and abs(roots[1]) <= eps
+
+
+def test_sturm_counts_at_a_multiple_root():
+    x2x1 = PolyQ.of(0, 0, -1, 1)  # x^2 (x - 1): the lower end is a double root
+    assert count_real_roots(x2x1, Fraction(0), Fraction(2)) == 1
+    assert real_roots(x2x1, Fraction(0), Fraction(2), Fraction(1, 10**6)) == [1]
+    assert count_real_roots(x2x1, Fraction(-1), Fraction(0)) == 1
+    # (x - 1)(x - 3)^2 (x - 4) on (0, 3]: the upper end is a double root
+    p = PolyQ.of(36, -69, 43, -11, 1)
+    roots = real_roots(p, Fraction(0), Fraction(3), Fraction(1, 3))
+    assert len(roots) == 2 and abs(roots[0] - 1) < Fraction(1, 3) and roots[1] == 3
+
+
+def test_real_roots_with_multiplicities(rng):
+    # products of (x - r)^m over small rationals r, sometimes times a
+    # quadratic without real roots; an end of the interval is sometimes a root
+    for _ in range(100):
+        roots = {}
+        for _ in range(int(rng.integers(1, 5))):
+            r = Fraction(int(rng.integers(-8, 9)), int(rng.choice([1, 2, 3])))
+            roots[r] = roots.get(r, 0) + int(rng.integers(1, 4))
+        p = PolyQ.of(int(rng.integers(1, 5)), 0, 1) if rng.integers(0, 2) else PolyQ.of(1)
+        for r, m in roots.items():
+            for _ in range(m):
+                p = p * PolyQ.x_minus(r)
+        lo, hi = Fraction(int(rng.integers(-9, 1))), Fraction(int(rng.integers(1, 10)))
+        if rng.integers(0, 3) == 0:
+            r = list(roots)[int(rng.integers(0, len(roots)))]
+            lo, hi = (r, hi) if r < hi else (lo, r)
+        want = sorted(r for r in roots if lo < r <= hi)
+        assert count_real_roots(p, lo, hi) == len(want)
+        for eps in (Fraction(1, 10**14), Fraction(1, 3)):
+            got = real_roots(p, lo, hi, eps)
+            assert len(got) == len(want)
+            assert all(abs(g - w) < eps for g, w in zip(got, want))
 
 
 def test_tridiag_simple_eigenvalues(rng):

@@ -31,16 +31,18 @@ from hedge_iep.pth import (
 )
 from hedge_iep.lambdas import NotInB3
 from hedge_iep.spectra import MultiplicityList, SingleEigenvalue, SpectrumMultiset
+from hedge_iep.tolerance import WEIGHT_TOL
 from hedge_iep.trees import (
     HedgeProfile,
     RootedTree,
     build_hedge,
     profile,
     smallest_lush_hedge,
+    ten_vertex_hedge,
 )
 from hedge_iep.weights import WeightFn, symmetric_representative
 
-from conftest import random_lush_hedge, random_splits
+from conftest import random_lush_hedge, random_splits, relabel
 
 
 def c3_weight() -> WeightFn:
@@ -353,6 +355,62 @@ def test_recognize_rejects_wrong_assignment(rng, t31):
     swapped = LambdaTuple(lam.alpha2, lam.alpha1, lam.beta2, lam.beta3, lam.beta4)
     with pytest.raises(NotFromConstruction):
         recognize(w, swapped)
+
+
+@pytest.mark.parametrize("base", [ten_vertex_hedge(), smallest_lush_hedge(3)], ids=["h10", "t31"])
+def test_recognize_accepts_relabelled_hedges(base, rng):
+    # membership does not depend on the labels: the image of a family member
+    # under a relabelling is accepted, with the path weight of the original
+    lam = LambdaTuple(Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(3))
+    flam = LambdaTuple(*[float(v) for v in lam.values()])
+    c, fc = build_C(lam, base.height + 1), build_C(flam, base.height + 1)
+    # (member, its assignment, whether child-edge sums are order-free)
+    members = [
+        (ph_construct(c, base), lam, True),
+        (ph_construct(fc, base), flam, True),
+        (ph_construct(fc, base, random_splits(base, rng)), flam, False),
+    ]
+    for w, lam_w, order_free in members:
+        want = recognize(w, lam_w).path_weight
+        want_lam = recognize_search(w).lam.values()
+        for _ in range(10):
+            t, new = relabel(base, rng)
+            moved = WeightFn(
+                t,
+                {new[v]: x for v, x in w.vertex_weight.items()},
+                {tuple(sorted((new[u], new[v]))): x for (u, v), x in w.edge_weight.items()},
+            )
+            if lam_w is lam:
+                assert moved == ph_construct(c, t)
+            found = recognize_search(moved)
+            assert max(abs(x - y) for x, y in zip(found.lam.values(), want_lam)) < 1e-9
+            for got in (recognize(moved, lam_w).path_weight, found.path_weight):
+                if order_free:
+                    assert got == want
+                else:
+                    assert got.tree == want.tree
+                    assert all(abs(got.v(i) - want.v(i)) < 1e-12 for i in want.tree.vertices)
+                    assert all(abs(got.e(*e) - want.e(*e)) < 1e-12 for e in want.tree.edges)
+
+
+def test_recognize_reads_siblings_against_the_recipe(hedge10):
+    # two sibling leaves each within WEIGHT_TOL of a_1 are accepted even when
+    # they lie further apart than WEIGHT_TOL; beyond it they are rejected
+    lam = LambdaTuple(0.0, 1.0, -1.0, 2.0, 3.0)
+    w = ph_construct(build_C(lam, 3), hedge10)
+    z = next(v for v in hedge10.vertices if hedge10.height_map[v] == 1)
+    u1, u2 = hedge10.children[z][:2]
+    for k, accepted in ((0.8, True), (1.2, False)):
+        vw = dict(w.vertex_weight)
+        vw[u1] += k * WEIGHT_TOL
+        vw[u2] -= k * WEIGHT_TOL
+        moved = WeightFn(hedge10, vw, dict(w.edge_weight))
+        if accepted:
+            assert recognize(moved, lam).lam == lam
+        else:
+            with pytest.raises(NotFromConstruction) as info:
+                recognize(moved, lam)
+            assert info.value.step == 1
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,27 @@ def test_qxi_approx_precision():
         assert float(close) == float(v)
 
 
+def test_qxi_decides_tiny_values():
+    # a nonzero element far below the precision of any earlier refinement
+    xi = QXi.xi()
+    tiny = xi - xi.approx(Fraction(1, 10**170))
+    s = tiny.sign()
+    assert s in (-1, 1)
+    assert (tiny < 0) == (s < 0) and (tiny > 0) == (s > 0)
+    assert (xi < xi - tiny) == (s < 0)
+    f = float(tiny)
+    assert 0 < abs(f) < 1e-170 and (f > 0) == (s > 0)
+
+
+def test_sextic_is_irreducible():
+    # the refinement loops end because a nonzero element of Q[xi] has a
+    # nonzero, and unless rational an irrational, value
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sum(int(c) * x**i for i, c in enumerate(SEXTIC.coeffs)), x)
+    assert poly.degree() == 6 and poly.is_irreducible
+
+
 # ---------------------------------------------------------------------------
 # resultants
 

@@ -104,6 +104,18 @@ def test_profile_examples(hedge10):
     assert profile(path(1)).ell == (1,)
 
 
+def test_smallest_lush_hedge_shape():
+    # three children above height 1, leaf pairs, labelled level by level
+    for height in range(10):
+        t = smallest_lush_hedge(height)
+        hm = t.height_map
+        assert t.height == height and is_lush(t)
+        for v in t.vertices:
+            assert len(t.children[v]) == (0, 2, 3)[min(hm[v], 2)]
+            assert t.depth[v] <= t.depth.get(v + 1, t.depth[v])
+            assert t.parent[v - 1] < v
+
+
 def test_subtree_chain_hedge10(hedge10):
     chain = subtree_chain(hedge10)
     assert [len(s) for s in chain.vertex_sets] == [10, 7, 3]
