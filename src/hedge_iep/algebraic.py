@@ -2,12 +2,15 @@
 
     x^6 - 3 x^5 - 11 x^4 + 24 x^3 - 6 x^2 - 48 x + 16.
 
-Elements are rational coordinate vectors against 1, xi, ..., xi^5.  Ring
-operations go through ``PolyQ``: a product is the polynomial product reduced
-by the monic sextic through ``PolyQ.divmod``, and an inverse comes from
-``poly_xgcd`` with the sextic.  Sign tests refine the isolating interval of
-xi by bisection and bound the coordinate polynomial with interval
-arithmetic, so comparisons are exact decisions, never float guesses.
+An element is six integer numerators against 1, xi, ..., xi^5 over one
+positive common denominator, in lowest terms, so the representation is
+canonical.  A product is a 6x6 integer convolution, reduced in degrees
+10..6 by the monic sextic's integer tail (xi^6 = 3 xi^5 + 11 xi^4
+- 24 xi^3 + 6 xi^2 + 48 xi - 16), which needs no division, and then one
+gcd; an inverse comes from ``poly_xgcd`` with the sextic.  Sign tests
+refine the isolating interval of xi by bisection and bound the numerator
+polynomial with integer interval arithmetic, so comparisons are exact
+decisions, never float guesses.
 """
 
 from __future__ import annotations
@@ -15,11 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 
 from .polys import PolyQ, bisect_root, count_real_roots, poly_xgcd, sign_at
 
 # ascending coefficients of the defining sextic
 SEXTIC = PolyQ.of(16, -48, -6, 24, -11, -3, 1)
+
+# xi^6 = sum(_TAIL[i] * xi^i): the monic sextic's lower coefficients, negated
+_TAIL = tuple(-int(c) for c in SEXTIC.coeffs[:6])
 
 # the seed isolating interval (lo, hi] of xi
 XI_INTERVAL = (Fraction(1, 3), Fraction(17, 50))
@@ -29,7 +36,6 @@ if not (SEXTIC(XI_INTERVAL[0]) > 0) != (SEXTIC(XI_INTERVAL[1]) > 0):  # pragma: 
 
 _interval = list(XI_INTERVAL)
 _sextic_sign = sign_at(SEXTIC)
-_ZERO = Fraction(0)
 
 
 def verify_isolation() -> bool:
@@ -43,36 +49,47 @@ def verify_isolation() -> bool:
 
 
 def refined_xi(eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink (and cache) the isolating interval to width below eps."""
+    """Shrink (and cache) the isolating interval to width below eps > 0."""
+    if not eps > 0:
+        raise ValueError(f"the interval width bound must be positive, got {eps}")
     sign_lo = _sextic_sign(_interval[0])
     _interval[:] = bisect_root(*_interval, eps, lambda m: sign_lo * _sextic_sign(m))
     return tuple(_interval)
+
+
+def _reduced(nums, den: int) -> "QXi":
+    """The element sum(nums[i] * xi^i) / den, den > 0, in lowest terms."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return QXi(tuple(nums), den)
 
 
 def _coerce(x) -> "QXi | None":
     if isinstance(x, QXi):
         return x
     if isinstance(x, (int, Fraction)):
-        return QXi((Fraction(x),) + (_ZERO,) * 5)
+        return QXi((x.numerator, 0, 0, 0, 0, 0), x.denominator)
     return None
 
 
 @total_ordering
 @dataclass(frozen=True)
 class QXi:
-    """An element of Q[xi] as coordinates against (1, xi, ..., xi^5)."""
+    """sum(nums[i] * xi^i) / den, with six integer numerators, den > 0 and
+    gcd(den, numerators) = 1 (so zero is all-zero over 1)."""
 
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != 6:
-            raise ValueError("need exactly six coordinates")
+    nums: tuple[int, ...]
+    den: int = 1
 
     @classmethod
     def of(cls, *coords) -> "QXi":
-        cs = [Fraction(c) for c in coords]
-        cs += [Fraction(0)] * (6 - len(cs))
-        return cls(tuple(cs))
+        if len(coords) > 6:
+            raise ValueError("need at most six coordinates")
+        cs = [Fraction(c) for c in coords] + [Fraction(0)] * (6 - len(coords))
+        den = lcm(*(c.denominator for c in cs))
+        return _reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def xi(cls) -> "QXi":
@@ -82,62 +99,68 @@ class QXi:
     def from_poly_coeffs(cls, coeffs, denom=1) -> "QXi":
         """Coordinates from descending xi^5..xi^0 coefficients over a common
         denominator (the layout the closed-form values are printed in)."""
-        cs = [Fraction(c, denom) for c in reversed(list(coeffs))]
-        return cls.of(*cs)
+        return cls.of(*(Fraction(c, denom) for c in reversed(list(coeffs))))
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The rational coordinates against (1, xi, ..., xi^5)."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return QXi(tuple(a + b for a, b in zip(self.coords, o.coords)))
+        g = gcd(self.den, o.den)
+        sa, sb = o.den // g, sign * (self.den // g)
+        return _reduced([a * sa + b * sb for a, b in zip(self.nums, o.nums)], self.den * sa)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QXi":
-        return QXi(tuple(-a for a in self.coords))
+        return QXi(tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return QXi(tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def _poly(self) -> PolyQ:
-        return PolyQ.of(*self.coords)
-
-    @staticmethod
-    def _of_poly(p: PolyQ) -> "QXi":
-        # a PolyQ product leaves the positions it never adds to as int 0
-        cs = tuple(c or _ZERO for c in p.coeffs)
-        return QXi(cs + (_ZERO,) * (6 - len(cs)))
+        return (-self)._add(other, 1)
 
     def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            return _reduced([n * other.numerator for n in self.nums], self.den * other.denominator)
+        if not isinstance(other, QXi):
             return NotImplemented
-        return QXi._of_poly((self._poly() * o._poly()).divmod(SEXTIC)[1])
+        c = [0] * 11
+        b = other.nums
+        for i, x in enumerate(self.nums):
+            if x:
+                for j, y in enumerate(b, i):
+                    c[j] += x * y
+        for k in range(10, 5, -1):
+            t = c[k]
+            if t:
+                for j, s in enumerate(_TAIL, k - 6):
+                    c[j] += s * t
+        return _reduced(c[:6], self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QXi":
         if self.is_zero():
             raise ZeroDivisionError("zero element of Q[xi]")
-        g, s, _ = poly_xgcd(self._poly(), SEXTIC)
+        g, s, _ = poly_xgcd(PolyQ.of(*self.coords), SEXTIC)
         if g.degree != 0:
             raise ArithmeticError("element shares a factor with the sextic")
-        return QXi._of_poly(s)
+        return QXi.of(*s.coeffs)
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -167,29 +190,33 @@ class QXi:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.den == o.den and self.nums == o.nums
 
     def __hash__(self) -> int:
         # a rational element hashes like the Fraction it equals
-        return hash(self.coords[0]) if not any(self.coords[1:]) else hash(self.coords)
+        if any(self.nums[1:]):
+            return hash((self.nums, self.den))
+        return hash(Fraction(self.nums[0], self.den))
 
-    def _interval_value(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        # xi > 0, so monomial bounds are monotone in the endpoints
-        vlo = vhi = Fraction(0)
-        plo = phi = Fraction(1)
-        for c in self.coords:
-            a, b = c * plo, c * phi
-            if a > b:
-                a, b = b, a
-            vlo += a
-            vhi += b
-            plo *= lo
-            phi *= hi
-        return vlo, vhi
+    def _interval_value(self, lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+        """Integers vlo, vhi and d > 0 with vlo / d <= value <= vhi / d for
+        xi in [lo, hi], from lo = a / q and hi = b / q.  xi > 0, so monomial
+        bounds are monotone in the endpoints."""
+        q = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (q // lo.denominator)
+        b = hi.numerator * (q // hi.denominator)
+        vlo = vhi = 0
+        for i, n in enumerate(self.nums):
+            s, t = n * a**i * q ** (5 - i), n * b**i * q ** (5 - i)
+            if s > t:
+                s, t = t, s
+            vlo += s
+            vhi += t
+        return vlo, vhi, q**5 * self.den
 
     def _refine_until(self, decide):
         """Decide on the cached interval of xi, else refine it to 2^-8 of its
-        width and retry until ``decide(vlo, vhi)`` returns non-None.  This
+        width and retry until ``decide(vlo, vhi, d)`` returns non-None.  This
         ends: the sextic is irreducible, so an irrational element has an
         irrational value, which no sign or rounding boundary equals, and a
         rational element has a point value interval."""
@@ -202,7 +229,7 @@ class QXi:
         """Exact sign via interval refinement; zero iff all coordinates are."""
         if self.is_zero():
             return 0
-        return self._refine_until(lambda vlo, vhi: 1 if vlo > 0 else -1 if vhi < 0 else None)
+        return self._refine_until(lambda vlo, vhi, d: 1 if vlo > 0 else -1 if vhi < 0 else None)
 
     def __lt__(self, other):
         o = _coerce(other)
@@ -215,15 +242,16 @@ class QXi:
         interval the value interval is at most ``slope`` times as wide as
         (lo, hi], so one refinement of xi to eps / slope suffices."""
         hi = XI_INTERVAL[1]
-        slope = sum(i * abs(c) * hi ** (i - 1) for i, c in enumerate(self.coords))
-        vlo, vhi = self._interval_value(*refined_xi(Fraction(eps) / max(slope, 1)))
-        return (vlo + vhi) / 2
+        slope = sum(i * abs(n) * hi ** (i - 1) for i, n in enumerate(self.nums)) / self.den
+        vlo, vhi, d = self._interval_value(*refined_xi(Fraction(eps) / max(slope, 1)))
+        return Fraction(vlo + vhi, 2 * d)
 
     def __float__(self) -> float:
         """Correctly rounded: both ends of the value interval round to the
-        same float, whatever earlier calls did to the interval of xi."""
+        same float, whatever earlier calls did to the interval of xi (an
+        int / int quotient is correctly rounded)."""
         return self._refine_until(
-            lambda vlo, vhi: float(vlo) if float(vlo) == float(vhi) else None
+            lambda vlo, vhi, d: vlo / d if vlo / d == vhi / d else None
         )
 
     def __repr__(self) -> str:

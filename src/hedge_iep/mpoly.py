@@ -232,18 +232,19 @@ class MPolyQ:
 
     def evaluate(self, a1, a2, b3):
         """Horner-free evaluation with cached power tables; the scalar type
-        just needs ring arithmetic (floats, Fractions, field extensions)."""
-        zero = a1 * 0
+        just needs ring arithmetic (floats, Fractions, field extensions).
+        The terms are summed on the integer numerators, and the sum is
+        divided by the denominator once."""
         d1 = max((m[0] for m, _ in self.nums), default=0)
         d2 = max((m[1] for m, _ in self.nums), default=0)
         d3 = max((m[2] for m, _ in self.nums), default=0)
         p1 = _powers(a1, d1)
         p2 = _powers(a2, d2)
         p3 = _powers(b3, d3)
-        acc = zero
+        acc = a1 * 0
         for (e1, e2, e3), n in self.nums:
-            acc = acc + p1[e1] * p2[e2] * p3[e3] * Fraction(n, self.den)
-        return acc
+            acc = acc + p1[e1] * p2[e2] * p3[e3] * n
+        return acc * Fraction(1, self.den)
 
     def __repr__(self) -> str:
         if self.is_zero():

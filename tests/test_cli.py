@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -431,6 +432,10 @@ def test_rigid_solve(capsys):
     out = capsys.readouterr().out
     assert "0.33498155" in out  # twelve digits are printed
     assert "region 1" in out
+    # the whole printout, the exact coordinates of every value included
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1e6cf15a7a9ccaa770815bc1cdce019800b137858bc76f2ec1c63cb85de1a558"
+    )
 
 
 def test_rigid_levels(tmp_path, capsys):

@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hedge_iep
 from hedge_iep.algebraic import SEXTIC, XI_INTERVAL, QXi, refined_xi, verify_isolation
@@ -128,6 +131,112 @@ def test_sextic_is_irreducible():
     x = sympy.Symbol("x")
     poly = sympy.Poly(sum(int(c) * x**i for i, c in enumerate(SEXTIC.coeffs)), x)
     assert poly.degree() == 6 and poly.is_irreducible
+
+
+def test_refinement_needs_a_positive_width():
+    # eps <= 0 used to bisect forever; the cached interval stays as it was
+    before = refined_xi(Fraction(1))
+    for eps in (Fraction(0), Fraction(-1)):
+        with pytest.raises(ValueError):
+            refined_xi(eps)
+        with pytest.raises(ValueError):
+            QXi.xi().approx(eps)
+    assert refined_xi(Fraction(1)) == before
+
+
+qxi_tests = settings(max_examples=200, deadline=None, derandomize=True)
+
+# coordinates with mixed denominators, from small to wide numerators
+coordinates = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.integers(-(10**12), 10**12)),
+    st.sampled_from([1, 2, 3, 30, 60, 90, 7**5, 2**40]),
+)
+qxis = st.lists(coordinates, max_size=6).map(lambda cs: QXi.of(*cs))
+
+
+def canonical(x: QXi) -> QXi:
+    """x, after checking that it is in lowest terms over a positive
+    denominator, with zero over 1."""
+    assert len(x.nums) == 6 and all(type(n) is int for n in x.nums)
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    if x.is_zero():
+        assert x.den == 1
+    return x
+
+
+def padded(p: PolyQ) -> tuple:
+    return tuple(p.coeffs) + (0,) * (6 - len(p.coeffs))
+
+
+@qxi_tests
+@given(qxis, qxis, coordinates)
+def test_qxi_ring_operations_are_canonical(a, b, q):
+    # the integer product kernel against the polynomial product reduced by
+    # the sextic
+    want = (PolyQ.of(*a.coords) * PolyQ.of(*b.coords)).divmod(SEXTIC)[1]
+    assert canonical(a * b).coords == padded(want)
+    assert canonical(a * q).coords == tuple(c * q for c in a.coords) == (q * a).coords
+    assert canonical(a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+    assert canonical(a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+    assert canonical(q - a).coords == tuple(q * (i == 0) - x for i, x in enumerate(a.coords))
+    assert canonical(-a).coords == tuple(-x for x in a.coords)
+    assert QXi.of(*a.coords) == a and hash(QXi.of(*a.coords)) == hash(a)
+    if a:
+        assert canonical(a.inverse()) * a == 1
+        assert canonical(b / a) * a == b
+
+
+def per_term_value(p: MPolyQ, a1, a2, b3):
+    """p at a point, one Fraction coefficient per term."""
+    return sum(
+        (Fraction(n, p.den) * a1**e1 * a2**e2 * b3**e3 for (e1, e2, e3), n in p.nums),
+        Fraction(0),
+    )
+
+
+def evaluation_points() -> list[tuple]:
+    vals = route_b_values()
+    xi = QXi.xi()
+    return [
+        (vals["alpha1"], vals["alpha2"], vals["beta3"]),
+        (xi, 1 - xi**2 / 3, xi**3 / 7 - Fraction(2, 5)),
+        (Fraction(1, 3), Fraction(-2), Fraction(5, 7)),
+    ]
+
+
+def test_evaluate_matches_per_term_sum_on_r49():
+    residual, _, _ = simplify_resultant(4, 9)
+    assert len(residual) == 130
+    for point in evaluation_points():
+        got = residual.evaluate(*point)
+        assert got == per_term_value(residual, *point)
+        if isinstance(got, QXi):
+            canonical(got)
+
+
+terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    coordinates.filter(bool),
+    max_size=8,
+)
+
+
+@qxi_tests
+@given(terms, st.sampled_from(evaluation_points()))
+def test_evaluate_matches_per_term_sum(coeffs, point):
+    p = MPolyQ.const(0)
+    for m, c in coeffs.items():
+        term = MPolyQ.const(c)
+        for var, e in zip((A1, A2, B3), m):
+            for _ in range(e):
+                term = term * var
+        p = p + term
+    got = p.evaluate(*point)
+    assert got == per_term_value(p, *point)
+    if isinstance(got, QXi):
+        canonical(got)
 
 
 # ---------------------------------------------------------------------------
