@@ -166,17 +166,13 @@ def canonical(x: QXi) -> QXi:
     return x
 
 
-def padded(p: PolyQ) -> tuple:
-    return tuple(p.coeffs) + (0,) * (6 - len(p.coeffs))
-
-
 @qxi_tests
 @given(qxis, qxis, coordinates)
 def test_qxi_ring_operations_are_canonical(a, b, q):
     # the integer product kernel against the polynomial product reduced by
     # the sextic
     want = (PolyQ.of(*a.coords) * PolyQ.of(*b.coords)).divmod(SEXTIC)[1]
-    assert canonical(a * b).coords == padded(want)
+    assert canonical(a * b).coords == want.coeffs + (0,) * (6 - len(want.coeffs))
     assert canonical(a * q).coords == tuple(c * q for c in a.coords) == (q * a).coords
     assert canonical(a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
     assert canonical(a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
