@@ -23,7 +23,7 @@ from .numeric import cluster_multiplicities
 from .numeric import eigenvalues_sym  # noqa: F401
 from .spectra import gap_vector
 from .tolerance import CLUSTER_TOL
-from .trees import is_hedge, is_lush, load_tree, profile
+from .trees import NotLush, is_hedge, is_lush, load_tree, profile, read_json
 from .weights import (
     exact_number,
     load_weight,
@@ -62,8 +62,7 @@ def _lambda_tuple(vals: dict) -> LambdaTuple:
 
 def _lambda_from_args(args) -> LambdaTuple:
     if getattr(args, "lambda_file", None):
-        with open(args.lambda_file) as fh:
-            data = json.load(fh)
+        data = read_json(args.lambda_file)
         if not isinstance(data, dict):
             raise BadLambda("the lambda file must hold a JSON object")
         vals = {
@@ -96,6 +95,11 @@ def cmd_hedge_info(args) -> int:
 
 def cmd_covers(args) -> int:
     t = load_tree(args.treefile)
+    if args.oracle and t.n > covers.ORACLE_MAX_VERTICES:
+        raise ValueError(
+            f"--oracle runs an exhaustive search, limited to {covers.ORACLE_MAX_VERTICES}"
+            f" vertices; this tree has {t.n}"
+        )
     p, cover = covers.path_cover_number(t)
     z, forcing = covers.zero_forcing_number(t)
     print(f"P = {p}")
@@ -247,6 +251,8 @@ def cmd_rigid_solve(args) -> int:
 
 def cmd_rigid_list(args) -> int:
     t = load_tree(args.tree)
+    if not is_lush(t):
+        raise NotLush("the rigid list is stated for lush hedges")
     rl = rigid.rigid_multiplicity_list(profile(t))
     print("ordered multiplicity list:")
     print(list(rl.ordered))
@@ -304,7 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cov = sub.add_parser("covers", help="path cover and zero forcing numbers")
     cov.add_argument("treefile")
-    cov.add_argument("--oracle", action="store_true", help="run brute-force cross-check")
+    cov.add_argument(
+        "--oracle",
+        action="store_true",
+        help=f"run brute-force cross-check (at most {covers.ORACLE_MAX_VERTICES} vertices)",
+    )
     cov.set_defaults(func=cmd_covers)
 
     wts = sub.add_parser("weights", help="weight utilities").add_subparsers(

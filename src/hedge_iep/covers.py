@@ -153,6 +153,12 @@ def path_cover_number(t: RootedTree, vertices=None) -> tuple[int, PathCover]:
     return len(cover), cover
 
 
+#: the largest tree the CLI's --oracle runs brute_force_path_cover on.  The
+#: search is exponential: at 32 vertices the bushiest trees tried take a few
+#: seconds, and smallest_lush_hedge(4), 94 vertices, does not end in a minute
+ORACLE_MAX_VERTICES = 32
+
+
 def brute_force_path_cover(t: RootedTree, vertices=None) -> int:
     """Exact minimum by exhaustive search over edge subsets of maximum
     degree two (every such subset of a forest is a disjoint union of induced

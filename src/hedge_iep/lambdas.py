@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numeric import trailing_spectra
-from .polys import NonzeroRemainder, PolyQ, three_term_polys
+from .polys import X, NonzeroRemainder, PolyQ, level_values
 from .tolerance import SINGULAR_TOL, close
 from .trees import HedgeProfile, RootedTree
 from .weights import WeightedMatrix, WeightFn, unit_lower_representative
@@ -216,24 +216,27 @@ def build_C(lam: LambdaTuple, n: int) -> WeightedMatrix:
 
 def char_polys(lam: LambdaTuple, n: int) -> list[PolyQ]:
     """Exact characteristic polynomials p_0..p_n of the trailing submatrices,
-    by the three-term recursion; needs exact scalars."""
-    return three_term_polys(*abc_coefficients(lam, n))
+    the level recurrence at the indeterminate; needs exact scalars."""
+    return level_values(*abc_coefficients(lam, n), X)
 
 
-def remainder_poly(lam: LambdaTuple, n: int) -> PolyQ:
-    """r_n = p_n / ((x - alpha_n)(x - beta_n)): the level-n eigenvalues that
-    are not distinguished ones.  Exact division; a nonzero remainder means
-    the tuple is not eligible."""
-    if n < 3:
-        raise ValueError("remainder polynomials start at n = 3")
-    ps = char_polys(lam, n)
-    divisor = PolyQ.x_minus(lam.alpha(n)) * PolyQ.x_minus(lam.beta(n))
+def remainder_of(lam: LambdaTuple, n: int, p_n: PolyQ) -> PolyQ:
+    """r_n = p_n / ((x - alpha_n)(x - beta_n)) over any exact scalar ring.
+    Exact division; a nonzero remainder means the tuple is not eligible."""
     try:
-        return ps[n].exact_div(divisor)
+        return p_n.exact_div((X - lam.alpha(n)) * (X - lam.beta(n)))
     except NonzeroRemainder as exc:
         raise NonzeroRemainder(
             f"p_{n} is not divisible by (x - alpha_{n})(x - beta_{n}): {exc}"
         ) from exc
+
+
+def remainder_poly(lam: LambdaTuple, n: int) -> PolyQ:
+    """r_n of a feasible tuple: the level-n eigenvalues that are not
+    distinguished ones."""
+    if n < 3:
+        raise ValueError("remainder polynomials start at n = 3")
+    return remainder_of(lam, n, char_polys(lam, n)[n])
 
 
 def step_lemma_checks(lam: LambdaTuple, n: int) -> list[str]:

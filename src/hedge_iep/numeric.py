@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .mpoly import bareiss_determinant
-from .polys import PolyQ, three_term_polys
+from .polys import X, PolyQ
 from .spectra import SpectrumMultiset
 from .tolerance import CLUSTER_TOL, ROUNDING_TOL, SINGULAR_TOL, gap_clusters
 
@@ -79,30 +79,15 @@ def trailing_spectra(a, b, n: int) -> list[np.ndarray]:
 
 
 def char_poly_exact(entries) -> PolyQ:
-    """Exact characteristic polynomial det(xI - A) of a rational matrix.
-
-    Path (tridiagonal) matrices use the three-term recursion; anything else
-    falls back to a fraction-free Bareiss expansion over polynomials.
-    """
-    n = len(entries)
-    rows = [[Fraction(entries[i][j]) for j in range(n)] for i in range(n)]
-    is_tridiag = all(
-        rows[i][j] == 0 for i in range(n) for j in range(n) if abs(i - j) > 1
-    )
-    if is_tridiag:
-        # similarity-invariant reduction: char poly depends only on the
-        # products of opposite off-diagonal entries
-        a = [rows[i][i] for i in range(n - 1, -1, -1)]
-        b = [rows[i][i + 1] * rows[i + 1][i] for i in range(n - 2, -1, -1)]
-        return three_term_polys(a, b)[-1]
-    mat = [
+    """Exact characteristic polynomial det(xI - A) of a rational matrix, by
+    a fraction-free Bareiss expansion over polynomials; it shares no step
+    with the level recurrence, so each checks the other."""
+    return bareiss_determinant(
         [
-            PolyQ.x_minus(rows[i][j]) if i == j else PolyQ.const(-rows[i][j])
-            for j in range(n)
+            [(X if i == j else PolyQ(())) - Fraction(x) for j, x in enumerate(row)]
+            for i, row in enumerate(entries)
         ]
-        for i in range(n)
-    ]
-    return bareiss_determinant(mat)
+    )
 
 
 def cluster_multiplicities(values, tol: float = CLUSTER_TOL) -> SpectrumMultiset:

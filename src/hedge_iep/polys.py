@@ -41,10 +41,6 @@ class PolyQ:
     def const(cls, c) -> "PolyQ":
         return cls(_trim([c]))
 
-    @classmethod
-    def x_minus(cls, a) -> "PolyQ":
-        return cls(_trim([-a, a * 0 + 1]))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -57,7 +53,10 @@ class PolyQ:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __add__(self, other: "PolyQ") -> "PolyQ":
+    def __add__(self, other) -> "PolyQ":
+        """Sum with a polynomial or a scalar."""
+        if not isinstance(other, PolyQ):
+            other = PolyQ.const(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -66,13 +65,16 @@ class PolyQ:
             out[i] = out[i] + c
         return PolyQ(_trim(out))
 
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
+    def __sub__(self, other) -> "PolyQ":
         return self + (-other)
 
     def __neg__(self) -> "PolyQ":
         return PolyQ(tuple(-c for c in self.coeffs))
 
-    def __mul__(self, other: "PolyQ") -> "PolyQ":
+    def __mul__(self, other) -> "PolyQ":
+        """Product with a polynomial or a scalar."""
+        if not isinstance(other, PolyQ):
+            return self.scale(other)
         if self.is_zero() or other.is_zero():
             return PolyQ(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -130,16 +132,20 @@ class PolyQ:
         return self.scale(1 / lc) if lc != 1 else self
 
 
-def three_term_polys(a, b) -> list[PolyQ]:
-    """Characteristic polynomials p_0..p_n of the trailing submatrices of the
-    path matrix with diagonal a_1..a_n, superdiagonal products b_2..b_n and
-    unit subdiagonal: p_k = (x - a_k) p_{k-1} - b_k p_{k-2}, over whatever
-    exact ring the a_i live in (p_0 is that ring's one)."""
-    if not a:
-        return [PolyQ.of(1)]
-    ps = [PolyQ.const(a[0] * 0 + 1), PolyQ.x_minus(a[0])]
-    for k in range(2, len(a) + 1):
-        ps.append(PolyQ.x_minus(a[k - 1]) * ps[k - 1] - PolyQ.const(b[k - 2]) * ps[k - 2])
+#: the indeterminate x
+X = PolyQ.of(0, 1)
+
+
+def level_values(a, b, x) -> list:
+    """p_0(x)..p_n(x) for the path matrix with diagonal a_1..a_n (n >= 1),
+    superdiagonal products b_2..b_n and unit subdiagonal, where
+    p_k = (x - a_k) p_{k-1} - b_k p_{k-2} is the characteristic polynomial
+    of its trailing k-by-k submatrix.  x is a point of any ring the a_i and
+    b_i act on (Fraction, QXi), or an indeterminate: X over exact scalars,
+    numpy's float Polynomial; p_0 = x * 0 + 1 is the one of x's ring."""
+    ps = [x * 0 + 1, x - a[0]]
+    for k in range(1, len(a)):
+        ps.append((x - a[k]) * ps[k] - ps[k - 1] * b[k - 1])
     return ps
 
 

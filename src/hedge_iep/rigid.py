@@ -30,11 +30,11 @@ from .lambdas import (
     abc_closed_forms,
     level_names,
     region_of,
-    remainder_poly,
+    remainder_of,
 )
 from .mpoly import MPolyQ, bareiss_determinant
 from .numeric import trailing_spectra
-from .polys import PolyQ, ZeroPolynomial, three_term_polys
+from .polys import X, PolyQ, ZeroPolynomial, level_values
 from .tolerance import ROUTE_TOL, SPECTRUM_TOL, close, gap_clusters
 from .trees import HedgeProfile
 
@@ -76,7 +76,7 @@ TRIVIAL_FORMS: tuple[tuple[str, MPolyQ], ...] = (
 @lru_cache(maxsize=None)
 def char_poly_symbolic(n: int) -> PolyQ:
     """p_n as a polynomial in x with trivariate coefficients."""
-    return three_term_polys(*abc_closed_forms(SYMBOLIC, n))[n]
+    return level_values(*abc_closed_forms(SYMBOLIC, n), X)[n]
 
 
 @lru_cache(maxsize=None)
@@ -84,8 +84,7 @@ def remainder_symbolic(n: int) -> PolyQ:
     """r_n = p_n / ((x - alpha_n)(x - beta_n)), exact over the parameter ring."""
     if n < 3:
         raise ValueError("remainder polynomials start at n = 3")
-    divisor = PolyQ.x_minus(SYMBOLIC.alpha(n)) * PolyQ.x_minus(SYMBOLIC.beta(n))
-    return char_poly_symbolic(n).exact_div(divisor)
+    return remainder_of(SYMBOLIC, n, char_poly_symbolic(n))
 
 
 def _cleared(f: PolyQ) -> tuple[list[MPolyQ], int]:
@@ -211,15 +210,16 @@ def route_b_values() -> dict[str, QXi]:
 
 
 def _float_remainders(a1: float, a2: float, b3: float) -> dict[int, np.ndarray]:
-    """r_3..r_9 at a float point as numpy coefficient arrays.  Route A keeps
-    its own float recursion: PolyQ needs an exact ``== 0``."""
+    """r_3..r_9 at a float point as numpy coefficient arrays, highest power
+    first: the level recurrence at numpy's float indeterminate."""
+    # imported here: numpy.polynomial is not loaded with numpy, and only
+    # route A needs it
+    from numpy.polynomial import Polynomial
+
     lam = LambdaTuple(a1, a2, -1.0, b3, 1.0)
-    a, b = abc_closed_forms(lam, 9)
-    ps = [np.array([1.0]), np.array([1.0, -a[0]])]
-    for k in range(2, 10):
-        ps.append(np.polysub(np.polymul([1.0, -a[k - 1]], ps[k - 1]), b[k - 2] * ps[k - 2]))
+    ps = level_values(*abc_closed_forms(lam, 9), Polynomial([0.0, 1.0]))
     return {
-        k: np.polydiv(ps[k], np.polymul([1.0, -lam.alpha(k)], [1.0, -lam.beta(k)]))[0]
+        k: (ps[k] // Polynomial.fromroots([lam.alpha(k), lam.beta(k)])).coef[::-1]
         for k in range(3, 10)
     }
 
@@ -384,20 +384,20 @@ def solve_rigid(seed: int = 0) -> RigidSolution:
 # exact coincidence certificates and level spectra at the rigid point
 
 
-@lru_cache(maxsize=None)
-def rigid_remainder(n: int) -> PolyQ:
-    """r_n over Q[xi] at the rigid tuple."""
-    return remainder_poly(solve_rigid().lam, n)
-
-
 def certify_coincidences() -> dict[str, bool]:
-    """Exact: each engineered eigenvalue is a root of both its remainder
-    polynomials."""
+    """Exact: each engineered eigenvalue v is a root of r_n for both levels
+    n of its pair.  The roots of p_n are simple (every b_k is positive), so
+    that is p_n(v) = 0 with v neither alpha_n nor beta_n."""
     sol = solve_rigid()
-    return {
-        name: all(rigid_remainder(n)(getattr(sol, name)).is_zero() for n in pair)
-        for name, pair in COINCIDENCES.items()
-    }
+    a, b = abc_closed_forms(sol.lam, max(map(max, COINCIDENCES.values())))
+    out = {}
+    for name, pair in COINCIDENCES.items():
+        v = getattr(sol, name)
+        ps = level_values(a, b, v)
+        out[name] = all(
+            ps[n].is_zero() and v not in (sol.lam.alpha(n), sol.lam.beta(n)) for n in pair
+        )
+    return out
 
 
 def rigid_b_values(up_to: int = 41) -> list[QXi]:

@@ -356,9 +356,18 @@ def tree_from_json(data: dict) -> RootedTree:
     return RootedTree(parent)
 
 
-def load_tree(path: str | Path) -> RootedTree:
+def read_json(path: str | Path):
+    """The JSON value in a file; nesting too deep to decode is malformed
+    input (ValueError), not a crash."""
     with open(path) as fh:
-        return tree_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_tree(path: str | Path) -> RootedTree:
+    return tree_from_json(read_json(path))
 
 
 def save_tree(t: RootedTree, path: str | Path) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .numeric import eigenvalues_sym
 from .tolerance import ROUNDING_TOL, WEIGHT_TOL, close
-from .trees import RootedTree
+from .trees import RootedTree, read_json
 
 
 class NonPositiveEdgeWeight(ValueError):
@@ -352,22 +352,26 @@ def weight_from_json(data: dict) -> WeightFn:
                 return x
         raise WeightFormatError(f"weight {x!r} is not a finite number")
 
+    def vertex(part: str, key: str) -> int:
+        if not (part.isascii() and part.isdigit()):
+            raise WeightFormatError(f"weight key {key!r} is not a vertex 'u' or an edge 'u-v'")
+        return int(part)
+
     if not isinstance(data, dict) or not {"tree", "vertexWeight", "edgeWeight"} <= set(data):
         raise WeightFormatError("weight JSON needs 'tree', 'vertexWeight' and 'edgeWeight'")
     if not (isinstance(data["vertexWeight"], dict) and isinstance(data["edgeWeight"], dict)):
         raise WeightFormatError("'vertexWeight' and 'edgeWeight' must be objects")
     t = tree_from_json(data["tree"])
-    vw = {int(u): num(x) for u, x in data["vertexWeight"].items()}
+    vw = {vertex(u, u): num(x) for u, x in data["vertexWeight"].items()}
     ew = {}
     for key, x in data["edgeWeight"].items():
-        u, v = key.split("-")
-        ew[_edge_key(int(u), int(v))] = num(x)
+        u, _, v = key.partition("-")
+        ew[_edge_key(vertex(u, key), vertex(v, key))] = num(x)
     return WeightFn(t, vw, ew)
 
 
 def load_weight(path: str | Path) -> WeightFn:
-    with open(path) as fh:
-        return weight_from_json(json.load(fh))
+    return weight_from_json(read_json(path))
 
 
 def save_weight(w: WeightFn, path: str | Path) -> None:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedge_iep.cli import main
+from hedge_iep.covers import ORACLE_MAX_VERTICES
 from hedge_iep.lambdas import LambdaTuple, build_C
 from hedge_iep.pth import ph_construct
 from hedge_iep.trees import (
@@ -59,6 +60,31 @@ def test_covers_with_oracle(hedge10_file, capsys):
     assert main(["covers", hedge10_file, "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "P = 4" in out and "Z = 4" in out and "ok" in out
+
+
+def test_covers_oracle_vertex_limit(t31_file, tmp_path, capsys):
+    # the README's 31-vertex example stays within the limit
+    assert main(["covers", t31_file, "--oracle"]) == 0
+    big = tmp_path / "t4.json"
+    save_tree(smallest_lush_hedge(4), big)
+    assert main(["covers", str(big), "--oracle"]) == 2
+    assert f"limited to {ORACLE_MAX_VERTICES} vertices" in capsys.readouterr().err
+    # the formulas themselves run on any size
+    assert main(["covers", str(big)]) == 0
+
+
+@pytest.mark.parametrize(
+    "table, key", [("edgeWeight", "1_2"), ("edgeWeight", "1-2-3"), ("vertexWeight", "a"),
+                   ("vertexWeight", "1_2")]
+)
+def test_malformed_weight_key_is_named(tmp_path, capsys, table, key):
+    data = {"tree": {"n": 2, "parent": [0, 1]}, "vertexWeight": {"1": "1", "2": "2"},
+            "edgeWeight": {"1-2": "3"}}
+    data[table][key] = "1"
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps(data))
+    assert main(["weights", "spectrum", str(f)]) == 2
+    assert f"weight key {key!r}" in capsys.readouterr().err
 
 
 def test_weights_spectrum(tmp_path, capsys):
@@ -201,6 +227,9 @@ def test_rs_sweep(tmp_path, t31_file, capsys):
         ["weights", "spectrum", "{weight3}", "--cluster-tol", "inf"],
         ["weights", "spectrum", "{weight3}", "--cluster-tol", "0"],
         ["weights", "spectrum", "{weight3}", "--cluster-tol", "-1"],
+        ["hedge", "info", "{deep}"],
+        ["weights", "spectrum", "{deep}"],
+        ["lambda", "build", "--lambda-file", "{deep}", "--n", "3"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -229,6 +258,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     }
     paths = {"tree": tmp_path / "t31.json", "csv": tmp_path / "points.csv"}
     save_tree(smallest_lush_hedge(3), paths["tree"])
+    # deeper than the JSON decoder recurses
+    paths["deep"] = tmp_path / "deep.json"
+    paths["deep"].write_text("[" * 100000 + "]" * 100000)
     for name, data in files.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(data))
@@ -453,6 +485,15 @@ def test_rigid_list(tmp_path, capsys):
     assert main(["rigid", "list", "--tree", str(t8)]) == 0
     out = capsys.readouterr().out
     assert "7654" in out and "2734" in out
+
+
+def test_rigid_list_needs_a_lush_hedge(tmp_path, capsys):
+    # on a bare path every ell_i but the last is 0, so the list held zeros,
+    # and a long path asked for hundreds of level spectra
+    path = tmp_path / "path.json"
+    save_tree(RootedTree(tuple(range(300))), path)
+    assert main(["rigid", "list", "--tree", str(path)]) == 2
+    assert "lush" in capsys.readouterr().err
 
 
 def test_repro_unknown(capsys):

@@ -14,11 +14,12 @@ from hedge_iep.numeric import (
     trailing_spectra,
 )
 from hedge_iep.polys import (
+    X,
     NonzeroRemainder,
     PolyQ,
     count_real_roots,
+    level_values,
     real_roots,
-    three_term_polys,
 )
 
 
@@ -99,7 +100,7 @@ def test_eigensolver_vs_exact_roots(rng):
         n = int(rng.integers(2, 13))
         diag = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 3))) for _ in range(n)]
         sup = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 3))) for _ in range(n - 1)]
-        p = three_term_polys(diag[::-1], sup[::-1])[-1]
+        p = level_values(diag[::-1], sup[::-1], X)[-1]
         lo = Fraction(-100)
         hi = Fraction(100)
         roots = real_roots(p, lo, hi, Fraction(1, 10**14))
@@ -143,7 +144,7 @@ def test_real_roots_with_multiplicities(rng):
         p = PolyQ.of(int(rng.integers(1, 5)), 0, 1) if rng.integers(0, 2) else PolyQ.of(1)
         for r, m in roots.items():
             for _ in range(m):
-                p = p * PolyQ.x_minus(r)
+                p = p * (X - r)
         lo, hi = Fraction(int(rng.integers(-9, 1))), Fraction(int(rng.integers(1, 10)))
         if rng.integers(0, 3) == 0:
             r = list(roots)[int(rng.integers(0, len(roots)))]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -414,6 +415,28 @@ def test_coincidence_certificates():
         "lambda_48": True,
         "lambda_49": True,
     }
+
+
+@pytest.mark.parametrize(
+    "name, moved",
+    [
+        # off the root of p_3 and p_7 by far less than any float could see
+        ("lambda_37", lambda sol: sol.lambda_37 + Fraction(1, 10**40)),
+        # p_4 and p_8 vanish at alpha2 = alpha_4 = alpha_8, but it is a
+        # distinguished value, not a root of r_4 or r_8
+        ("lambda_48", lambda sol: sol.lam.alpha2),
+        # p_4 vanishes at beta4 = beta_4
+        ("lambda_49", lambda sol: sol.lam.beta4),
+    ],
+    ids=["nudged", "alpha2", "beta4"],
+)
+def test_coincidence_certificate_rejects_a_moved_value(monkeypatch, name, moved):
+    sol = solve_rigid()
+    moved_sol = dataclasses.replace(sol, **{name: moved(sol)})
+    monkeypatch.setattr(hedge_iep.rigid, "solve_rigid", lambda: moved_sol)
+    certs = certify_coincidences()
+    assert certs[name] is False
+    assert all(ok for other, ok in certs.items() if other != name)
 
 
 def test_b_positivity_through_level_41():
