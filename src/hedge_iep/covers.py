@@ -2,13 +2,14 @@
 
 Everything here works on induced subforests of a rooted tree, since the
 combinatorial lemmas are applied to trees with level sets or pendent paths
-deleted.  The peeling algorithm extracts a path through an appropriate
-vertex (one with at least two adjacent pendent paths), which is always part
-of some minimal cover; components with no appropriate vertex are bare paths.
+deleted.  One greedy pass from the leaves up finds a minimum path cover,
+and for forests Z = P: the first vertex of every path it builds is a
+minimum zero forcing set.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -52,77 +53,45 @@ def _adjacency(t: RootedTree, vertices=None) -> Adjacency:
     return adj
 
 
-def _components(adj: Adjacency) -> list[set[int]]:
+def _path_partition(adj: Adjacency) -> list[tuple[int, ...]]:
+    """Minimum partition of a forest into induced paths, by one greedy pass
+    from the leaves up (Boesch, Chen and McHugh, 1974).
+
+    Each component is walked in reverse DFS order from its smallest vertex,
+    so every vertex comes after its children.  A vertex joins the open paths
+    of its first two children through itself and closes the rest, extends
+    the one open path below it, or starts a new path.  Every path is listed
+    from the vertex where it started; a joined path runs down the second
+    child's branch after the join.
+    """
+    order: list[int] = []
     seen: set[int] = set()
-    comps = []
-    for v in sorted(adj):
-        if v in seen:
+    for root in sorted(adj):
+        if root in seen:
             continue
-        comp = {v}
-        stack = [v]
+        seen.add(root)
+        stack = [root]
         while stack:
             u = stack.pop()
+            order.append(u)
             for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
+                if w not in seen:
+                    seen.add(w)
                     stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def _chain_from(adj: Adjacency, v: int, start: int) -> list[int] | None:
-    """Walk from v into the branch through ``start``; the vertex list if that
-    branch is a bare path, else None."""
-    chain = [start]
-    prev, cur = v, start
-    while True:
-        nxt = [w for w in adj[cur] if w != prev]
-        if not nxt:
-            return chain
-        if len(nxt) > 1:
-            return None
-        prev, cur = cur, nxt[0]
-        chain.append(cur)
-
-
-def _cover_component(adj: Adjacency, comp: set[int]) -> list[tuple[int, ...]]:
-    """Minimal path cover of one tree component by appropriate-vertex peeling.
-
-    Each path starts at a vertex that forces along it: the far end of the
-    first pendent chain at an appropriate vertex, or the smaller end of a
-    leftover bare path.  zero_forcing_number relies on this orientation.
-    """
-    live = set(comp)
-    paths: list[tuple[int, ...]] = []
-    while live:
-        sub = {v: {w for w in adj[v] if w in live} for v in live}
-        appropriate = None
-        for v in sorted(live):
-            if len(sub[v]) < 3:
-                continue
-            chains = []
-            for w in sorted(sub[v]):
-                c = _chain_from(sub, v, w)
-                if c is not None:
-                    chains.append(c)
-                if len(chains) == 2:
-                    break
-            if len(chains) == 2:
-                appropriate = (v, chains)
-                break
-        if appropriate is None:
-            # every remaining component is a bare path; peel each from its
-            # smaller end (an end is its own parent in the walk)
-            for piece in _components(sub):
-                end = min(v for v in piece if len(sub[v]) <= 1)
-                paths.append(tuple(_chain_from(sub, end, end)))
-            break
-        v, (c1, c2) = appropriate
-        path = tuple(reversed(c1)) + (v,) + tuple(c2)
-        paths.append(path)
-        live -= set(path)
-    return paths
+    paths: list[list[int]] = []
+    tails: dict[int, list[int]] = {}  # the open path ending at each key
+    for v in reversed(order):
+        below = [tails.pop(w) for w in sorted(adj[v]) if w in tails]
+        if len(below) >= 2:
+            below[0] += [v] + below[1][::-1]
+            paths.append(below[0])
+            paths += below[2:]
+        elif below:
+            below[0].append(v)
+            tails[v] = below[0]
+        else:
+            tails[v] = [v]
+    return [tuple(p) for p in paths + list(tails.values())]
 
 
 @dataclass(frozen=True)
@@ -147,9 +116,7 @@ def _canonical_paths(paths) -> tuple[tuple[int, ...], ...]:
 def path_cover_number(t: RootedTree, vertices=None) -> tuple[int, PathCover]:
     """Minimum number of vertex-disjoint induced paths covering the induced
     subforest, with a witness cover."""
-    adj = _adjacency(t, vertices)
-    paths = [p for comp in _components(adj) for p in _cover_component(adj, comp)]
-    cover = PathCover(_canonical_paths(paths))
+    cover = PathCover(_canonical_paths(_path_partition(_adjacency(t, vertices))))
     return len(cover), cover
 
 
@@ -229,19 +196,26 @@ def forcing_process(t: RootedTree, blue, vertices=None) -> ForcingState:
     b = set(blue)
     if not b <= set(adj):
         raise ValueError("blue set must be a subset of the vertex set")
+    white = {v: sum(w not in b for w in adj[v]) for v in adj}
+    # blue vertices with one white neighbor, by label.  A vertex enters once,
+    # when it is blue and its white count is 1; counts only fall, so an entry
+    # whose count has reached 0 is stale, and a vertex forces at most once
+    heap = [v for v in b if white[v] == 1]
+    heapq.heapify(heap)
     chains: dict[int, int] = {}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(b):
-            if v in chains:
-                continue  # each vertex forces at most one neighbor
-            white = [w for w in adj[v] if w not in b]
-            if len(white) == 1:
-                chains[v] = white[0]
-                b.add(white[0])
-                changed = True
-                break
+    while heap:
+        v = heapq.heappop(heap)
+        if not white[v]:
+            continue
+        w = next(x for x in adj[v] if x not in b)
+        chains[v] = w
+        b.add(w)
+        for x in adj[w]:
+            white[x] -= 1
+            if white[x] == 1 and x in b:
+                heapq.heappush(heap, x)
+        if white[w] == 1:
+            heapq.heappush(heap, w)
     return ForcingState(frozenset(b), chains)
 
 
@@ -255,12 +229,14 @@ def zero_forcing_number(t: RootedTree, vertices=None) -> tuple[int, frozenset[in
     """Zero forcing number with a witness minimal forcing set.
 
     For forests Z equals the path cover number.  The witness is the first
-    vertex of every path that the path cover peeling extracts (the far end
-    of the first pendent path at an appropriate vertex, the smaller end of
-    a leftover bare path); it is validated by simulation.
+    vertex of every path of the leaves-up cover: the end where the path
+    started, deep in its branch, from which the chain forces up to the join
+    and down the other branch.  The witness is still checked by simulation
+    before it is returned: the forcing process is near-linear, and a fault
+    in the pass then raises instead of returning a set that does not force.
     """
     adj = _adjacency(t, vertices)
-    paths = [p for comp in _components(adj) for p in _cover_component(adj, comp)]
+    paths = _path_partition(adj)
     blue = frozenset(p[0] for p in paths)
     if derived_set(t, blue, vertices) != set(adj):
         raise AssertionError("constructed forcing set does not force the forest")

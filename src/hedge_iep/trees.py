@@ -58,19 +58,11 @@ class RootedTree:
             p = self.parent[v - 1]
             if not (0 <= p <= n):
                 raise TreeError(f"parent of {v} out of range: {p}")
-        # walk to the root from every vertex; a revisit inside one walk is a cycle
-        for v in range(1, n + 1):
-            seen = set()
-            u = v
-            while self.parent[u - 1] not in (0, u):
-                if u in seen:
-                    raise CycleDetected(f"cycle through vertex {u}")
-                seen.add(u)
-                u = self.parent[u - 1]
-                if len(seen) > n:
-                    raise CycleDetected("parent walk does not terminate")
-            if u != roots[0]:
-                raise Disconnected(f"vertex {v} does not reach the root")
+        # every vertex but the root has exactly one parent, so the array is a
+        # tree iff the walk down from the root reaches all n vertices
+        if len(self.depth) < n:
+            lost = min(v for v in self.vertices if v not in self.depth)
+            raise CycleDetected(f"vertex {lost} does not reach the root: its parent walk cycles")
 
     @property
     def n(self) -> int:

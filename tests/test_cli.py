@@ -73,6 +73,14 @@ def test_covers_oracle_vertex_limit(t31_file, tmp_path, capsys):
     assert main(["covers", str(big)]) == 0
 
 
+def test_covers_on_a_deep_path(tmp_path, capsys):
+    deep = tmp_path / "path.json"
+    save_tree(RootedTree(tuple(range(20000))), deep)
+    assert main(["covers", str(deep)]) == 0
+    out = capsys.readouterr().out
+    assert "P = 1\n" in out and "Z = 1\n" in out
+
+
 @pytest.mark.parametrize(
     "table, key", [("edgeWeight", "1_2"), ("edgeWeight", "1-2-3"), ("vertexWeight", "a"),
                    ("vertexWeight", "1_2")]

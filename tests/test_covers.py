@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hedge_iep.covers import (
+    ForcingState,
     M_formula,
     Mhat_formula,
     SubmatrixSingular,
@@ -18,7 +19,7 @@ from hedge_iep.covers import (
     zero_forcing_number,
 )
 from hedge_iep.pth import ph_construct
-from hedge_iep.trees import RootedTree, profile, subtree_chain
+from hedge_iep.trees import RootedTree, profile, smallest_lush_hedge, subtree_chain
 from hedge_iep.weights import WeightFn, unit_lower_representative
 
 from conftest import random_tree
@@ -99,6 +100,53 @@ def test_forcing_chains_form_a_path_cover(rng):
         assert seen == set(t.vertices)
 
 
+def _reference_forcing_process(t, blue, vertices=None):
+    """The color change rule by rescanning: after every force, the
+    smallest-labelled blue vertex with exactly one white neighbor forces."""
+    vs = set(t.vertices) if vertices is None else set(vertices)
+    adj = {v: set(t.neighbors(v)) & vs for v in vs}
+    b = set(blue)
+    chains = {}
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(b):
+            if v in chains:
+                continue
+            white = [w for w in adj[v] if w not in b]
+            if len(white) == 1:
+                chains[v] = white[0]
+                b.add(white[0])
+                changed = True
+                break
+    return ForcingState(frozenset(b), chains)
+
+
+def test_forcing_process_matches_rescan(rng):
+    # the heap of candidate forcers records the same smallest-label chains
+    for _ in range(200):
+        t = random_tree(int(rng.integers(1, 30)), rng)
+        vertices = None
+        if rng.uniform() < 0.5:
+            vertices = [v for v in t.vertices if rng.uniform() < 0.7]
+        vs = list(t.vertices) if vertices is None else vertices
+        blue = [v for v in vs if rng.uniform() < rng.uniform(0.1, 0.6)]
+        got = forcing_process(t, blue, vertices)
+        assert got == _reference_forcing_process(t, blue, vertices)
+
+
+def test_induced_subforests_vs_brute_force(rng):
+    for _ in range(80):
+        t = random_tree(int(rng.integers(2, 21)), rng)
+        keep = {v for v in t.vertices if rng.uniform() < rng.uniform(0.4, 0.9)}
+        p, cover = path_cover_number(t, keep)
+        z, witness = zero_forcing_number(t, keep)
+        assert p == z == brute_force_path_cover(t, keep)
+        _check_cover(t, keep, cover)
+        assert len(witness) == z
+        assert derived_set(t, witness, keep) == keep
+
+
 def test_formula_values(hedge10, t31):
     prof = profile(t31)
     values = (
@@ -120,7 +168,7 @@ def test_formula_values(hedge10, t31):
 
 
 def test_formula_matches_peeling(rng, hedge10, t31):
-    for t in (hedge10, t31):
+    for t in (hedge10, t31, smallest_lush_hedge(6)):
         prof = profile(t)
         chain = subtree_chain(t)
         for h in range(prof.height + 1):

@@ -66,8 +66,13 @@ def test_build_rejects_self_loop_non_root():
 
 def test_disconnected_like_cycle_detected():
     # vertices 3,4 form a 2-cycle unreachable from the root
-    with pytest.raises((Disconnected, CycleDetected)):
+    with pytest.raises((Disconnected, CycleDetected), match="vertex 3 does not reach the root"):
         RootedTree((0, 1, 4, 3))
+
+
+def test_deep_path_builds():
+    # validation is one walk from the root, so a long path is cheap
+    assert RootedTree(tuple(range(20000))).height == 19999
 
 
 def test_is_hedge_examples(hedge10):
