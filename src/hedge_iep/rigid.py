@@ -7,7 +7,9 @@ beta4 = 1, which leaves the three free parameters (alpha1, alpha2, beta3).
 Two independent routes produce the solution.  Route A runs a damped Newton
 iteration on the three simplified resultants r'_37, r'_48, r'_49 from seeded
 random starts, with the exact Jacobian from ``MPolyQ.diff``, and keeps only
-simple roots inside the region box; they must all be one point.  Route B
+simple roots inside the region box; they must all be one point.  The starts
+advance through Newton as one batch, and the cross-check against the float
+remainders runs once per distinct end point, not once per start.  Route B
 evaluates the closed-form coordinates exactly in Q[xi].  The routes must
 agree to nine decimals and route B must zero the three simplified
 resultants identically.
@@ -224,8 +226,9 @@ def _float_remainders(a1: float, a2: float, b3: float) -> dict[int, np.ndarray]:
     }
 
 
-def _route_a_objective(v: np.ndarray) -> np.ndarray:
-    rs = _float_remainders(*(float(x) for x in v))
+def _route_a_objective(rs: dict[int, np.ndarray]) -> np.ndarray:
+    """r_7 at the root of r_3 and the products of r_8 and of r_9 over the
+    two roots of r_4, from the float remainders at one point."""
     delta1 = -rs[3][1] / rs[3][0]
     rho = np.roots(rs[4])
     f1 = float(np.polyval(rs[7], delta1))
@@ -235,28 +238,38 @@ def _route_a_objective(v: np.ndarray) -> np.ndarray:
 
 
 def _route_a_system():
-    """F = (r'_37, r'_48, r'_49) and its exact Jacobian at a float point, from
-    one float coefficient matrix over the union of the monomials of the
-    three residuals and their nine partial derivatives."""
+    """F = (r'_37, r'_48, r'_49) and its exact Jacobian at every point of a
+    float array whose last axis holds (alpha1, alpha2, beta3), from one
+    float coefficient matrix over the union of the monomials of the three
+    residuals and their nine partial derivatives.  The monomials are read
+    from per-variable power tables by exponent."""
     polys = [simplify_resultant(a, b)[0] for (a, b) in COINCIDENCES.values()]
     polys += [p.diff(j) for p in polys for j in range(3)]
     monos = sorted({m for p in polys for m, _ in p.nums})
     column = {m: k for k, m in enumerate(monos)}
-    coeffs = np.zeros((len(polys), len(monos)))
+    coeffs = np.zeros((len(monos), len(polys)))
     for row, p in enumerate(polys):
         for m, n in p.nums:
-            coeffs[row, column[m]] = n / p.den  # rounds as float(Fraction(n, p.den))
+            coeffs[column[m], row] = n / p.den  # rounds as float(Fraction(n, p.den))
     exps = np.array(monos)
+    powers = np.arange(exps.max() + 1)
+    variables = np.arange(3)
 
-    def residual_and_jacobian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals = coeffs @ np.prod(x**exps, axis=1)
-        return vals[:3], vals[3:].reshape(3, 3)
+    def system(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        table = x.reshape(-1, 3, 1) ** powers  # table[i, j, e] = x_i[j]**e
+        vals = np.prod(table[:, variables, exps], axis=2) @ coeffs
+        return vals[:, :3].reshape(x.shape), vals[:, 3:].reshape(*x.shape, 3)
 
-    return residual_and_jacobian
+    return system
 
 
-#: Newton steps per start; starts that reach the true root need at most 15
+#: Newton steps per start; over seeds 0..39 the starts that reach the true
+#: root settle there within 16 steps (within 1e-8 of it within 14)
 NEWTON_STEPS = 50
+#: a full step, then the halvings 2^-1 .. 2^-30 tried when it fails
+STEP_SCALES = (np.ones(1), 0.5 ** np.arange(1, 31))
+#: lstsq's rcond=None cutoff for a 3x3 system: eps * max(M, N)
+PINV_RCOND = 3 * np.finfo(float).eps
 #: a root whose Jacobian has sigma_min / sigma_max below this is not simple;
 #: starts that creep toward the degenerate corner (alpha1, alpha2, beta3) =
 #: (-1, 1, 1) end there, cost below 1e-24, ratio ~1e-9 (1.26e-2 at the root)
@@ -264,25 +277,39 @@ SIMPLE_ROOT_RATIO = 1e-6
 
 
 def _damped_newton(system, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton from x, halving any step that leaves the open box |x| < 1 or
-    does not lower |F|; stops when no halving down to 2^-30 helps."""
+    """Newton from every row of the (N, 3) array x at once, halving any step
+    that leaves the open box |x| < 1 or does not lower |F|.  Each iteration
+    takes one batched least-squares step for the live starts, tries the full
+    step for all of them in one evaluation, and every halving down to 2^-30
+    for those it fails in a second; each start takes the first scale that
+    helps, and stops when none does."""
+    x = x.copy()
     f, jac = system(x)
+    live = np.arange(len(x))
     for _ in range(NEWTON_STEPS):
-        step = np.linalg.lstsq(jac, -f, rcond=None)[0]
-        for k in range(31):
-            y = x + step / 2**k
-            if np.max(np.abs(y)) < 1.0:
-                fy, jy = system(y)
-                if np.linalg.norm(fy) < np.linalg.norm(f):
-                    break
-        else:
+        step = -(np.linalg.pinv(jac[live], PINV_RCOND) @ f[live, :, None])[..., 0]
+        bound = np.linalg.norm(f[live], axis=1)
+        moved = np.zeros(len(live), dtype=bool)
+        for scales in STEP_SCALES:
+            rows = np.flatnonzero(~moved)
+            y = x[live[rows], None, :] + step[rows, None, :] * scales[:, None]
+            inside = np.max(np.abs(y), axis=2) < 1.0
+            fy, jy = system(np.where(inside[..., None], y, 0.0))
+            helps = inside & (np.linalg.norm(fy, axis=2) < bound[rows, None])
+            hit = helps.any(axis=1)
+            first = helps.argmax(axis=1)[hit]
+            done = live[rows[hit]]
+            x[done], f[done], jac[done] = y[hit, first], fy[hit, first], jy[hit, first]
+            moved[rows[hit]] = True
+        live = live[moved]
+        if not live.size:
             break
-        x, f, jac = y, fy, jy
     return x, f, jac
 
 
 def _route_a_rejection(x: np.ndarray, f: np.ndarray, jac: np.ndarray) -> str | None:
-    """Why the end point of one start is not accepted, or None."""
+    """Why the end point of one start is not accepted, or None: the gates
+    that need only the start's own end point, F and Jacobian."""
     a1, a2, b3 = (float(v) for v in x)
     if 0.5 * float(f @ f) > 1e-24:
         return "cost"
@@ -290,46 +317,69 @@ def _route_a_rejection(x: np.ndarray, f: np.ndarray, jac: np.ndarray) -> str | N
         return "order"
     if region_of((a1, a2, -1.0, b3, 1.0)) != 1:
         return "region"
-    if np.max(np.abs(_route_a_objective(x))) > 1e-8:
-        return "objective"
     sigma = np.linalg.svd(jac, compute_uv=False)
     if sigma[-1] < SIMPLE_ROOT_RATIO * sigma[0]:
         return "not simple"
     return None
 
 
-def solve_route_a(seed: int = 0, starts: int = 20) -> dict[str, float]:
-    """Damped Newton on the simplified system r'_37 = r'_48 = r'_49 = 0 from
-    random starts inside the region box -1 < alpha1 < alpha2 < beta3 < 1;
-    the accepted simple roots must coincide and must also zero the full
-    resultants built independently from the characteristic-polynomial
-    recursion."""
-    system = _route_a_system()
-    rng = np.random.default_rng(seed)
-    sols = []
+def _route_a_roots(
+    x: np.ndarray, f: np.ndarray, jac: np.ndarray
+) -> tuple[list[tuple[list[int], dict[int, np.ndarray]]], Counter[str]]:
+    """Gate the end points of all starts.  Starts that pass the per-start
+    gates are grouped by end point (within 1e-8 of the group's first start);
+    each group's first end point must also zero the objective built from
+    the float remainders.  Returns (the group's starts, the float remainders
+    at its first end point) for each accepted group, and the rejection
+    counts by reason."""
     rejected: Counter[str] = Counter()
-    for _ in range(starts):
-        x, f, jac = _damped_newton(system, np.sort(rng.uniform(-0.99, 0.99, size=3)))
-        reason = _route_a_rejection(x, f, jac)
+    groups: list[list[int]] = []
+    for i in range(len(x)):
+        reason = _route_a_rejection(x[i], f[i], jac[i])
         if reason:
             rejected[reason] += 1
+            continue
+        for g in groups:
+            if np.max(np.abs(x[i] - x[g[0]])) < 1e-8:
+                g.append(i)
+                break
         else:
-            sols.append(tuple(float(v) for v in x))
-    if not sols:
+            groups.append([i])
+    roots = []
+    for g in groups:
+        rs = _float_remainders(*(float(v) for v in x[g[0]]))
+        if np.max(np.abs(_route_a_objective(rs))) > 1e-8:
+            rejected["objective"] += len(g)
+        else:
+            roots.append((g, rs))
+    return roots, rejected
+
+
+def solve_route_a(seed: int = 0, starts: int = 20) -> dict[str, float]:
+    """Damped Newton on the simplified system r'_37 = r'_48 = r'_49 = 0 from
+    random starts inside the region box -1 < alpha1 < alpha2 < beta3 < 1,
+    all advancing as one batch; the accepted simple roots must coincide and
+    must also zero the full resultants built independently from the
+    characteristic-polynomial recursion, a check made once per distinct
+    end point."""
+    x0 = np.sort(np.random.default_rng(seed).uniform(-0.99, 0.99, size=(starts, 3)), axis=1)
+    x, f, jac = _damped_newton(_route_a_system(), x0)
+    roots, rejected = _route_a_roots(x, f, jac)
+    if not roots:
         raise RoutesDisagree(
             f"route A found no solution in the region box; rejected {dict(rejected)}"
         )
-    uniq: list[tuple[float, float, float]] = []
-    for s in sols:
-        if not any(max(abs(x - y) for x, y in zip(s, u)) < 1e-8 for u in uniq):
-            uniq.append(s)
-    if len(uniq) != 1:
-        raise RoutesDisagree(f"route A found {len(uniq)} distinct solutions")
-    a1, a2, b3 = uniq[0]
+    if len(roots) != 1:
+        points = [tuple(float(v) for v in x[g[0]]) for g, _ in roots]
+        raise RoutesDisagree(
+            f"route A found {len(roots)} distinct solutions {points}; "
+            f"rejected {dict(rejected)}"
+        )
+    [(group, rrs)] = roots
+    a1, a2, b3 = (float(v) for v in x[group[0]])
     # the coincident eigenvalues, numerically
     delta1 = a2 - 1.0 - b3  # root of r_3: alpha2 + beta2 - beta3
     # roots of r_4, labelled by which later remainder they annihilate
-    rrs = _float_remainders(a1, a2, b3)
     rho = sorted(float(np.real(r)) for r in np.roots(rrs[4]))
     l48, l49 = sorted(rho, key=lambda r: abs(np.polyval(rrs[8], r)))
     sext = np.roots([float(c) for c in reversed(SEXTIC.coeffs)])
@@ -494,13 +544,19 @@ def level_figure_data(max_level: int = 40) -> list[tuple[int, int, float]]:
 
 def consecutive_interlacing_gap(max_level: int = 40) -> float:
     """Minimum gap between consecutive-level spectra after unit-width
-    normalization; strict interlacing keeps it positive."""
+    normalization; strict interlacing keeps it positive.  The eigenvalue of
+    the next level nearest to a given one is one of the two that bracket it
+    in the next level's sorted spectrum; rounding is monotone, so no farther
+    one comes out nearer."""
     specs = rigid_level_spectra(max_level)
     lo = min(s[0] for s in specs)
     hi = max(s[-1] for s in specs)
     width = hi - lo
     gap = np.inf
-    for k in range(1, max_level):
-        for x in specs[k - 1]:
-            gap = min(gap, float(np.min(np.abs(specs[k] - x))))
+    for lower, upper in zip(specs, specs[1:]):
+        above = np.searchsorted(upper, lower)
+        below = np.maximum(above - 1, 0)
+        above = np.minimum(above, len(upper) - 1)
+        near = np.minimum(np.abs(upper[below] - lower), np.abs(upper[above] - lower))
+        gap = min(gap, float(np.min(near)))
     return float(gap / width)
