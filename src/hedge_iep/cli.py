@@ -129,8 +129,8 @@ def cmd_lambda_build(args) -> int:
     c = build_C(lam, args.n)
     w = c.weight()
     data = weight_to_json(w)
-    data["diagonal"] = [_fmt(c.entries[i][i]) for i in range(args.n)]
-    data["superdiagonal"] = [_fmt(c.entries[i][i + 1]) for i in range(args.n - 1)]
+    data["diagonal"] = [_fmt(x) for x in c.diagonal]
+    data["superdiagonal"] = [_fmt(x) for x in c.upper]  # the path's edges (i, i + 1)
     data["schema"] = "hedge-iep/1"
     if args.out:
         with open(args.out, "w") as fh:

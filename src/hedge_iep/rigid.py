@@ -361,7 +361,13 @@ def solve_route_a(seed: int = 0, starts: int = 20) -> dict[str, float]:
     all advancing as one batch; the accepted simple roots must coincide and
     must also zero the full resultants built independently from the
     characteristic-polynomial recursion, a check made once per distinct
-    end point."""
+    end point.
+
+    The rejection counts by reason in a ``RoutesDisagree`` message are
+    diagnostics, not a stable output: a start that wanders near the box
+    edge can end at the root or elsewhere depending on float summation
+    order, so another BLAS kernel may move it between reasons.  The
+    solution itself does not depend on them."""
     x0 = np.sort(np.random.default_rng(seed).uniform(-0.99, 0.99, size=(starts, 3)), axis=1)
     x, f, jac = _damped_newton(_route_a_system(), x0)
     roots, rejected = _route_a_roots(x, f, jac)

@@ -6,6 +6,10 @@ entries); it is exactly the data of a diagonal-similarity class in the set
 of combinatorially symmetric matrices with the given tree pattern.  Weights
 support two scalar backends, floats and exact Fractions; conversions are
 explicit.
+
+A concrete representative (`WeightedMatrix`) is stored by its 2n - 1
+nonzeros, never as an n-by-n table: `to_numpy` is the one dense fill, and
+`entries` is a dense view kept for the tests' exact checks.
 """
 
 from __future__ import annotations
@@ -88,26 +92,48 @@ class WeightFn:
 
 @dataclass(frozen=True)
 class WeightedMatrix:
-    """A concrete representative of a weight class; entries kept exact when
-    the weight is exact."""
+    """A concrete representative of a weight class, stored by its nonzeros:
+    the diagonal (vertex u at index u - 1) and, for each edge (u, v) of
+    ``tree.edges`` (u < v, in that order), the entries at (u, v) in
+    ``upper`` and at (v, u) in ``lower``.  Entries stay exact when the
+    weight is exact."""
 
     tree: RootedTree
-    entries: tuple[tuple[object, ...], ...]
+    diagonal: tuple
+    upper: tuple
+    lower: tuple
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self.tree.n
+
+    @property
+    def entries(self) -> tuple[tuple[object, ...], ...]:
+        """The dense n-by-n view, rebuilt on each access in O(n^2); for
+        exact checks in tests, never read by the package."""
+        zero = self.lower[0] * 0 if self.lower else 0
+        rows = [[zero] * self.n for _ in range(self.n)]
+        for u, x in enumerate(self.diagonal):
+            rows[u][u] = x
+        for (u, v), x, y in zip(self.tree.edges, self.upper, self.lower):
+            rows[u - 1][v - 1] = x
+            rows[v - 1][u - 1] = y
+        return tuple(tuple(r) for r in rows)
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
+        """The dense float matrix: the one dense fill of a representative."""
+        a = np.zeros((self.n, self.n))
+        i = np.arange(self.n)
+        a[i, i] = self.diagonal
+        u, v = np.array(self.tree.edges, dtype=np.intp).reshape(-1, 2).T - 1
+        a[u, v] = self.upper
+        a[v, u] = self.lower
+        return a
 
     def weight(self) -> WeightFn:
         t = self.tree
-        vw = {u: self.entries[u - 1][u - 1] for u in t.vertices}
-        ew = {
-            (u, v): self.entries[u - 1][v - 1] * self.entries[v - 1][u - 1]
-            for u, v in t.edges
-        }
+        vw = dict(zip(t.vertices, self.diagonal))
+        ew = {e: x * y for e, x, y in zip(t.edges, self.upper, self.lower)}
         return WeightFn(t, vw, ew)
 
 
@@ -136,29 +162,21 @@ def symmetric_representative(w: WeightFn) -> WeightedMatrix:
     """The symmetric matrix with off-diagonal entries sqrt(edge weight);
     cospectral with every member of the weight class.  Always float."""
     t = w.tree
-    n = t.n
-    rows = [[0.0] * n for _ in range(n)]
-    for u in t.vertices:
-        rows[u - 1][u - 1] = float(w.v(u))
-    for u, v in t.edges:
-        x = math.sqrt(float(w.e(u, v)))
-        rows[u - 1][v - 1] = rows[v - 1][u - 1] = x
-    return WeightedMatrix(t, tuple(tuple(r) for r in rows))
+    off = tuple(math.sqrt(float(w.edge_weight[e])) for e in t.edges)
+    return WeightedMatrix(t, tuple(float(w.vertex_weight[u]) for u in t.vertices), off, off)
 
 
 def unit_lower_representative(w: WeightFn) -> WeightedMatrix:
     """The representative with every lower-adjacent entry equal to 1, so the
     partner entry carries the full edge weight; exact for exact weights."""
     t = w.tree
-    n = t.n
-    zero = w.v(t.root) * 0
-    rows = [[zero] * n for _ in range(n)]
-    for u in t.vertices:
-        rows[u - 1][u - 1] = w.v(u)
-    for u, v in t.edges:  # u < v by construction
-        rows[v - 1][u - 1] = zero + 1
-        rows[u - 1][v - 1] = w.e(u, v)
-    return WeightedMatrix(t, tuple(tuple(r) for r in rows))
+    one = w.v(t.root) * 0 + 1
+    return WeightedMatrix(
+        t,
+        tuple(w.vertex_weight[u] for u in t.vertices),
+        tuple(w.edge_weight[e] for e in t.edges),
+        (one,) * len(t.edges),
+    )
 
 
 def spectrum_of(w: WeightFn) -> np.ndarray:

@@ -124,6 +124,16 @@ def test_lambda_build_and_region(tmp_path, capsys):
     assert "region: 1" in capsys.readouterr().out
 
 
+def test_lambda_build_long_path(capsys):
+    # the dump reads the stored diagonal and edge entries, never a dense table
+    argv = ["lambda", "build", "--alpha1", "0", "--alpha2", "1", "--beta2", "-1",
+            "--beta3", "2", "--beta4", "3", "--n", "4000"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["diagonal"]) == 4000
+    assert len(data["superdiagonal"]) == 3999
+
+
 def test_pth_pipeline(tmp_path, t31_file, capsys):
     w_file = tmp_path / "w.json"
     rc = main(

@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hedge_iep
+from hedge_iep.cli import main
 from hedge_iep.numeric import eigenvalues_sym
-from hedge_iep.trees import RootedTree
+from hedge_iep.trees import RootedTree, save_tree, smallest_lush_hedge, ten_vertex_hedge
 from hedge_iep.weights import (
     DuplicationSplit,
     BadSplit,
     NotABranch,
     NotCollapsible,
     NonPositiveEdgeWeight,
+    WeightedMatrix,
     WeightFn,
     collapse_pendent_k_paths,
     collapsible_branches,
@@ -30,7 +32,7 @@ from hedge_iep.weights import (
     weight_to_json,
 )
 
-from conftest import random_tree, random_weight
+from conftest import random_lush_hedge, random_tree, random_weight, relabel
 
 
 def c3_weight() -> WeightFn:
@@ -113,6 +115,81 @@ def test_unit_lower_small():
     m2 = unit_lower_representative(w2)
     assert m2.entries == ((Fraction(0), Fraction(4)), (Fraction(1), Fraction(0)))
     assert np.allclose(eigenvalues_sym(symmetric_representative(w2.as_float()).to_numpy()), [-2, 2])
+
+
+def _reference_dense(w: WeightFn, symmetric: bool) -> tuple:
+    """The n-by-n nested-list builder of both representatives that the
+    storage by nonzeros replaced, kept as its oracle."""
+    t = w.tree
+    zero = 0.0 if symmetric else w.v(t.root) * 0
+    rows = [[zero] * t.n for _ in range(t.n)]
+    for u in t.vertices:
+        rows[u - 1][u - 1] = float(w.v(u)) if symmetric else w.v(u)
+    for u, v in t.edges:
+        if symmetric:
+            rows[u - 1][v - 1] = rows[v - 1][u - 1] = math.sqrt(float(w.e(u, v)))
+        else:
+            rows[v - 1][u - 1] = zero + 1
+            rows[u - 1][v - 1] = w.e(u, v)
+    return tuple(tuple(r) for r in rows)
+
+
+def _weight_of_dense(t: RootedTree, rows) -> WeightFn:
+    vw = {u: rows[u - 1][u - 1] for u in t.vertices}
+    ew = {(u, v): rows[u - 1][v - 1] * rows[v - 1][u - 1] for u, v in t.edges}
+    return WeightFn(t, vw, ew)
+
+
+def _pattern_trees(rng):
+    yield from (random_tree(int(rng.integers(1, 16)), rng) for _ in range(12))
+    for hedge in (ten_vertex_hedge(), smallest_lush_hedge(3), random_lush_hedge(rng)):
+        yield relabel(hedge, rng)[0]
+    for n in (1, 2, 9):
+        yield RootedTree(tuple(range(n)))  # paths
+        yield relabel(RootedTree((0,) + (1,) * n), rng)[0]  # stars
+
+
+def test_nonzero_storage_matches_dense_reference(rng):
+    for t in _pattern_trees(rng):
+        for exact in (False, True):
+            w = random_weight(t, rng, exact=exact)
+            for rep, symmetric in ((symmetric_representative, True), (unit_lower_representative, False)):
+                m = rep(w)
+                ref = _reference_dense(w, symmetric)
+                dense = np.array(ref, dtype=float)
+                a = m.to_numpy()
+                assert a.dtype == np.float64 and np.array_equal(a, dense)
+                if symmetric:  # the array handed to the eigensolver, bit for bit
+                    assert a.tobytes() == dense.tobytes()
+                assert m.entries == ref
+                assert m.weight() == _weight_of_dense(t, ref)
+            assert unit_lower_representative(w).weight() == w
+
+
+def test_package_never_reads_dense_entries(monkeypatch, tmp_path):
+    def dense(self):
+        raise AssertionError("WeightedMatrix.entries read")
+
+    monkeypatch.setattr(WeightedMatrix, "entries", property(dense))
+    tree, w_file = tmp_path / "t31.json", tmp_path / "w.json"
+    save_tree(smallest_lush_hedge(3), tree)
+    lam = ["--alpha1", "0", "--alpha2", "1", "--beta2", "-1", "--beta3", "2", "--beta4", "3"]
+    for argv in (
+        ["lambda", "build", *lam, "--n", "9"],
+        ["pth", "construct", *lam, "--tree", str(tree), "--out", str(w_file)],
+        ["weights", "spectrum", str(w_file)],
+        ["pth", "recognize", str(w_file)],
+        ["repro", "table1"],
+    ):
+        assert main(argv) == 0, argv
+    # a dense table of this path would hold 4e8 entries
+    n = 20000
+    path = RootedTree(tuple(range(n)))
+    w = WeightFn(path, {u: Fraction(u % 7) for u in path.vertices}, {e: Fraction(2) for e in path.edges})
+    assert unit_lower_representative(w).weight() == w
+    sym = symmetric_representative(w)
+    assert sym.n == n and sym.weight().tree == path
+    assert sym.upper == sym.lower == (math.sqrt(2),) * (n - 1)
 
 
 def test_duplicate_branch_spectrum_law():
