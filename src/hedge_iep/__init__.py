@@ -25,7 +25,6 @@ from .lambdas import (
     step_lemma_checks,
 )
 from .numeric import (
-    SymTridiag,
     char_poly_exact,
     cluster_multiplicities,
     eigenvalues_sym,
@@ -68,7 +67,6 @@ from .weights import (
     WeightFn,
     WeightedMatrix,
     collapse_pendent_k_paths,
-    collapsible_branches,
     duplicate_branch,
     symmetric_representative,
     unit_lower_representative,

@@ -108,7 +108,8 @@ def cmd_covers(args) -> int:
     print(f"witness forcing set: {sorted(forcing)}")
     if args.oracle:
         bf = covers.brute_force_path_cover(t)
-        bz = covers.brute_force_zero_forcing(t) if t.n <= 12 else None
+        small = t.n <= covers.ZF_ORACLE_MAX_VERTICES
+        bz = covers.brute_force_zero_forcing(t) if small else None
         ok = bf == p and (bz is None or bz == z)
         print(f"brute-force P = {bf}" + (f", Z = {bz}" if bz is not None else ""))
         print("oracle agreement:", "ok" if ok else "MISMATCH")

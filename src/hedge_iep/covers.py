@@ -120,46 +120,55 @@ def path_cover_number(t: RootedTree, vertices=None) -> tuple[int, PathCover]:
     return len(cover), cover
 
 
-#: the largest tree the CLI's --oracle runs brute_force_path_cover on.  The
-#: search is exponential: at 32 vertices the bushiest trees tried take a few
-#: seconds, and smallest_lush_hedge(4), 94 vertices, does not end in a minute
+#: the largest tree the CLI's --oracle runs brute_force_path_cover on, which
+#: keeps the flag a cross-check on small trees; the search itself takes
+#: milliseconds there (and 0.02 s on smallest_lush_hedge(4), 94 vertices)
 ORACLE_MAX_VERTICES = 32
+#: the largest tree the CLI's --oracle runs brute_force_zero_forcing on; it
+#: tries vertex subsets in size order
+ZF_ORACLE_MAX_VERTICES = 12
 
 
 def brute_force_path_cover(t: RootedTree, vertices=None) -> int:
     """Exact minimum by exhaustive search over edge subsets of maximum
     degree two (every such subset of a forest is a disjoint union of induced
-    paths).  Backtracking with a count bound keeps trees around 20 vertices
-    feasible."""
+    paths).  The edges are decided one at a time; what the undecided ones
+    can add depends only on the degrees of the vertices with both decided
+    and undecided edges, so subsets that agree there are merged, keeping
+    the most edges.  Deciding the edges in depth-first order keeps those
+    vertices few."""
     adj = _adjacency(t, vertices)
-    vs = sorted(adj)
-    n = len(vs)
-    if n == 0:
-        return 0
-    edges = sorted(
-        (u, v) for u in adj for v in adj[u] if u < v
-    )
-    best = 0
-    deg = {v: 0 for v in vs}
-
-    def rec(i: int, taken: int) -> None:
-        nonlocal best
-        if taken + (len(edges) - i) <= best:
-            return
-        if i == len(edges):
-            best = max(best, taken)
-            return
-        u, v = edges[i]
-        if deg[u] < 2 and deg[v] < 2:
-            deg[u] += 1
-            deg[v] += 1
-            rec(i + 1, taken + 1)
-            deg[u] -= 1
-            deg[v] -= 1
-        rec(i + 1, taken)
-
-    rec(0, 0)
-    return n - best
+    edges: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    for root in sorted(adj):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in sorted(adj[u] - seen):
+                seen.add(w)
+                edges.append((u, w))
+                stack.append(w)
+    last = {}  # index of each vertex's last edge
+    for i, (u, v) in enumerate(edges):
+        last[u] = last[v] = i
+    best = {(): 0}  # nonzero degrees of the open vertices -> most edges taken
+    for i, (u, v) in enumerate(edges):
+        step: dict[tuple, int] = {}
+        for state, taken in best.items():
+            deg = dict(state)
+            du, dv = deg.get(u, 0), deg.get(v, 0)
+            options = [(du, dv, taken)]
+            if du < 2 and dv < 2:
+                options.append((du + 1, dv + 1, taken + 1))
+            for du, dv, count in options:
+                d = {**deg, u: du, v: dv}
+                key = tuple(sorted((x, k) for x, k in d.items() if k and last[x] > i))
+                step[key] = max(step.get(key, 0), count)
+        best = step
+    return len(adj) - max(best.values())
 
 
 @dataclass(frozen=True)

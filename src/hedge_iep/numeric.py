@@ -7,7 +7,6 @@ as its independent oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,28 +23,6 @@ class NotSymmetric(ValueError):
 
 class NoConvergence(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class SymTridiag:
-    """Symmetric tridiagonal matrix with strictly positive off-diagonal,
-    hence simple eigenvalues."""
-
-    diagonal: tuple[float, ...]
-    off_diagonal: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.off_diagonal) != max(0, len(self.diagonal) - 1):
-            raise ValueError("off-diagonal length must be n-1")
-        if any(not b > 0 for b in self.off_diagonal):
-            raise ValueError("off-diagonal must be strictly positive")
-
-    def dense(self) -> np.ndarray:
-        n = len(self.diagonal)
-        m = np.diag(np.asarray(self.diagonal, dtype=float))
-        for k in range(n - 1):
-            m[k, k + 1] = m[k + 1, k] = self.off_diagonal[k]
-        return m
 
 
 def eigenvalues_sym(m: np.ndarray) -> np.ndarray:

@@ -136,10 +136,10 @@ def _levels(w: WeightFn) -> dict[int, tuple]:
     return out
 
 
-def _assert_ph_member(w: WeightFn, w_c: WeightFn, tol: float = ROUNDING_TOL) -> None:
+def _assert_ph_member(w: WeightFn, w_c: WeightFn) -> None:
     """Membership by definition: heights carry the path's vertex weights and
-    children edge weights sum to the path's edge weight, each within tol
-    relative to the path's value when a float takes part."""
+    children edge weights sum to the path's edge weight, each within
+    ROUNDING_TOL relative to the path's value when a float takes part."""
     height = w.tree.height
     # max(1, |value|) of each path vertex and edge weight, converted once
     scale = {
@@ -148,9 +148,10 @@ def _assert_ph_member(w: WeightFn, w_c: WeightFn, tol: float = ROUNDING_TOL) -> 
     }
     for v, (h, x, total) in _levels(w).items():
         i = height + 1 - h  # the path vertex at height h
-        if not close(x, w_c.v(i), tol, scale[i]):
+        if not close(x, w_c.v(i), ROUNDING_TOL, scale[i]):
             raise AssertionError(f"vertex weight at {v} disagrees with the path")
-        if total is not None and not close(total, w_c.e(i, i + 1), tol, scale[(i, i + 1)]):
+        edge = (i, i + 1)
+        if total is not None and not close(total, w_c.e(*edge), ROUNDING_TOL, scale[edge]):
             raise AssertionError(f"edge weights at {v} do not sum to the path weight")
 
 

@@ -403,7 +403,7 @@ def solve_route_a(seed: int = 0, starts: int = 20) -> dict[str, float]:
 
 
 @lru_cache(maxsize=1)
-def solve_rigid(seed: int = 0) -> RigidSolution:
+def solve_rigid() -> RigidSolution:
     """Both routes; exact substitution check; agreement within ROUTE_TOL."""
     exact = route_b_values()
     lam = LambdaTuple(
@@ -419,7 +419,7 @@ def solve_rigid(seed: int = 0) -> RigidSolution:
     )
     if region != 1:
         raise RoutesDisagree("exact tuple left the expected region")
-    route_a = solve_route_a(seed)
+    route_a = solve_route_a(0)
     for key, val in exact.items():
         if abs(route_a[key] - float(val)) > ROUTE_TOL:
             raise RoutesDisagree(

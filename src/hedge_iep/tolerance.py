@@ -13,7 +13,7 @@ import math
 CLUSTER_TOL = 1e-7
 #: eigenvalue coincidence, relative to the spectrum width (search, rigid list, repros)
 SPECTRUM_TOL = 1e-9
-#: weight equality, absolute: the recognizer against the recipe, and the collapse
+#: weight equality, absolute: the recognizer against the recipe, and the pendent-path collapse
 WEIGHT_TOL = 1e-9
 #: float rounding, relative to max(1, |value|): membership, symmetry, sums to 1
 ROUNDING_TOL = 1e-12

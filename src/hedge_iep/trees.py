@@ -23,10 +23,6 @@ class CycleDetected(TreeError):
     pass
 
 
-class Disconnected(TreeError):
-    pass
-
-
 class MultipleRoots(TreeError):
     pass
 
@@ -179,7 +175,6 @@ class SubtreeChain:
 
     tree: RootedTree
     vertex_sets: tuple[frozenset[int], ...]
-    star_child: dict[int, int]
 
     @property
     def height(self) -> int:
@@ -298,7 +293,7 @@ def subtree_chain(t: RootedTree) -> SubtreeChain:
                     u = star[u]
                     keep.add(u)
         sets.append(frozenset(keep))
-    return SubtreeChain(t, tuple(sets), star)
+    return SubtreeChain(t, tuple(sets))
 
 
 def induced_tree(t: RootedTree, vertices: Iterable[int]) -> tuple[RootedTree, dict[int, int]]:

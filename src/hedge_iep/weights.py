@@ -1,4 +1,4 @@
-"""Weight functions on trees and the branch duplication / collapse calculus.
+"""Weight functions on trees, branch duplication and the pendent-path collapse.
 
 A weight function carries one real per vertex (a diagonal entry) and one
 positive real per edge (the product of the two opposite off-diagonal
@@ -19,13 +19,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .numeric import eigenvalues_sym
 from .tolerance import ROUNDING_TOL, WEIGHT_TOL, close
-from .trees import RootedTree, read_json
+from .trees import RootedTree, induced_tree, pendent_paths, read_json
 
 
 class NonPositiveEdgeWeight(ValueError):
@@ -186,51 +187,6 @@ def spectrum_of(w: WeightFn) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# branch signatures
-
-
-def _branch_signature(w: WeightFn, root: int):
-    """Canonical encoding of (shape, vertex weights, internal edge weights)
-    of the branch hanging below ``root``; the attaching edge is excluded."""
-
-    def enc(u: int):
-        subs = sorted(
-            (w.e(u, c), enc(c)) for c in w.tree.children[u]
-        )
-        return (w.v(u), tuple(subs))
-
-    return enc(root)
-
-
-def _sig_close(s1, s2) -> bool:
-    (v1, subs1), (v2, subs2) = s1, s2
-    return (
-        len(subs1) == len(subs2)
-        and close(v1, v2, WEIGHT_TOL)
-        and all(
-            close(e1, e2, WEIGHT_TOL) and _sig_close(c1, c2)
-            for (e1, c1), (e2, c2) in zip(subs1, subs2)
-        )
-    )
-
-
-def collapsible_branches(w: WeightFn, v: int) -> list[list[int]]:
-    """Partition of the branches at v (by their connecting child) into
-    maximal groups that are mutually collapsible for w."""
-    t = w.tree
-    groups: list[tuple[object, list[int]]] = []
-    for c in t.children[v]:
-        sig = _branch_signature(w, c)
-        for gsig, members in groups:
-            if _sig_close(gsig, sig):
-                members.append(c)
-                break
-        else:
-            groups.append((sig, [c]))
-    return [members for _, members in groups]
-
-
-# ---------------------------------------------------------------------------
 # duplication
 
 
@@ -284,48 +240,36 @@ def collapse_pendent_k_paths(w: WeightFn, k: int) -> CollapseResult:
     single representative (the smallest-labelled one, which is the branch
     containing the default distinguished child).
 
-    All pendent k-paths at a common vertex must carry identical weights;
+    All pendent k-paths at a common vertex must carry equal weights within
+    WEIGHT_TOL (vertex weights, then internal edge weights, outwards);
     otherwise NotCollapsible is raised.  Attaching edge weights add up, so
     spectra lose one branch-spectrum copy per deleted path.
     """
-    from .trees import pendent_paths
 
-    t = w.tree
-    paths = pendent_paths(t, k)
-    by_vertex: dict[int, list] = {}
-    for q in paths:
-        by_vertex.setdefault(q.attach_point, []).append(q)
-    removed_vertices: set[int] = set()
+    def flat(q):
+        vs = q.vertices
+        return [w.v(u) for u in vs] + [w.e(u, x) for u, x in zip(vs, vs[1:])]
+
+    removed: set[int] = set()
     removed_count = 0
-    new_edge_at: dict[tuple[int, int], object] = {}
-    for v in sorted(by_vertex):
-        rep, *rest = sorted(by_vertex[v], key=lambda q: q.vertices[0])
-        rep_sig = _branch_signature(w, rep.vertices[0])
+    attach: dict[tuple[int, int], object] = {}  # summed attaching edge weights
+    for v, group in groupby(pendent_paths(w.tree, k), key=lambda q: q.attach_point):
+        rep, *rest = group
+        ref = flat(rep)
         total = w.e(v, rep.vertices[0])
         for q in rest:
-            if not _sig_close(rep_sig, _branch_signature(w, q.vertices[0])):
+            if not all(close(x, y, WEIGHT_TOL) for x, y in zip(ref, flat(q))):
                 raise NotCollapsible(
                     v, f"paths {rep.vertices} and {q.vertices} carry different weights"
                 )
             total = total + w.e(v, q.vertices[0])
-            removed_vertices.update(q.vertices)
+            removed.update(q.vertices)
         removed_count += len(rest)
-        new_edge_at[_edge_key(v, rep.vertices[0])] = total
-    keep = [u for u in t.vertices if u not in removed_vertices]
-    old_to_new = {u: i + 1 for i, u in enumerate(keep)}
-    parent = []
-    for u in keep:
-        p = t.parent[u - 1]
-        parent.append(0 if p in (0, u) else old_to_new[p])
-    new_tree = RootedTree(tuple(parent))
-    vw = {old_to_new[u]: w.v(u) for u in keep}
-    ew = {}
-    for u, vv in t.edges:
-        if u in removed_vertices or vv in removed_vertices:
-            continue
-        val = new_edge_at.get(_edge_key(u, vv), w.e(u, vv))
-        ew[_edge_key(old_to_new[u], old_to_new[vv])] = val
-    return CollapseResult(WeightFn(new_tree, vw, ew), removed_count)
+        attach[_edge_key(v, rep.vertices[0])] = total
+    tree, old = induced_tree(w.tree, (u for u in w.tree.vertices if u not in removed))
+    vw = {u: w.v(old[u]) for u in tree.vertices}
+    ew = {(u, x): attach.get((old[u], old[x]), w.e(old[u], old[x])) for u, x in tree.edges}
+    return CollapseResult(WeightFn(tree, vw, ew), removed_count)
 
 
 # ---------------------------------------------------------------------------

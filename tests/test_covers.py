@@ -247,6 +247,16 @@ def test_random_trees_to_25(rng):
         assert p == z == brute_force_path_cover(t)
 
 
+def test_path_cover_oracle_on_bushy_32_vertex_trees():
+    # a root with 4, 5 or 6 children and the other leaves dealt among them:
+    # the shapes on which the unmerged edge-subset search took seconds
+    for kids in (4, 5, 6):
+        parent = [0] + [1] * kids + [2 + j % kids for j in range(31 - kids)]
+        t = RootedTree(tuple(parent))
+        assert t.n == 32
+        assert brute_force_path_cover(t) == path_cover_number(t)[0]
+
+
 def test_cover_removal_decrement(rng):
     # removing one path of a minimal cover drops the cover number by one
     for _ in range(30):

@@ -6,7 +6,6 @@ import pytest
 
 from hedge_iep.numeric import (
     NotSymmetric,
-    SymTridiag,
     char_poly_exact,
     cluster_multiplicities,
     eigenvalues_sym,
@@ -155,22 +154,6 @@ def test_real_roots_with_multiplicities(rng):
             got = real_roots(p, lo, hi, eps)
             assert len(got) == len(want)
             assert all(abs(g - w) < eps for g, w in zip(got, want))
-
-
-def test_tridiag_simple_eigenvalues(rng):
-    for _ in range(10):
-        n = int(rng.integers(2, 10))
-        t = SymTridiag(
-            tuple(float(x) for x in rng.uniform(-2, 2, size=n)),
-            tuple(float(x) for x in rng.uniform(0.2, 2.0, size=n - 1)),
-        )
-        vals = eigenvalues_sym(t.dense())
-        assert np.min(np.diff(vals)) > 0
-
-
-def test_tridiag_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        SymTridiag((0.0, 1.0), (0.0,))
 
 
 def test_trailing_interlacing(rng):

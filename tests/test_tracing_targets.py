@@ -1,15 +1,18 @@
-"""The benchmark's tracer wraps package functions by name; a rename in the
-package would otherwise drop a traced layer from ``--trace 1`` silently."""
+"""The benchmark reaches the package by name: its tracer wraps package
+functions and its child process calls them.  A rename or removal in the
+package would otherwise drop a traced layer from ``--trace 1`` silently, or
+fail only when the benchmark runs."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_tracer_targets_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     missing = []
@@ -19,4 +22,36 @@ def test_tracer_targets_resolve():
             obj = getattr(obj, part, None)
         if not callable(obj):
             missing.append(f"{span}: {module}.{attr}")
+    assert not missing, missing
+
+
+def test_benchmark_child_reads_resolve():
+    """Every name the child imports from hedge_iep, and every attribute it
+    reads off one of them (``rigid.solve_rigid``), exists."""
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    bound = {}
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "hedge_iep":
+                    bound[alias.asname or alias.name] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hedge_iep":
+            for alias in node.names:
+                try:  # a submodule or a module attribute, as `from ... import` finds it
+                    obj = importlib.import_module(f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:
+                    obj = getattr(importlib.import_module(node.module), alias.name, None)
+                if obj is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = obj
+    assert {"rigid", "pth", "weights"} <= set(bound)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in bound
+            and not hasattr(bound[node.value.id], node.attr)
+        ):
+            missing.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
     assert not missing, missing

@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 import hedge_iep
 from hedge_iep.cli import main
 from hedge_iep.numeric import eigenvalues_sym
-from hedge_iep.trees import RootedTree, save_tree, smallest_lush_hedge, ten_vertex_hedge
+from hedge_iep.tolerance import WEIGHT_TOL, close
+from hedge_iep.trees import (
+    RootedTree,
+    pendent_paths,
+    save_tree,
+    smallest_lush_hedge,
+    ten_vertex_hedge,
+)
 from hedge_iep.weights import (
+    CollapseResult,
     DuplicationSplit,
     BadSplit,
     NotABranch,
@@ -21,7 +29,6 @@ from hedge_iep.weights import (
     WeightedMatrix,
     WeightFn,
     collapse_pendent_k_paths,
-    collapsible_branches,
     duplicate_branch,
     load_weight,
     save_weight,
@@ -32,7 +39,7 @@ from hedge_iep.weights import (
     weight_to_json,
 )
 
-from conftest import random_lush_hedge, random_tree, random_weight, relabel
+from conftest import random_lush_hedge, random_splits, random_tree, random_weight, relabel
 
 
 def c3_weight() -> WeightFn:
@@ -227,32 +234,6 @@ def test_duplicate_errors():
         DuplicationSplit((Fraction(3, 2), Fraction(-1, 2)))
 
 
-def test_collapsible_branches_ph_member(hedge10):
-    from hedge_iep.pth import ph_construct
-
-    w = ph_construct(c3_weight(), hedge10)
-    groups = collapsible_branches(w, 2)
-    assert groups == [[3, 8]]
-    # at the root the three height-1 branches carry equal weights too
-    assert collapsible_branches(w, 1) == [[2, 4, 6]]
-
-
-def test_collapsible_branches_p4_internal():
-    p4 = RootedTree((0, 1, 2, 3))
-    w = WeightFn(
-        p4,
-        {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0},
-        {(1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0},
-    )
-    assert collapsible_branches(w, 2) == [[3]]
-
-
-def test_collapsible_unequal_vertex_weights():
-    t = RootedTree((0, 1, 1))
-    w = WeightFn(t, {1: 0.0, 2: 1.0, 3: 2.0}, {(1, 2): 1.0, (1, 3): 1.0})
-    assert collapsible_branches(w, 1) == [[2], [3]]
-
-
 def test_collapse_ph_leaves(hedge10):
     from hedge_iep.pth import ph_construct
 
@@ -340,6 +321,122 @@ def test_round_trip_exact(rng):
         assert back.weight == w
         checked += 1
     assert checked >= 15
+
+
+def _reference_collapse(w: WeightFn, k: int) -> CollapseResult:
+    """The collapse by recursive branch signatures and its own renumbering
+    loop that the flat weight lists and induced_tree replaced, kept as its
+    oracle."""
+
+    def signature(u: int):
+        subs = sorted((w.e(u, c), signature(c)) for c in w.tree.children[u])
+        return (w.v(u), tuple(subs))
+
+    def sig_close(s1, s2) -> bool:
+        (v1, subs1), (v2, subs2) = s1, s2
+        return (
+            len(subs1) == len(subs2)
+            and close(v1, v2, WEIGHT_TOL)
+            and all(
+                close(e1, e2, WEIGHT_TOL) and sig_close(c1, c2)
+                for (e1, c1), (e2, c2) in zip(subs1, subs2)
+            )
+        )
+
+    t = w.tree
+    by_vertex: dict[int, list] = {}
+    for q in pendent_paths(t, k):
+        by_vertex.setdefault(q.attach_point, []).append(q)
+    removed_vertices: set[int] = set()
+    removed_count = 0
+    new_edge_at = {}
+    for v in sorted(by_vertex):
+        rep, *rest = sorted(by_vertex[v], key=lambda q: q.vertices[0])
+        rep_sig = signature(rep.vertices[0])
+        total = w.e(v, rep.vertices[0])
+        for q in rest:
+            if not sig_close(rep_sig, signature(q.vertices[0])):
+                raise NotCollapsible(
+                    v, f"paths {rep.vertices} and {q.vertices} carry different weights"
+                )
+            total = total + w.e(v, q.vertices[0])
+            removed_vertices.update(q.vertices)
+        removed_count += len(rest)
+        new_edge_at[(min(v, rep.vertices[0]), max(v, rep.vertices[0]))] = total
+    keep = [u for u in t.vertices if u not in removed_vertices]
+    old_to_new = {u: i + 1 for i, u in enumerate(keep)}
+    parent = []
+    for u in keep:
+        p = t.parent[u - 1]
+        parent.append(0 if p in (0, u) else old_to_new[p])
+    vw = {old_to_new[u]: w.v(u) for u in keep}
+    ew = {}
+    for u, x in t.edges:
+        if u in removed_vertices or x in removed_vertices:
+            continue
+        a, b = sorted((old_to_new[u], old_to_new[x]))
+        ew[(a, b)] = new_edge_at.get((u, x), w.e(u, x))
+    return CollapseResult(WeightFn(RootedTree(tuple(parent)), vw, ew), removed_count)
+
+
+def _collapse_inputs(rng):
+    """Random weights, the same with a hanging chain duplicated and then one
+    weight of a copy moved by less or more than WEIGHT_TOL, and path-to-hedge
+    members; exact and float."""
+    from hedge_iep.pth import ph_construct
+
+    for exact in (True, False):
+        for _ in range(40):
+            t = random_tree(int(rng.integers(1, 12)), rng)
+            w = random_weight(t, rng, exact)
+            yield w
+            chains = [
+                (v, c)
+                for v in t.vertices
+                for c in t.children[v]
+                if all(len(t.children[u]) < 2 for u in t.subtree_vertices(c))
+            ]
+            if not chains:
+                continue
+            v, c = chains[int(rng.integers(0, len(chains)))]
+            parts = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(2, 5)))]
+            split = [Fraction(p, sum(parts)) if exact else p / sum(parts) for p in parts]
+            w2 = duplicate_branch(w, v, c, DuplicationSplit(tuple(split)))
+            yield w2
+            copy = [u for u in w2.tree.vertices if u > t.n]  # the last copies
+            u = copy[int(rng.integers(0, len(copy)))]
+            for eps in (1e-12, 5e-10, 2e-9, 1e-6):
+                step = Fraction(eps) if exact else eps
+                vw = dict(w2.vertex_weight)
+                ew = dict(w2.edge_weight)
+                p = w2.tree.parent[u - 1]
+                if rng.integers(0, 2) and p > t.n:  # an internal edge of the copy
+                    ew[(min(u, p), max(u, p))] += step
+                else:
+                    vw[u] += step
+                yield WeightFn(w2.tree, vw, ew)
+        for hedge in (ten_vertex_hedge(), smallest_lush_hedge(3), random_lush_hedge(rng)):
+            hedge = relabel(hedge, rng)[0]
+            path = random_weight(RootedTree(tuple(range(hedge.height + 1))), rng, exact)
+            yield ph_construct(path, hedge, "uniform" if exact else random_splits(hedge, rng))
+
+
+def test_flat_collapse_matches_signature_reference(rng):
+    def run(collapse, w, k):
+        try:
+            res = collapse(w, k)
+        except NotCollapsible as exc:
+            return "NotCollapsible", str(exc)
+        return res.removed_count, res.weight, repr(weight_to_json(res.weight))
+
+    collapsed = refused = 0
+    for w in _collapse_inputs(rng):
+        for k in (1, 2, 3):
+            got = run(collapse_pendent_k_paths, w, k)
+            assert got == run(_reference_collapse, w, k)
+            collapsed += got[0] not in (0, "NotCollapsible")
+            refused += got[0] == "NotCollapsible"
+    assert collapsed >= 50 and refused >= 50
 
 
 def test_spectrum_law_random(rng):
