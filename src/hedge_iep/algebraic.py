@@ -7,10 +7,11 @@ positive common denominator, in lowest terms, so the representation is
 canonical.  A product is a 6x6 integer convolution, reduced in degrees
 10..6 by the monic sextic's integer tail (xi^6 = 3 xi^5 + 11 xi^4
 - 24 xi^3 + 6 xi^2 + 48 xi - 16), which needs no division, and then one
-gcd; an inverse comes from ``poly_xgcd`` with the sextic.  Sign tests
-refine the isolating interval of xi by bisection and bound the numerator
-polynomial with integer interval arithmetic, so comparisons are exact
-decisions, never float guesses.
+gcd; an inverse comes from ``poly_xgcd`` with the sextic.  Signs, floats
+and approximations refine the isolating interval of xi by bisection and
+enclose the numerator polynomial on it with ``polys.horner_enclosure``, the
+one exact evaluator, so comparisons are exact decisions, never float
+guesses.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
 
-from .polys import PolyQ, bisect_root, count_real_roots, poly_xgcd, sign_at
+from .polys import PolyQ, bisect_root, count_real_roots, horner_enclosure, poly_xgcd, sign_at
 
 # ascending coefficients of the defining sextic
 SEXTIC = PolyQ.of(16, -48, -6, 24, -11, -3, 1)
@@ -31,11 +32,11 @@ _TAIL = tuple(-int(c) for c in SEXTIC.coeffs[:6])
 # the seed isolating interval (lo, hi] of xi
 XI_INTERVAL = (Fraction(1, 3), Fraction(17, 50))
 
-if not (SEXTIC(XI_INTERVAL[0]) > 0) != (SEXTIC(XI_INTERVAL[1]) > 0):  # pragma: no cover
-    raise AssertionError("the seed interval must bracket a sign change")
-
 _interval = list(XI_INTERVAL)
 _sextic_sign = sign_at(SEXTIC)
+
+if _sextic_sign(XI_INTERVAL[0]) * _sextic_sign(XI_INTERVAL[1]) >= 0:  # pragma: no cover
+    raise AssertionError("the seed interval must bracket a sign change")
 
 
 def verify_isolation() -> bool:
@@ -198,22 +199,6 @@ class QXi:
             return hash((self.nums, self.den))
         return hash(Fraction(self.nums[0], self.den))
 
-    def _interval_value(self, lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-        """Integers vlo, vhi and d > 0 with vlo / d <= value <= vhi / d for
-        xi in [lo, hi], from lo = a / q and hi = b / q.  xi > 0, so monomial
-        bounds are monotone in the endpoints."""
-        q = lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (q // lo.denominator)
-        b = hi.numerator * (q // hi.denominator)
-        vlo = vhi = 0
-        for i, n in enumerate(self.nums):
-            s, t = n * a**i * q ** (5 - i), n * b**i * q ** (5 - i)
-            if s > t:
-                s, t = t, s
-            vlo += s
-            vhi += t
-        return vlo, vhi, q**5 * self.den
-
     def _refine_until(self, decide):
         """Decide on the cached interval of xi, else refine it to 2^-8 of its
         width and retry until ``decide(vlo, vhi, d)`` returns non-None.  This
@@ -221,9 +206,11 @@ class QXi:
         irrational value, which no sign or rounding boundary equals, and a
         rational element has a point value interval."""
         lo, hi = _interval
-        while (out := decide(*self._interval_value(lo, hi))) is None:
+        while True:
+            vlo, vhi, d = horner_enclosure(self.nums, lo, hi)
+            if (out := decide(vlo, vhi, d * self.den)) is not None:
+                return out
             lo, hi = refined_xi((hi - lo) / 2**8)
-        return out
 
     def sign(self) -> int:
         """Exact sign via interval refinement; zero iff all coordinates are."""
@@ -238,13 +225,14 @@ class QXi:
         return (self - o).sign() < 0
 
     def approx(self, eps: Fraction = Fraction(1, 10**15)) -> Fraction:
-        """A rational within eps/2 of the value.  On (lo, hi] inside the seed
-        interval the value interval is at most ``slope`` times as wide as
-        (lo, hi], so one refinement of xi to eps / slope suffices."""
-        hi = XI_INTERVAL[1]
-        slope = sum(i * abs(n) * hi ** (i - 1) for i, n in enumerate(self.nums)) / self.den
-        vlo, vhi, d = self._interval_value(*refined_xi(Fraction(eps) / max(slope, 1)))
-        return Fraction(vlo + vhi, 2 * d)
+        """A rational within eps/2 of the value: the midpoint of a value
+        interval narrower than eps."""
+        eps = Fraction(eps)
+        if not eps > 0:
+            raise ValueError(f"the approximation bound must be positive, got {eps}")
+        return self._refine_until(
+            lambda vlo, vhi, d: Fraction(vlo + vhi, 2 * d) if vhi - vlo < eps * d else None
+        )
 
     def __float__(self) -> float:
         """Correctly rounded: both ends of the value interval round to the

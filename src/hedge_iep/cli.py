@@ -183,24 +183,19 @@ def cmd_pth_spectrum(args) -> int:
 
 
 def cmd_pth_recognize(args) -> int:
-    w = load_weight(args.weightfile)
+    w = load_weight(args.weightfile).as_float()
+    lam = None
     if args.assign:
         vals = {}
         for piece in args.assign.split(","):
             key, _, sval = piece.partition("=")
             vals[key.strip()] = exact_number(sval.strip())
         lam = _lambda_tuple(vals)
-        try:
-            res = pth.recognize(w.as_float(), lam)
-        except pth.NotFromConstruction as exc:
-            print(f"rejected: {exc}")
-            return 1
-    else:
-        try:
-            res = pth.recognize_search(w.as_float())
-        except pth.NotFromConstruction as exc:
-            print(f"rejected: {exc}")
-            return 1
+    try:
+        res = pth.recognize_search(w) if lam is None else pth.recognize(w, lam)
+    except pth.NotFromConstruction as exc:
+        print(f"rejected: {exc}")
+        return 1
     print("recognized: matrix comes from the path-to-hedge construction")
     print(f"lambda: {tuple(_fmt(v) for v in res.lam.values())}")
     print(f"region: {res.region if res.region is not None else 'partial tuple'}")

@@ -186,22 +186,32 @@ def sturm_sequence(p: PolyQ) -> list[PolyQ]:
     return seq if g.degree <= 0 else [q.exact_div(g) for q in seq]
 
 
+def horner_enclosure(ints, lo, hi) -> tuple[int, int, int]:
+    """Integers vlo, vhi and d > 0 with vlo / d <= p(x) <= vhi / d for all x
+    in the rational interval [lo, hi], p with ascending integer coefficients
+    ints: Horner's rule in integer interval arithmetic on lo = a / q and
+    hi = b / q.  Each step keeps the least and greatest of the four end
+    products, so it holds on any interval, and is exact at a point."""
+    q = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    vlo, vhi, d = 0, 0, 1
+    for c in reversed(ints):
+        ends = (vlo * a, vlo * b, vhi * a, vhi * b)
+        d *= q
+        vlo, vhi = min(ends) + c * d, max(ends) + c * d
+    return vlo, vhi, d
+
+
 def sign_at(p: PolyQ):
     """The exact sign (-1, 0 or 1) of a rational polynomial p as a function
-    of a rational point.  The coefficients are scaled to integers once; at
-    x = a/b with b > 0, integer Horner computes b^deg(p) * c * p(x) for the
-    positive scale c, which has the sign of p(x)."""
-    coeffs = [Fraction(c) for c in reversed(p.coeffs)]
+    of a rational point: the enclosure of its integer-scaled coefficients."""
+    coeffs = [Fraction(c) for c in p.coeffs]
     den = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
 
     def sign(x) -> int:
-        a, b = x.numerator, x.denominator
-        acc, bk = 0, 1
-        for z in ints:
-            acc = acc * a + z * bk
-            bk *= b
-        return (acc > 0) - (acc < 0)
+        v = horner_enclosure(ints, x, x)[0]
+        return (v > 0) - (v < 0)
 
     return sign
 

@@ -114,20 +114,12 @@ MANIFEST = {
 }
 
 
-def _c3_example_weight() -> WeightFn:
-    p3 = RootedTree((0, 1, 2))
+def _c3_weight(top: int) -> WeightFn:
+    """The path weight of C_3 with diagonal (top, 4, 2) and edge weights
+    20 and 3: top = 8 in Table 1, 2 in Table 2."""
     return WeightFn(
-        p3,
-        {1: Fraction(8), 2: Fraction(4), 3: Fraction(2)},
-        {(1, 2): Fraction(20), (2, 3): Fraction(3)},
-    )
-
-
-def _c3_prime_weight() -> WeightFn:
-    p3 = RootedTree((0, 1, 2))
-    return WeightFn(
-        p3,
-        {1: Fraction(2), 2: Fraction(4), 3: Fraction(2)},
+        RootedTree((0, 1, 2)),
+        {1: Fraction(top), 2: Fraction(4), 3: Fraction(2)},
         {(1, 2): Fraction(20), (2, 3): Fraction(3)},
     )
 
@@ -157,14 +149,14 @@ def _check_hedge10_spectra(report: RunReport, wc: WeightFn, expected):
 
 def repro_table1(report: RunReport, seed: int) -> None:
     expected = MANIFEST["table1"]["spectrum"]
-    spec, _ = _check_hedge10_spectra(report, _c3_example_weight(), expected)
+    spec, _ = _check_hedge10_spectra(report, _c3_weight(8), expected)
     report.outputs["spectrum"] = [(v, m) for v, m in spec.entries]
 
 
 def repro_table2(report: RunReport, seed: int) -> None:
     s6 = float(np.sqrt(6.0))
     expected = [(3 - 2 * s6, 1), (1, 2), (2, 4), (5, 2), (3 + 2 * s6, 1)]
-    _, direct = _check_hedge10_spectra(report, _c3_prime_weight(), expected)
+    _, direct = _check_hedge10_spectra(report, _c3_weight(2), expected)
     report.check(
         "ordered multiplicities", direct.ordered_multiplicities() == (1, 2, 4, 2, 1)
     )

@@ -135,6 +135,11 @@ def simplify_resultant(a: int, b: int) -> tuple[MPolyQ, tuple[str, ...], Fractio
     Returns the primitive residual (positive leading coefficient, integral
     content 1), the removed factor names with multiplicity, and the rational
     scalar such that r_{a,b} = scalar * residual * prod(removed).
+
+    No solution in the open region 1 is lost: there beta2 = -1 < alpha1 <
+    alpha2 < beta3 < 1 = beta4, so every difference form, which vanishes only
+    where two distinguished values are equal, is nonzero, and the sum form
+    alpha2 - beta3 - 2 is below -2.
     """
     r = level_resultant(a, b)
     removed: list[str] = []

@@ -35,14 +35,20 @@ def gap_clusters(vals: list[float], tol: float) -> list[tuple[float, range]]:
     """Greedy clustering of a sorted float list: a cluster ends where the next
     value lies more than tol times the list's width above the last one.
     Returns each cluster's mean and index range; equal values form one
-    cluster whose value is the first."""
+    cluster whose value is the first.  A width or mean that overflows a
+    float raises ValueError rather than give inf or one merged cluster."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"cluster tolerance must be finite and positive, got {tol}")
     if not vals:
         return []
     width = vals[-1] - vals[0]
+    if not math.isfinite(width):
+        raise ValueError(f"the spectrum width {width} is not a finite float")
     if width == 0:
         return [(vals[0], range(len(vals)))]
     cuts = [i for i in range(1, len(vals)) if vals[i] - vals[i - 1] > tol * width]
     ranges = [range(s, e) for s, e in zip([0] + cuts, cuts + [len(vals)])]
-    return [(sum(vals[i] for i in r) / len(r), r) for r in ranges]
+    clusters = [(sum(vals[i] for i in r) / len(r), r) for r in ranges]
+    if not all(math.isfinite(mean) for mean, _ in clusters):
+        raise ValueError("a cluster mean overflows a float")
+    return clusters

@@ -188,6 +188,25 @@ def test_pth_recognize_rejects(tmp_path, t31_file, capsys):
     assert main(["pth", "recognize", str(w_file)]) == 1
 
 
+@pytest.mark.parametrize("parent", [(0, 1, 1), ten_vertex_hedge().parent])
+@pytest.mark.parametrize("last", [1e308, -1e308])
+def test_overflowing_clusters_exit_2(tmp_path, capsys, parent, last):
+    # weights at the top of the float range: one cluster mean overflows to
+    # inf, or (with a last weight of -1e308) the spectrum width does
+    n = len(parent)
+    data = {
+        "tree": {"n": n, "parent": list(parent)},
+        "vertexWeight": {str(v): 1e308 if v < n else last for v in range(1, n + 1)},
+        "edgeWeight": {f"{p}-{v}": 1 for v, p in enumerate(parent, start=1) if p},
+    }
+    w_file = tmp_path / "w.json"
+    w_file.write_text(json.dumps(data))
+    assert main(["weights", "spectrum", str(w_file)]) == 2
+    assert main(["pth", "recognize", str(w_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 2
+
+
 def test_pth_spectrum_table2(hedge10_file, capsys):
     rc = main(
         [

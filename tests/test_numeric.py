@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedge_iep.numeric import (
     NotSymmetric,
@@ -17,8 +19,10 @@ from hedge_iep.polys import (
     NonzeroRemainder,
     PolyQ,
     count_real_roots,
+    horner_enclosure,
     level_values,
     real_roots,
+    sign_at,
 )
 
 
@@ -111,6 +115,40 @@ def test_eigensolver_vs_exact_roots(rng):
         vals = eigenvalues_sym(m)
         scale = max(1.0, float(max(abs(r) for r in roots)))
         assert np.max(np.abs(vals - np.array([float(r) for r in roots]))) < 1e-10 * scale
+
+
+rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 12, 2**30]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-(10**6), 10**6), max_size=9),
+    rationals,
+    rationals,
+    st.lists(st.fractions(0, 1, max_denominator=10**4), max_size=3),
+)
+def test_horner_enclosure_brackets_the_value(ints, x, y, ts):
+    # negative intervals, intervals across 0 and points, against the exact
+    # value of the same polynomial at the ends, the midpoint and inside
+    p = PolyQ.of(*ints)
+    lo, hi = min(x, y), max(x, y)
+    vlo, vhi, d = horner_enclosure(ints, lo, hi)
+    assert d > 0
+    for t in (0, 1, Fraction(1, 2), *ts):
+        assert Fraction(vlo, d) <= p(lo + (hi - lo) * t) <= Fraction(vhi, d)
+    for z in (lo, hi, (lo + hi) / 2):
+        vlo, vhi, d = horner_enclosure(ints, z, z)
+        assert vlo == vhi and Fraction(vlo, d) == p(z)
+
+
+def test_horner_enclosure_across_zero():
+    # x^2 on [-1, 1]: a monomial bound from the ends alone gives [1, 1],
+    # which misses the value 0 at x = 0
+    vlo, vhi, d = horner_enclosure([0, 0, 1], Fraction(-1), Fraction(1))
+    assert vlo <= 0 <= vhi and d > 0
+    # point signs of (x - 1/3)(x + 2) at its roots, between and outside them
+    sign = sign_at(PolyQ.of(Fraction(-2, 3), Fraction(5, 3), 1))
+    assert [sign(Fraction(z)) for z in (-3, -2, 0, Fraction(1, 3), 1)] == [1, 0, -1, 0, 1]
 
 
 def test_real_roots_double_root_on_a_bisection_point():
