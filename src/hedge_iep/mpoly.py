@@ -4,7 +4,8 @@ shift-and-scale normalization (beta2 = -1, beta4 = 1): alpha1, alpha2, beta3.
 Monomials are exponent triples.  A polynomial is stored as integer
 numerators over one positive common denominator, in lowest terms, so the
 representation is canonical and integer polynomials (denominator 1) do all
-their arithmetic in Z.  Coefficients handed out (``leading``,
+their arithmetic in Z; products of large operands are one big-integer
+product (Kronecker substitution).  Coefficients handed out (``leading``,
 ``constant_value``, ``content``, ``evaluate``) are Fractions.  Division is
 exact multivariate division in lex order and raises when a claimed-exact
 division leaves a remainder, which is how arithmetic bugs surface instead of
@@ -18,6 +19,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
 
+import numpy as np
+
 
 class InexactDivision(ArithmeticError):
     pass
@@ -28,9 +31,23 @@ VARS = ("alpha1", "alpha2", "beta3")
 Monomial = tuple[int, int, int]
 
 
+#: products of at least this many term pairs run as one big-integer product
+#: (``_kronecker_product``); smaller ones keep the dict loop, which is faster
+#: below it.  The rigid chain's products stay below, the resultant scan's
+#: large ones reach it.
+KRONECKER_MIN_PAIRS = 256
+
+_HALF_WORD = 1 << 63
+
+
 def _canonical(d: dict[Monomial, int], den: int) -> "MPolyQ":
     """The polynomial sum(d[m] * m) / den (den > 0) in lowest terms."""
-    items = sorted(((m, n) for m, n in d.items() if n), reverse=True)
+    return _lowest(sorted(((m, n) for m, n in d.items() if n), reverse=True), den)
+
+
+def _lowest(items, den: int) -> "MPolyQ":
+    """The polynomial with nonzero numerators ``items`` (descending lex) over
+    den > 0, in lowest terms."""
     if den != 1:
         g = gcd(den, *(n for _, n in items))
         if g != 1:
@@ -128,6 +145,8 @@ class MPolyQ:
             )
         if not isinstance(other, MPolyQ):
             return NotImplemented
+        if len(self.nums) * len(other.nums) >= KRONECKER_MIN_PAIRS:
+            return _lowest(_kronecker_product(self.nums, other.nums), self.den * other.den)
         d: dict[Monomial, int] = {}
         get = d.get
         for (a1, a2, a3), c1 in self.nums:
@@ -137,6 +156,17 @@ class MPolyQ:
         return _canonical(d, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "MPolyQ":
+        """The k-th power (k >= 0) as a repeated product."""
+        if k < 0:
+            raise ValueError("negative powers are not polynomials")
+        if k == 0:
+            return MPolyQ.const(1)
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -261,6 +291,56 @@ class MPolyQ:
         return " + ".join(parts)
 
 
+def _kronecker_product(a, b) -> tuple[tuple[Monomial, int], ...]:
+    """The integer numerators of the product of two nonzero numerator lists
+    (descending lex), descending lex, from one integer multiplication.
+
+    Each operand becomes the integer sum(n * Y^pos(m)) with Y = 2^(64 w) and
+    pos(e1, e2, e3) = (e1 d2 + e2) d3 + e3, d_k = deg_k a + deg_k b + 1.
+    Every product monomial lies in the degree box e_k < d_k, so pos is
+    one-to-one there, adds over products of monomials and orders them as lex
+    does: the digit of the product at pos(m) collects exactly the products
+    landing on m.  Each such coefficient is at most sum|a| * max|b| (and
+    sum|b| * max|a|), which w makes less than Y / 2.  So adding Y / 2 to
+    every digit puts each one in [1, Y) with no carry, and the base-Y digits
+    of the biased product, less Y / 2, are the coefficients exactly."""
+    d2 = max(m[1] for m, _ in a) + max(m[1] for m, _ in b) + 1
+    d3 = max(m[2] for m, _ in a) + max(m[2] for m, _ in b) + 1
+    bound = min(
+        sum(abs(n) for _, n in a) * max(abs(n) for _, n in b),
+        sum(abs(n) for _, n in b) * max(abs(n) for _, n in a),
+    )
+    w = (bound.bit_length() + 64) // 64  # bound < 2^(64 w - 1) = Y / 2
+    nb = 8 * w
+
+    def pos(m: Monomial) -> int:
+        return (m[0] * d2 + m[1]) * d3 + m[2]
+
+    def pack(nums) -> int:
+        # the positive and the negative numerators, each as base-Y digits
+        size = (pos(nums[0][0]) + 1) * nb
+        plus, minus = bytearray(size), bytearray(size)
+        for m, n in nums:
+            i = pos(m) * nb
+            (plus if n > 0 else minus)[i:i + nb] = abs(n).to_bytes(nb, "little")
+        return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+
+    slots = pos(a[0][0]) + pos(b[0][0]) + 1
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * slots, "little")
+    buf = (pack(a) * pack(b) + bias).to_bytes(slots * nb, "little")
+    words = np.frombuffer(buf, dtype="<u8").reshape(slots, w)
+    if w == 1:
+        hit = np.flatnonzero(words[:, 0] != _HALF_WORD)[::-1]
+        coeffs = (words[hit, 0] ^ np.uint64(_HALF_WORD)).view(np.int64).tolist()
+    else:
+        hit = np.flatnonzero((words[:, -1] != _HALF_WORD) | words[:, :-1].any(axis=1))[::-1]
+        half = 1 << (8 * nb - 1)
+        coeffs = [int.from_bytes(buf[i * nb:(i + 1) * nb], "little") - half for i in hit.tolist()]
+    e1, rest = np.divmod(hit, d2 * d3)
+    e2, e3 = np.divmod(rest, d3)
+    return tuple(zip(zip(e1.tolist(), e2.tolist(), e3.tolist()), coeffs))
+
+
 def _powers(x, d: int) -> list:
     out = [x * 0 + 1]
     for _ in range(d):
@@ -268,13 +348,16 @@ def _powers(x, d: int) -> list:
     return out
 
 
-def bareiss_determinant(matrix: list[list]):
+def bareiss_determinant(matrix: list[list], one):
     """Fraction-free Gaussian elimination over any exact ring whose elements
     offer ``is_zero`` and ``exact_div`` (MPolyQ, PolyQ); every interior
-    division is exact.  The first step divides by one, so it is skipped."""
+    division is exact.  The first step divides by one, so it is skipped.
+    ``one`` is the ring's one, the determinant of the empty matrix.  Its
+    callers are ``numeric.char_poly_exact`` and the test suite's Sylvester
+    resultant, the oracle for ``rigid.resultant``."""
     n = len(matrix)
     if n == 0:
-        return MPolyQ.const(1)
+        return one
     m = [row[:] for row in matrix]
     sign = 1
     for k in range(n - 1):

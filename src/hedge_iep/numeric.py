@@ -63,7 +63,8 @@ def char_poly_exact(entries) -> PolyQ:
         [
             [(X if i == j else PolyQ(())) - Fraction(x) for j, x in enumerate(row)]
             for i, row in enumerate(entries)
-        ]
+        ],
+        PolyQ.of(1),
     )
 
 

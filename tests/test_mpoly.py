@@ -1,14 +1,16 @@
 """MPolyQ against a plain dict-of-Fraction reference: the ring operations,
 the scalar operations, derivatives, content, lex division and printing."""
 
+import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedge_iep.mpoly import VARS, InexactDivision, MPolyQ
+from hedge_iep import mpoly
+from hedge_iep.mpoly import KRONECKER_MIN_PAIRS, VARS, InexactDivision, MPolyQ
 
 A1 = MPolyQ.var("alpha1")
 
@@ -200,3 +202,88 @@ def test_exact_division_with_fractional_quotients():
         (A1 + 1).exact_div(2 * A1)
     with pytest.raises(ZeroDivisionError):
         A1.divmod_lex(MPolyQ.const(0))
+
+
+def random_ref(rng: random.Random, terms: int, coeff) -> dict:
+    """``terms`` distinct monomials of degree <= 7 in each variable, with
+    nonzero coefficients drawn by ``coeff(rng)``."""
+    monos = rng.sample([(i, j, k) for i in range(8) for j in range(8) for k in range(8)], terms)
+    return {m: coeff(rng) for m in monos}
+
+
+def signed_ints(bits: int):
+    return lambda rng: rng.choice((-1, 1)) * rng.randrange(1, 1 << bits)
+
+
+def signed_fractions(bits: int):
+    return lambda rng: Fraction(signed_ints(bits)(rng), rng.choice((1, 2, 3, 7, 12)))
+
+
+def univariate(terms: int, c) -> dict:
+    return {(i, 0, 0): Fraction(c) for i in range(terms)}
+
+
+#: (terms of a, terms of b, coefficient draw) on both sides of the threshold
+SIZES = ((16, (KRONECKER_MIN_PAIRS - 1) // 16), (16, -(-KRONECKER_MIN_PAIRS // 16)),
+         (1, KRONECKER_MIN_PAIRS), (40, 30))
+PRODUCT_CASES = [
+    pytest.param(la, lb, draw, id=f"{la}x{lb}-{name}")
+    for la, lb in SIZES
+    for name, draw in (
+        ("small", signed_ints(8)),
+        ("word", signed_ints(62)),
+        ("multiword", signed_ints(140)),
+        ("rational", signed_fractions(20)),
+        ("positive", lambda rng: rng.randrange(1, 1 << 70)),
+    )
+]
+
+
+@pytest.mark.parametrize("la,lb,draw", PRODUCT_CASES)
+def test_products_on_both_sides_of_the_kronecker_threshold(la, lb, draw, monkeypatch):
+    calls = []
+    packed = mpoly._kronecker_product
+    monkeypatch.setattr(mpoly, "_kronecker_product", lambda a, b: calls.append(1) or packed(a, b))
+    rng = random.Random(la * 1000 + lb)
+    a, b = random_ref(rng, la, draw), random_ref(rng, lb, draw)
+    p, q = build(a), build(b)
+    calls.clear()
+    got = p * q
+    assert bool(calls) == (la * lb >= KRONECKER_MIN_PAIRS)
+    assert as_ref(got) == ref_mul(a, b)
+    assert q * p == got
+
+
+@pytest.mark.parametrize("bits", [8, 62, 63, 64, 130])
+def test_kronecker_products_with_interior_cancellation(bits):
+    rng = random.Random(bits)
+    a = random_ref(rng, 100, signed_fractions(bits))
+    p, a2 = build(a), MPolyQ.var("alpha2")
+    diff, total = (A1 - a2) * p, (A1 + a2) * p
+    assert len(diff) * 2 >= KRONECKER_MIN_PAIRS
+    square_diff = ref_mul({(2, 0, 0): 1, (0, 2, 0): -1}, a)
+    assert as_ref(diff * (A1 + a2)) == square_diff == as_ref(total * (A1 - a2))
+    assert as_ref(diff * total) == as_ref(build(square_diff) * p)
+    assert as_ref(diff * total - total * diff) == {}
+
+
+@pytest.mark.parametrize("target_bits", [62, 63, 64, 127, 128])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kronecker_product_at_the_coefficient_bound(target_bits, sign):
+    # two univariate runs of 16 equal coefficients: the middle coefficient
+    # of the product equals the bound 16 c^2 used to size the digits
+    c = isqrt(((1 << target_bits) - 1) // 16)
+    a, b = univariate(16, sign * c), univariate(16, c)
+    got = build(a) * build(b)
+    assert max(abs(v) for v in as_ref(got).values()) == 16 * c * c
+    assert as_ref(got) == ref_mul(a, b)
+
+
+def test_powers_are_repeated_products():
+    p = build(random_ref(random.Random(5), 20, signed_fractions(10)))
+    assert p**0 == 1 and (p**0).is_constant()
+    assert p**1 == p
+    assert p**3 == p * p * p
+    assert MPolyQ(()) ** 0 == 1 and MPolyQ(()) ** 2 == 0
+    with pytest.raises(ValueError):
+        p ** -1

@@ -57,6 +57,8 @@ def test_char_poly_exact_c3():
 
 def test_char_poly_exact_trivial():
     assert char_poly_exact(((Fraction(5),),)) == PolyQ.of(-5, 1)
+    empty = char_poly_exact(())
+    assert isinstance(empty, PolyQ) and empty == PolyQ.of(1)
 
 
 def test_char_poly_exact_c3_prime():

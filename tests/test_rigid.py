@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 import hedge_iep
 from hedge_iep.algebraic import SEXTIC, XI_INTERVAL, QXi, refined_xi, verify_isolation
-from hedge_iep.mpoly import InexactDivision, MPolyQ
-from hedge_iep.polys import PolyQ, count_real_roots, is_squarefree
+from hedge_iep.mpoly import InexactDivision, MPolyQ, bareiss_determinant
+from hedge_iep.polys import PolyQ, ZeroPolynomial, count_real_roots, is_squarefree
 from hedge_iep.rigid import (
     RoutesDisagree,
     UnexpectedCoincidence,
@@ -246,6 +247,84 @@ def test_resultant_classical_linear():
     g = PolyQ((-A2, MPolyQ.const(1)))  # x - alpha2
     r = resultant(f, g)
     assert r in (A1 - A2, A2 - A1)
+
+
+def _reference_resultant(f: PolyQ, g: PolyQ) -> MPolyQ:
+    """The Sylvester determinant (rows of f first) by fraction-free Bareiss
+    elimination, on c f and d g with every denominator cleared."""
+    m, n = f.degree, g.degree
+    zero = MPolyQ(())
+    rows, scale = [], 1
+    for p, copies in ((f, n), (g, m)):
+        coeffs = [MPolyQ.const(x) if not isinstance(x, MPolyQ) else x for x in reversed(p.coeffs)]
+        c = lcm(*(x.den for x in coeffs))
+        scale *= c**copies
+        for i in range(copies):
+            rows.append([zero] * i + [x * c for x in coeffs] + [zero] * (m + n - len(coeffs) - i))
+    return bareiss_determinant(rows, MPolyQ.const(1)) / scale
+
+
+def _random_coefficient(rng: random.Random, nonconstant: bool = False):
+    """A small MPolyQ with rational coefficients, or a Fraction."""
+    if not nonconstant and rng.random() < 0.3:
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+    out = MPolyQ(())
+    for _ in range(rng.randint(1, 3)):
+        mono = A1 ** rng.randint(0, 2) * A2 ** rng.randint(0, 1) * B3 ** rng.randint(0, 1)
+        out = out + mono * Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 5)))
+    if nonconstant and out.is_constant():
+        out = out + A1
+    return out
+
+
+def _random_poly(rng: random.Random, degree: int, monic: bool) -> PolyQ:
+    coeffs = [_random_coefficient(rng) for _ in range(degree)]
+    lead = MPolyQ.const(1) if monic else _random_coefficient(rng, nonconstant=degree > 0)
+    while lead == 0:
+        lead = _random_coefficient(rng)
+    return PolyQ(tuple(coeffs) + (lead,))
+
+
+#: every degree pair up to 3, and two where a first step with delta = 2 is
+#: followed by more steps
+DEGREE_PAIRS = [(m, n) for m in range(4) for n in range(4)] + [(4, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("m,n", DEGREE_PAIRS)
+def test_resultant_matches_the_sylvester_determinant(m, n):
+    rng = random.Random(100 * m + n)
+    for monic in (True, False):
+        f, g = _random_poly(rng, m, monic), _random_poly(rng, n, not monic)
+        want = _reference_resultant(f, g)
+        assert resultant(f, g) == want
+        assert resultant(g, f) == want * (-1) ** (m * n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_resultant_when_a_remainder_drops_two_degrees(seed):
+    # f mod g has degree 1 < deg g - 1, so the second step has delta = 2
+    rng = random.Random(seed)
+    g = _random_poly(rng, 3, False)
+    f = g * _random_poly(rng, 1, True) + _random_poly(rng, 1, False)
+    assert resultant(f, g) == _reference_resultant(f, g)
+    assert resultant(g, f) == _reference_resultant(g, f)
+
+
+@pytest.mark.parametrize("k,m,n", [(1, 0, 2), (1, 1, 1), (2, 1, 2), (1, 3, 2), (2, 1, 1)])
+def test_resultant_of_polynomials_with_a_common_factor_is_zero(k, m, n):
+    rng = random.Random(10 * k + m + n)
+    common = _random_poly(rng, k, False)
+    f = common * _random_poly(rng, m, False)
+    g = common * _random_poly(rng, n, True)
+    assert _reference_resultant(f, g) == 0
+    assert resultant(f, g).is_zero() and resultant(g, f).is_zero()
+
+
+def test_resultant_of_constants_and_zero():
+    assert resultant(PolyQ.of(3), PolyQ.of(Fraction(1, 2))) == 1
+    assert resultant(PolyQ((A1,)), PolyQ.of(-1, 0, 2)) == A1**2
+    with pytest.raises(ZeroPolynomial):
+        resultant(PolyQ(()), PolyQ.of(1, 1))
 
 
 def test_resultant_numeric_oracle(rng):
