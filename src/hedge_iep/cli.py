@@ -271,11 +271,7 @@ def cmd_rigid_levels(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    try:
-        report = repro.run_repro(args.example, seed=args.seed)
-    except repro.UnknownExample as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    report = repro.run_repro(args.example, seed=args.seed)
     report.print_lines()
     if args.json:
         print(json.dumps(report.to_json(), indent=1))

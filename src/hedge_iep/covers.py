@@ -269,24 +269,12 @@ def brute_force_zero_forcing(t: RootedTree, vertices=None) -> int:
 def M_formula(prof: HedgeProfile, h: int) -> int:
     """Path cover number of T^(h): the sum of ell_i over i >= h+1 with
     i = h+1 (mod 2); zero for h beyond the height."""
-    if h > prof.height:
-        return 0
-    return sum(
-        prof.ell_at(i)
-        for i in range(h + 1, prof.height + 2)
-        if (i - (h + 1)) % 2 == 0
-    )
+    return sum(prof.ell_at(i) for i in range(h + 1, prof.height + 2, 2))
 
 
 def Mhat_formula(prof: HedgeProfile, h: int) -> int:
     """Same sum along the period-3 ladder: i >= h+1 with i = h+1 (mod 3)."""
-    if h > prof.height:
-        return 0
-    return sum(
-        prof.ell_at(i)
-        for i in range(h + 1, prof.height + 2)
-        if (i - (h + 1)) % 3 == 0
-    )
+    return sum(prof.ell_at(i) for i in range(h + 1, prof.height + 2, 3))
 
 
 def sigma_counts(t: RootedTree, h: int, q: PendentPath | None = None) -> tuple[int, int]:

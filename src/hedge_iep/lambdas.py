@@ -200,18 +200,36 @@ def abc_coefficients(lam: LambdaTuple, n: int) -> tuple[list, list]:
     return a, b
 
 
+def path_weight(a, b) -> WeightFn:
+    """The path weight with level coefficients a_1..a_n and b_2..b_n: the
+    path 1..n hanging from vertex 1, where the vertex at height h carries
+    a_{h+1} and the edge to its child carries b_{h+1}."""
+    n = len(a)
+    path = RootedTree(tuple(range(n)))
+    return WeightFn(
+        path,
+        {u: a[n - u] for u in path.vertices},
+        {(u, u + 1): b[n - 1 - u] for u in range(1, n)},
+    )
+
+
+def level_coefficients(w: WeightFn) -> tuple[list, list]:
+    """The inverse of path_weight: (a_1..a_n, b_2..b_n) read up a path
+    weight from its leaf, whatever the labels."""
+    t = w.tree
+    chain = [t.root]
+    while t.children[chain[-1]]:
+        chain.append(t.children[chain[-1]][0])
+    if len(chain) != t.n:
+        raise ValueError("the weight does not live on a path")
+    chain.reverse()
+    return [w.v(u) for u in chain], [w.e(u, p) for u, p in zip(chain, chain[1:])]
+
+
 def build_C(lam: LambdaTuple, n: int) -> WeightedMatrix:
     """The n-by-n greedy path matrix: unit subdiagonal, diagonal
     (a_n, ..., a_1), superdiagonal (b_n, ..., b_2)."""
-    a, b = abc_coefficients(lam, n)
-    path = RootedTree(tuple(range(0, n)))
-    return unit_lower_representative(
-        WeightFn(
-            path,
-            {u: a[n - u] for u in path.vertices},
-            {(u, u + 1): b[n - 1 - u] for u in range(1, n)},
-        )
-    )
+    return unit_lower_representative(path_weight(*abc_coefficients(lam, n)))
 
 
 def char_polys(lam: LambdaTuple, n: int) -> list[PolyQ]:
@@ -280,8 +298,10 @@ def step_lemma_checks_raw(a: list, b: list) -> list[str]:
 
 
 def sample_in_region(region: int, rng: np.random.Generator, exact: bool = False) -> LambdaTuple:
-    """A random tuple in the given open region; regions with an auxiliary
-    inequality are sampled through the gamma = alpha2+beta2-beta4 chart."""
+    """A random tuple in the given open region: five sorted draws laid on the
+    region's label chain.  Regions with an auxiliary inequality are sampled
+    through the gamma = alpha2+beta2-beta4 chart, gamma taking the place of
+    beta4 above beta3 (sum positive) or below it (sum negative)."""
     if not 1 <= region <= 12:
         raise ValueError("region must be 1..12")
     if region > 6:
@@ -292,21 +312,14 @@ def sample_in_region(region: int, rng: np.random.Generator, exact: bool = False)
         vals = [Fraction(x, den) for x in raw]
     else:
         vals = sorted(rng.uniform(-3.0, 3.0, size=5).tolist())
-    v1, v2, v3, v4, v5 = vals
-    if region == 1:
-        lam = LambdaTuple(v2, v3, v1, v4, v5)
-    elif region == 2:
-        lam = LambdaTuple(v3, v4, v1, v5, v2)
-    elif region == 3:
-        # chart: beta2 < alpha1 < alpha2 < beta3 < gamma, beta4 = a2+b2-gamma
-        lam = LambdaTuple(v2, v3, v1, v4, v3 + v1 - v5)
-    elif region == 4:
-        # chart: gamma < beta3 < beta2 < alpha1 < alpha2
-        lam = LambdaTuple(v4, v5, v3, v2, v5 + v3 - v1)
-    elif region == 5:
-        lam = LambdaTuple(v4, v5, v2, v1, v3)
-    else:
-        lam = LambdaTuple(v4, v5, v3, v2, v1)
-    if region_of((lam.alpha1, lam.alpha2, lam.beta2, lam.beta3, lam.beta4)) != region:
+    chain, aux = _REGIONS[region - 1]
+    if aux:
+        rest = tuple(k for k in chain if k != "b4")
+        chain = (*rest, "gamma") if aux > 0 else ("gamma", *rest)
+    named = dict(zip(chain, vals))
+    if aux:
+        named["b4"] = (named["a2"] + named["b2"]) - named["gamma"]
+    lam = LambdaTuple(*(named[k] for k in _LABELS))
+    if region_of(lam.values()) != region:
         raise AssertionError("sampler produced a tuple outside its region")
     return lam

@@ -1,10 +1,13 @@
 """Path-to-hedge construction, its spectrum, critical lists and the
 recognizer that inverts the construction.
 
-The forward direction distributes a path matrix's edge weights over a hedge;
-the spectrum is the union of level spectra weighted by the branching profile.
-The recognizer checks the recipe once per vertex: a vertex at height h must
-carry a_{h+1} and its child edges must sum to b_{h+1}.
+A path matrix enters through its level coefficients a_1..a_n and b_2..b_n,
+read by the one map `lambdas.level_coefficients` (its inverse is
+`lambdas.path_weight`), so the path may carry any labels.  The forward
+direction distributes them over a hedge; the spectrum is the union of level
+spectra weighted by the branching profile.  Construction and recognizer share
+one recipe check: a vertex at height h must carry a_{h+1} and its child edges
+must sum to b_{h+1}.
 """
 
 from __future__ import annotations
@@ -13,16 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from .lambdas import (
     LambdaTuple,
-    NotInB,
     NotInB3,
     abc_coefficients,
     build_C,
     generic_multiplicities,
     in_B3,
+    level_coefficients,
+    path_weight,
     remainder_poly,
 )
 from .numeric import cluster_multiplicities, trailing_spectra
@@ -39,14 +41,10 @@ from .trees import (
     is_lush,
     profile,
 )
-from .weights import DuplicationSplit, WeightFn, WeightedMatrix, spectrum_of
+from .weights import BadSplit, DuplicationSplit, WeightFn, WeightedMatrix, spectrum_of
 
 
 class HeightMismatch(ValueError):
-    pass
-
-
-class BadSplit(ValueError):
     pass
 
 
@@ -73,31 +71,29 @@ class BadShape(ValueError):
 # forward construction
 
 
-def _path_weight(c) -> WeightFn:
+def _path_weight(c, height: int) -> WeightFn:
+    """The weight of a path matrix with the height + 1 levels of a hedge."""
     w = c.weight() if isinstance(c, WeightedMatrix) else c
     t = w.tree
     for v in t.vertices:
         if len(t.children[v]) > 1:
             raise HeightMismatch("the source matrix must live on a path")
+    if t.n != height + 1:
+        raise HeightMismatch(f"path has {t.n} vertices but the hedge needs {height + 1}")
     return w
 
 
 def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
-    """A member of the path-to-hedge family: vertex weights copied by height
-    from the path, each path edge weight split over the children at the
-    matching height."""
-    w_c = _path_weight(c)
+    """A member of the path-to-hedge family: a vertex at height h carries
+    the path's a_{h+1}, and the path's b_{h+1} is split over its child
+    edges."""
     if not is_hedge(t):
         raise HeightMismatch("target must be a hedge")
-    height = t.height
-    if w_c.tree.n != height + 1:
-        raise HeightMismatch(
-            f"path has {w_c.tree.n} vertices but the hedge needs {height + 1}"
-        )
+    w_c = _path_weight(c, t.height)
+    a, b = level_coefficients(w_c)
     hm = t.height_map
-    path_at = {height - (i - 1): i for i in w_c.tree.vertices}  # height -> path vertex
     exact = w_c.is_exact()
-    vw = {v: w_c.v(path_at[hm[v]]) for v in t.vertices}
+    vw = {v: a[hm[v]] for v in t.vertices}
     ew = {}
     for v in t.vertices:
         kids = t.children[v]
@@ -112,12 +108,13 @@ def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
             split = raw if isinstance(raw, DuplicationSplit) else DuplicationSplit(tuple(raw))
             if len(split) != len(kids):
                 raise BadSplit(f"split at {v} has {len(split)} parts for {len(kids)} children")
-        i = path_at[hm[v]]
-        base = w_c.e(i, i + 1)
+        base = b[hm[v] - 1]
         for tk, u in zip(split.t, kids):
             ew[(min(v, u), max(v, u))] = tk * base
     out = WeightFn(t, vw, ew)
-    _assert_ph_member(out, w_c)
+    miss = _recipe_miss(_levels(out), a, b, ROUNDING_TOL, relative=True)
+    if miss is not None:
+        raise AssertionError(f"not a member of the family: {miss[1]}")
     return out
 
 
@@ -136,38 +133,28 @@ def _levels(w: WeightFn) -> dict[int, tuple]:
     return out
 
 
-def _assert_ph_member(w: WeightFn, w_c: WeightFn) -> None:
-    """Membership by definition: heights carry the path's vertex weights and
-    children edge weights sum to the path's edge weight, each within
-    ROUNDING_TOL relative to the path's value when a float takes part."""
-    height = w.tree.height
-    # max(1, |value|) of each path vertex and edge weight, converted once
-    scale = {
-        k: max(1.0, abs(float(y)))
-        for k, y in [*w_c.vertex_weight.items(), *w_c.edge_weight.items()]
-    }
-    for v, (h, x, total) in _levels(w).items():
-        i = height + 1 - h  # the path vertex at height h
-        if not close(x, w_c.v(i), ROUNDING_TOL, scale[i]):
-            raise AssertionError(f"vertex weight at {v} disagrees with the path")
-        edge = (i, i + 1)
-        if total is not None and not close(total, w_c.e(*edge), ROUNDING_TOL, scale[edge]):
-            raise AssertionError(f"edge weights at {v} do not sum to the path weight")
-
-
-def level_submatrix_spectra(c, n: int | None = None) -> list[np.ndarray]:
-    """Float spectra of the trailing i-by-i submatrices of a path matrix."""
-    w_c = _path_weight(c)
-    m = w_c.tree.n
-    a = [w_c.v(i) for i in range(m, 0, -1)]  # the bottom vertex carries a_1
-    b = [w_c.e(i, i + 1) for i in range(m - 1, 0, -1)]
-    return trailing_spectra(a, b, m if n is None else n)
+def _recipe_miss(
+    levels: dict[int, tuple], a, b, tol: float, relative: bool = False
+) -> tuple[int, str] | None:
+    """The recipe check over _levels: (height, detail) of the first vertex,
+    in label order, whose weight is not close to a[h] or whose child edges
+    do not sum close to b[h - 1]; None when every vertex keeps the recipe.
+    With relative, tol is relative to max(1, |level value|)."""
+    # each level's scale, converted once
+    scale = lambda ys: [max(1.0, abs(float(y))) if relative else 1.0 for y in ys]
+    sa, sb = scale(a), scale(b)
+    for v, (h, x, total) in levels.items():
+        if not close(x, a[h], tol, sa[h]):
+            return h, f"vertex {v}: weight {x} != a"
+        if total is not None and not close(total, b[h - 1], tol, sb[h - 1]):
+            return h, f"vertex {v}: child edges sum to {total} != b"
+    return None
 
 
 def ph_spectrum(c, prof: HedgeProfile) -> SpectrumMultiset:
     """Spectrum of any member of the family: the union over levels i of
     ell_i copies of the trailing i-by-i submatrix spectrum."""
-    specs = level_submatrix_spectra(c, prof.height + 1)
+    specs = trailing_spectra(*level_coefficients(_path_weight(c, prof.height)), prof.height + 1)
     values = []
     for i in range(1, prof.height + 2):
         li = prof.ell_at(i)
@@ -265,25 +252,20 @@ def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:
 
     try:
         a, b = abc_coefficients(lam, height + 1)
-    except (NotInB, ValueError) as exc:
+    except ValueError as exc:
         raise NotFromConstruction(0, f"assignment is not feasible: {exc}") from exc
 
     levels = _levels(w)
-    for v, (h, x, total) in levels.items():
-        if not close(x, a[h], WEIGHT_TOL):
-            raise NotFromConstruction(h + 1, f"vertex {v}: weight {x} != a")
-        if total is not None and not close(total, b[h - 1], WEIGHT_TOL):
-            raise NotFromConstruction(h + 1, f"vertex {v}: child edges sum to {total} != b")
+    miss = _recipe_miss(levels, a, b, WEIGHT_TOL)
+    if miss is not None:
+        raise NotFromConstruction(miss[0] + 1, miss[1])
 
     chain = [t.root]
     while t.children[chain[-1]]:
         chain.append(t.children[chain[-1]][0])
-    path_weight = WeightFn(
-        RootedTree(tuple(range(height + 1))),
-        {i: levels[u][1] for i, u in enumerate(chain, start=1)},
-        {(i, i + 1): levels[u][2] for i, u in enumerate(chain[:-1], start=1)},
-    )
-    return RecognizeResult(lam, lam.region(), path_weight, build_C(lam, height + 1))
+    chain.reverse()
+    recovered = path_weight([levels[u][1] for u in chain], [levels[u][2] for u in chain[1:]])
+    return RecognizeResult(lam, lam.region(), recovered, build_C(lam, height + 1))
 
 
 def recognize_search(w: WeightFn) -> RecognizeResult:
@@ -303,7 +285,7 @@ def recognize_search(w: WeightFn) -> RecognizeResult:
         lam = LambdaTuple(*(vals[i] for i in idx if i is not None))
         try:
             return recognize(w, lam)
-        except (NotFromConstruction, NotInB) as exc:
+        except NotFromConstruction as exc:
             failures.append(str(exc))
     raise NotFromConstruction(
         "search",
@@ -509,7 +491,6 @@ __all__ = [
     "critical_thresholds",
     "forced_fifth_eigenvalue",
     "gap_vector",
-    "level_submatrix_spectra",
     "ph_construct",
     "ph_spectrum",
     "recognize",

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, pth, rigid
-from .lambdas import LambdaTuple, build_C
+from .lambdas import LambdaTuple, build_C, path_weight
 from .numeric import cluster_multiplicities
 # unused here; perfbench/tests checks that its tracer rebinds this name
 from .numeric import eigenvalues_sym  # noqa: F401
@@ -117,11 +117,7 @@ MANIFEST = {
 def _c3_weight(top: int) -> WeightFn:
     """The path weight of C_3 with diagonal (top, 4, 2) and edge weights
     20 and 3: top = 8 in Table 1, 2 in Table 2."""
-    return WeightFn(
-        RootedTree((0, 1, 2)),
-        {1: Fraction(top), 2: Fraction(4), 3: Fraction(2)},
-        {(1, 2): Fraction(20), (2, 3): Fraction(3)},
-    )
+    return path_weight([Fraction(2), Fraction(4), Fraction(top)], [Fraction(3), Fraction(20)])
 
 
 def _multiset_close(spec: SpectrumMultiset, expected) -> bool:

@@ -75,6 +75,17 @@ def relabel(t: RootedTree, rng: np.random.Generator) -> tuple[RootedTree, dict[i
     return RootedTree(tuple(parent)), new
 
 
+def move_weight(w, t: RootedTree, new: dict[int, int]):
+    """The weight w carried onto t, the relabelled tree, by the map old -> new."""
+    from hedge_iep.weights import WeightFn
+
+    return WeightFn(
+        t,
+        {new[v]: x for v, x in w.vertex_weight.items()},
+        {tuple(sorted((new[u], new[v]))): x for (u, v), x in w.edge_weight.items()},
+    )
+
+
 def random_splits(t: RootedTree, rng: np.random.Generator) -> dict[int, tuple]:
     out = {}
     for v in t.vertices:

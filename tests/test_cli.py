@@ -535,6 +535,9 @@ def test_rigid_list_needs_a_lush_hedge(tmp_path, capsys):
 
 def test_repro_unknown(capsys):
     assert main(["repro", "definitely-not-an-example"]) == 2
+    # the same usage error as every other ValueError
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown example 'definitely-not-an-example'; choose from")
 
 
 def test_repro_json(capsys):

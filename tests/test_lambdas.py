@@ -16,7 +16,9 @@ from hedge_iep.lambdas import (
     build_C,
     char_polys,
     in_B3,
+    level_coefficients,
     level_names,
+    path_weight,
     region_of,
     remainder_poly,
     sample_in_region,
@@ -26,6 +28,10 @@ from hedge_iep.lambdas import (
 from hedge_iep.numeric import char_poly_exact, trailing_spectra
 from hedge_iep.polys import PolyQ
 from hedge_iep.pth import t31_lambda
+from hedge_iep.trees import RootedTree
+from hedge_iep.weights import WeightFn
+
+from conftest import move_weight, relabel
 
 
 def test_region_direct_examples():
@@ -237,3 +243,72 @@ def test_positivity_iff_region(vals):
 def test_in_B3():
     assert in_B3(LambdaTuple(Fraction(2), Fraction(5), Fraction(1), Fraction(-2)))
     assert not in_B3(LambdaTuple(Fraction(5), Fraction(1), Fraction(-1), Fraction(2)))
+
+
+def test_level_coefficients_invert_path_weight(rng):
+    for n in range(1, 8):
+        for exact in (True, False):
+            if exact:
+                a = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(n)]
+                b = [Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 5))) for _ in range(n - 1)]
+            else:
+                a = rng.uniform(-3, 3, size=n).tolist()
+                b = rng.uniform(0.1, 3, size=n - 1).tolist()
+            w = path_weight(a, b)
+            assert w.tree == RootedTree(tuple(range(n)))
+            assert level_coefficients(w) == (a, b)
+            # the same levels under any labels
+            t, new = relabel(w.tree, rng)
+            moved = move_weight(w, t, new)
+            assert level_coefficients(moved) == (a, b)
+
+
+def test_level_coefficients_needs_a_path():
+    star = RootedTree((0, 1, 1))
+    w = WeightFn(star, {1: 0.0, 2: 1.0, 3: 2.0}, {(1, 2): 1.0, (1, 3): 1.0})
+    with pytest.raises(ValueError):
+        level_coefficients(w)
+
+
+def test_build_C_is_the_path_weight_of_the_coefficients():
+    lam = LambdaTuple(Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(3))
+    a, b = abc_coefficients(lam, 6)
+    c = build_C(lam, 6)
+    assert c.diagonal == tuple(reversed(a))
+    assert c.upper == tuple(reversed(b))
+    assert level_coefficients(c.weight()) == (a, b)
+
+
+def _branch_sampler(region, rng, exact=False):
+    """The sampler as six hand-written branches, kept as the reference for
+    the chart-driven one."""
+    if region > 6:
+        return _branch_sampler(region - 6, rng, exact).negated()
+    if exact:
+        raw = sorted(int(x) for x in rng.choice(np.arange(-60, 61), size=5, replace=False))
+        den = 3 * int(rng.integers(1, 5))
+        vals = [Fraction(x, den) for x in raw]
+    else:
+        vals = sorted(rng.uniform(-3.0, 3.0, size=5).tolist())
+    v1, v2, v3, v4, v5 = vals
+    if region == 1:
+        return LambdaTuple(v2, v3, v1, v4, v5)
+    if region == 2:
+        return LambdaTuple(v3, v4, v1, v5, v2)
+    if region == 3:
+        return LambdaTuple(v2, v3, v1, v4, v3 + v1 - v5)
+    if region == 4:
+        return LambdaTuple(v4, v5, v3, v2, v5 + v3 - v1)
+    if region == 5:
+        return LambdaTuple(v4, v5, v2, v1, v3)
+    return LambdaTuple(v4, v5, v3, v2, v1)
+
+
+def test_sample_in_region_matches_the_branch_reference():
+    for seed in range(200):
+        for region in range(1, 7):
+            for exact in (False, True):
+                got = sample_in_region(region, np.random.default_rng(seed), exact)
+                want = _branch_sampler(region, np.random.default_rng(seed), exact)
+                assert got.values() == want.values()
+                assert [type(x) for x in got.values()] == [type(x) for x in want.values()]

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedge_iep.covers import M_formula, Mhat_formula
-from hedge_iep.lambdas import LambdaTuple, build_C, sample_in_region
+from hedge_iep.lambdas import (
+    LambdaTuple,
+    abc_coefficients,
+    build_C,
+    path_weight,
+    sample_in_region,
+)
 from hedge_iep.numeric import cluster_multiplicities, eigenvalues_sym
 from hedge_iep.pth import (
     BadShape,
@@ -42,7 +48,7 @@ from hedge_iep.trees import (
 )
 from hedge_iep.weights import WeightFn, symmetric_representative
 
-from conftest import random_lush_hedge, random_splits, relabel
+from conftest import move_weight, random_lush_hedge, random_splits, relabel
 
 
 def c3_weight() -> WeightFn:
@@ -93,10 +99,61 @@ def test_ph_construct_prime_variant(hedge10):
 def test_ph_construct_errors(hedge10):
     with pytest.raises(HeightMismatch):
         ph_construct(c3_weight(), smallest_lush_hedge(3))
+    # the spectrum formula needs the same number of levels
+    for t in (smallest_lush_hedge(3), RootedTree((0, 1))):
+        with pytest.raises(HeightMismatch, match="path has 3 vertices"):
+            ph_spectrum(c3_weight(), profile(t))
     from hedge_iep.pth import BadSplit
 
     with pytest.raises(BadSplit):
         ph_construct(c3_weight(), hedge10, {1: (0.5, 0.5)})  # root has 3 children
+    # DuplicationSplit's own checks raise the same BadSplit
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    for bad, msg in (((Fraction(3, 2), -half), "strictly positive"), ((half, 0.4), "sum to 1")):
+        splits = {1: (third,) * 3, 2: bad, 4: (half, half), 6: (half, half)}
+        with pytest.raises(BadSplit, match=msg):
+            ph_construct(c3_weight(), hedge10, splits)
+
+
+def test_ph_construct_reads_any_path_labels(hedge10):
+    # the path 1-3-2 (vertex 2 the leaf) is C_3 of Table 1 under new labels
+    relabelled = WeightFn(
+        RootedTree((0, 3, 1)),
+        {1: Fraction(8), 3: Fraction(4), 2: Fraction(2)},
+        {(1, 3): Fraction(20), (2, 3): Fraction(3)},
+    )
+    assert ph_construct(relabelled, hedge10) == ph_construct(c3_weight(), hedge10)
+    assert ph_spectrum(relabelled, profile(hedge10)) == ph_spectrum(c3_weight(), profile(hedge10))
+
+
+def test_ph_spectrum_of_a_path_rooted_at_vertex_two():
+    # root 2 carries a_2 = 7, leaf 1 carries a_1 = 5: on the star the root
+    # gets 7 and the leaves 5, so the spectrum is {4, 5, 8}
+    w = WeightFn(RootedTree((2, 0)), {1: Fraction(5), 2: Fraction(7)}, {(1, 2): Fraction(3)})
+    star = RootedTree((0, 1, 1))
+    member = ph_construct(w, star)
+    assert member.vertex_weight == {1: 7, 2: 5, 3: 5}
+    spec = ph_spectrum(w, profile(star))
+    assert np.allclose(spec.as_sorted_list(), [4, 5, 8], atol=1e-12)
+    direct = eigenvalues_sym(symmetric_representative(member).to_numpy())
+    assert np.allclose(direct, [4, 5, 8], atol=1e-12)
+
+
+def test_relabelled_paths_give_the_same_member_and_spectrum(rng):
+    for exact in (True, False):
+        for _ in range(8):
+            lam = sample_in_region(int(rng.integers(1, 13)), rng, exact=exact)
+            t = random_lush_hedge(rng, max_n=40)
+            pw = path_weight(*abc_coefficients(lam, t.height + 1))
+            while True:
+                p, new = relabel(pw.tree, rng)
+                if p.root != 1:
+                    break
+            moved = move_weight(pw, p, new)
+            splits = random_splits(t, rng)
+            assert ph_construct(moved, t) == ph_construct(pw, t)
+            assert ph_construct(moved, t, splits) == ph_construct(pw, t, splits)
+            assert ph_spectrum(moved, profile(t)) == ph_spectrum(pw, profile(t))
 
 
 def test_ph_spectrum_table1(hedge10):
@@ -375,11 +432,7 @@ def test_recognize_accepts_relabelled_hedges(base, rng):
         want_lam = recognize_search(w).lam.values()
         for _ in range(10):
             t, new = relabel(base, rng)
-            moved = WeightFn(
-                t,
-                {new[v]: x for v, x in w.vertex_weight.items()},
-                {tuple(sorted((new[u], new[v]))): x for (u, v), x in w.edge_weight.items()},
-            )
+            moved = move_weight(w, t, new)
             if lam_w is lam:
                 assert moved == ph_construct(c, t)
             found = recognize_search(moved)
