@@ -14,9 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import covers, pth, repro, rigid
+from . import covers, pth, repro
 from .lambdas import NAMES, LambdaTuple, build_C, region_of
 from .numeric import cluster_multiplicities
 # unused here; perfbench/tests checks that its tracer rebinds this name
@@ -152,6 +150,8 @@ def cmd_lambda_region(args) -> int:
 
 
 def cmd_pth_construct(args) -> int:
+    import numpy as np
+
     lam = _lambda_from_args(args)
     t = load_tree(args.tree)
     c = build_C(lam, profile(t).height + 1)
@@ -236,6 +236,8 @@ def cmd_pth_counterexample(args) -> int:
 
 
 def cmd_rigid_solve(args) -> int:
+    from . import rigid
+
     sol = rigid.solve_rigid()
     print("unique rigid tuple (beta2 = -1, beta4 = 1), region", sol.region)
     for key, val in sol.exact_values().items():
@@ -246,6 +248,8 @@ def cmd_rigid_solve(args) -> int:
 
 
 def cmd_rigid_list(args) -> int:
+    from . import rigid
+
     t = load_tree(args.tree)
     if not is_lush(t):
         raise NotLush("the rigid list is stated for lush hedges")
@@ -260,6 +264,8 @@ def cmd_rigid_list(args) -> int:
 
 
 def cmd_rigid_levels(args) -> int:
+    from . import rigid
+
     rows = rigid.level_figure_data(args.max)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -13,8 +13,6 @@ import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from . import numeric
 from .trees import (
     HedgeProfile,
@@ -322,6 +320,8 @@ def nullity_bound_check(t: RootedTree, subtrees, a) -> bool:
     independent (no edge of t between two of them) and each principal
     submatrix must be invertible, by ``numeric.numeric_nullity``.
     """
+    import numpy as np
+
     m = np.asarray(a, dtype=float)
     subs = [sorted(set(s)) for s in subtrees]
     flat = [v for s in subs for v in s]

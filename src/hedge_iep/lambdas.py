@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .numeric import trailing_spectra
 from .polys import X, NonzeroRemainder, PolyQ, level_values
 from .tolerance import SINGULAR_TOL, close
 from .trees import HedgeProfile, RootedTree
 from .weights import WeightedMatrix, WeightFn, unit_lower_representative
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DuplicateValues(ValueError):
@@ -271,6 +273,8 @@ def step_lemma_checks(lam: LambdaTuple, n: int) -> list[str]:
 def step_lemma_checks_raw(a: list, b: list) -> list[str]:
     """Same checks for an arbitrary coefficient family (a_1.., b_2..), with
     eigenvalues equal within SINGULAR_TOL times max(1, width of spec C_n)."""
+    import numpy as np
+
     n = len(a)
     specs = [np.array([])] + trailing_spectra(a, b, n)
     width = max(1.0, float(specs[n][-1] - specs[n][0]))
@@ -302,6 +306,8 @@ def sample_in_region(region: int, rng: np.random.Generator, exact: bool = False)
     region's label chain.  Regions with an auxiliary inequality are sampled
     through the gamma = alpha2+beta2-beta4 chart, gamma taking the place of
     beta4 above beta3 (sum positive) or below it (sum negative)."""
+    import numpy as np
+
     if not 1 <= region <= 12:
         raise ValueError("region must be 1..12")
     if region > 6:

@@ -2,19 +2,21 @@
 multiplicity clustering.
 
 The floating-point eigensolver is LAPACK via numpy; the exact routines act
-as its independent oracle in the test suite.
+as its independent oracle in the test suite.  numpy is imported inside the
+float routines, so the exact commands never load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .mpoly import bareiss_determinant
 from .polys import X, PolyQ
 from .spectra import SpectrumMultiset
 from .tolerance import CLUSTER_TOL, ROUNDING_TOL, SINGULAR_TOL, gap_clusters
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NotSymmetric(ValueError):
@@ -27,6 +29,8 @@ class NoConvergence(RuntimeError):
 
 def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of a dense symmetric matrix."""
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric("matrix must be square")
@@ -44,6 +48,8 @@ def trailing_spectra(a, b, n: int) -> list[np.ndarray]:
     the path matrix with diagonal a_1..a_n (bottom to top), superdiagonal
     products b_2..b_n and unit subdiagonal, each solved in its symmetric form
     with off-diagonal sqrt(b_i)."""
+    import numpy as np
+
     af = [float(x) for x in a]
     bf = [float(x) for x in b]
     out = []
@@ -59,6 +65,8 @@ def char_poly_exact(entries) -> PolyQ:
     """Exact characteristic polynomial det(xI - A) of a rational matrix, by
     a fraction-free Bareiss expansion over polynomials; it shares no step
     with the level recurrence, so each checks the other."""
+    from .mpoly import bareiss_determinant
+
     return bareiss_determinant(
         [
             [(X if i == j else PolyQ(())) - Fraction(x) for j, x in enumerate(row)]
@@ -77,6 +85,8 @@ def cluster_multiplicities(values, tol: float = CLUSTER_TOL) -> SpectrumMultiset
 
 def numeric_nullity(m: np.ndarray) -> int:
     """Nullity as the count of singular values below SINGULAR_TOL * max(1, s_max)."""
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 0

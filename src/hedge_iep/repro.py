@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, pth, rigid
+from . import __version__, pth
 from .lambdas import LambdaTuple, build_C, path_weight
 from .numeric import cluster_multiplicities
 # unused here; perfbench/tests checks that its tracer rebinds this name
@@ -150,7 +149,7 @@ def repro_table1(report: RunReport, seed: int) -> None:
 
 
 def repro_table2(report: RunReport, seed: int) -> None:
-    s6 = float(np.sqrt(6.0))
+    s6 = math.sqrt(6.0)
     expected = [(3 - 2 * s6, 1), (1, 2), (2, 4), (5, 2), (3 + 2 * s6, 1)]
     _, direct = _check_hedge10_spectra(report, _c3_weight(2), expected)
     report.check(
@@ -161,6 +160,8 @@ def repro_table2(report: RunReport, seed: int) -> None:
 def repro_bf_rs(report: RunReport, seed: int) -> None:
     """Realizations of the (1,2,4,2,1) list on the smallest height-2 lush
     hedge all satisfy gap1 = gap4."""
+    import numpy as np
+
     hedge10 = ten_vertex_hedge()
     rng = np.random.default_rng(seed)
     trials = 0
@@ -251,6 +252,8 @@ def repro_zeroone_11(report: RunReport, seed: int) -> None:
 
 
 def repro_rigid_values(report: RunReport, seed: int) -> None:
+    from . import rigid
+
     sol = rigid.solve_rigid()
     want = MANIFEST["rigid-values"]
     for key in ("xi", "alpha1", "alpha2", "beta3", "lambda_37", "lambda_48", "lambda_49"):
@@ -269,6 +272,8 @@ def repro_rigid_values(report: RunReport, seed: int) -> None:
 
 
 def repro_rigid_t8_list(report: RunReport, seed: int) -> None:
+    from . import rigid
+
     prof = profile(smallest_lush_hedge(8))
     rl = rigid.rigid_multiplicity_list(prof)
     want = tuple(MANIFEST["rigid-t8-list"]["ordered"])
@@ -278,6 +283,8 @@ def repro_rigid_t8_list(report: RunReport, seed: int) -> None:
 
 
 def repro_levels_40(report: RunReport, seed: int) -> None:
+    from . import rigid
+
     rows = rigid.level_figure_data(40)
     report.check("row count is 1+2+...+40", len(rows) == 820, str(len(rows)))
     bs = rigid.rigid_b_values(41)
@@ -307,7 +314,7 @@ def run_repro(example_id: str, seed: int = 0) -> RunReport:
             f"unknown example '{example_id}'; choose from {sorted(REPROS)}"
         )
     report = RunReport(example_id, seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     REPROS[example_id](report, seed)
-    report.wall_time = time.time() - t0
+    report.wall_time = time.perf_counter() - t0
     return report

@@ -21,12 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .numeric import eigenvalues_sym
 from .tolerance import ROUNDING_TOL, WEIGHT_TOL, close
 from .trees import RootedTree, induced_tree, pendent_paths, read_json
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NonPositiveEdgeWeight(ValueError):
@@ -123,6 +125,8 @@ class WeightedMatrix:
 
     def to_numpy(self) -> np.ndarray:
         """The dense float matrix: the one dense fill of a representative."""
+        import numpy as np
+
         a = np.zeros((self.n, self.n))
         i = np.arange(self.n)
         a[i, i] = self.diagonal

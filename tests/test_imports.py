@@ -1,0 +1,212 @@
+"""Import budget of a cold process, and the package's lazy public names.
+
+A cold `hedge-iep repro <id>` is mostly import, so each command loads only
+the modules it runs: `import hedge_iep` loads no submodule, the exact
+commands never load numpy, and only the rigid commands load the exact
+engine.  The cold cases run in a fresh interpreter and read its
+`sys.modules` at exit.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hedge_iep
+from hedge_iep.cli import main
+from hedge_iep.repro import REPROS
+from hedge_iep.trees import save_tree, ten_vertex_hedge
+
+SRC = str(Path(hedge_iep.__file__).parents[1])
+
+#: every name `hedge_iep` exports, by defining submodule
+PUBLIC = {
+    "algebraic": "QXi",
+    "covers": "ForcingState M_formula Mhat_formula PathCover brute_force_path_cover"
+    " brute_force_zero_forcing derived_set forcing_process nullity_bound_check"
+    " path_cover_number sigma_counts zero_forcing_number",
+    "lambdas": "LambdaTuple abc_coefficients build_C region_of remainder_poly"
+    " sample_in_region step_lemma_checks",
+    "numeric": "char_poly_exact cluster_multiplicities eigenvalues_sym",
+    "pth": "critical_check forced_fifth_eigenvalue gap_vector ph_construct ph_spectrum"
+    " recognize recognize_search splitting_counterexample t31_constraints_check"
+    " t31_exact_spectrum t31_lambda zero_one_counterexample_check",
+    "rigid": "level_figure_data rigid_multiplicity_list simplify_resultant solve_rigid",
+    "spectra": "GapVector MultiplicityList SpectrumMultiset",
+    "trees": "HedgeProfile RootedTree ten_vertex_hedge build_hedge is_hedge is_lush"
+    " pendent_paths profile smallest_lush_hedge subtree_chain",
+    "weights": "DuplicationSplit WeightFn WeightedMatrix collapse_pendent_k_paths"
+    " duplicate_branch symmetric_representative unit_lower_representative",
+}
+NAMES = [(mod, name) for mod, names in PUBLIC.items() for name in names.split()]
+
+EXACT_IDS = ("t31-constraints", "nonconvexity", "zeroone-11")
+FLOAT_IDS = ("table1", "table2", "bf-rs", "splitting-t31")
+RIGID_IDS = ("rigid-values", "rigid-t8-list", "levels-40")
+ENGINE = {"hedge_iep.rigid", "hedge_iep.mpoly", "hedge_iep.algebraic"}
+
+# runs `python -m hedge_iep <argv>` and prints the loaded modules at exit
+CLI_DRIVER = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))
+sys.argv[0] = "hedge-iep"
+runpy.run_module("hedge_iep", run_name="__main__", alter_sys=True)
+"""
+
+
+def _loaded_after(code: str, *argv: str, cwd=None) -> tuple[int, set[str]]:
+    """Exit code and final `sys.modules` of a fresh interpreter running code."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, cwd=cwd, capture_output=True, text=True
+    )
+    return proc.returncode, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def _cli_loads(*argv: str, cwd=None) -> set[str]:
+    code, modules = _loaded_after(CLI_DRIVER, *argv, cwd=cwd)
+    assert code == 0
+    return modules
+
+
+def _heavy(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] in ("numpy", "scipy")}
+
+
+def test_package_import_loads_no_submodule():
+    code = (
+        "import json, sys, hedge_iep\n"
+        "hedge_iep.__version__, dir(hedge_iep)\n"
+        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    )
+    _, modules = _loaded_after(code)
+    assert {m for m in modules if m.startswith("hedge_iep")} == {"hedge_iep"}
+    assert _heavy(modules) == set()
+
+
+def test_a_name_loads_only_its_module():
+    code = (
+        "import json, sys\n"
+        "from hedge_iep import RootedTree\n"
+        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    )
+    _, modules = _loaded_after(code)
+    assert {m for m in modules if m.startswith("hedge_iep")} == {"hedge_iep", "hedge_iep.trees"}
+
+
+def test_the_repro_ids_split_into_exact_float_and_rigid():
+    assert sorted(REPROS) == sorted(EXACT_IDS + FLOAT_IDS + RIGID_IDS)
+
+
+@pytest.mark.parametrize("example", EXACT_IDS + FLOAT_IDS)
+def test_light_repro_loads_no_exact_engine(example):
+    modules = _cli_loads("repro", example)
+    assert modules & ENGINE == set()
+    if example in EXACT_IDS:
+        assert _heavy(modules) == set()
+
+
+def test_rigid_repro_loads_the_exact_engine():
+    assert ENGINE <= _cli_loads("repro", "levels-40")
+
+
+def test_hedge_info_loads_no_numpy(tmp_path):
+    save_tree(ten_vertex_hedge(), tmp_path / "t.json")
+    modules = _cli_loads("hedge", "info", "t.json", cwd=tmp_path)
+    assert _heavy(modules) == set()
+    assert modules & ENGINE == set()
+
+
+# --------------------------------------------------------------------------
+# lazy exports
+
+
+def test_every_public_name_is_its_modules_object():
+    ns = {}
+    exec(f"from hedge_iep import {', '.join(name for _, name in NAMES)}", ns)
+    for mod, name in NAMES:
+        assert ns[name] is getattr(importlib.import_module(f"hedge_iep.{mod}"), name)
+
+
+def test_dir_and_star_import_list_every_public_name():
+    names = {name for _, name in NAMES}
+    assert names <= set(dir(hedge_iep))
+    assert "__version__" in dir(hedge_iep)
+    ns = {}
+    exec("from hedge_iep import *", ns)
+    assert names <= set(ns)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hedge_iep.no_such_name
+    with pytest.raises(ImportError):
+        exec("from hedge_iep import no_such_name", {})
+
+
+# --------------------------------------------------------------------------
+# help texts: the commands' lazy imports leave every --help unchanged
+
+HELP = {
+    (): """\
+usage: hedge-iep [-h] {hedge,covers,weights,lambda,pth,rigid,repro} ...
+
+path-to-hedge constructions and spectral rigidity on trees
+
+positional arguments:
+  {hedge,covers,weights,lambda,pth,rigid,repro}
+    hedge               tree utilities
+    covers              path cover and zero forcing numbers
+    weights             weight utilities
+    lambda              distinguished-eigenvalue tools
+    pth                 path-to-hedge pipeline
+    rigid               exact rigidity engine
+    repro               self-verifying worked-example runs
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("covers",): """\
+usage: hedge-iep covers [-h] [--oracle] treefile
+
+positional arguments:
+  treefile
+
+options:
+  -h, --help  show this help message and exit
+  --oracle    run brute-force cross-check (at most 32 vertices)
+""",
+    ("repro",): """\
+usage: hedge-iep repro [-h] [--seed SEED] [--json] example
+
+positional arguments:
+  example      one of ['bf-rs', 'levels-40', 'nonconvexity', 'rigid-t8-list',
+               'rigid-values', 'splitting-t31', 't31-constraints', 'table1',
+               'table2', 'zeroone-11']
+
+options:
+  -h, --help   show this help message and exit
+  --seed SEED  default: HEDGE_IEP_SEED, else 0
+  --json
+""",
+    ("rigid", "list"): """\
+usage: hedge-iep rigid list [-h] --tree TREE
+
+options:
+  -h, --help   show this help message and exit
+  --tree TREE
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP), ids=lambda a: " ".join(a) or "top")
+def test_help_text(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main([*argv, "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == HELP[argv]
