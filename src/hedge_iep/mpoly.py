@@ -21,6 +21,8 @@ from math import gcd
 
 import numpy as np
 
+from .polys import PolyQ
+
 
 class InexactDivision(ArithmeticError):
     pass
@@ -237,12 +239,14 @@ class MPolyQ:
             raise InexactDivision("claimed-exact division left a remainder")
         return q
 
-    def diff(self, i: int) -> "MPolyQ":
-        """The exact partial derivative with respect to ``VARS[i]``."""
-        return _canonical(
-            {m[:i] + (m[i] - 1,) + m[i + 1:]: n * m[i] for m, n in self.nums if m[i]},
-            self.den,
-        )
+    def univariate(self, i: int) -> PolyQ:
+        """The polynomial as one in ``VARS[i]`` whose coefficients are
+        polynomials in the other two variables."""
+        parts: dict[int, dict[Monomial, int]] = {}
+        for m, n in self.nums:
+            parts.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = n
+        top = max(parts, default=-1)
+        return PolyQ(tuple(_canonical(parts.get(k, {}), self.den) for k in range(top + 1)))
 
     def content(self) -> Fraction:
         if self.is_zero():

@@ -150,8 +150,10 @@ def level_values(a, b, x) -> list:
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd over a field (Fraction coefficients)."""
+    """Monic gcd over a field (Fraction or QXi coefficients).  Each divisor
+    is made monic first, so the division steps invert no coefficient."""
     while not b.is_zero():
+        b = b.monic()
         a, b = b, a.divmod(b)[1]
     return a.monic() if not a.is_zero() else a
 
@@ -172,18 +174,26 @@ def poly_xgcd(a: PolyQ, b: PolyQ) -> tuple[PolyQ, PolyQ, PolyQ]:
     return r0.scale(1 / lc), s0.scale(1 / lc), t0.scale(1 / lc)
 
 
-def sturm_sequence(p: PolyQ) -> list[PolyQ]:
-    """Sturm chain of the squarefree part of p: the remainder chain of p and
-    p', each member divided by the last one, gcd(p, p').  No point is a root
-    of two consecutive members, so counts hold at multiple roots of p too."""
+def _remainder_chain(p: PolyQ) -> list[PolyQ]:
+    """p, p' and the negated remainders after them, down to the last nonzero
+    one, gcd(p, p') up to a scalar."""
     seq = [p, p.derivative()]
     while not seq[-1].is_zero():
         rem = seq[-2].divmod(seq[-1])[1]
         if rem.is_zero():
             break
         seq.append(-rem)
+    return seq
+
+
+def sturm_sequence(p: PolyQ) -> list[PolyQ]:
+    """Sturm chain of the squarefree part q of p: the remainder chain of p,
+    or, when it ends in a nonconstant gcd(p, p'), that of q = p / gcd(p, p').
+    Its last member is a nonzero constant, so no point is a root of two
+    consecutive members, and counts hold at multiple roots of p too."""
+    seq = _remainder_chain(p)
     g = seq[-1]
-    return seq if g.degree <= 0 else [q.exact_div(g) for q in seq]
+    return seq if g.degree <= 0 else _remainder_chain(p.exact_div(g))
 
 
 def horner_enclosure(ints, lo, hi) -> tuple[int, int, int]:

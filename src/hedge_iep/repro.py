@@ -22,7 +22,7 @@ from .numeric import cluster_multiplicities
 # unused here; perfbench/tests checks that its tracer rebinds this name
 from .numeric import eigenvalues_sym  # noqa: F401
 from .spectra import SpectrumMultiset, gap_vector
-from .tolerance import ROUTE_TOL, SPECTRUM_TOL, close
+from .tolerance import SPECTRUM_TOL, close
 from .trees import RootedTree, ten_vertex_hedge, profile, smallest_lush_hedge
 from .weights import WeightFn, spectrum_of
 
@@ -263,12 +263,16 @@ def repro_rigid_values(report: RunReport, seed: int) -> None:
             abs(exact - want[key]) < 5e-10,
             f"{exact:.9f}",
         )
-        report.check(
-            f"{key} routes agree",
-            abs(exact - sol.route_a[key]) < ROUTE_TOL,
-        )
+        report.check(f"{key} routes agree", exact == sol.route_a[key])
     certs = rigid.certify_coincidences()
     report.check("exact coincidences in the number field", all(certs.values()))
+    e = rigid.eliminant()
+    roots = rigid.unit_interval_roots(e)
+    report.check(
+        "unique in region 1 (exact)",
+        roots == 1,
+        f"eliminant of degree {e.degree}, roots in (0, 1): {roots}",
+    )
 
 
 def repro_rigid_t8_list(report: RunReport, seed: int) -> None:

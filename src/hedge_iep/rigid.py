@@ -4,28 +4,26 @@ coincidence constraints, and the completely rigid multiplicity list.
 
 Everything runs after the shift-and-scale normalization beta2 = -1,
 beta4 = 1, which leaves the three free parameters (alpha1, alpha2, beta3).
-Two independent routes produce the solution.  Route A runs a damped Newton
-iteration on the three simplified resultants r'_37, r'_48, r'_49 from seeded
-random starts, with the exact Jacobian from ``MPolyQ.diff``, and keeps only
-simple roots inside the region box; they must all be one point.  The starts
-advance through Newton as one batch, and the cross-check against the float
-remainders runs once per distinct end point, not once per start.  Route B
-evaluates the closed-form coordinates exactly in Q[xi].  The routes must
-agree to nine decimals and route B must zero the three simplified
-resultants identically.
+Two independent routes produce the solution, both exact in Q[xi].  Route B
+evaluates the closed-form coordinates and must zero the three simplified
+resultants r'_37, r'_48, r'_49 in region 1, so a solution exists.  Route A
+eliminates: alpha1 from r'_37 and each of the other two, then alpha2, which
+leaves a rational eliminant E in beta3 with exactly one root in (0, 1),
+where every region-1 solution has its beta3.  Route B's beta3 zeroes E, so
+it is that root; gcds over Q[xi] then leave one alpha2, one alpha1 and one
+value for each engineered coincidence.  The routes must agree exactly, so
+the solution in region 1 is unique.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .algebraic import SEXTIC, QXi
+from .algebraic import QXi
 from .lambdas import (
     NAMES,
     LambdaTuple,
@@ -38,9 +36,12 @@ from .mpoly import MPolyQ
 # unused here; perfbench/tests checks that its tracer rebinds this name
 from .mpoly import bareiss_determinant  # noqa: F401
 from .numeric import trailing_spectra
-from .polys import X, PolyQ, ZeroPolynomial, level_values
-from .tolerance import ROUTE_TOL, SPECTRUM_TOL, close, gap_clusters
+from .polys import X, PolyQ, ZeroPolynomial, count_real_roots, level_values, poly_gcd
+from .tolerance import SPECTRUM_TOL, close, gap_clusters
 from .trees import HedgeProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RoutesDisagree(RuntimeError):
@@ -222,7 +223,8 @@ def companion_double_root_entry() -> tuple[MPolyQ, MPolyQ, Fraction]:
 @dataclass(frozen=True)
 class RigidSolution:
     """The unique (up to shift and scale) tuple with the three engineered
-    coincidences, exactly in Q[xi], plus the numerical route's values."""
+    coincidences, exactly in Q[xi], plus the float view of the values that
+    the elimination route derives."""
 
     xi: QXi
     lam: LambdaTuple  # QXi scalars, beta2 = -1, beta4 = 1
@@ -258,206 +260,99 @@ def route_b_values() -> dict[str, QXi]:
     }
 
 
-def _float_remainders(a1: float, a2: float, b3: float) -> dict[int, np.ndarray]:
-    """r_3..r_9 at a float point as numpy coefficient arrays, highest power
-    first: the level recurrence at numpy's float indeterminate."""
-    # imported here: numpy.polynomial is not loaded with numpy, and only
-    # route A needs it
-    from numpy.polynomial import Polynomial
-
-    lam = LambdaTuple(a1, a2, -1.0, b3, 1.0)
-    ps = level_values(*abc_closed_forms(lam, 9), Polynomial([0.0, 1.0]))
-    return {
-        k: (ps[k] // Polynomial.fromroots([lam.alpha(k), lam.beta(k)])).coef[::-1]
-        for k in range(3, 10)
-    }
+def coincidence_residuals() -> list[MPolyQ]:
+    """r'_37, r'_48 and r'_49, the residuals of the three coincidences."""
+    return [simplify_resultant(a, b)[0] for a, b in COINCIDENCES.values()]
 
 
-def _route_a_objective(rs: dict[int, np.ndarray]) -> np.ndarray:
-    """r_7 at the root of r_3 and the products of r_8 and of r_9 over the
-    two roots of r_4, from the float remainders at one point."""
-    delta1 = -rs[3][1] / rs[3][0]
-    rho = np.roots(rs[4])
-    f1 = float(np.polyval(rs[7], delta1))
-    f2 = float(np.real(np.polyval(rs[8], rho[0]) * np.polyval(rs[8], rho[1])))
-    f3 = float(np.real(np.polyval(rs[9], rho[0]) * np.polyval(rs[9], rho[1])))
-    return np.array([f1, f2, f3])
+@lru_cache(maxsize=None)
+def eliminate(f: MPolyQ, g: MPolyQ, h: MPolyQ) -> tuple[MPolyQ, MPolyQ, PolyQ]:
+    """g1 = res_alpha1(f, g), g2 = res_alpha1(f, h) and the eliminant
+    E = res_alpha2(g1, g2), a rational polynomial in beta3.  Where the
+    leading coefficient of f in alpha1 is nonzero, every common zero of f,
+    g and h zeroes g1 and g2, and its beta3 is a root of E."""
+    f1 = f.univariate(0)
+    g1 = resultant(f1, g.univariate(0))
+    g2 = resultant(f1, h.univariate(0))
+    e = resultant(g1.univariate(1), g2.univariate(1))
+    return g1, g2, PolyQ.of(*(c.constant_value() for c in e.univariate(2).coeffs))
 
 
-def _route_a_system():
-    """F = (r'_37, r'_48, r'_49) and its exact Jacobian at every point of a
-    float array whose last axis holds (alpha1, alpha2, beta3), from one
-    float coefficient matrix over the union of the monomials of the three
-    residuals and their nine partial derivatives.  The monomials are read
-    from per-variable power tables by exponent."""
-    polys = [simplify_resultant(a, b)[0] for (a, b) in COINCIDENCES.values()]
-    polys += [p.diff(j) for p in polys for j in range(3)]
-    monos = sorted({m for p in polys for m, _ in p.nums})
-    column = {m: k for k, m in enumerate(monos)}
-    coeffs = np.zeros((len(monos), len(polys)))
-    for row, p in enumerate(polys):
-        for m, n in p.nums:
-            coeffs[column[m], row] = n / p.den  # rounds as float(Fraction(n, p.den))
-    exps = np.array(monos)
-    powers = np.arange(exps.max() + 1)
-    variables = np.arange(3)
-
-    def system(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        table = x.reshape(-1, 3, 1) ** powers  # table[i, j, e] = x_i[j]**e
-        vals = np.prod(table[:, variables, exps], axis=2) @ coeffs
-        return vals[:, :3].reshape(x.shape), vals[:, 3:].reshape(*x.shape, 3)
-
-    return system
+def eliminant() -> PolyQ:
+    """E for r'_37, r'_48 and r'_49: degree 31, 27 terms, integral."""
+    return eliminate(*coincidence_residuals())[2]
 
 
-#: Newton steps per start; over seeds 0..39 the starts that reach the true
-#: root settle there within 16 steps (within 1e-8 of it within 14)
-NEWTON_STEPS = 50
-#: a full step, then the halvings 2^-1 .. 2^-30 tried when it fails
-STEP_SCALES = (np.ones(1), 0.5 ** np.arange(1, 31))
-#: lstsq's rcond=None cutoff for a 3x3 system: eps * max(M, N)
-PINV_RCOND = 3 * np.finfo(float).eps
-#: a root whose Jacobian has sigma_min / sigma_max below this is not simple;
-#: starts that creep toward the degenerate corner (alpha1, alpha2, beta3) =
-#: (-1, 1, 1) end there, cost below 1e-24, ratio ~1e-9 (1.26e-2 at the root)
-SIMPLE_ROOT_RATIO = 1e-6
+def unit_interval_roots(p: PolyQ) -> int:
+    """The number of distinct real roots of p in the open interval (0, 1)."""
+    return count_real_roots(p, Fraction(0), Fraction(1)) - (p(Fraction(1)) == 0)
 
 
-def _damped_newton(system, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton from every row of the (N, 3) array x at once, halving any step
-    that leaves the open box |x| < 1 or does not lower |F|.  Each iteration
-    takes one batched least-squares step for the live starts, tries the full
-    step for all of them in one evaluation, and every halving down to 2^-30
-    for those it fails in a second; each start takes the first scale that
-    helps, and stops when none does."""
-    x = x.copy()
-    f, jac = system(x)
-    live = np.arange(len(x))
-    for _ in range(NEWTON_STEPS):
-        step = -(np.linalg.pinv(jac[live], PINV_RCOND) @ f[live, :, None])[..., 0]
-        bound = np.linalg.norm(f[live], axis=1)
-        moved = np.zeros(len(live), dtype=bool)
-        for scales in STEP_SCALES:
-            rows = np.flatnonzero(~moved)
-            y = x[live[rows], None, :] + step[rows, None, :] * scales[:, None]
-            inside = np.max(np.abs(y), axis=2) < 1.0
-            fy, jy = system(np.where(inside[..., None], y, 0.0))
-            helps = inside & (np.linalg.norm(fy, axis=2) < bound[rows, None])
-            hit = helps.any(axis=1)
-            first = helps.argmax(axis=1)[hit]
-            done = live[rows[hit]]
-            x[done], f[done], jac[done] = y[hit, first], fy[hit, first], jy[hit, first]
-            moved[rows[hit]] = True
-        live = live[moved]
-        if not live.size:
-            break
-    return x, f, jac
+def derive(f: MPolyQ, g: MPolyQ, h: MPolyQ, beta3: QXi) -> dict[str, QXi]:
+    """The one tuple that f = g = h = 0 can have in region 1, derived
+    exactly from the candidate beta3, with its coincident eigenvalues.
+    Raises RoutesDisagree when a step does not single it out.
+
+    f must be alpha1 (alpha2 - beta3 - 1) - beta3, as r'_37 is.  In region 1,
+    alpha2 < beta3 makes alpha2 - beta3 - 1 < -1, so alpha1 = beta3 /
+    (alpha2 - beta3 - 1), and alpha1 < beta3 forces beta3 > 0; with
+    beta3 < beta4 = 1, every solution has its beta3 at a root of E in
+    (0, 1).  beta3 must zero E and lie in (0, 1), and E must have no other
+    root there.  The solution's alpha2 is then a common root of g1 and g2
+    at beta3, whose gcd must be linear, and each engineered value is the
+    common root of the remainders of its two levels, whose gcd must be
+    linear."""
+    if f.univariate(0) != PolyQ((-B3, A2 - B3 - 1)):
+        raise RoutesDisagree("r'_37 is not alpha1 (alpha2 - beta3 - 1) - beta3")
+    g1, g2, e = eliminate(f, g, h)
+    if not (e(beta3) == 0 and 0 < beta3 < 1):
+        raise RoutesDisagree("beta3 is not a root of the eliminant in (0, 1)")
+    roots = unit_interval_roots(e)
+    if roots != 1:
+        raise RoutesDisagree(f"the eliminant has {roots} roots in (0, 1), not one")
+    zero = QXi.of(0)
+    at_beta3 = [
+        PolyQ(tuple(c.evaluate(zero, zero, beta3) for c in p.univariate(1).coeffs))
+        for p in (g1, g2)
+    ]
+    d = poly_gcd(*at_beta3)
+    if d.degree != 1:
+        raise RoutesDisagree(f"gcd(g1, g2) at beta3 has degree {d.degree}, not 1")
+    alpha2 = -d.coeffs[0]
+    alpha1 = beta3 / (alpha2 - beta3 - 1)
+    lam = LambdaTuple(alpha1, alpha2, QXi.of(-1), beta3, QXi.of(1))
+    ps = level_values(*abc_closed_forms(lam, max(map(max, COINCIDENCES.values()))), X)
+    out = {"xi": QXi.xi(), "alpha1": alpha1, "alpha2": alpha2, "beta3": beta3}
+    for name, (a, b) in COINCIDENCES.items():
+        d = poly_gcd(remainder_of(lam, a, ps[a]), remainder_of(lam, b, ps[b]))
+        if d.degree != 1:
+            raise RoutesDisagree(f"gcd(r_{a}, r_{b}) has degree {d.degree}, not 1")
+        out[name] = -d.coeffs[0]
+    return out
 
 
-def _route_a_rejection(x: np.ndarray, f: np.ndarray, jac: np.ndarray) -> str | None:
-    """Why the end point of one start is not accepted, or None: the gates
-    that need only the start's own end point, F and Jacobian."""
-    a1, a2, b3 = (float(v) for v in x)
-    if 0.5 * float(f @ f) > 1e-24:
-        return "cost"
-    if not (-1.0 < a1 < a2 < b3 < 1.0):
-        return "order"
-    if region_of((a1, a2, -1.0, b3, 1.0)) != 1:
-        return "region"
-    sigma = np.linalg.svd(jac, compute_uv=False)
-    if sigma[-1] < SIMPLE_ROOT_RATIO * sigma[0]:
-        return "not simple"
-    return None
-
-
-def _route_a_roots(
-    x: np.ndarray, f: np.ndarray, jac: np.ndarray
-) -> tuple[list[tuple[list[int], dict[int, np.ndarray]]], Counter[str]]:
-    """Gate the end points of all starts.  Starts that pass the per-start
-    gates are grouped by end point (within 1e-8 of the group's first start);
-    each group's first end point must also zero the objective built from
-    the float remainders.  Returns (the group's starts, the float remainders
-    at its first end point) for each accepted group, and the rejection
-    counts by reason."""
-    rejected: Counter[str] = Counter()
-    groups: list[list[int]] = []
-    for i in range(len(x)):
-        reason = _route_a_rejection(x[i], f[i], jac[i])
-        if reason:
-            rejected[reason] += 1
-            continue
-        for g in groups:
-            if np.max(np.abs(x[i] - x[g[0]])) < 1e-8:
-                g.append(i)
-                break
-        else:
-            groups.append([i])
-    roots = []
-    for g in groups:
-        rs = _float_remainders(*(float(v) for v in x[g[0]]))
-        if np.max(np.abs(_route_a_objective(rs))) > 1e-8:
-            rejected["objective"] += len(g)
-        else:
-            roots.append((g, rs))
-    return roots, rejected
-
-
-def solve_route_a(seed: int = 0, starts: int = 20) -> dict[str, float]:
-    """Damped Newton on the simplified system r'_37 = r'_48 = r'_49 = 0 from
-    random starts inside the region box -1 < alpha1 < alpha2 < beta3 < 1,
-    all advancing as one batch; the accepted simple roots must coincide and
-    must also zero the full resultants built independently from the
-    characteristic-polynomial recursion, a check made once per distinct
-    end point.
-
-    The rejection counts by reason in a ``RoutesDisagree`` message are
-    diagnostics, not a stable output: a start that wanders near the box
-    edge can end at the root or elsewhere depending on float summation
-    order, so another BLAS kernel may move it between reasons.  The
-    solution itself does not depend on them."""
-    x0 = np.sort(np.random.default_rng(seed).uniform(-0.99, 0.99, size=(starts, 3)), axis=1)
-    x, f, jac = _damped_newton(_route_a_system(), x0)
-    roots, rejected = _route_a_roots(x, f, jac)
-    if not roots:
-        raise RoutesDisagree(
-            f"route A found no solution in the region box; rejected {dict(rejected)}"
-        )
-    if len(roots) != 1:
-        points = [tuple(float(v) for v in x[g[0]]) for g, _ in roots]
-        raise RoutesDisagree(
-            f"route A found {len(roots)} distinct solutions {points}; "
-            f"rejected {dict(rejected)}"
-        )
-    [(group, rrs)] = roots
-    a1, a2, b3 = (float(v) for v in x[group[0]])
-    # the coincident eigenvalues, numerically
-    delta1 = a2 - 1.0 - b3  # root of r_3: alpha2 + beta2 - beta3
-    # roots of r_4, labelled by which later remainder they annihilate
-    rho = sorted(float(np.real(r)) for r in np.roots(rrs[4]))
-    l48, l49 = sorted(rho, key=lambda r: abs(np.polyval(rrs[8], r)))
-    sext = np.roots([float(c) for c in reversed(SEXTIC.coeffs)])
-    xs = [float(np.real(r)) for r in sext if abs(np.imag(r)) < 1e-9]
-    xi_a = min(x for x in xs if x > 0)
-    return {
-        "xi": xi_a,
-        "alpha1": a1,
-        "alpha2": a2,
-        "beta3": b3,
-        "lambda_37": delta1,
-        "lambda_48": l48,
-        "lambda_49": l49,
-    }
+def solve_route_a() -> dict[str, QXi]:
+    """Route A: the values that elimination derives from r'_37, r'_48 and
+    r'_49, with route B's beta3 as the candidate root of E."""
+    return derive(*coincidence_residuals(), route_b_values()["beta3"])
 
 
 @lru_cache(maxsize=1)
 def solve_rigid() -> RigidSolution:
-    """Both routes; exact substitution check; agreement within ROUTE_TOL."""
+    """Both routes: route A's values must equal route B's exactly, and
+    route B's must zero the three residuals in region 1."""
     exact = route_b_values()
+    residuals = coincidence_residuals()
+    derived = solve_route_a()
+    for key, val in exact.items():
+        if derived[key] != val:
+            raise RoutesDisagree(
+                f"routes disagree on {key}: {float(derived[key])} vs {float(val)}"
+            )
     lam = LambdaTuple(
         exact["alpha1"], exact["alpha2"], QXi.of(-1), exact["beta3"], QXi.of(1)
     )
-    for (a, b) in COINCIDENCES.values():
-        residual, _, _ = simplify_resultant(a, b)
+    for (a, b), residual in zip(COINCIDENCES.values(), residuals):
         value = residual.evaluate(exact["alpha1"], exact["alpha2"], exact["beta3"])
         if not value.is_zero():
             raise RoutesDisagree(f"exact route does not zero r'_{a},{b}")
@@ -466,12 +361,6 @@ def solve_rigid() -> RigidSolution:
     )
     if region != 1:
         raise RoutesDisagree("exact tuple left the expected region")
-    route_a = solve_route_a(0)
-    for key, val in exact.items():
-        if abs(route_a[key] - float(val)) > ROUTE_TOL:
-            raise RoutesDisagree(
-                f"routes disagree on {key}: {route_a[key]} vs {float(val)}"
-            )
     return RigidSolution(
         exact["xi"],
         lam,
@@ -479,7 +368,7 @@ def solve_rigid() -> RigidSolution:
         exact["lambda_48"],
         exact["lambda_49"],
         region,
-        route_a,
+        {key: float(val) for key, val in derived.items()},
     )
 
 
@@ -601,6 +490,8 @@ def consecutive_interlacing_gap(max_level: int = 40) -> float:
     the next level nearest to a given one is one of the two that bracket it
     in the next level's sorted spectrum; rounding is monotone, so no farther
     one comes out nearer."""
+    import numpy as np
+
     specs = rigid_level_spectra(max_level)
     lo = min(s[0] for s in specs)
     hi = max(s[-1] for s in specs)

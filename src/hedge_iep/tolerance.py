@@ -19,8 +19,6 @@ WEIGHT_TOL = 1e-9
 ROUNDING_TOL = 1e-12
 #: zero singular value or equal subpath eigenvalue, relative to max(1, s_max or width)
 SINGULAR_TOL = 1e-8
-#: agreement of the two routes to the rigid tuple, absolute
-ROUTE_TOL = 1e-9
 
 
 def close(x, y, tol: float, scale: float = 1.0) -> bool:

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import random
-import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -18,8 +17,12 @@ from hedge_iep.rigid import (
     RoutesDisagree,
     UnexpectedCoincidence,
     certify_coincidences,
+    coincidence_residuals,
     companion_double_root_entry,
     consecutive_interlacing_gap,
+    derive,
+    eliminant,
+    eliminate,
     level_figure_data,
     level_resultant,
     remainder_symbolic,
@@ -31,6 +34,7 @@ from hedge_iep.rigid import (
     simplify_resultant,
     solve_rigid,
     solve_route_a,
+    unit_interval_roots,
 )
 from hedge_iep.trees import profile, smallest_lush_hedge
 
@@ -449,75 +453,75 @@ def test_solve_rigid_reference_decimals():
     assert sol.region == 1
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_route_a_unique(seed):
-    # most seeds have starts that creep toward the degenerate corner
-    # (-1, 1, 1); in seeds 0, 1, 3, 5, 9-13, 18 and 19 at least one gets
-    # there with a residual below the cost gate, so only the simple-root
-    # gate rejects it
-    vals = solve_route_a(seed=seed, starts=20)
+def test_routes_agree_exactly():
     sol = solve_rigid()
-    for key in vals:
-        assert abs(vals[key] - float(sol.exact_values()[key])) < 1e-9
+    derived = solve_route_a()
+    assert derived == route_b_values()
+    assert sol.route_a == {key: float(v) for key, v in derived.items()}
 
 
-def _reference_damped_newton(system, x):
-    """The one-start-at-a-time damped Newton loop: lstsq step, then the
-    halvings 2^0 .. 2^-30 one by one until a step stays in the box and
-    lowers |F|."""
-    f, jac = (v[0] for v in system(x[None]))
-    for _ in range(hedge_iep.rigid.NEWTON_STEPS):
-        step = np.linalg.lstsq(jac, -f, rcond=None)[0]
-        for k in range(31):
-            y = x + step / 2**k
-            if np.max(np.abs(y)) < 1.0:
-                fy, jy = (v[0] for v in system(y[None]))
-                if np.linalg.norm(fy) < np.linalg.norm(f):
-                    break
-        else:
-            break
-        x, f, jac = y, fy, jy
-    return x, f, jac
+def test_eliminant_golden_digest():
+    # E = res_alpha2(res_alpha1(r'_37, r'_48), res_alpha1(r'_37, r'_49)),
+    # its integer coefficients in ascending powers of beta3
+    e = eliminant()
+    assert e.degree == 31 and sum(1 for c in e.coeffs if c) == 27
+    assert all(c.denominator == 1 for c in e.coeffs)
+    text = ",".join(str(c.numerator) for c in e.coeffs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fe6a96b9185fc8aeb4bd0dbb237d7a4cbd6b754f49d86868e8e1826660d64116"
+    )
+    g1, g2, _ = eliminate(*coincidence_residuals())
+    assert (len(g1), len(g2)) == (16, 66)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_batched_newton_matches_one_start_loop(seed):
-    rigid = hedge_iep.rigid
-    system = rigid._route_a_system()
-    rng = np.random.default_rng(seed)
-    starts = np.sort(rng.uniform(-0.99, 0.99, size=(20, 3)), axis=1)
-    batched = rigid._damped_newton(system, starts)
-    ends = [_reference_damped_newton(system, x) for x in starts]
-    one_by_one = tuple(np.array(v) for v in zip(*ends))
-    accepted = [
-        sorted(i for group, _ in rigid._route_a_roots(*run)[0] for i in group)
-        for run in (batched, one_by_one)
-    ]
-    assert accepted[0] == accepted[1]
-    assert accepted[0]
-    for i in accepted[0]:
-        assert np.max(np.abs(batched[0][i] - one_by_one[0][i])) < 1e-12
+def test_eliminant_has_one_root_in_the_unit_interval():
+    e = eliminant()
+    # two roots in (0, 1], one of them at 1
+    assert count_real_roots(e, Fraction(0), Fraction(1)) == 2 and e(Fraction(1)) == 0
+    assert unit_interval_roots(e) == 1
+    beta3 = route_b_values()["beta3"]
+    assert e(beta3) == 0 and 0 < beta3 < 1
 
 
-def test_simple_root_gate_rejects_the_degenerate_corner(monkeypatch):
-    # without the gate, the starts that end at the degenerate corner count
-    # as further solutions; the message names the points and the rejections
-    monkeypatch.setattr(hedge_iep.rigid, "SIMPLE_ROOT_RATIO", 0.0)
-    with pytest.raises(RoutesDisagree, match="distinct solutions") as err:
-        solve_route_a(0)
-    msg = str(err.value)
-    assert "(-0.604555193706" in msg and "(-0.99999" in msg
-    # the counts are diagnostics that move with float summation order;
-    # only the reason is pinned
-    assert "rejected {" in msg and re.search(r"'order': \d+", msg)
+def test_eliminant_factorization_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    b = sympy.Symbol("b")
+    got = sum(int(c) * b**i for i, c in enumerate(eliminant().coeffs))
+    want = (
+        -(2**28) * (b - 1) ** 3 * b**5 * (b + 1) ** 15 * (b**2 - 6 * b - 11)
+        * (3 * b**6 + 10 * b**5 - 10 * b**4 - 112 * b**3 - 119 * b**2 + 58 * b + 74)
+    )
+    assert sympy.expand(got - want) == 0
+    assert sympy.factor_list(got) == sympy.factor_list(want)
 
 
-def test_mpoly_partial_derivatives():
-    p = A1 * A1 * B3 + A2 * 3 - 5
-    assert p.diff(0) == A1 * B3 * 2
-    assert p.diff(1) == MPolyQ.const(3)
-    assert p.diff(2) == A1 * A1
-    assert MPolyQ.const(7).diff(0).is_zero()
+@pytest.mark.parametrize("k", range(6))
+def test_a_moved_alpha2_numerator_fails_the_exact_match(monkeypatch, k):
+    # route A derives alpha2 from route B's beta3 alone, so a route B
+    # alpha2 whose xi^k numerator over 30 moved by 1 cannot agree with it
+    values = route_b_values()
+    assert values["alpha2"].den == 30
+    moved = values | {"alpha2": values["alpha2"] + QXi.of(*[0] * k, Fraction(1, 30))}
+    monkeypatch.setattr(hedge_iep.rigid, "route_b_values", lambda: moved)
+    with pytest.raises(RoutesDisagree, match="routes disagree on alpha2"):
+        solve_rigid.__wrapped__()
+
+
+@pytest.mark.parametrize("k", [0, 64, 129])
+def test_a_perturbed_r49_coefficient_fails_the_elimination(k):
+    f, g, h = coincidence_residuals()
+    moved = h + MPolyQ(((h.nums[k][0], 1),))
+    e = eliminate(f, g, moved)[2]
+    beta3 = route_b_values()["beta3"]
+    assert e(beta3) != 0 or unit_interval_roots(e) != 1
+    with pytest.raises(RoutesDisagree):
+        derive(f, g, moved, beta3)
+
+
+def test_elimination_needs_the_printed_r37():
+    f, g, h = coincidence_residuals()
+    with pytest.raises(RoutesDisagree, match="r'_37"):
+        derive(f + A1 * A1, g, h, route_b_values()["beta3"])
 
 
 def test_exact_substitution_zero():

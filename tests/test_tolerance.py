@@ -58,12 +58,9 @@ def test_gap_clusters_rejects_bad_tolerance(tol):
         gap_clusters([-1.0, 1.0, 2.0], tol)
 
 
-# the solver gates that belong to one module stay there; any other
+# the gates that belong to one module stay there; any other
 # tolerance literal belongs in tolerance.py
 _ONE_MODULE_GATES = {
-    # route A: cost 1e-24, objective and uniqueness 1e-8, SIMPLE_ROOT_RATIO
-    # 1e-6, and the sextic's imaginary-part filter 1e-9
-    "rigid.py": Counter({"1e-24": 1, "1e-8": 2, "1e-6": 1, "1e-9": 1}),
     # the reference decimals of the rigid constants
     "repro.py": Counter({"5e-10": 1}),
 }
