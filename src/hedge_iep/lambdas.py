@@ -10,6 +10,7 @@ the diagonal and beta values with period three on the superdiagonal.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -183,7 +184,8 @@ def abc_closed_forms(lam: LambdaTuple, n: int) -> tuple[list, list]:
 
 def abc_coefficients(lam: LambdaTuple, n: int) -> tuple[list, list]:
     """The closed forms of abc_closed_forms for a feasible tuple: enough
-    pairwise distinct values, no degenerate sum, every b_i positive."""
+    pairwise distinct values, no degenerate sum, every b_i positive and, if
+    rational, in the float range (a_2 then lies between alpha2 and beta2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     need = 1 if n == 1 else (3 if n == 2 else (4 if n == 3 else 5))
@@ -199,6 +201,8 @@ def abc_coefficients(lam: LambdaTuple, n: int) -> tuple[list, list]:
         if not bi > 0:
             err = NotInB3 if n <= 3 else NotInB
             raise err(f"b_{i} = {bi} is not positive")
+        if isinstance(bi, Fraction) and bi > sys.float_info.max:
+            raise ValueError(f"b_{i} overflows a float: b_{i} > {sys.float_info.max:.6g}")
     return a, b
 
 

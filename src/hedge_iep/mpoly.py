@@ -5,11 +5,11 @@ Monomials are exponent triples.  A polynomial is stored as integer
 numerators over one positive common denominator, in lowest terms, so the
 representation is canonical and integer polynomials (denominator 1) do all
 their arithmetic in Z; products of large operands are one big-integer
-product (Kronecker substitution).  Coefficients handed out (``leading``,
-``constant_value``, ``content``, ``evaluate``) are Fractions.  Division is
-exact multivariate division in lex order and raises when a claimed-exact
-division leaves a remainder, which is how arithmetic bugs surface instead of
-silently corrupting a certificate.
+product (Kronecker substitution, on ints alone, with no numpy).  Handed-out
+coefficients (``leading``, ``constant_value``, ``content``, ``evaluate``)
+are Fractions.  Division is exact multivariate division in lex order and
+raises when a claimed-exact division leaves a remainder, which is how
+arithmetic bugs surface instead of silently corrupting a certificate.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
-
-import numpy as np
+from struct import iter_unpack
 
 from .polys import PolyQ
 
@@ -38,8 +37,6 @@ Monomial = tuple[int, int, int]
 #: below it.  The rigid chain's products stay below, the resultant scan's
 #: large ones reach it.
 KRONECKER_MIN_PAIRS = 256
-
-_HALF_WORD = 1 << 63
 
 
 def _canonical(d: dict[Monomial, int], den: int) -> "MPolyQ":
@@ -306,8 +303,8 @@ def _kronecker_product(a, b) -> tuple[tuple[Monomial, int], ...]:
     does: the digit of the product at pos(m) collects exactly the products
     landing on m.  Each such coefficient is at most sum|a| * max|b| (and
     sum|b| * max|a|), which w makes less than Y / 2.  So adding Y / 2 to
-    every digit puts each one in [1, Y) with no carry, and the base-Y digits
-    of the biased product, less Y / 2, are the coefficients exactly."""
+    every digit puts each one in [1, Y) with no carry, and flipping back the
+    top bit of each base-Y digit leaves the coefficients in two's complement."""
     d2 = max(m[1] for m, _ in a) + max(m[1] for m, _ in b) + 1
     d3 = max(m[2] for m, _ in a) + max(m[2] for m, _ in b) + 1
     bound = min(
@@ -331,18 +328,14 @@ def _kronecker_product(a, b) -> tuple[tuple[Monomial, int], ...]:
 
     slots = pos(a[0][0]) + pos(b[0][0]) + 1
     bias = int.from_bytes((bytes(nb - 1) + b"\x80") * slots, "little")
-    buf = (pack(a) * pack(b) + bias).to_bytes(slots * nb, "little")
-    words = np.frombuffer(buf, dtype="<u8").reshape(slots, w)
-    if w == 1:
-        hit = np.flatnonzero(words[:, 0] != _HALF_WORD)[::-1]
-        coeffs = (words[hit, 0] ^ np.uint64(_HALF_WORD)).view(np.int64).tolist()
-    else:
-        hit = np.flatnonzero((words[:, -1] != _HALF_WORD) | words[:, :-1].any(axis=1))[::-1]
-        half = 1 << (8 * nb - 1)
-        coeffs = [int.from_bytes(buf[i * nb:(i + 1) * nb], "little") - half for i in hit.tolist()]
-    e1, rest = np.divmod(hit, d2 * d3)
-    e2, e3 = np.divmod(rest, d3)
-    return tuple(zip(zip(e1.tolist(), e2.tolist(), e3.tolist()), coeffs))
+    buf = ((pack(a) * pack(b) + bias) ^ bias).to_bytes(slots * nb, "little")
+    zero, d23, ints = bytes(nb), d2 * d3, int.from_bytes
+    out = [
+        ((k // d23, k % d23 // d3, k % d3), ints(s, "little", signed=True))
+        for k, (s,) in enumerate(iter_unpack(f"{nb}s", buf))  # one digit per slot
+        if s != zero
+    ]
+    return tuple(reversed(out))
 
 
 def _powers(x, d: int) -> list:

@@ -1,9 +1,9 @@
 """Dense symmetric eigensolving, exact characteristic polynomials and
 multiplicity clustering.
 
-The floating-point eigensolver is LAPACK via numpy; the exact routines act
-as its independent oracle in the test suite.  numpy is imported inside the
-float routines, so the exact commands never load it.
+The floating-point eigensolver is LAPACK via numpy, imported inside the
+float routines, so the exact commands never load it; `char_poly_exact` is
+the test suite's oracle for the exact routes beside it.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ def trailing_spectra(a, b, n: int) -> list[np.ndarray]:
 
 
 def char_poly_exact(entries) -> PolyQ:
-    """Exact characteristic polynomial det(xI - A) of a rational matrix, by
-    a fraction-free Bareiss expansion over polynomials; it shares no step
-    with the level recurrence, so each checks the other."""
+    """Exact characteristic polynomial det(xI - A) of a rational matrix, by a
+    fraction-free Bareiss expansion over polynomials: no step is shared with
+    the level recurrence or `weights.char_poly_of`, so it checks both."""
     from .mpoly import bareiss_determinant
 
     return bareiss_determinant(

@@ -285,5 +285,13 @@ def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Frac
     return sorted(out)
 
 
-def is_squarefree(p: PolyQ) -> bool:
-    return poly_gcd(p, p.derivative()).degree <= 0
+def root_multiplicities(p: PolyQ) -> tuple[int, ...]:
+    """The multiplicities of the distinct complex roots of p != 0, descending,
+    by Yun's squarefree decomposition: step i splits off those of multiplicity i."""
+    g = poly_gcd(p, p.derivative())
+    b, c, i, out = p.exact_div(g), p.derivative().exact_div(g), 1, []
+    while b.degree > 0:
+        d = c - b.derivative()
+        a = poly_gcd(b, d)
+        b, c, i, out = b.exact_div(a), d.exact_div(a), i + 1, [i] * a.degree + out
+    return tuple(out)

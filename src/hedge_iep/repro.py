@@ -17,14 +17,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, pth
-from .lambdas import LambdaTuple, build_C, path_weight
+from .lambdas import LambdaTuple, build_C, level_coefficients, path_weight
 from .numeric import cluster_multiplicities
 # unused here; perfbench/tests checks that its tracer rebinds this name
 from .numeric import eigenvalues_sym  # noqa: F401
-from .spectra import SpectrumMultiset, gap_vector
+from .polys import X, PolyQ, level_values, root_multiplicities
+from .spectra import gap_vector
 from .tolerance import SPECTRUM_TOL, close
 from .trees import RootedTree, ten_vertex_hedge, profile, smallest_lush_hedge
-from .weights import WeightFn, spectrum_of
+from .weights import WeightFn, char_poly_of, spectrum_of
 
 
 class UnknownExample(ValueError):
@@ -119,42 +120,30 @@ def _c3_weight(top: int) -> WeightFn:
     return path_weight([Fraction(2), Fraction(4), Fraction(top)], [Fraction(3), Fraction(20)])
 
 
-def _multiset_close(spec: SpectrumMultiset, expected) -> bool:
-    got = spec.as_sorted_list()
-    want = []
-    for v, m in expected:
-        want.extend([float(v)] * m)
-    if len(got) != len(want):
-        return False
-    width = max(want) - min(want)
-    return all(close(a, b, SPECTRUM_TOL, width) for a, b in zip(got, want))
-
-
-def _check_hedge10_spectra(report: RunReport, wc: WeightFn, expected):
-    """Check the family member of the path weight wc on the ten-vertex hedge
-    against the expected spectrum twice, by the level formula and by a direct
-    eigendecomposition; returns both spectra."""
+def _check_hedge10(report: RunReport, wc: WeightFn, factors) -> None:
+    """Check the member of the path weight wc on the ten-vertex hedge against
+    prod f^m over the (f, m) factors: by the level formula and by elimination."""
     hedge10 = ten_vertex_hedge()
-    spec = pth.ph_spectrum(wc, profile(hedge10))
-    report.check("level-formula spectrum", _multiset_close(spec, expected))
-    direct = cluster_multiplicities(spectrum_of(pth.ph_construct(wc, hedge10)))
-    report.check("direct eigendecomposition", _multiset_close(direct, expected))
-    return spec, direct
+    prof = profile(hedge10)
+    ps = level_values(*level_coefficients(wc), X)
+    product = lambda pairs: math.prod((f for f, m in pairs for _ in range(m)), start=PolyQ.of(1))
+    want = product(factors)
+    levels = product((ps[i], prof.ell_at(i)) for i in range(1, prof.height + 2))
+    report.check("level-formula spectrum", levels == want)
+    report.check("direct eigendecomposition", char_poly_of(pth.ph_construct(wc, hedge10)) == want)
 
 
 def repro_table1(report: RunReport, seed: int) -> None:
     expected = MANIFEST["table1"]["spectrum"]
-    spec, _ = _check_hedge10_spectra(report, _c3_weight(8), expected)
-    report.outputs["spectrum"] = [(v, m) for v, m in spec.entries]
+    _check_hedge10(report, _c3_weight(8), [(X - v, m) for v, m in expected])
+    report.outputs["spectrum"] = [(float(v), m) for v, m in expected]
 
 
 def repro_table2(report: RunReport, seed: int) -> None:
-    s6 = math.sqrt(6.0)
-    expected = [(3 - 2 * s6, 1), (1, 2), (2, 4), (5, 2), (3 + 2 * s6, 1)]
-    _, direct = _check_hedge10_spectra(report, _c3_weight(2), expected)
-    report.check(
-        "ordered multiplicities", direct.ordered_multiplicities() == (1, 2, 4, 2, 1)
-    )
+    q = PolyQ.of(-15, -6, 1)  # its roots are 3 -+ 2 sqrt(6)
+    _check_hedge10(report, _c3_weight(2), [(q, 1), (X - 1, 2), (X - 2, 4), (X - 5, 2)])
+    # q < 0 at 1 and at 5 puts one root of q below 1 and the other above 5
+    report.check("ordered multiplicities", q(1) < 0 and q(5) < 0)
 
 
 def repro_bf_rs(report: RunReport, seed: int) -> None:
@@ -230,8 +219,7 @@ def repro_splitting_t31(report: RunReport, seed: int) -> None:
         str(ce.not_realizable),
     )
     # certify realizability of m by an explicit construction
-    spec = cluster_multiplicities(spectrum_of(pth.ph_construct(build_C(ce.lam, 4), t31)))
-    got = tuple(sorted(spec.ordered_multiplicities(), reverse=True))
+    got = root_multiplicities(char_poly_of(pth.ph_construct(build_C(ce.lam, 4), t31)))
     report.check("realizability by eigendecomposition", got == ce.realizable, str(got))
     report.check(
         "split list exceeds the distinct-eigenvalue budget",

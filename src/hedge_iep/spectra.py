@@ -39,12 +39,6 @@ class SpectrumMultiset:
     def ordered_multiplicities(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.entries)
 
-    def as_sorted_list(self) -> list:
-        out = []
-        for v, m in self.entries:
-            out.extend([v] * m)
-        return out
-
 
 @dataclass(frozen=True)
 class MultiplicityList:

@@ -4,8 +4,8 @@ A weight function carries one real per vertex (a diagonal entry) and one
 positive real per edge (the product of the two opposite off-diagonal
 entries); it is exactly the data of a diagonal-similarity class in the set
 of combinatorially symmetric matrices with the given tree pattern.  Weights
-support two scalar backends, floats and exact Fractions; conversions are
-explicit.
+support two scalar backends, floats and exact Fractions, with one spectral
+route each (`spectrum_of`, `char_poly_of`); conversions are explicit.
 
 A concrete representative (`WeightedMatrix`) is stored by its 2n - 1
 nonzeros, never as an n-by-n table: `to_numpy` is the one dense fill, and
@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .numeric import eigenvalues_sym
+from .polys import X, PolyQ
 from .tolerance import ROUNDING_TOL, WEIGHT_TOL, close
 from .trees import RootedTree, induced_tree, pendent_paths, read_json
 
@@ -188,6 +189,18 @@ def spectrum_of(w: WeightFn) -> np.ndarray:
     """Sorted float eigenvalues of the weight class: the one dense
     eigendecomposition of a weight."""
     return eigenvalues_sym(symmetric_representative(w).to_numpy())
+
+
+def char_poly_of(w: WeightFn) -> PolyQ:
+    """The exact characteristic polynomial P_root of an exact weight, from the
+    leaves up (Jacobs-Trevisan in polynomial form): Q_v = prod_c P_c over the
+    children c of v, P_v = (x - a_v) Q_v - sum_c w_vc Q_c (Q_v / P_c)."""
+    t, P, Q = w.tree, {}, {}
+    for v in reversed(t.depth):  # depth lists each vertex after its parent
+        Q[v] = math.prod((P[c] for c in t.children[v]), start=PolyQ.of(1))
+        down = (Q[c] * Q[v].exact_div(P[c]) * w.e(v, c) for c in t.children[v])
+        P[v] = (X - w.v(v)) * Q[v] - sum(down, PolyQ(()))
+    return P[t.root]
 
 
 # ---------------------------------------------------------------------------

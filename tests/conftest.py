@@ -86,6 +86,11 @@ def move_weight(w, t: RootedTree, new: dict[int, int]):
     )
 
 
+def expanded(spec) -> np.ndarray:
+    """The values of a SpectrumMultiset, each repeated by its multiplicity."""
+    return np.repeat(np.array(spec.values, dtype=float), spec.ordered_multiplicities())
+
+
 def random_splits(t: RootedTree, rng: np.random.Generator) -> dict[int, tuple]:
     out = {}
     for v in t.vertices:

@@ -50,7 +50,7 @@ from hedge_iep.trees import (
 )
 from hedge_iep.weights import WeightFn, symmetric_representative
 
-from conftest import random_lush_hedge, random_splits, random_tree
+from conftest import expanded, random_lush_hedge, random_splits, random_tree
 
 
 def _report(criterion: str, elapsed: float, budget: float) -> None:
@@ -81,7 +81,7 @@ def test_criterion_1_tables_reproduction():
         ),
     ]
     for wc, want in cases:
-        formula = np.array(ph_spectrum(wc, prof).as_sorted_list())
+        formula = expanded(ph_spectrum(wc, prof))
         w = ph_construct(wc, hedge10)
         direct = eigenvalues_sym(symmetric_representative(w).to_numpy())
         want = np.array(want, dtype=float)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hedge_iep import pth, repro
 from hedge_iep.cli import main
 from hedge_iep.covers import ORACLE_MAX_VERTICES
 from hedge_iep.lambdas import LambdaTuple, build_C
@@ -207,6 +208,17 @@ def test_overflowing_clusters_exit_2(tmp_path, capsys, parent, last):
     assert out == "" and err.count("error:") == 2
 
 
+@pytest.mark.parametrize("command", [["spectrum"], ["construct", "--out", "{out}"]])
+def test_coefficient_beyond_the_float_range_exits_2(hedge10_file, tmp_path, capsys, command):
+    # every value is a float, but b_2 = 1e600 and b_3 = 3e600 are not
+    argv = ["pth", *command, "--tree", hedge10_file, "--alpha1=0", "--alpha2=1e300",
+            "--beta2=-1e300", "--beta3=2e300"]
+    assert main([a.format(out=tmp_path / "w.json") for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: b_2 overflows a float: b_2 > 1.79769e+308"]
+
+
 def test_pth_spectrum_table2(hedge10_file, capsys):
     rc = main(
         [
@@ -352,6 +364,8 @@ _JUNK = st.sampled_from([True, None, [1], "1e400", "abc", "1/0", -1, 0])
 _HEDGES = [tree_to_json(t) for t in (smallest_lush_hedge(2), smallest_lush_hedge(3), ten_vertex_hedge())]
 # feasible tuples for path-to-hedge members (regions 1 and 7)
 _MEMBER_LAMBDAS = [(0, 1, -1, 2, 3), (0, -1, 1, -2, -3)]
+# the same scaled by 1e300: every value is a float, but the b_i overflow one
+_HUGE_MEMBERS = [tuple(f"{v}e300" for v in lam) for lam in _MEMBER_LAMBDAS]
 # --cluster-tol strings, finite and positive or not
 _TOLS = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-7", "5e-324"]) | st.floats().map(repr)
 # HEDGE_IEP_SEED values; None leaves the variable unset
@@ -417,7 +431,11 @@ def _weight_json(draw):
 
 @st.composite
 def _lambda_values(draw, values):
-    """Values for a prefix of the lambda names, sometimes with a gap."""
+    """Values for a prefix of the lambda names, sometimes with a gap, and
+    sometimes a member tuple scaled by 1e300 (beta4 optional)."""
+    if draw(st.integers(0, 4)) == 0:
+        huge = draw(st.sampled_from(_HUGE_MEMBERS))
+        return dict(zip(_LAMBDA_NAMES, huge[: draw(st.integers(4, 5))]))
     names = list(_LAMBDA_NAMES[: draw(st.integers(0, 5))])
     if names and draw(st.integers(0, 3)) == 0:
         names.pop(draw(st.integers(0, len(names) - 1)))
@@ -434,7 +452,8 @@ def _argv(draw, tmp: Path):
 
     command = draw(st.sampled_from(
         ["hedge info", "covers", "weights spectrum", "pth recognize", "lambda build",
-         "pth rs-sweep", "rigid levels", "pth construct", "repro"]
+         "lambda region", "pth rs-sweep", "rigid levels", "pth construct", "pth spectrum",
+         "repro"]
     ))
     if command in ("hedge info", "covers"):
         return command.split() + [write("tree.json", draw(_tree_json()))]
@@ -450,6 +469,13 @@ def _argv(draw, tmp: Path):
                     f"--out={tmp / 'w.json'}"] + [f"--{k}={v}" for k, v in lam.items()]
             argv += ["--random-splits"] if draw(st.booleans()) else []
         return argv + ([f"--seed={draw(st.integers(-3, 3))}"] if draw(st.booleans()) else [])
+    if command == "pth spectrum":
+        lam = draw(_lambda_values(_FRACTIONS))
+        argv = ["pth", "spectrum", "--tree", write("tree.json", draw(_tree_json()))]
+        return argv + [f"--{k}={v}" for k, v in lam.items()]
+    if command == "lambda region":
+        values = st.sampled_from(_HUGE_MEMBERS) | st.lists(_FRACTIONS, min_size=5, max_size=5)
+        return ["lambda", "region", "--", *draw(values)]  # "--": values may start with "-"
     if command == "pth recognize":
         argv = ["pth", "recognize", write("w.json", draw(_weight_json()))]
         if draw(st.booleans()):
@@ -547,6 +573,34 @@ def test_repro_json(capsys):
     data = json.loads(payload)
     assert data["schema"] == "hedge-iep/1"
     assert all(c["pass"] for c in data["checks"])
+
+
+def _moved_edge(w: WeightFn) -> WeightFn:
+    """w with the weight of its edge (1, 2) moved by 1/1000."""
+    return WeightFn(w.tree, w.vertex_weight, {**w.edge_weight, (1, 2): w.e(1, 2) + Fraction(1, 1000)})
+
+
+@pytest.mark.parametrize("example", ["table1", "table2"])
+def test_exact_table_checks_catch_a_moved_edge(monkeypatch, example):
+    c3_weight = repro._c3_weight
+    assert c3_weight(8).e(1, 2) == 20
+    monkeypatch.setattr(repro, "_c3_weight", lambda top: _moved_edge(c3_weight(top)))
+    checks = {name: ok for name, ok, _ in repro.run_repro(example).checks}
+    assert not checks["level-formula spectrum"]
+    assert not checks["direct eigendecomposition"]
+
+
+def test_realizability_check_catches_a_moved_vertex_weight(monkeypatch):
+    construct = pth.ph_construct
+
+    def moved(c, t, *args):
+        w = construct(c, t, *args)
+        return WeightFn(t, {**w.vertex_weight, 1: w.v(1) + Fraction(1, 1000)}, w.edge_weight)
+
+    monkeypatch.setattr(pth, "ph_construct", moved)
+    checks = {name: ok for name, ok, _ in repro.run_repro("splitting-t31").checks}
+    assert not checks["realizability by eigendecomposition"]
+    assert checks["realizable list"] and checks["split list"]
 
 
 def test_repro_inputs_digest_follows_the_seed(capsys):

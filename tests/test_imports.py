@@ -2,8 +2,8 @@
 
 A cold `hedge-iep repro <id>` is mostly import, so each command loads only
 the modules it runs: `import hedge_iep` loads no submodule, the exact
-commands never load numpy, and only the rigid commands load the exact
-engine.  The cold cases run in a fresh interpreter and read its
+commands and the exact engine never load numpy, and only the rigid commands
+load the exact engine.  The cold cases run in a fresh interpreter and read its
 `sys.modules` at exit.
 """
 
@@ -44,8 +44,8 @@ PUBLIC = {
 }
 NAMES = [(mod, name) for mod, names in PUBLIC.items() for name in names.split()]
 
-EXACT_IDS = ("t31-constraints", "nonconvexity", "zeroone-11")
-FLOAT_IDS = ("table1", "table2", "bf-rs", "splitting-t31")
+EXACT_IDS = ("table1", "table2", "t31-constraints", "nonconvexity", "splitting-t31", "zeroone-11")
+FLOAT_IDS = ("bf-rs",)
 RIGID_IDS = ("rigid-values", "rigid-t8-list", "levels-40")
 ENGINE = {"hedge_iep.rigid", "hedge_iep.mpoly", "hedge_iep.algebraic"}
 
@@ -112,6 +112,23 @@ def test_light_repro_loads_no_exact_engine(example):
 
 def test_rigid_repro_loads_the_exact_engine():
     assert ENGINE <= _cli_loads("repro", "levels-40")
+
+
+def test_rigid_values_loads_the_engine_but_no_numpy():
+    # its answer is exact: the engine's Kronecker products unpack on ints
+    modules = _cli_loads("repro", "rigid-values")
+    assert ENGINE <= modules
+    assert _heavy(modules) == set()
+
+
+def test_the_exact_engine_loads_no_numpy():
+    code = (
+        "import json, sys, hedge_iep.mpoly\n"
+        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    )
+    _, modules = _loaded_after(code)
+    assert "hedge_iep.mpoly" in modules
+    assert _heavy(modules) == set()
 
 
 def test_hedge_info_loads_no_numpy(tmp_path):

@@ -18,10 +18,12 @@ from hedge_iep.polys import (
     X,
     NonzeroRemainder,
     PolyQ,
+    ZeroPolynomial,
     count_real_roots,
     horner_enclosure,
     level_values,
     real_roots,
+    root_multiplicities,
     sign_at,
 )
 
@@ -194,6 +196,23 @@ def test_real_roots_with_multiplicities(rng):
             got = real_roots(p, lo, hi, eps)
             assert len(got) == len(want)
             assert all(abs(g - w) < eps for g, w in zip(got, want))
+
+
+def test_root_multiplicities_of_known_products(rng):
+    # (x - r)^m over distinct small rationals r, times 3 (x^2 - 2): two
+    # simple irrational roots, and a leading coefficient other than 1
+    for _ in range(50):
+        rs = {Fraction(int(rng.integers(-8, 9)), int(rng.choice([1, 2, 3]))) for _ in range(4)}
+        ms = {r: int(rng.integers(1, 5)) for r in rs}
+        p = PolyQ.of(-6, 0, 3)
+        for r, m in ms.items():
+            for _ in range(m):
+                p = p * (X - r)
+        assert root_multiplicities(p) == tuple(sorted([*ms.values(), 1, 1], reverse=True))
+    assert root_multiplicities(PolyQ.of(Fraction(5, 3))) == ()
+    assert root_multiplicities(PolyQ.of(-15, -6, 1) * PolyQ.of(-15, -6, 1)) == (2, 2)
+    with pytest.raises(ZeroPolynomial):
+        root_multiplicities(PolyQ(()))
 
 
 def test_trailing_interlacing(rng):

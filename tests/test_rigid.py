@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hedge_iep
 from hedge_iep.algebraic import SEXTIC, XI_INTERVAL, QXi, refined_xi, verify_isolation
 from hedge_iep.mpoly import InexactDivision, MPolyQ, bareiss_determinant
-from hedge_iep.polys import PolyQ, ZeroPolynomial, count_real_roots, is_squarefree
+from hedge_iep.polys import PolyQ, ZeroPolynomial, count_real_roots, root_multiplicities
 from hedge_iep.rigid import (
     RoutesDisagree,
     UnexpectedCoincidence,
@@ -51,7 +51,7 @@ def test_xi_isolation():
     assert verify_isolation()
     lo, hi = XI_INTERVAL
     assert lo == Fraction(1, 3) and hi == Fraction(17, 50)
-    assert is_squarefree(SEXTIC)
+    assert root_multiplicities(SEXTIC) == (1,) * 6  # six simple roots
     # no other positive root below the interval
     assert count_real_roots(SEXTIC, Fraction(0), lo) == 0
 

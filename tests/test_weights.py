@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import hedge_iep
 from hedge_iep.cli import main
-from hedge_iep.numeric import eigenvalues_sym
+from hedge_iep.numeric import char_poly_exact, eigenvalues_sym
 from hedge_iep.tolerance import WEIGHT_TOL, close
 from hedge_iep.trees import (
     RootedTree,
@@ -28,6 +28,7 @@ from hedge_iep.weights import (
     NonPositiveEdgeWeight,
     WeightedMatrix,
     WeightFn,
+    char_poly_of,
     collapse_pendent_k_paths,
     duplicate_branch,
     load_weight,
@@ -187,6 +188,8 @@ def test_package_never_reads_dense_entries(monkeypatch, tmp_path):
         ["weights", "spectrum", str(w_file)],
         ["pth", "recognize", str(w_file)],
         ["repro", "table1"],
+        ["repro", "table2"],
+        ["repro", "splitting-t31"],
     ):
         assert main(argv) == 0, argv
     # a dense table of this path would hold 4e8 entries
@@ -473,6 +476,25 @@ def _restrict(w, vertices):
     vw = {i: w.v(back[i]) for i in sub.vertices}
     ew = {(u, v): w.e(back[u], back[v]) for u, v in sub.edges}
     return sub, vw, ew
+
+
+@pytest.mark.parametrize("shape", ["vertex", "path", "star", "random", "lush"])
+def test_char_poly_of_matches_bareiss(shape, rng):
+    # Bareiss elimination on the dense table shares no step with the
+    # leaves-up pass, so it is the oracle
+    for _ in range(4):
+        n = int(rng.integers(2, 9))
+        t = {
+            "vertex": lambda: RootedTree((0,)),
+            "path": lambda: RootedTree(tuple(range(n))),
+            "star": lambda: RootedTree((0,) + (1,) * (n - 1)),
+            "random": lambda: random_tree(n, rng),
+            "lush": lambda: random_lush_hedge(rng, max_n=20),
+        }[shape]()
+        w = random_weight(t, rng, exact=True)
+        p = char_poly_of(w)
+        assert p == char_poly_exact(unit_lower_representative(w).entries)
+        assert p.degree == t.n and p.leading() == 1
 
 
 def test_representatives_cospectral(rng):
