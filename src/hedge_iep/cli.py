@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -284,6 +285,20 @@ def cmd_repro(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every argument starting with a minus
+    sign and a digit, or a minus sign, a point and a digit, as a value:
+    argparse itself does so only for plain integers and decimals, so
+    `lambda region 0 1 -1/3 2 3` or `--beta2 -1e300` would fail."""
+
+    _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+    def _parse_optional(self, arg_string):
+        if self._NEGATIVE_NUMBER.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _add_lambda_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-file", help="JSON file with alpha1..beta4")
     for name in NAMES:
@@ -291,7 +306,7 @@ def _add_lambda_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hedge-iep",
         description="path-to-hedge constructions and spectral rigidity on trees",
     )

@@ -184,8 +184,9 @@ def abc_closed_forms(lam: LambdaTuple, n: int) -> tuple[list, list]:
 
 def abc_coefficients(lam: LambdaTuple, n: int) -> tuple[list, list]:
     """The closed forms of abc_closed_forms for a feasible tuple: enough
-    pairwise distinct values, no degenerate sum, every b_i positive and, if
-    rational, in the float range (a_2 then lies between alpha2 and beta2)."""
+    pairwise distinct values, no degenerate sum, every b_i positive and
+    every a_i and b_i that is an int, a rational or a float within the
+    float range."""
     if n < 1:
         raise ValueError("n must be >= 1")
     need = 1 if n == 1 else (3 if n == 2 else (4 if n == 3 else 5))
@@ -201,8 +202,11 @@ def abc_coefficients(lam: LambdaTuple, n: int) -> tuple[list, list]:
         if not bi > 0:
             err = NotInB3 if n <= 3 else NotInB
             raise err(f"b_{i} = {bi} is not positive")
-        if isinstance(bi, Fraction) and bi > sys.float_info.max:
-            raise ValueError(f"b_{i} overflows a float: b_{i} > {sys.float_info.max:.6g}")
+    for name, xs, start in (("b", b, 2), ("a", a, 1)):
+        for i, x in enumerate(xs, start=start):
+            if isinstance(x, (int, float, Fraction)) and abs(x) > sys.float_info.max:
+                cmp, bound = (">", sys.float_info.max) if x > 0 else ("<", -sys.float_info.max)
+                raise ValueError(f"{name}_{i} overflows a float: {name}_{i} {cmp} {bound:.6g}")
     return a, b
 
 

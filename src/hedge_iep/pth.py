@@ -32,7 +32,7 @@ from .numeric import cluster_multiplicities, trailing_spectra
 from .numeric import eigenvalues_sym  # noqa: F401
 from .polys import PolyQ, poly_gcd
 from .spectra import GapVector, MultiplicityList, SpectrumMultiset, gap_vector
-from .tolerance import ROUNDING_TOL, SPECTRUM_TOL, WEIGHT_TOL, close
+from .tolerance import CLUSTER_TOL, ROUNDING_TOL, SPECTRUM_TOL, WEIGHT_TOL, close
 from .trees import (
     HedgeProfile,
     NotLush,
@@ -41,7 +41,7 @@ from .trees import (
     is_lush,
     profile,
 )
-from .weights import BadSplit, DuplicationSplit, WeightFn, WeightedMatrix, spectrum_of
+from .weights import BadSplit, DuplicationSplit, WeightFn, WeightedMatrix
 
 
 class HeightMismatch(ValueError):
@@ -151,18 +151,19 @@ def _recipe_miss(
     return None
 
 
+def _level_spectrum(a, b, prof: HedgeProfile, tol: float) -> SpectrumMultiset:
+    """The level formula for the path (a_1.., b_2..): the union over levels
+    i of ell_i copies of the spectrum of its trailing i-by-i block,
+    clustered at tol."""
+    specs = trailing_spectra(a, b, prof.height + 1)
+    values = [float(v) for i, s in enumerate(specs, start=1) for v in s for _ in range(prof.ell_at(i))]
+    return cluster_multiplicities(values, tol)
+
+
 def ph_spectrum(c, prof: HedgeProfile) -> SpectrumMultiset:
     """Spectrum of any member of the family: the union over levels i of
     ell_i copies of the trailing i-by-i submatrix spectrum."""
-    specs = trailing_spectra(*level_coefficients(_path_weight(c, prof.height)), prof.height + 1)
-    values = []
-    for i in range(1, prof.height + 2):
-        li = prof.ell_at(i)
-        if li == 0:
-            continue
-        for v in specs[i - 1]:
-            values.extend([float(v)] * li)
-    return cluster_multiplicities(values)
+    return _level_spectrum(*level_coefficients(_path_weight(c, prof.height)), prof, CLUSTER_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +238,35 @@ class RecognizeResult:
     target: WeightedMatrix  # C_{H+1}^Lambda built from the recipe
 
 
+def _lush(t: RootedTree) -> RootedTree:
+    if not is_lush(t) or t.height < 2:
+        raise NotLush("the recognizer runs on lush hedges of height >= 2")
+    return t
+
+
+def _chain_path(t: RootedTree, levels: dict[int, tuple]) -> tuple[list, list]:
+    """(a_1.., b_2..) read off the root's chain of smallest children: the
+    chain vertex at height h gives a_{h+1} and its child-edge sum b_{h+1}."""
+    chain = [t.root]
+    while t.children[chain[-1]]:
+        chain.append(t.children[chain[-1]][0])
+    chain.reverse()
+    return [levels[u][1] for u in chain], [levels[u][2] for u in chain[1:]]
+
+
+def _accept(t: RootedTree, levels: dict[int, tuple], lam: LambdaTuple) -> RecognizeResult:
+    """recognize on the _levels of a weight on the lush hedge t."""
+    try:
+        a, b = abc_coefficients(lam, t.height + 1)
+    except ValueError as exc:
+        raise NotFromConstruction(0, f"assignment is not feasible: {exc}") from exc
+    miss = _recipe_miss(levels, a, b, WEIGHT_TOL)
+    if miss is not None:
+        raise NotFromConstruction(miss[0] + 1, miss[1])
+    recovered = path_weight(*_chain_path(t, levels))
+    return RecognizeResult(lam, lam.region(), recovered, build_C(lam, t.height + 1))
+
+
 def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:
     """Check the recipe for a designated eigenvalue assignment: every vertex
     at height h carries a_{h+1} and its child edges sum to b_{h+1}.
@@ -245,38 +275,35 @@ def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:
     h + 1.  The recovered path weight is read off the root's chain of
     smallest children.
     """
-    t = w.tree
-    if not is_lush(t) or t.height < 2:
-        raise NotLush("the recognizer runs on lush hedges of height >= 2")
-    height = t.height
-
-    try:
-        a, b = abc_coefficients(lam, height + 1)
-    except ValueError as exc:
-        raise NotFromConstruction(0, f"assignment is not feasible: {exc}") from exc
-
-    levels = _levels(w)
-    miss = _recipe_miss(levels, a, b, WEIGHT_TOL)
-    if miss is not None:
-        raise NotFromConstruction(miss[0] + 1, miss[1])
-
-    chain = [t.root]
-    while t.children[chain[-1]]:
-        chain.append(t.children[chain[-1]][0])
-    chain.reverse()
-    recovered = path_weight([levels[u][1] for u in chain], [levels[u][2] for u in chain[1:]])
-    return RecognizeResult(lam, lam.region(), recovered, build_C(lam, height + 1))
+    return _accept(_lush(w.tree), _levels(w), lam)
 
 
 def recognize_search(w: WeightFn) -> RecognizeResult:
-    """Recover the eigenvalue assignment from the spectrum alone: enumerate
-    the assignments consistent with the critical thresholds and return the
-    first that the recognizer accepts."""
-    t = w.tree
-    if not is_lush(t) or t.height < 2:
-        raise NotLush("the recognizer runs on lush hedges of height >= 2")
+    """Recover the eigenvalue assignment from the weight alone, without
+    forming an n-by-n matrix.
+
+    The path read off the root's chain of smallest children is C^Lambda for
+    a member, so the level formula on it (ell_i copies of the spectrum of
+    its trailing i-by-i block, clustered at SPECTRUM_TOL) is the member's
+    spectrum.  The candidates are the assignments of those values that meet
+    the critical thresholds; the first that `recognize` accepts is returned.
+    As `recognize` wants every vertex within WEIGHT_TOL of one (a, b), a
+    vertex more than 2 * WEIGHT_TOL from the chain's vertex at its height h
+    is rejected first, with step h + 1.
+    """
+    t = _lush(w.tree)
     prof = profile(t)
-    spec = cluster_multiplicities(spectrum_of(w), SPECTRUM_TOL)
+    levels = _levels(w)
+    a, b = _chain_path(t, levels)
+    miss = _recipe_miss(levels, a, b, 2 * WEIGHT_TOL)
+    if miss is not None:
+        raise NotFromConstruction(miss[0] + 1, f"{miss[1]} (read off the chain of smallest children)")
+    try:
+        spec = _level_spectrum(a, b, prof, SPECTRUM_TOL)
+    except OverflowError as exc:  # an exact chain value that no float candidate can match
+        raise NotFromConstruction(
+            "search", "a level value of the chain of smallest children lies beyond the float range"
+        ) from exc
     vals = spec.values
     failures = []
     for idx in _critical_assignments(
@@ -284,7 +311,7 @@ def recognize_search(w: WeightFn) -> RecognizeResult:
     ):
         lam = LambdaTuple(*(vals[i] for i in idx if i is not None))
         try:
-            return recognize(w, lam)
+            return _accept(t, levels, lam)
         except NotFromConstruction as exc:
             failures.append(str(exc))
     raise NotFromConstruction(

@@ -11,9 +11,10 @@ import math
 
 #: cluster gap, relative to the spectrum width (`--cluster-tol` default)
 CLUSTER_TOL = 1e-7
-#: eigenvalue coincidence, relative to the spectrum width (search, rigid list, repros)
+#: eigenvalue coincidence, relative to the spectrum width (the search's level spectra, rigid list, repros)
 SPECTRUM_TOL = 1e-9
-#: weight equality, absolute: the recognizer against the recipe, and the pendent-path collapse
+#: weight equality, absolute: the recognizer against the recipe (the search first holds every
+#: vertex to twice it of the chain's), and the pendent-path collapse
 WEIGHT_TOL = 1e-9
 #: float rounding, relative to max(1, |value|): membership, symmetry, sums to 1
 ROUNDING_TOL = 1e-12

@@ -125,6 +125,19 @@ def test_lambda_build_and_region(tmp_path, capsys):
     assert "region: 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["-1", "-1/3", "-1e300", "-.5"])
+def test_lambda_region_reads_negative_values(capsys, value):
+    # a value with a minus sign is a value, not an option, with or without "--"
+    for argv in (["0", "1", value, "2", "3"], ["--", "0", "1", value, "2", "3"]):
+        assert main(["lambda", "region", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == ("region: 1\n", "")
+    with pytest.raises(SystemExit) as info:
+        main(["lambda", "region", "--help"])
+    assert info.value.code == 0
+    assert "usage: hedge-iep lambda region" in capsys.readouterr().out
+
+
 def test_lambda_build_long_path(capsys):
     # the dump reads the stored diagonal and edge entries, never a dense table
     argv = ["lambda", "build", "--alpha1", "0", "--alpha2", "1", "--beta2", "-1",
@@ -189,23 +202,49 @@ def test_pth_recognize_rejects(tmp_path, t31_file, capsys):
     assert main(["pth", "recognize", str(w_file)]) == 1
 
 
+def _unit_edge_weight_file(path, parent, vertex_weight) -> str:
+    n = len(parent)
+    data = {
+        "tree": {"n": n, "parent": list(parent)},
+        "vertexWeight": {str(v): vertex_weight(v) for v in range(1, n + 1)},
+        "edgeWeight": {f"{p}-{v}": 1 for v, p in enumerate(parent, start=1) if p},
+    }
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 @pytest.mark.parametrize("parent", [(0, 1, 1), ten_vertex_hedge().parent])
 @pytest.mark.parametrize("last", [1e308, -1e308])
 def test_overflowing_clusters_exit_2(tmp_path, capsys, parent, last):
     # weights at the top of the float range: one cluster mean overflows to
     # inf, or (with a last weight of -1e308) the spectrum width does
     n = len(parent)
-    data = {
-        "tree": {"n": n, "parent": list(parent)},
-        "vertexWeight": {str(v): 1e308 if v < n else last for v in range(1, n + 1)},
-        "edgeWeight": {f"{p}-{v}": 1 for v, p in enumerate(parent, start=1) if p},
-    }
-    w_file = tmp_path / "w.json"
-    w_file.write_text(json.dumps(data))
-    assert main(["weights", "spectrum", str(w_file)]) == 2
-    assert main(["pth", "recognize", str(w_file)]) == 2
+    w_file = _unit_edge_weight_file(tmp_path / "w.json", parent, lambda v: 1e308 if v < n else last)
+    assert main(["weights", "spectrum", w_file]) == 2
+    # the recognizer reads the level spectra of the chain of smallest
+    # children; leaves at -1e308 under vertices at 1e308 keep every level
+    # consistent, and the level spectra's width overflows
+    leaves = set(range(1, n + 1)) - set(parent)
+    level_file = _unit_edge_weight_file(
+        tmp_path / "levels.json", parent, lambda v: -1e308 if v in leaves else 1e308
+    )
+    assert main(["pth", "recognize", level_file]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("error:") == 2
+
+
+@pytest.mark.parametrize("last", [1e308, -1e308])
+def test_huge_weights_off_the_recipe_are_rejected(tmp_path, capsys, last):
+    # the ten-vertex inputs above are no family members at any precision:
+    # all at 1e308 the level spectra hold one value, too few to assign, and
+    # a last leaf at -1e308 differs from the other leaves
+    parent = ten_vertex_hedge().parent
+    n = len(parent)
+    w_file = _unit_edge_weight_file(tmp_path / "w.json", parent, lambda v: 1e308 if v < n else last)
+    assert main(["pth", "recognize", w_file]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count("rejected:") == 1 and out.startswith("rejected:")
 
 
 @pytest.mark.parametrize("command", [["spectrum"], ["construct", "--out", "{out}"]])
@@ -214,6 +253,17 @@ def test_coefficient_beyond_the_float_range_exits_2(hedge10_file, tmp_path, caps
     argv = ["pth", *command, "--tree", hedge10_file, "--alpha1=0", "--alpha2=1e300",
             "--beta2=-1e300", "--beta3=2e300"]
     assert main([a.format(out=tmp_path / "w.json") for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: b_2 overflows a float: b_2 > 1.79769e+308"]
+
+
+def test_float_lambda_file_beyond_the_float_range_exits_2(hedge10_file, tmp_path, capsys):
+    # JSON floats in a lambda file, each in range, whose b_2 = 1e600 is not
+    lam_file = tmp_path / "lam.json"
+    lam_file.write_text(json.dumps({"alpha1": 0.0, "alpha2": 1e300, "beta2": -1e300, "beta3": 2e300}))
+    argv = ["pth", "spectrum", "--tree", hedge10_file, "--lambda-file", str(lam_file)]
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == ["error: b_2 overflows a float: b_2 > 1.79769e+308"]
@@ -475,7 +525,7 @@ def _argv(draw, tmp: Path):
         return argv + [f"--{k}={v}" for k, v in lam.items()]
     if command == "lambda region":
         values = st.sampled_from(_HUGE_MEMBERS) | st.lists(_FRACTIONS, min_size=5, max_size=5)
-        return ["lambda", "region", "--", *draw(values)]  # "--": values may start with "-"
+        return ["lambda", "region", *draw(values)]
     if command == "pth recognize":
         argv = ["pth", "recognize", write("w.json", draw(_weight_json()))]
         if draw(st.booleans()):

@@ -138,6 +138,23 @@ def test_abc_degenerate_sum():
         abc_coefficients(lam, 4)
 
 
+@pytest.mark.parametrize(
+    "lam, n, message",
+    [
+        # every value a float in range, but (beta2 - alpha1)(alpha1 - alpha2) is not
+        (LambdaTuple(0.0, 1e300, -1e300, 2e300), 3, "b_2 overflows a float: b_2 > 1.79769e+308"),
+        (LambdaTuple(Fraction(0), Fraction(10**300), Fraction(-(10**300)), Fraction(2 * 10**300)), 3,
+         "b_2 overflows a float: b_2 > 1.79769e+308"),
+        (LambdaTuple(float("-inf")), 1, "a_1 overflows a float: a_1 < -1.79769e+308"),
+        (LambdaTuple(Fraction(10**400)), 1, "a_1 overflows a float: a_1 > 1.79769e+308"),
+    ],
+)
+def test_abc_beyond_the_float_range(lam, n, message):
+    with pytest.raises(ValueError) as info:
+        build_C(lam, n)
+    assert str(info.value) == message
+
+
 def test_level_spectra_contain_distinguished(rng):
     for reg in (1, 5, 8):
         lam = sample_in_region(reg, rng)

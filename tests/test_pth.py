@@ -16,6 +16,7 @@ from hedge_iep.lambdas import (
 )
 from hedge_iep.numeric import cluster_multiplicities, eigenvalues_sym
 from hedge_iep.pth import (
+    _critical_assignments,
     BadShape,
     HeightMismatch,
     HeightTooSmall,
@@ -37,7 +38,7 @@ from hedge_iep.pth import (
 )
 from hedge_iep.lambdas import NotInB3
 from hedge_iep.spectra import MultiplicityList, SingleEigenvalue, SpectrumMultiset
-from hedge_iep.tolerance import WEIGHT_TOL
+from hedge_iep.tolerance import SPECTRUM_TOL, WEIGHT_TOL
 from hedge_iep.trees import (
     HedgeProfile,
     RootedTree,
@@ -46,7 +47,7 @@ from hedge_iep.trees import (
     smallest_lush_hedge,
     ten_vertex_hedge,
 )
-from hedge_iep.weights import WeightFn, symmetric_representative
+from hedge_iep.weights import WeightFn, spectrum_of, symmetric_representative
 
 from conftest import expanded, move_weight, random_lush_hedge, random_splits, relabel
 
@@ -307,27 +308,28 @@ def test_recognize_search_recovers_construction(rng):
             assert abs(float(got.e(u, v)) - float(want.e(u, v))) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "values, parents",
-    [
-        # beta2 and beta4 lie 4e-5 apart in a spectrum about 1e3 wide; a
-        # cluster gap of 1e-7 of the width merges them
-        (
-            (0.002020835158913492, 1.7046822355696492, -2.757355753477057,
-             2.363338781372388, -2.7573164661183522),
-            None,
-        ),
-        # alpha2 and beta3 nearly coincide; the b_i rebuilt from the
-        # clustered eigenvalues carry about 1e-12 relative error
-        (
-            (1.9269621260654723, 2.1410431433299006, -2.5095255158963683,
-             2.1602418280926425, 1.8794699523692895),
-            (0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 6, 6, 6,
-             7, 7, 8, 8, 8, 9, 9, 10, 10, 10, 11, 11, 11, 12, 12, 13, 13, 14,
-             14, 14, 15, 15, 16, 16, 17, 17, 17, 18, 18, 18, 19, 19),
-        ),
-    ],
-)
+# (values, parents) of near-coincident assignments; None builds smallest_lush_hedge(3)
+NEAR_COINCIDENT = [
+    # beta2 and beta4 lie 4e-5 apart in a spectrum about 1e3 wide; a
+    # cluster gap of 1e-7 of the width merges them
+    (
+        (0.002020835158913492, 1.7046822355696492, -2.757355753477057,
+         2.363338781372388, -2.7573164661183522),
+        None,
+    ),
+    # alpha2 and beta3 nearly coincide; the b_i rebuilt from the
+    # clustered eigenvalues carry about 1e-12 relative error
+    (
+        (1.9269621260654723, 2.1410431433299006, -2.5095255158963683,
+         2.1602418280926425, 1.8794699523692895),
+        (0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 6, 6, 6,
+         7, 7, 8, 8, 8, 9, 9, 10, 10, 10, 11, 11, 11, 12, 12, 13, 13, 14,
+         14, 14, 15, 15, 16, 16, 17, 17, 17, 18, 18, 18, 19, 19),
+    ),
+]
+
+
+@pytest.mark.parametrize("values, parents", NEAR_COINCIDENT)
 def test_recognize_search_near_coincident_values(values, parents):
     t = smallest_lush_hedge(3) if parents is None else build_hedge(parents)
     lam = LambdaTuple(*values)
@@ -464,6 +466,129 @@ def test_recognize_reads_siblings_against_the_recipe(hedge10):
             with pytest.raises(NotFromConstruction) as info:
                 recognize(moved, lam)
             assert info.value.step == 1
+
+
+def dense_search(w: WeightFn):
+    """The oracle for recognize_search: candidates from one dense
+    eigendecomposition of the whole weight, then the same loop; None when
+    no candidate is accepted."""
+    prof = profile(w.tree)
+    spec = cluster_multiplicities(spectrum_of(w), SPECTRUM_TOL)
+    vals = spec.values
+    for idx in _critical_assignments(
+        spec.ordered_multiplicities(), critical_thresholds(prof), prof.ell_at(3)
+    ):
+        try:
+            return recognize(w, LambdaTuple(*(vals[i] for i in idx if i is not None)))
+        except NotFromConstruction:
+            continue
+    return None
+
+
+def agrees_with_dense_search(w: WeightFn):
+    """recognize_search's answer, asserted equal to the oracle's: the same
+    accept or reject and an assignment within 1e-9."""
+    want = dense_search(w)
+    try:
+        got = recognize_search(w)
+    except NotFromConstruction:
+        got = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert max(abs(x - y) for x, y in zip(got.lam.values(), want.lam.values())) < 1e-9
+    return got
+
+
+def _float_member(rng, t: RootedTree) -> WeightFn:
+    lam0 = sample_in_region(int(rng.integers(1, 13)), rng)
+    lam = LambdaTuple(*[float(v) for v in lam0.values()])
+    return ph_construct(build_C(lam, t.height + 1), t, random_splits(t, rng))
+
+
+def test_search_matches_the_dense_oracle_on_members(rng):
+    for k in range(20):
+        t = smallest_lush_hedge(4) if k % 5 == 0 else random_lush_hedge(rng)
+        w = _float_member(rng, t)
+        assert agrees_with_dense_search(w) is not None
+        moved_t, new = relabel(t, rng)
+        assert agrees_with_dense_search(move_weight(w, moved_t, new)) is not None
+
+
+@pytest.mark.parametrize("values, parents", NEAR_COINCIDENT)
+def test_search_matches_the_dense_oracle_near_coincidences(values, parents):
+    t = smallest_lush_hedge(3) if parents is None else build_hedge(parents)
+    w = ph_construct(build_C(LambdaTuple(*values), t.height + 1), t)
+    assert agrees_with_dense_search(w) is not None
+
+
+def test_search_matches_the_dense_oracle_on_perturbations(rng):
+    # a root edge moves the weight to a neighbouring member; a 1 % change of
+    # any other edge leaves the family
+    for _ in range(10):
+        t = random_lush_hedge(rng)
+        w = _float_member(rng, t)
+        root_edges = sorted(e for e in w.edge_weight if t.root in e)
+        pinned = sorted(e for e in w.edge_weight if t.root not in e)
+        for edges, accepted in ((root_edges, True), (pinned, False)):
+            ew = dict(w.edge_weight)
+            e = edges[int(rng.integers(0, len(edges)))]
+            ew[e] *= 1.01
+            got = agrees_with_dense_search(WeightFn(t, dict(w.vertex_weight), ew))
+            assert (got is not None) == accepted
+
+
+def test_search_rejects_a_vertex_off_the_chain_with_its_step(rng):
+    t = smallest_lush_hedge(3)
+    w = _float_member(rng, t)
+    v = next(v for v in t.vertices if t.height_map[v] == 2 and t.children[t.parent[v - 1]][0] != v)
+    vw = dict(w.vertex_weight)
+    vw[v] += 3 * WEIGHT_TOL
+    with pytest.raises(NotFromConstruction) as info:
+        recognize_search(WeightFn(t, vw, dict(w.edge_weight)))
+    assert info.value.step == 3 and info.value.detail.startswith(f"vertex {v}: weight")
+
+
+def test_search_rejects_exact_level_sums_beyond_the_float_range():
+    t = smallest_lush_hedge(2)
+    w = WeightFn(t, dict.fromkeys(t.vertices, Fraction(0)), dict.fromkeys(t.edges, Fraction(10**308)))
+    with pytest.raises(NotFromConstruction) as info:
+        recognize_search(w)
+    assert info.value.step == "search" and "beyond the float range" in info.value.detail
+
+
+def _hedge_670() -> RootedTree:
+    """A height-5 lush hedge of 670 vertices: 3 or 4 children above height
+    1, 2 or 3 leaves below it, the larger count on the first half of each
+    level."""
+    parent, level = [0], [1]
+    for h in range(5, 0, -1):
+        base = 3 if h >= 2 else 2
+        nxt = []
+        for i, v in enumerate(level):
+            for _ in range(base + (i < (len(level) + 1) // 2)):
+                parent.append(v)
+                nxt.append(len(parent))
+        level = nxt
+    return build_hedge(parent)
+
+
+def test_search_forms_no_dense_matrix(rng, monkeypatch):
+    t = _hedge_670()
+    assert t.n == 670 and t.height == 5
+    lam = LambdaTuple(*[float(v) for v in sample_in_region(1, rng).values()])
+    w = ph_construct(build_C(lam, 6), t, random_splits(t, rng))
+
+    def dense(*args, **kwargs):
+        raise AssertionError("recognize_search formed an n-by-n matrix")
+
+    for target in ("numeric.eigenvalues_sym", "weights.eigenvalues_sym", "pth.eigenvalues_sym",
+                   "weights.spectrum_of", "weights.symmetric_representative",
+                   "weights.WeightedMatrix.to_numpy"):
+        monkeypatch.setattr(f"hedge_iep.{target}", dense)
+    res = recognize_search(w)
+    # beta4 enters only b_4 up to height 5, which two values of it can give
+    (got_a, got_b), (want_a, want_b) = abc_coefficients(res.lam, 6), abc_coefficients(lam, 6)
+    assert max(abs(x - y) for x, y in zip(got_a + got_b, want_a + want_b)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
