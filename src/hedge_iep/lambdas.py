@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .numeric import trailing_spectra
@@ -23,6 +24,11 @@ from .weights import WeightedMatrix, WeightFn, unit_lower_representative
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+#: the largest float, an integer: exact values compare with it without a
+#: 1024-bit float-to-ratio conversion per comparison
+_FLOAT_MAX_INT = int(sys.float_info.max)
 
 
 class DuplicateValues(ValueError):
@@ -204,10 +210,18 @@ def abc_coefficients(lam: LambdaTuple, n: int) -> tuple[list, list]:
             raise err(f"b_{i} = {bi} is not positive")
     for name, xs, start in (("b", b, 2), ("a", a, 1)):
         for i, x in enumerate(xs, start=start):
-            if isinstance(x, (int, float, Fraction)) and abs(x) > sys.float_info.max:
+            limit = sys.float_info.max if isinstance(x, float) else _FLOAT_MAX_INT
+            if isinstance(x, (int, float, Fraction)) and abs(x) > limit:
                 cmp, bound = (">", sys.float_info.max) if x > 0 else ("<", -sys.float_info.max)
                 raise ValueError(f"{name}_{i} overflows a float: {name}_{i} {cmp} {bound:.6g}")
     return a, b
+
+
+@lru_cache(maxsize=64)
+def _path_tree(n: int) -> RootedTree:
+    """The path 1..n hanging from vertex 1, validated once per length;
+    the tree is immutable, so every path weight of that length shares it."""
+    return RootedTree(tuple(range(n)))
 
 
 def path_weight(a, b) -> WeightFn:
@@ -215,7 +229,7 @@ def path_weight(a, b) -> WeightFn:
     path 1..n hanging from vertex 1, where the vertex at height h carries
     a_{h+1} and the edge to its child carries b_{h+1}."""
     n = len(a)
-    path = RootedTree(tuple(range(n)))
+    path = _path_tree(n)
     return WeightFn(
         path,
         {u: a[n - u] for u in path.vertices},

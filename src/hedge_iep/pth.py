@@ -12,6 +12,7 @@ must sum to b_{h+1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -20,7 +21,6 @@ from .lambdas import (
     LambdaTuple,
     NotInB3,
     abc_coefficients,
-    build_C,
     generic_multiplicities,
     in_B3,
     level_coefficients,
@@ -28,7 +28,8 @@ from .lambdas import (
     remainder_poly,
 )
 from .numeric import cluster_multiplicities, trailing_spectra
-# unused here; perfbench/tests checks that its tracer rebinds this name
+# unused here; perfbench/tests checks that its tracer rebinds these names
+from .lambdas import build_C  # noqa: F401
 from .numeric import eigenvalues_sym  # noqa: F401
 from .polys import PolyQ, poly_gcd
 from .spectra import GapVector, MultiplicityList, SpectrumMultiset, gap_vector
@@ -41,7 +42,13 @@ from .trees import (
     is_lush,
     profile,
 )
-from .weights import BadSplit, DuplicationSplit, WeightFn, WeightedMatrix
+from .weights import (
+    BadSplit,
+    DuplicationSplit,
+    WeightFn,
+    WeightedMatrix,
+    unit_lower_representative,
+)
 
 
 class HeightMismatch(ValueError):
@@ -95,12 +102,18 @@ def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
     exact = w_c.is_exact()
     vw = {v: a[hm[v]] for v in t.vertices}
     ew = {}
+    shared = {}  # (height, arity) -> the child edge weights of a uniform split
     for v in t.vertices:
         kids = t.children[v]
         if not kids:
             continue
+        h = hm[v]
         if splits == "uniform":
-            split = DuplicationSplit.uniform(len(kids), exact=exact)
+            key = (h, len(kids))
+            if key not in shared:
+                split = DuplicationSplit.uniform(len(kids), exact=exact)
+                shared[key] = [tk * b[h - 1] for tk in split.t]
+            values = shared[key]
         else:
             if v not in splits:
                 raise BadSplit(f"no split supplied for vertex {v}")
@@ -108,9 +121,9 @@ def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
             split = raw if isinstance(raw, DuplicationSplit) else DuplicationSplit(tuple(raw))
             if len(split) != len(kids):
                 raise BadSplit(f"split at {v} has {len(split)} parts for {len(kids)} children")
-        base = b[hm[v] - 1]
-        for tk, u in zip(split.t, kids):
-            ew[(min(v, u), max(v, u))] = tk * base
+            values = [tk * b[h - 1] for tk in split.t]
+        for x, u in zip(values, kids):
+            ew[(min(v, u), max(v, u))] = x
     out = WeightFn(t, vw, ew)
     miss = _recipe_miss(_levels(out), a, b, ROUNDING_TOL, relative=True)
     if miss is not None:
@@ -139,6 +152,7 @@ def _recipe_miss(
     """The recipe check over _levels: (height, detail) of the first vertex,
     in label order, whose weight is not close to a[h] or whose child edges
     do not sum close to b[h - 1]; None when every vertex keeps the recipe.
+    A float sum that overflows is named as such, since no b is close to it.
     With relative, tol is relative to max(1, |level value|)."""
     # each level's scale, converted once
     scale = lambda ys: [max(1.0, abs(float(y))) if relative else 1.0 for y in ys]
@@ -146,7 +160,11 @@ def _recipe_miss(
     for v, (h, x, total) in levels.items():
         if not close(x, a[h], tol, sa[h]):
             return h, f"vertex {v}: weight {x} != a"
-        if total is not None and not close(total, b[h - 1], tol, sb[h - 1]):
+        if total is None:
+            continue
+        if isinstance(total, float) and math.isinf(total):
+            return h, f"vertex {v}: child edges sum beyond the float range"
+        if not close(total, b[h - 1], tol, sb[h - 1]):
             return h, f"vertex {v}: child edges sum to {total} != b"
     return None
 
@@ -264,7 +282,8 @@ def _accept(t: RootedTree, levels: dict[int, tuple], lam: LambdaTuple) -> Recogn
     if miss is not None:
         raise NotFromConstruction(miss[0] + 1, miss[1])
     recovered = path_weight(*_chain_path(t, levels))
-    return RecognizeResult(lam, lam.region(), recovered, build_C(lam, t.height + 1))
+    target = unit_lower_representative(path_weight(a, b))  # build_C(lam, H + 1), from the checked a, b
+    return RecognizeResult(lam, lam.region(), recovered, target)
 
 
 def recognize(w: WeightFn, lam: LambdaTuple) -> RecognizeResult:

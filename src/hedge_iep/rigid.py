@@ -283,8 +283,11 @@ def eliminant() -> PolyQ:
     return eliminate(*coincidence_residuals())[2]
 
 
+@lru_cache(maxsize=8)
 def unit_interval_roots(p: PolyQ) -> int:
-    """The number of distinct real roots of p in the open interval (0, 1)."""
+    """The number of distinct real roots of p in the open interval (0, 1);
+    cached, so `derive` and a caller that reports E's count share one
+    Sturm chain."""
     return count_real_roots(p, Fraction(0), Fraction(1)) - (p(Fraction(1)) == 0)
 
 
@@ -397,10 +400,15 @@ def rigid_b_values(up_to: int = 41) -> list[QXi]:
     return abc_closed_forms(solve_rigid().lam, up_to)[1]
 
 
-def rigid_level_spectra(max_level: int) -> list[np.ndarray]:
+@lru_cache(maxsize=8)
+def rigid_level_spectra(max_level: int) -> tuple[np.ndarray, ...]:
     """Float spectra of C_1..C_max at the rigid tuple (exact coefficients
-    rounded once, then LAPACK)."""
-    return trailing_spectra(*abc_closed_forms(solve_rigid().lam, max_level), max_level)
+    rounded once, then LAPACK), solved once per max_level and shared by
+    every caller as read-only arrays."""
+    specs = trailing_spectra(*abc_closed_forms(solve_rigid().lam, max_level), max_level)
+    for s in specs:
+        s.flags.writeable = False
+    return tuple(specs)
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,17 @@ def test_pth_recognize_rejects(tmp_path, t31_file, capsys):
     assert main(["pth", "recognize", str(w_file)]) == 1
 
 
+@pytest.mark.parametrize("assign", [[], ["--assign", "alpha1=0,alpha2=1,beta2=-1,beta3=2"]])
+def test_pth_recognize_names_child_edge_sums_beyond_the_float_range(tmp_path, capsys, assign):
+    t = ten_vertex_hedge()
+    w_file = tmp_path / "w.json"
+    save_weight(WeightFn(t, dict.fromkeys(t.vertices, 0.0), dict.fromkeys(t.edges, 1e308)), w_file)
+    assert main(["pth", "recognize", str(w_file), *assign]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("rejected: recognizer fails at step 3: vertex 1: child edges sum beyond the float range")
+    assert "!=" not in out
+
+
 def _unit_edge_weight_file(path, parent, vertex_weight) -> str:
     n = len(parent)
     data = {
@@ -410,6 +421,8 @@ _NUMBERS = st.builds("{}/{}".format, st.integers(-6, 6), st.integers(1, 5)) | st
 _POSITIVE = st.builds("{}/{}".format, st.integers(1, 6), st.integers(1, 5)) | st.integers(
     1, 4
 ) | st.floats(0.1, 3)
+# edge weights within the float range whose sums over two or more children are not
+_HUGE_EDGES = st.sampled_from([1e308, 9e307, "1e308", "17e307"])
 _JUNK = st.sampled_from([True, None, [1], "1e400", "abc", "1/0", -1, 0])
 _HEDGES = [tree_to_json(t) for t in (smallest_lush_hedge(2), smallest_lush_hedge(3), ten_vertex_hedge())]
 # feasible tuples for path-to-hedge members (regions 1 and 7)
@@ -450,9 +463,22 @@ def _tree_json(draw):
 
 @st.composite
 def _weight_json(draw):
-    """Weights on a generated tree; some have one malformed value, and some
-    are path-to-hedge members, so that recognize reaches the recipe check."""
-    if draw(st.integers(0, 3)) == 0:
+    """Weights on a generated tree; some have one malformed value, some are
+    path-to-hedge members, so that recognize reaches the recipe check, and
+    some have child-edge sums beyond the float range."""
+    kind = draw(st.sampled_from(["member"] * 2 + ["overflow"] + ["random"] * 5))
+    if kind == "overflow":
+        # one vertex weight, so that the recipe check reaches the sums; every
+        # edge weight in range, but child-edge sums that pass it
+        hedge, x = draw(_hedge_json()), draw(_NUMBERS)
+        return {
+            "tree": hedge,
+            "vertexWeight": {str(v): x for v in range(1, hedge["n"] + 1)},
+            "edgeWeight": {
+                f"{p}-{v}": draw(_HUGE_EDGES) for v, p in enumerate(hedge["parent"], start=1) if p
+            },
+        }
+    if kind == "member":
         t = tree_from_json(draw(_hedge_json()))
         lam = LambdaTuple(*map(Fraction, draw(st.sampled_from(_MEMBER_LAMBDAS))))
         splits = "uniform"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +156,20 @@ def test_abc_beyond_the_float_range(lam, n, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_abc_at_the_float_range_boundary(sign):
+    # the largest float is an integer: exactly it is in range, half above is not
+    top = Fraction(int(sys.float_info.max))
+    a, _ = abc_coefficients(LambdaTuple(sign * top), 1)
+    assert a == [sign * top]
+    for edge in (sign * int(sys.float_info.max), sign * sys.float_info.max):
+        assert abc_coefficients(LambdaTuple(edge), 1)[0] == [edge]
+    cmp = ">" if sign > 0 else "<"
+    with pytest.raises(ValueError) as info:
+        abc_coefficients(LambdaTuple(sign * (top + Fraction(1, 2))), 1)
+    assert str(info.value) == f"a_1 overflows a float: a_1 {cmp} {sign * sys.float_info.max:.6g}"
+
+
 def test_level_spectra_contain_distinguished(rng):
     for reg in (1, 5, 8):
         lam = sample_in_region(reg, rng)
@@ -278,6 +293,16 @@ def test_level_coefficients_invert_path_weight(rng):
             t, new = relabel(w.tree, rng)
             moved = move_weight(w, t, new)
             assert level_coefficients(moved) == (a, b)
+
+
+def test_path_weights_of_one_length_share_the_tree_only():
+    w1 = path_weight([Fraction(1), Fraction(2), Fraction(3)], [Fraction(4), Fraction(5)])
+    w2 = path_weight([0.5, 1.5, 2.5], [3.5, 4.5])
+    assert w1.tree is w2.tree
+    assert w1.vertex_weight is not w2.vertex_weight and w1.edge_weight is not w2.edge_weight
+    assert level_coefficients(w1) == ([1, 2, 3], [4, 5])
+    assert level_coefficients(w2) == ([0.5, 1.5, 2.5], [3.5, 4.5])
+    assert path_weight([1.0, 2.0], [3.0]).tree is not w1.tree
 
 
 def test_level_coefficients_needs_a_path():

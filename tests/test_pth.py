@@ -47,7 +47,7 @@ from hedge_iep.trees import (
     smallest_lush_hedge,
     ten_vertex_hedge,
 )
-from hedge_iep.weights import WeightFn, spectrum_of, symmetric_representative
+from hedge_iep.weights import DuplicationSplit, WeightFn, spectrum_of, symmetric_representative
 
 from conftest import expanded, move_weight, random_lush_hedge, random_splits, relabel
 
@@ -125,6 +125,71 @@ def test_ph_construct_reads_any_path_labels(hedge10):
     )
     assert ph_construct(relabelled, hedge10) == ph_construct(c3_weight(), hedge10)
     assert ph_spectrum(relabelled, profile(hedge10)) == ph_spectrum(c3_weight(), profile(hedge10))
+
+
+def _mixed_lush_hedge(rng, height: int) -> RootedTree:
+    """A lush hedge of the given height with mixed arities: 3 or 4 children
+    above height 1, 2 or 3 leaves below, under a random relabelling."""
+    parent, level = [0], [1]
+    for h in range(height, 0, -1):
+        base = 3 if h >= 2 else 2
+        nxt = []
+        for v in level:
+            for _ in range(base + int(rng.integers(0, 2))):
+                parent.append(v)
+                nxt.append(len(parent))
+        level = nxt
+    return relabel(build_hedge(parent), rng)[0]
+
+
+def _feasible_lam(rng, n: int, exact: bool) -> LambdaTuple:
+    """A random tuple, exact or rounded to floats, that admits n levels
+    (the exact grid can hit a degenerate sum)."""
+    while True:
+        lam = sample_in_region(int(rng.integers(1, 13)), rng, exact=True)
+        if not exact:
+            lam = LambdaTuple(*[float(v) for v in lam.values()])
+        try:
+            abc_coefficients(lam, n)
+            return lam
+        except ValueError:
+            continue
+
+
+def test_uniform_splits_match_one_split_per_vertex(rng):
+    for height in (2, 3, 4, 5):
+        for exact in (True, False):
+            t = _mixed_lush_hedge(rng, height)
+            lam = _feasible_lam(rng, height + 1, exact)
+            c = build_C(lam, height + 1)
+            per_vertex = {
+                v: DuplicationSplit.uniform(len(t.children[v]), exact=exact)
+                for v in t.vertices if t.children[v]
+            }
+            got, want = ph_construct(c, t), ph_construct(c, t, per_vertex)
+            for table, ref in ((got.vertex_weight, want.vertex_weight), (got.edge_weight, want.edge_weight)):
+                assert table.keys() == ref.keys()
+                for key, x in table.items():
+                    assert type(x) is type(ref[key]) is (Fraction if exact else float)
+                    assert (x == ref[key]) if exact else (x.hex() == ref[key].hex())
+
+
+def test_uniform_splits_are_built_once_per_height_and_arity(monkeypatch):
+    t = smallest_lush_hedge(8)
+    hm = t.height_map
+    kinds = {(hm[v], len(t.children[v])) for v in t.vertices if t.children[v]}
+    calls = []
+    uniform = DuplicationSplit.uniform.__func__
+
+    def counting(cls, parts, exact=True):
+        calls.append(parts)
+        return uniform(cls, parts, exact)
+
+    monkeypatch.setattr(DuplicationSplit, "uniform", classmethod(counting))
+    lam = LambdaTuple(Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(3))
+    w = ph_construct(build_C(lam, 9), t)
+    assert w.is_exact() and t.n == 7654
+    assert len(calls) <= len(kinds) == 8
 
 
 def test_ph_spectrum_of_a_path_rooted_at_vertex_two():
@@ -355,6 +420,18 @@ def test_recognize_exact_rational(t31):
     assert res.region == 1
 
 
+def test_recognize_target_is_build_C(rng):
+    for height in (2, 3, 4):
+        t = _mixed_lush_hedge(rng, height)
+        for exact in (True, False):
+            lam = _feasible_lam(rng, height + 1, exact)
+            c = build_C(lam, height + 1)
+            got = recognize(ph_construct(c, t), lam).target
+            assert got.tree == c.tree
+            for row, ref in zip(got.entries, c.entries):
+                assert list(map(type, row)) == list(map(type, ref)) and row == ref
+
+
 def test_recognize_concrete_height2(hedge10):
     # the worked height-2 coincidence construction: diagonal (2,4,2),
     # edges (20,3); designated values (2, 5, 1, 3 - 2*sqrt(6))
@@ -554,6 +631,21 @@ def test_search_rejects_exact_level_sums_beyond_the_float_range():
     with pytest.raises(NotFromConstruction) as info:
         recognize_search(w)
     assert info.value.step == "search" and "beyond the float range" in info.value.detail
+
+
+def test_search_names_child_edge_sums_beyond_the_float_range():
+    # each edge is in range; the root's three sum to inf, which no b is close to
+    t = ten_vertex_hedge()
+    w = WeightFn(t, dict.fromkeys(t.vertices, 0.0), dict.fromkeys(t.edges, 1e308))
+    with pytest.raises(NotFromConstruction) as info:
+        recognize_search(w)
+    assert info.value.step == 3
+    assert info.value.detail == (
+        "vertex 1: child edges sum beyond the float range (read off the chain of smallest children)"
+    )
+    lam = LambdaTuple(0.0, 1.0, -1.0, 2.0, 3.0)
+    with pytest.raises(NotFromConstruction, match="vertex 1: child edges sum beyond the float range$"):
+        recognize(w, lam)
 
 
 def _hedge_670() -> RootedTree:

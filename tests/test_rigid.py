@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import hedge_iep
 from hedge_iep.algebraic import SEXTIC, XI_INTERVAL, QXi, refined_xi, verify_isolation
+from hedge_iep.lambdas import abc_closed_forms
 from hedge_iep.mpoly import InexactDivision, MPolyQ, bareiss_determinant
+from hedge_iep.numeric import trailing_spectra
 from hedge_iep.polys import PolyQ, ZeroPolynomial, count_real_roots, root_multiplicities
 from hedge_iep.rigid import (
     RoutesDisagree,
@@ -518,6 +520,20 @@ def test_a_perturbed_r49_coefficient_fails_the_elimination(k):
         derive(f, g, moved, beta3)
 
 
+def test_the_eliminant_count_is_shared_with_derive(monkeypatch):
+    import hedge_iep.repro as repro
+
+    unit_interval_roots.cache_clear()
+    chains = []
+    count = hedge_iep.rigid.count_real_roots
+    monkeypatch.setattr(hedge_iep.rigid, "count_real_roots", lambda *a: chains.append(1) or count(*a))
+    derive(*coincidence_residuals(), route_b_values()["beta3"])
+    report = repro.run_repro("rigid-values")
+    detail = "eliminant of degree 31, roots in (0, 1): 1"
+    assert ("unique in region 1 (exact)", True, detail) in report.checks
+    assert len(chains) == 1
+
+
 def test_elimination_needs_the_printed_r37():
     f, g, h = coincidence_residuals()
     with pytest.raises(RoutesDisagree, match="r'_37"):
@@ -667,6 +683,19 @@ def test_build_c9_over_the_number_field():
         m[i, i + 1] = m[i + 1, i] = np.sqrt(float(c9.entries[i][i + 1]))
     vals = eigenvalues_sym(m)
     assert np.allclose(vals, rigid_level_spectra(9)[8], atol=1e-10)
+
+
+def test_level_spectra_are_shared_read_only():
+    specs = rigid_level_spectra(12)
+    assert rigid_level_spectra(12) is specs
+    fresh = trailing_spectra(*abc_closed_forms(solve_rigid().lam, 12), 12)
+    assert len(specs) == len(fresh) == 12
+    for got, want in zip(specs, fresh):
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0
+    # a longer list solves the same levels to the same values
+    assert all(np.array_equal(x, y) for x, y in zip(specs, rigid_level_spectra(40)))
 
 
 def test_level_spectra_match_exact_values():
