@@ -54,9 +54,7 @@ def _lambda_tuple(vals: dict) -> LambdaTuple:
     unknown = sorted(set(vals) - set(NAMES))
     if unknown:
         raise BadLambda(f"unknown value name(s) {unknown}; expected {NAMES}")
-    if not vals or set(vals) != set(NAMES[: len(vals)]):
-        raise BadLambda(f"give alpha1 and the values after it in the order {NAMES}")
-    return LambdaTuple(**vals)
+    return LambdaTuple(*(vals.get(k) for k in NAMES))
 
 
 def _lambda_from_args(args) -> LambdaTuple:

@@ -51,18 +51,12 @@ def _adjacency(t: RootedTree, vertices=None) -> Adjacency:
     return adj
 
 
-def _path_partition(adj: Adjacency) -> list[tuple[int, ...]]:
-    """Minimum partition of a forest into induced paths, by one greedy pass
-    from the leaves up (Boesch, Chen and McHugh, 1974).
-
-    Each component is walked in reverse DFS order from its smallest vertex,
-    so every vertex comes after its children.  A vertex joins the open paths
-    of its first two children through itself and closes the rest, extends
-    the one open path below it, or starts a new path.  Every path is listed
-    from the vertex where it started; a joined path runs down the second
-    child's branch after the join.
-    """
+def _walk(adj: Adjacency) -> tuple[list[int], list[tuple[int, int]]]:
+    """Depth-first walk of each component from its smallest vertex: the
+    visiting order (each vertex after its parent) and the tree edges
+    (parent, child) in the order they are found."""
     order: list[int] = []
+    edges: list[tuple[int, int]] = []
     seen: set[int] = set()
     for root in sorted(adj):
         if root in seen:
@@ -75,10 +69,25 @@ def _path_partition(adj: Adjacency) -> list[tuple[int, ...]]:
             for w in adj[u]:
                 if w not in seen:
                     seen.add(w)
+                    edges.append((u, w))
                     stack.append(w)
+    return order, edges
+
+
+def _path_partition(adj: Adjacency) -> list[tuple[int, ...]]:
+    """Minimum partition of a forest into induced paths, by one greedy pass
+    from the leaves up (Boesch, Chen and McHugh, 1974).
+
+    The `_walk` order is read backwards, so every vertex comes after its
+    children.  A vertex joins the open paths of its first two children
+    through itself and closes the rest, extends the one open path below it,
+    or starts a new path.  Every path is listed from the vertex where it
+    started; a joined path runs down the second child's branch after the
+    join.
+    """
     paths: list[list[int]] = []
     tails: dict[int, list[int]] = {}  # the open path ending at each key
-    for v in reversed(order):
+    for v in reversed(_walk(adj)[0]):
         below = [tails.pop(w) for w in sorted(adj[v]) if w in tails]
         if len(below) >= 2:
             below[0] += [v] + below[1][::-1]
@@ -136,19 +145,7 @@ def brute_force_path_cover(t: RootedTree, vertices=None) -> int:
     the most edges.  Deciding the edges in depth-first order keeps those
     vertices few."""
     adj = _adjacency(t, vertices)
-    edges: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in sorted(adj[u] - seen):
-                seen.add(w)
-                edges.append((u, w))
-                stack.append(w)
+    edges = _walk(adj)[1]
     last = {}  # index of each vertex's last edge
     for i, (u, v) in enumerate(edges):
         last[u] = last[v] = i

@@ -118,13 +118,20 @@ def generic_multiplicities(prof: HedgeProfile) -> dict[str, int]:
 @dataclass(frozen=True)
 class LambdaTuple:
     """The distinguished eigenvalues; beta4 (and beta3) may be omitted when
-    only the short matrices C_1..C_3 are needed."""
+    only the short matrices C_1..C_3 are needed, but no value follows a
+    missing one."""
 
     alpha1: object
     alpha2: object | None = None
     beta2: object | None = None
     beta3: object | None = None
     beta4: object | None = None
+
+    def __post_init__(self) -> None:
+        raw = (self.alpha1, self.alpha2, self.beta2, self.beta3, self.beta4)
+        given = [x is not None for x in raw]
+        if not given[0] or given != sorted(given, reverse=True):
+            raise ValueError(f"give alpha1 and the values after it in the order {NAMES}")
 
     def values(self) -> tuple:
         out = [self.alpha1, self.alpha2, self.beta2, self.beta3, self.beta4]
@@ -149,11 +156,7 @@ class LambdaTuple:
         return getattr(self, level_names(i)[1])
 
     def negated(self) -> "LambdaTuple":
-        neg = lambda x: None if x is None else -x
-        return LambdaTuple(
-            neg(self.alpha1), neg(self.alpha2), neg(self.beta2),
-            neg(self.beta3), neg(self.beta4),
-        )
+        return LambdaTuple(*(-x for x in self.values()))
 
 
 def in_B3(lam: LambdaTuple) -> bool:

@@ -47,18 +47,14 @@ def trailing_spectra(a, b, n: int) -> list[np.ndarray]:
     """Sorted float spectra of the trailing k-by-k submatrices, k = 1..n, of
     the path matrix with diagonal a_1..a_n (bottom to top), superdiagonal
     products b_2..b_n and unit subdiagonal, each solved in its symmetric form
-    with off-diagonal sqrt(b_i)."""
+    with off-diagonal sqrt(b_i).  C_n is filled once; each C_k is its
+    trailing block, passed to the solver as a slice."""
     import numpy as np
 
-    af = [float(x) for x in a]
-    bf = [float(x) for x in b]
-    out = []
-    for k in range(1, n + 1):
-        m = np.diag(af[k - 1 :: -1])
-        for i in range(k - 1):
-            m[i, i + 1] = m[i + 1, i] = np.sqrt(bf[k - 2 - i])
-        out.append(np.sort(np.linalg.eigvalsh(m)))
-    return out
+    m = np.diag([float(x) for x in a[:n]][::-1])
+    i = np.arange(n - 1)
+    m[i, i + 1] = m[i + 1, i] = np.sqrt([float(x) for x in b[: n - 1]][::-1])
+    return [np.sort(np.linalg.eigvalsh(m[n - k :, n - k :])) for k in range(1, n + 1)]
 
 
 def char_poly_exact(entries) -> PolyQ:

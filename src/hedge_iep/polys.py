@@ -141,8 +141,9 @@ def level_values(a, b, x) -> list:
     superdiagonal products b_2..b_n and unit subdiagonal, where
     p_k = (x - a_k) p_{k-1} - b_k p_{k-2} is the characteristic polynomial
     of its trailing k-by-k submatrix.  x is a point of any ring the a_i and
-    b_i act on (Fraction, QXi), or an indeterminate: X over exact scalars,
-    numpy's float Polynomial; p_0 = x * 0 + 1 is the one of x's ring."""
+    b_i act on (a QXi value in `rigid.certify_coincidences`), or the
+    indeterminate X, with a_i and b_i in Fraction, QXi or the trivariate
+    MPolyQ of `rigid.SYMBOLIC`; p_0 = x * 0 + 1 is the one of x's ring."""
     ps = [x * 0 + 1, x - a[0]]
     for k in range(1, len(a)):
         ps.append((x - a[k]) * ps[k] - ps[k - 1] * b[k - 1])

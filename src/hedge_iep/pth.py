@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import add
 
 from .lambdas import (
     LambdaTuple,
@@ -32,7 +34,9 @@ from .numeric import cluster_multiplicities, trailing_spectra
 from .lambdas import build_C  # noqa: F401
 from .numeric import eigenvalues_sym  # noqa: F401
 from .polys import PolyQ, poly_gcd
-from .spectra import GapVector, MultiplicityList, SpectrumMultiset, gap_vector
+from .spectra import MultiplicityList, SpectrumMultiset
+# unused here; hedge_iep._EXPORTS["pth"] and the tests import it from pth
+from .spectra import gap_vector  # noqa: F401
 from .tolerance import CLUSTER_TOL, ROUNDING_TOL, SPECTRUM_TOL, WEIGHT_TOL, close
 from .trees import (
     HedgeProfile,
@@ -100,20 +104,24 @@ def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
     a, b = level_coefficients(w_c)
     hm = t.height_map
     exact = w_c.is_exact()
-    vw = {v: a[hm[v]] for v in t.vertices}
-    ew = {}
-    shared = {}  # (height, arity) -> the child edge weights of a uniform split
+    vw, ew = {}, {}
+    levels = {}  # the _levels table of the member, from the values as written
+    # (height, arity) -> the child edge weights of a uniform split and their sum
+    shared = {}
     for v in t.vertices:
         kids = t.children[v]
-        if not kids:
-            continue
         h = hm[v]
+        vw[v] = a[h]
+        if not kids:
+            levels[v] = (h, a[h], None)
+            continue
         if splits == "uniform":
             key = (h, len(kids))
             if key not in shared:
                 split = DuplicationSplit.uniform(len(kids), exact=exact)
-                shared[key] = [tk * b[h - 1] for tk in split.t]
-            values = shared[key]
+                values = [tk * b[h - 1] for tk in split.t]
+                shared[key] = values, reduce(add, values)
+            values, total = shared[key]
         else:
             if v not in splits:
                 raise BadSplit(f"no split supplied for vertex {v}")
@@ -122,10 +130,12 @@ def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
             if len(split) != len(kids):
                 raise BadSplit(f"split at {v} has {len(split)} parts for {len(kids)} children")
             values = [tk * b[h - 1] for tk in split.t]
+            total = reduce(add, values)
         for x, u in zip(values, kids):
             ew[(min(v, u), max(v, u))] = x
+        levels[v] = (h, a[h], total)
     out = WeightFn(t, vw, ew)
-    miss = _recipe_miss(_levels(out), a, b, ROUNDING_TOL, relative=True)
+    miss = _recipe_miss(levels, a, b, ROUNDING_TOL, relative=True)
     if miss is not None:
         raise AssertionError(f"not a member of the family: {miss[1]}")
     return out
@@ -516,34 +526,3 @@ def zero_one_counterexample_check(t: RootedTree) -> ZeroOneReport:
     hm = t.height_map
     counts = {v: len(t.children[v]) for v in t.vertices if hm[v] == 1}
     return ZeroOneReport(counts, _generic_list(prof), len(set(counts.values())) > 1)
-
-
-# re-exported for API completeness
-__all__ = [
-    "BadShape",
-    "BadSplit",
-    "CriticalWitness",
-    "GapVector",
-    "HeightMismatch",
-    "HeightTooSmall",
-    "MultiplicityList",
-    "NotFromConstruction",
-    "RecognizeResult",
-    "SpectrumMultiset",
-    "SplittingCounterexample",
-    "WrongArity",
-    "ZeroOneReport",
-    "critical_check",
-    "critical_thresholds",
-    "forced_fifth_eigenvalue",
-    "gap_vector",
-    "ph_construct",
-    "ph_spectrum",
-    "recognize",
-    "recognize_search",
-    "splitting_counterexample",
-    "t31_constraints_check",
-    "t31_exact_spectrum",
-    "t31_lambda",
-    "zero_one_counterexample_check",
-]

@@ -78,7 +78,7 @@ class RootedTree:
             p = self.parent[v - 1]
             if p not in (0, v):
                 ch[p].append(v)
-        return {v: tuple(sorted(c)) for v, c in ch.items()}
+        return {v: tuple(c) for v, c in ch.items()}  # appended in label order
 
     @property
     def vertices(self) -> range:
@@ -95,6 +95,8 @@ class RootedTree:
 
     @cached_property
     def depth(self) -> dict[int, int]:
+        """Depth of every vertex, listed with each vertex after its parent:
+        the tree walks read this order forwards or backwards, never sorted."""
         d = {self.root: 0}
         stack = [self.root]
         while stack:
@@ -119,9 +121,10 @@ class RootedTree:
 
     @cached_property
     def height_map(self) -> dict[int, int]:
-        """Height of every vertex (distance to the farthest leaf below it)."""
+        """Height of every vertex (distance to the farthest leaf below it),
+        read up `depth` from the leaves."""
         h: dict[int, int] = {}
-        for v in sorted(self.vertices, key=lambda u: -self.depth[u]):
+        for v in reversed(self.depth):
             h[v] = 1 + max((h[c] for c in self.children[v]), default=-1)
         return h
 
@@ -252,46 +255,33 @@ def ten_vertex_hedge() -> RootedTree:
 
 
 def pendent_paths(t: RootedTree, k: int) -> list[PendentPath]:
-    """All pendent k-paths, ordered by (attach point, first vertex)."""
-    if k < 1:
-        return []
+    """All pendent k-paths, ordered by (attach point, first vertex): from
+    each child, in label order, a walk down through single children that
+    must end at a leaf after k vertices."""
     out = []
     for v in t.vertices:
         for c in t.children[v]:
             chain = [c]
-            cur = c
-            ok = True
-            while True:
-                ch = t.children[cur]
-                if len(ch) > 1:
-                    ok = False
-                    break
-                if not ch:
-                    break
-                cur = ch[0]
-                chain.append(cur)
-            if ok and len(chain) == k:
+            while len(chain) <= k and len(t.children[chain[-1]]) == 1:
+                chain.append(t.children[chain[-1]][0])
+            if len(chain) == k and not t.children[chain[-1]]:
                 out.append(PendentPath(tuple(chain), v))
-    out.sort(key=lambda q: (q.attach_point, q.vertices))
     return out
 
 
 def subtree_chain(t: RootedTree) -> SubtreeChain:
     """Subtree chain of a hedge; the smallest-labelled child of each vertex
-    is its distinguished one."""
+    is its distinguished one.  T^(h) is one top-down pass over `depth`: a
+    vertex of height >= h, or the distinguished child of a kept one."""
     _require_hedge(t)
     h = t.height_map
-    height = t.height
-    star = {v: min(t.children[v]) for v in t.vertices if t.children[v]}
     sets = []
-    for level in range(height + 1):
-        keep = {v for v in t.vertices if h[v] >= level}
-        for v in list(keep):
-            if h[v] == level:
-                u = v
-                for _ in range(level):
-                    u = star[u]
-                    keep.add(u)
+    for level in range(t.height + 1):
+        keep: set[int] = set()
+        for v in t.depth:
+            p = t.parent[v - 1]
+            if h[v] >= level or (p in keep and v == t.children[p][0]):
+                keep.add(v)
         sets.append(frozenset(keep))
     return SubtreeChain(t, tuple(sets))
 

@@ -216,29 +216,22 @@ def duplicate_branch(
     t = w.tree
     if b0 not in t.children[v]:
         raise NotABranch(f"{b0} is not a child of {v}")
-    s = len(split) - 1
     branch = t.subtree_vertices(b0)
-    n = t.n
     parent = list(t.parent)
     vw = dict(w.vertex_weight)
     ew = dict(w.edge_weight)
     base_edge = w.e(v, b0)
     ew[_edge_key(v, b0)] = split.t[0] * base_edge
-    next_label = n + 1
-    for k in range(1, s + 1):
-        remap = {}
-        for u in branch:
-            remap[u] = next_label
-            next_label += 1
+    for k, tk in enumerate(split.t[1:]):
+        # copy k + 1 takes the next len(branch) labels, in the branch's label order
+        remap = {u: t.n + k * len(branch) + i for i, u in enumerate(branch, start=1)}
         for u in branch:
             p = t.parent[u - 1]
             parent.append(v if u == b0 else remap[p])
             vw[remap[u]] = w.v(u)
-        for u in branch:
-            p = t.parent[u - 1]
             if u != b0:
                 ew[_edge_key(remap[u], remap[p])] = w.e(u, p)
-        ew[_edge_key(v, remap[b0])] = split.t[k] * base_edge
+        ew[_edge_key(v, remap[b0])] = tk * base_edge
     return WeightFn(RootedTree(tuple(parent)), vw, ew)
 
 

@@ -126,6 +126,21 @@ def test_abc_n1():
     assert a == [Fraction(5)] and b == []
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        (Fraction(0), None, Fraction(1), Fraction(2)),
+        (0, 1, -1, None, 3),
+        (None,),
+        (None, 1, -1),
+    ],
+)
+def test_lambda_tuple_rejects_a_value_after_a_missing_one(values):
+    # a gap made abc_coefficients and region() fail later with a TypeError
+    with pytest.raises(ValueError, match=r"^give alpha1 and the values after it in the order"):
+        LambdaTuple(*values)
+
+
 def test_abc_not_in_B():
     # alpha1 outside the (alpha2, beta2) interval makes b2 negative
     lam = LambdaTuple(Fraction(5), Fraction(1), Fraction(-1), Fraction(2), Fraction(3))

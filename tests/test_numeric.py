@@ -227,6 +227,34 @@ def test_trailing_interlacing(rng):
                 assert big[i] < small[i] < big[i + 1]
 
 
+def _reference_trailing_spectra(a, b, n):
+    """A fresh k-by-k fill for each block."""
+    af, bf, out = [float(x) for x in a], [float(x) for x in b], []
+    for k in range(1, n + 1):
+        m = np.diag(af[k - 1 :: -1])
+        for i in range(k - 1):
+            m[i, i + 1] = m[i + 1, i] = np.sqrt(bf[k - 2 - i])
+        out.append(np.sort(np.linalg.eigvalsh(m)))
+    return out
+
+
+def test_trailing_spectra_are_the_per_block_fill_bitwise(rng):
+    from hedge_iep.lambdas import abc_closed_forms
+    from hedge_iep.rigid import solve_rigid
+
+    paths = [abc_closed_forms(solve_rigid().lam, 41)]
+    for n in range(1, 46):
+        paths.append((rng.normal(size=n).tolist(), rng.uniform(0.01, 5.0, size=n - 1).tolist()))
+        paths.append((
+            [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 9))) for _ in range(n)],
+            [Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 9))) for _ in range(n - 1)],
+        ))
+    for a, b in paths:
+        got, want = trailing_spectra(a, b, len(a)), _reference_trailing_spectra(a, b, len(a))
+        assert len(got) == len(want) == len(a)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
 def test_numeric_nullity():
     m = np.diag([1.0, 0.0, 2.0, 0.0])
     assert numeric_nullity(m) == 2

@@ -192,6 +192,28 @@ def test_uniform_splits_are_built_once_per_height_and_arity(monkeypatch):
     assert len(calls) <= len(kinds) == 8
 
 
+def test_ph_construct_checks_the_recipe_on_the_values_it_writes(rng, monkeypatch, hedge10):
+    def read_back(w):
+        raise AssertionError("ph_construct read its member back through _levels")
+
+    monkeypatch.setattr("hedge_iep.pth._levels", read_back)
+    for exact in (True, False):
+        t = _mixed_lush_hedge(rng, 3)
+        c = build_C(_feasible_lam(rng, 4, exact), 4)
+        ph_construct(c, t)
+        ph_construct(c, t, random_splits(t, rng))
+    p3 = RootedTree((0, 1, 2))
+    nan_vertex = WeightFn(p3, {1: 8.0, 2: math.nan, 3: 2.0}, {(1, 2): 20.0, (2, 3): 3.0})
+    inf_edge = WeightFn(p3, {1: 8.0, 2: 4.0, 3: 2.0}, {(1, 2): math.inf, (2, 3): 3.0})
+    for c, detail in (
+        (nan_vertex, "vertex 2: weight nan != a"),
+        (inf_edge, "vertex 1: child edges sum beyond the float range"),
+    ):
+        with pytest.raises(AssertionError) as info:
+            ph_construct(c, hedge10)
+        assert str(info.value) == f"not a member of the family: {detail}"
+
+
 def test_ph_spectrum_of_a_path_rooted_at_vertex_two():
     # root 2 carries a_2 = 7, leaf 1 carries a_1 = 5: on the star the root
     # gets 7 and the leaves 5, so the spectrum is {4, 5, 8}

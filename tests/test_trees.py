@@ -21,7 +21,7 @@ from hedge_iep.trees import (
     tree_to_json,
 )
 
-from conftest import random_lush_hedge
+from conftest import random_lush_hedge, random_tree, relabel
 
 
 def path(n: int) -> RootedTree:
@@ -158,6 +158,67 @@ def test_pendent_paths_examples(hedge10):
     threes = pendent_paths(path(4), 3)
     assert len(threes) == 1 and threes[0].vertices == (2, 3, 4)
     assert threes[0].attach_point == 1
+
+
+def _reference_height_map(t: RootedTree) -> dict[int, int]:
+    """Heights with the vertices sorted deepest first."""
+    h: dict[int, int] = {}
+    for v in sorted(t.vertices, key=lambda u: -t.depth[u]):
+        h[v] = 1 + max((h[c] for c in t.children[v]), default=-1)
+    return h
+
+
+def _reference_pendent_paths(t: RootedTree, k: int) -> list:
+    """Every hanging chain walked to its end, then sorted."""
+    out = []
+    for v in t.vertices:
+        for c in t.children[v]:
+            chain, cur, ok = [c], c, True
+            while True:
+                ch = t.children[cur]
+                if len(ch) > 1:
+                    ok = False
+                    break
+                if not ch:
+                    break
+                cur = ch[0]
+                chain.append(cur)
+            if ok and len(chain) == k:
+                out.append((v, tuple(chain)))
+    return sorted(out)
+
+
+def _reference_subtree_chain(t: RootedTree) -> tuple:
+    """T^(h): the vertices of height >= h, plus h distinguished-child steps
+    down from each vertex of height h."""
+    h = _reference_height_map(t)
+    star = {v: min(t.children[v]) for v in t.vertices if t.children[v]}
+    sets = []
+    for level in range(h[t.root] + 1):
+        keep = {v for v in t.vertices if h[v] >= level}
+        for v in list(keep):
+            if h[v] == level:
+                u = v
+                for _ in range(level):
+                    u = star[u]
+                    keep.add(u)
+        sets.append(frozenset(keep))
+    return tuple(sets)
+
+
+def test_tree_walks_match_the_sorting_references(rng):
+    # height_map, pendent_paths and subtree_chain read the top-down order of
+    # depth; the references sort instead
+    shapes = [path(1), path(7), ten_vertex_hedge(), smallest_lush_hedge(3)]
+    shapes += [random_tree(int(rng.integers(1, 40)), rng) for _ in range(60)]
+    shapes += [relabel(random_lush_hedge(rng, 60), rng)[0] for _ in range(60)]
+    for t in shapes:
+        assert t.height_map == _reference_height_map(t)
+        for k in range(1, 6):
+            got = [(q.attach_point, q.vertices) for q in pendent_paths(t, k)]
+            assert got == _reference_pendent_paths(t, k)
+        if is_hedge(t):
+            assert subtree_chain(t).vertex_sets == _reference_subtree_chain(t)
 
 
 def test_pendent_paths_disjoint(rng):

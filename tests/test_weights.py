@@ -469,6 +469,46 @@ def test_spectrum_law_random(rng):
     assert checked >= 40
 
 
+def _reference_duplicate(w: WeightFn, v: int, b0: int, split: DuplicationSplit) -> WeightFn:
+    """Each copy in three passes over the branch: labels, then parents and
+    vertex weights, then edge weights."""
+    t = w.tree
+    branch = t.subtree_vertices(b0)
+    parent, vw, ew = list(t.parent), dict(w.vertex_weight), dict(w.edge_weight)
+    base_edge = w.e(v, b0)
+    ew[(min(v, b0), max(v, b0))] = split.t[0] * base_edge
+    next_label = t.n + 1
+    for k in range(1, len(split)):
+        remap = {}
+        for u in branch:
+            remap[u] = next_label
+            next_label += 1
+        for u in branch:
+            parent.append(v if u == b0 else remap[t.parent[u - 1]])
+            vw[remap[u]] = w.v(u)
+        for u in branch:
+            p = t.parent[u - 1]
+            if u != b0:
+                ew[tuple(sorted((remap[u], remap[p])))] = w.e(u, p)
+        ew[tuple(sorted((v, remap[b0])))] = split.t[k] * base_edge
+    return WeightFn(RootedTree(tuple(parent)), vw, ew)
+
+
+def test_duplicate_branch_matches_the_three_pass_reference(rng):
+    shapes = [random_tree(int(rng.integers(2, 30)), rng) for _ in range(40)]
+    shapes += [relabel(random_lush_hedge(rng, 60), rng)[0] for _ in range(40)]
+    for i, t in enumerate(shapes):
+        exact = i % 2 == 0
+        w = random_weight(t, rng, exact=exact)
+        v = [u for u in t.vertices if t.children[u]][int(rng.integers(0, t.n - len(t.leaves)))]
+        b0 = t.children[v][int(rng.integers(0, len(t.children[v])))]
+        split = DuplicationSplit.uniform(int(rng.integers(1, 5)), exact=exact)
+        got, want = duplicate_branch(w, v, b0, split), _reference_duplicate(w, v, b0, split)
+        assert got.tree == want.tree
+        assert list(got.vertex_weight.items()) == list(want.vertex_weight.items())
+        assert list(got.edge_weight.items()) == list(want.edge_weight.items())
+
+
 def _restrict(w, vertices):
     from hedge_iep.trees import induced_tree
 
