@@ -3,7 +3,12 @@ multiplicity clustering.
 
 The floating-point eigensolver is LAPACK via numpy, imported inside the
 float routines, so the exact commands never load it; `char_poly_exact` is
-the test suite's oracle for the exact routes beside it.
+the test suite's oracle for the exact routes beside it.  `trailing_spectra`
+solves the levels of a path matrix for `rigid.level_figure_data`,
+`rigid.consecutive_interlacing_gap`, `pth._level_spectrum` and
+`lambdas.step_lemma_checks_raw`, where numpy is loaded anyway or the levels
+are many; the rigid list, with nine levels on T^(8), solves them in pure
+Python with `polys.level_spectra` and loads no numpy.
 """
 
 from __future__ import annotations

@@ -1,15 +1,20 @@
-"""Dense univariate polynomials over an exact scalar ring.
+"""Dense univariate polynomials over an exact scalar ring, and the level
+recurrence of a path matrix.
 
 Coefficients may be Fractions, integers, field extension elements or
 multivariate polynomials; the only requirements are ring arithmetic and an
-honest ``== 0`` test (so this type is not meant for floats).
+honest ``== 0`` test (so this type is not meant for floats).  The level
+recurrence also runs at float points: `level_spectra` solves every level of
+a path matrix in pure Python from it and from the Sturm count
+`level_counts`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm, sqrt
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -148,6 +153,95 @@ def level_values(a, b, x) -> list:
     for k in range(1, len(a)):
         ps.append((x - a[k]) * ps[k] - ps[k - 1] * b[k - 1])
     return ps
+
+
+def level_counts(a, b, q) -> list[int]:
+    """The number of eigenvalues below q of each level k = 1..n of the path
+    matrix of `level_values`, all from one pivot sweep: the Givens-Sturm
+    count (W. Barth, R. S. Martin and J. H. Wilkinson, Numer. Math. 9 (1967)
+    386-393).  Level k's A - qI has the LDL^T pivots d_1..d_k, where
+    d_j = (a_j - q) - b_j / d_{j-1}, and by Sylvester's law of inertia as
+    many eigenvalues below q as negative pivots.  A zero pivot stands for its
+    limit as q rises to it, 0+, so the pivot after it is -inf."""
+    d = a[0] - q
+    counts = [int(d < 0)]
+    for aj, bj in zip(a[1:], b):
+        d = aj - q - bj / d if d else -inf
+        counts.append(counts[-1] + (d < 0))
+    return counts
+
+
+#: Illinois steps before a bracket falls back to bisection on the count
+_ILLINOIS_STEPS = 64
+
+
+def _level_root(a, b, m: int, i: int, lo: float, hi: float, tol: float) -> float:
+    """The eigenvalue of level m in (lo, hi), where level m has exactly i
+    eigenvalues below lo: Illinois regula falsi on p_m (M. Dowell and
+    P. Jarratt, BIT 11 (1971) 168-174) while p_m changes sign across the
+    bracket and each step lands inside it, then bisection on the count."""
+    a = a[:m]
+
+    def p(q):
+        return level_values(a, b, q)[-1]
+
+    flo, fhi, side = p(lo), p(hi), 0
+    for _ in range(_ILLINOIS_STEPS):
+        if hi - lo <= tol:
+            return (lo + hi) / 2
+        if not (flo < 0 < fhi or fhi < 0 < flo):
+            break
+        # the secant point, at least tol from each end so that both ends
+        # move; NaN, from a p_m that overflowed at both ends, stays NaN
+        x = min(max(lo - flo * (hi - lo) / (fhi - flo), lo + tol), hi - tol)
+        if not lo < x < hi:
+            break
+        fx = p(x)
+        if fx == 0:
+            return x
+        # Illinois: an end that stays for a second step has its value halved
+        if (fx < 0) == (flo < 0):
+            lo, flo, fhi, side = x, fx, fhi / 2 if side > 0 else fhi, 1
+        else:
+            hi, fhi, flo, side = x, fx, flo / 2 if side < 0 else flo, -1
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
+        if level_counts(a, b, mid)[-1] > i:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def level_spectra(a, b) -> list[list[float]]:
+    """Sorted float spectra of levels 1..n, n = len(a), of the path matrix
+    of `level_values` with every b_i > 0, in pure Python.  The a_i and b_i
+    are rounded to floats once.  Since every b_i > 0, interlacing is strict:
+    level k + 1 has one eigenvalue below level k's first, one between each
+    two consecutive ones and one above its last; the outer ends come from
+    the Gershgorin discs of C_n's symmetric form, with off-diagonal
+    sqrt(b_i).  `_level_root` refines each eigenvalue in its bracket to
+    about eps times the larger of the width and the reach from 0 of the
+    discs' union."""
+    a = [float(x) for x in a]
+    b = [float(x) for x in b]
+    radius = [0.0] * len(a)
+    for j, bj in enumerate(b):
+        radius[j] += sqrt(bj)
+        radius[j + 1] += sqrt(bj)
+    lo = min(x - r for x, r in zip(a, radius))
+    hi = max(x + r for x, r in zip(a, radius))
+    # a disc's edge can be an eigenvalue, so the outer brackets reach past them
+    lo, hi = lo - (hi - lo) / 64, hi + (hi - lo) / 64
+    # at least one float spacing anywhere in [lo, hi]
+    tol = sys.float_info.epsilon * max(hi - lo, -lo, hi)
+    spectra = [a[:1]]
+    for m in range(2, len(a) + 1):
+        ends = [lo, *spectra[-1], hi]
+        spectra.append([_level_root(a, b, m, i, ends[i], ends[i + 1], tol) for i in range(m)])
+    return spectra
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:

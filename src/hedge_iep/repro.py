@@ -240,8 +240,15 @@ def repro_zeroone_11(report: RunReport, seed: int) -> None:
 
 
 def repro_rigid_values(report: RunReport, seed: int) -> None:
-    from . import rigid
+    from . import algebraic, rigid
 
+    # every sign in Q[xi] is decided on this interval, so it comes first
+    lo, hi = algebraic.XI_INTERVAL
+    report.check(
+        "xi isolated by Sturm counts (exact)",
+        algebraic.verify_isolation(),
+        f"no root of the sextic in (0, {lo}], one in ({lo}, {hi}]",
+    )
     sol = rigid.solve_rigid()
     want = MANIFEST["rigid-values"]
     for key in ("xi", "alpha1", "alpha2", "beta3", "lambda_37", "lambda_48", "lambda_49"):

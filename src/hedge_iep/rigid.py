@@ -36,7 +36,15 @@ from .mpoly import MPolyQ
 # unused here; perfbench/tests checks that its tracer rebinds this name
 from .mpoly import bareiss_determinant  # noqa: F401
 from .numeric import trailing_spectra
-from .polys import X, PolyQ, ZeroPolynomial, count_real_roots, level_values, poly_gcd
+from .polys import (
+    X,
+    PolyQ,
+    ZeroPolynomial,
+    count_real_roots,
+    level_spectra,
+    level_values,
+    poly_gcd,
+)
 from .tolerance import SPECTRUM_TOL, close, gap_clusters
 from .trees import HedgeProfile
 
@@ -404,7 +412,9 @@ def rigid_b_values(up_to: int = 41) -> list[QXi]:
 def rigid_level_spectra(max_level: int) -> tuple[np.ndarray, ...]:
     """Float spectra of C_1..C_max at the rigid tuple (exact coefficients
     rounded once, then LAPACK), solved once per max_level and shared by
-    every caller as read-only arrays."""
+    `level_figure_data` and `consecutive_interlacing_gap` as read-only
+    arrays.  The rigid list, with nine levels on T^(8), takes its levels
+    from the pure-Python `polys.level_spectra` instead and loads no numpy."""
     specs = trailing_spectra(*abc_closed_forms(solve_rigid().lam, max_level), max_level)
     for s in specs:
         s.flags.writeable = False
@@ -423,8 +433,9 @@ class RigidList:
 
 def rigid_multiplicity_list(prof: HedgeProfile, tol: float = SPECTRUM_TOL) -> RigidList:
     """Ordered multiplicity list of the rigid construction on a lush hedge
-    with the given profile (height >= 8), assembled from level spectra; no
-    giant matrix is ever formed.
+    with the given profile (height >= 8), assembled from the level spectra
+    of `polys.level_spectra`; no giant matrix is ever formed, and no numpy
+    is loaded.
 
     Raises UnexpectedCoincidence if the level clustering shows a coincidence
     outside the periodic pattern and the three engineered ones.
@@ -435,19 +446,15 @@ def rigid_multiplicity_list(prof: HedgeProfile, tol: float = SPECTRUM_TOL) -> Ri
     certs = certify_coincidences()
     if not all(certs.values()):
         raise UnexpectedCoincidence("engineered coincidences failed exact checks")
-    specs = rigid_level_spectra(n)
-    points = []
-    for level in range(1, n + 1):
-        for v in specs[level - 1]:
-            points.append((float(v), level))
-    points.sort()
+    sol = solve_rigid()
+    specs = level_spectra(*abc_closed_forms(sol.lam, n))
+    points = sorted((v, level) for level, spec in enumerate(specs, 1) for v in spec)
     width = points[-1][0] - points[0][0]
     # (value, levels of its members) per cluster
     clusters = [
         (value, [points[i][1] for i in r])
         for value, r in gap_clusters([v for v, _ in points], tol)
     ]
-    sol = solve_rigid()
     # (value, levels) of each distinguished and each engineered eigenvalue
     named = {
         name: (

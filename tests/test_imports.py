@@ -2,8 +2,8 @@
 
 A cold `hedge-iep repro <id>` is mostly import, so each command loads only
 the modules it runs: `import hedge_iep` loads no submodule, the exact
-commands and the exact engine never load numpy, and only the rigid commands
-load the exact engine.  The cold cases run in a fresh interpreter and read its
+commands, the exact engine and the rigid list never load numpy, and only the
+rigid commands load the exact engine.  The cold cases run in a fresh interpreter and read its
 `sys.modules` at exit.
 """
 
@@ -19,7 +19,7 @@ import pytest
 import hedge_iep
 from hedge_iep.cli import main
 from hedge_iep.repro import REPROS
-from hedge_iep.trees import save_tree, ten_vertex_hedge
+from hedge_iep.trees import save_tree, smallest_lush_hedge, ten_vertex_hedge
 
 SRC = str(Path(hedge_iep.__file__).parents[1])
 
@@ -119,6 +119,29 @@ def test_rigid_values_loads_the_engine_but_no_numpy():
     modules = _cli_loads("repro", "rigid-values")
     assert ENGINE <= modules
     assert _heavy(modules) == set()
+
+
+@pytest.mark.parametrize(
+    "argv", [("repro", "rigid-t8-list"), ("rigid", "list", "--tree", "t8.json")], ids=" ".join
+)
+def test_rigid_list_loads_the_engine_but_no_numpy(argv, tmp_path):
+    # its nine level spectra come from the pure-Python kernel in polys
+    save_tree(smallest_lush_hedge(8), tmp_path / "t8.json")
+    modules = _cli_loads(*argv, cwd=tmp_path)
+    assert ENGINE <= modules
+    assert _heavy(modules) == set()
+
+
+@pytest.mark.parametrize("example", ["levels-40", "bf-rs"])
+def test_float_repros_still_load_numpy(example):
+    assert "numpy" in _cli_loads("repro", example)
+
+
+def test_rigid_list_runs_where_numpy_cannot_load():
+    no_numpy = "import sys\nsys.modules['numpy'] = None\n" + CLI_DRIVER
+    code, modules = _loaded_after(no_numpy, "repro", "rigid-t8-list", "--json")
+    assert code == 0
+    assert "hedge_iep.rigid" in modules
 
 
 def test_the_exact_engine_loads_no_numpy():

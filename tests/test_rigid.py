@@ -58,6 +58,21 @@ def test_xi_isolation():
     assert count_real_roots(SEXTIC, Fraction(0), lo) == 0
 
 
+@pytest.mark.parametrize(
+    "interval",
+    [(Fraction(1, 2), Fraction(1)), (Fraction(1, 4), Fraction(1, 3))],
+    ids=["xi below the interval", "no root in it"],
+)
+def test_rigid_values_runs_the_isolation_proof(interval, monkeypatch, capsys):
+    from hedge_iep.cli import main
+
+    assert main(["repro", "rigid-values"]) == 0
+    assert "[PASS] xi isolated by Sturm counts (exact)" in capsys.readouterr().out
+    monkeypatch.setattr(hedge_iep.algebraic, "XI_INTERVAL", interval)
+    assert main(["repro", "rigid-values"]) == 1
+    assert "[FAIL] xi isolated by Sturm counts (exact)" in capsys.readouterr().out
+
+
 def test_qxi_field_arithmetic():
     xi = QXi.xi()
     # the defining relation holds
