@@ -3,8 +3,8 @@
 A cold `hedge-iep repro <id>` is mostly import, so each command loads only
 the modules it runs: `import hedge_iep` loads no submodule, the exact
 commands, the exact engine and the rigid list never load numpy, and only the
-rigid commands load the exact engine.  The cold cases run in a fresh interpreter and read its
-`sys.modules` at exit.
+rigid commands load the exact engine.  The cold cases run in a fresh
+interpreter and read its `sys.modules` at exit.
 """
 
 import importlib
