@@ -185,10 +185,23 @@ class MPolyQ:
         the divisor's leading monomial divides it, and stop at the first one
         it does not divide.  Runs on the integer numerators: whenever a
         leading coefficient is not a multiple of the divisor's, the quotient
-        and remainder so far are scaled up to make it one."""
+        and remainder so far are scaled up to make it one.  A one-term
+        divisor cancels the leading term and adds no other, so its quotient
+        is the leading run of terms it divides, shifted and scaled, and the
+        remainder is the rest."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         (l1, l2, l3), lc = other.nums[0]
+        if len(other.nums) == 1:
+            items = self.nums
+            j = 0
+            for (a, b, c), _ in items:
+                if a < l1 or b < l2 or c < l3:
+                    break
+                j += 1
+            s = other.den if lc > 0 else -other.den
+            quo = [((a - l1, b - l2, c - l3), n * s) for (a, b, c), n in items[:j]]
+            return _lowest(quo, self.den * abs(lc)), _lowest(items[j:], self.den)
         quo: dict[Monomial, int] = {}
         rem = dict(self.nums)
         scale = 1  # scale * self.nums == quo * other.nums + rem

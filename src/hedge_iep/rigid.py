@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, product
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -135,7 +136,8 @@ def resultant(f: PolyQ, g: PolyQ) -> MPolyQ:
     c f and d g, which clears every denominator, so the sequence stays in
     Z[alpha1, alpha2, beta3]: each step (A, B) -> (B, R) takes the
     pseudo-remainder lc(B)^(delta+1) A mod B, delta = deg A - deg B, and
-    divides it exactly by lead h^delta to get R; then lead = lc(B) and
+    divides it exactly by lead h^delta to get R, by lead and then by h,
+    delta times, each an exact division of its own; then lead = lc(B) and
     h = lead^delta / h^(delta-1).  Once R is a constant, res = R^deg B /
     h^(deg B - 1) up to the sign of the row swaps, and a zero R means a
     common factor, res = 0.  res(c f, d g) = c^deg g d^deg f res(f, g)
@@ -157,8 +159,10 @@ def resultant(f: PolyQ, g: PolyQ) -> MPolyQ:
         r = _pseudo_remainder(a, b)
         if not r:
             return MPolyQ(())
-        div = lead * h**delta
-        a, b = b, r if div == 1 else [x.exact_div(div) for x in r]
+        for div in (lead,) + (h,) * delta:
+            if div != 1:
+                r = [x.exact_div(div) for x in r]
+        a, b = b, r
         lead = a[0]
         if delta == 1:
             h = lead
@@ -181,29 +185,99 @@ def level_resultant(a: int, b: int) -> MPolyQ:
 
 @lru_cache(maxsize=None)
 def simplify_resultant(a: int, b: int) -> tuple[MPolyQ, tuple[str, ...], Fraction]:
-    """Divide r_{a,b} by maximal powers of the trivially nonzero forms.
-
-    Returns the primitive residual (positive leading coefficient, integral
-    content 1), the removed factor names with multiplicity, and the rational
-    scalar such that r_{a,b} = scalar * residual * prod(removed).
+    """Divide r_{a,b} by maximal powers of the trivially nonzero forms
+    (`strip_trivial_factors`).
 
     No solution in the open region 1 is lost: there beta2 = -1 < alpha1 <
     alpha2 < beta3 < 1 = beta4, so every difference form, which vanishes only
     where two distinguished values are equal, is nonzero, and the sum form
     alpha2 - beta3 - 2 is below -2.
     """
-    r = level_resultant(a, b)
-    removed: list[str] = []
-    for name, form in TRIVIAL_FORMS:
-        while True:
-            q, rem = r.divmod_lex(form)
-            if rem.is_zero() and not q.is_zero():
-                r = q
-                removed.append(name)
-            else:
-                break
-    residual, scale = r.normalized()
-    return residual, tuple(removed), scale
+    return strip_trivial_factors(level_resultant(a, b))
+
+
+#: the first integer point `strip_trivial_factors` restricts to: on each of
+#: its three axis lines the forms have distinct roots, no form is a zero
+#: constant, and every r_{a,b} with a < b <= 7, or a <= 5 and b = 8, or
+#: a <= 4 and b = 9 is stripped at this first point
+GRID_BASE = (2, -2, 3)
+
+
+def _grid():
+    """The integer points GRID_BASE + (u, v, w), u, v, w >= 0, shell by
+    shell: every point of the cube [0, n]^3 comes before any point outside
+    it."""
+    b0, b1, b2 = GRID_BASE
+    for n in count():
+        for u, v, w in product(range(n + 1), repeat=3):
+            if max(u, v, w) == n:
+                yield b0 + u, b1 + v, b2 + w
+
+
+def _order_at(coeffs: list[int], t: int) -> int:
+    """The order of vanishing at t of the nonzero integer polynomial with
+    ascending coefficients ``coeffs``, by synthetic division by x - t."""
+    k = 0
+    while True:
+        acc, quo = 0, []
+        for c in reversed(coeffs):
+            acc = acc * t + c
+            quo.append(acc)
+        if quo.pop():
+            return k
+        coeffs = quo[::-1]
+        k += 1
+
+
+def strip_trivial_factors(r: MPolyQ) -> tuple[MPolyQ, tuple[str, ...], Fraction]:
+    """Divide r by the maximal power of each form of `TRIVIAL_FORMS`.
+
+    Returns the primitive residual (positive leading coefficient, integral
+    content 1), the removed factor names with multiplicity (in the order of
+    `TRIVIAL_FORMS`), and the rational scalar such that r = scalar *
+    residual * prod(removed).  A zero r has residual 0, nothing removed and
+    scalar 1.
+
+    Each form F is x_i + l (up to sign) with l free of x_i, so on the line
+    through an integer point p parallel to the x_i axis it is t - t_F for an
+    integer t_F.  If F^m divides r, (t - t_F)^m divides the restriction of r
+    to that line, so F's order of vanishing k there satisfies k >= m.  One
+    exact division of r by g = prod F^k then shows F^k | r, so m >= k and
+    m = k for every form at once.  Where a restriction vanishes identically
+    or the division leaves a remainder, the point is unlucky (two factors
+    share a root on a line, or the cofactor vanishes there), and the next
+    point of a growing grid is tried.  The unlucky points lie on a nonzero
+    polynomial's zero set, which contains no whole cube of side above its
+    degree (J. T. Schwartz, J. ACM 27 (1980)), so the loop ends.
+    """
+    if r.is_zero():
+        return r, (), Fraction(1)
+    degs = [max(m[i] for m, _ in r.nums) for i in range(3)]
+    for point in _grid():
+        p0, p1, p2 = ([x**e for e in range(d + 1)] for x, d in zip(point, degs))
+        lines = [[0] * (d + 1) for d in degs]
+        c0, c1, c2 = lines
+        for (e0, e1, e2), n in r.nums:
+            c0[e0] += n * p1[e1] * p2[e2]
+            c1[e1] += n * p0[e0] * p2[e2]
+            c2[e2] += n * p0[e0] * p1[e1]
+        if not all(any(c) for c in lines):
+            continue
+        ks = []
+        g = MPolyQ.const(1)
+        for _, form in TRIVIAL_FORMS:
+            lead, c = form.leading()  # form = c x_i + (later variables)
+            i = lead.index(1)
+            on_axis = point[:i] + (0,) + point[i + 1:]
+            k = _order_at(lines[i], int(-form.evaluate(*on_axis) / c))
+            ks.append(k)
+            if k:
+                g = g * form**k
+        q, rem = r.divmod_lex(g)
+        if rem.is_zero():
+            residual, scale = q.normalized()
+            removed = tuple(name for (name, _), k in zip(TRIVIAL_FORMS, ks) for _ in range(k))
+            return residual, removed, scale
 
 
 def companion_double_root_entry() -> tuple[MPolyQ, MPolyQ, Fraction]:

@@ -180,10 +180,7 @@ def test_exact_division_recovers_the_factor(a, b):
     assert (p * q) / q == p
 
 
-@ring_tests
-@given(ref_polys, nonzero_ref_polys, ref_polys)
-def test_lex_division_matches_the_reference(a, b, r):
-    num = ref_add(ref_mul(a, b), r)
+def check_lex_division(num: dict, b: dict) -> None:
     p, q = build(num), build(b)
     want_q, want_r = ref_divmod(num, b)
     got_q, got_r = p.divmod_lex(q)
@@ -193,6 +190,36 @@ def test_lex_division_matches_the_reference(a, b, r):
             p.exact_div(q)
     else:
         assert p.exact_div(q) == got_q
+
+
+@ring_tests
+@given(ref_polys, nonzero_ref_polys, ref_polys)
+def test_lex_division_matches_the_reference(a, b, r):
+    check_lex_division(ref_add(ref_mul(a, b), r), b)
+
+
+@ring_tests
+@given(ref_polys, monomials, nonzero_fractions, ref_polys)
+def test_lex_division_by_one_term_matches_the_reference(a, m, c, r):
+    check_lex_division(ref_add(ref_mul(a, {m: c}), r), {m: c})
+
+
+#: descending lex: alpha1^2 alpha2, alpha1 alpha2, alpha1, alpha2^2, 1
+MIXED = {(2, 1, 0): Fraction(3), (1, 1, 0): Fraction(-5, 2), (1, 0, 0): Fraction(1),
+         (0, 2, 0): Fraction(7, 3), (0, 0, 0): Fraction(-4)}
+
+
+@pytest.mark.parametrize("num,m,c", [
+    (MIXED, (1, 0, 0), Fraction(-2, 3)),  # stops at alpha2^2
+    (MIXED, (0, 1, 0), Fraction(5)),  # stops at alpha1, before the divisible alpha2^2
+    (MIXED, (1, 1, 0), Fraction(-1)),
+    (MIXED, (0, 0, 0), Fraction(-7, 4)),  # a constant divides every term
+    (MIXED, (3, 0, 0), Fraction(1, 2)),  # divides nothing
+    ({(2, 1, 0): Fraction(-6, 5), (2, 0, 1): Fraction(9, 5)}, (2, 0, 0), Fraction(-3, 10)),
+    ({}, (0, 1, 2), Fraction(-1)),
+])
+def test_lex_division_by_one_term(num, m, c):
+    check_lex_division(num, {m: c})
 
 
 def test_exact_division_with_fractional_quotients():

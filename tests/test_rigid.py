@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -16,6 +17,8 @@ from hedge_iep.mpoly import InexactDivision, MPolyQ, bareiss_determinant
 from hedge_iep.numeric import trailing_spectra
 from hedge_iep.polys import PolyQ, ZeroPolynomial, count_real_roots, root_multiplicities
 from hedge_iep.rigid import (
+    GRID_BASE,
+    TRIVIAL_FORMS,
     RoutesDisagree,
     UnexpectedCoincidence,
     certify_coincidences,
@@ -36,6 +39,7 @@ from hedge_iep.rigid import (
     simplify_resultant,
     solve_rigid,
     solve_route_a,
+    strip_trivial_factors,
     unit_interval_roots,
 )
 from hedge_iep.trees import profile, smallest_lush_hedge
@@ -327,6 +331,25 @@ def test_resultant_when_a_remainder_drops_two_degrees(seed):
     assert resultant(g, f) == _reference_resultant(g, f)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_resultant_divides_by_lead_and_h_in_turn(seed, monkeypatch):
+    # f mod g has degree 1 and deg f - deg g = 2, so both steps have
+    # delta = 2, and the second divides by lead = lc(g) != 1 and then twice
+    # by h = lead^2 != lead (the test above reaches delta = 2 with h = lead)
+    rng = random.Random(seed)
+    g = _random_poly(rng, 3, False)
+    f = g * _random_poly(rng, 2, True) + _random_poly(rng, 1, False)
+    divisors = []
+    exact_div = MPolyQ.exact_div
+    monkeypatch.setattr(MPolyQ, "exact_div", lambda p, d: divisors.append(d) or exact_div(p, d))
+    got = resultant(f, g)
+    monkeypatch.undo()
+    assert got == _reference_resultant(f, g)
+    lead = divisors[1]
+    assert not lead.is_constant()
+    assert divisors[1:4] == [lead, lead * lead, lead * lead]
+
+
 @pytest.mark.parametrize("k,m,n", [(1, 0, 2), (1, 1, 1), (2, 1, 2), (1, 3, 2), (2, 1, 1)])
 def test_resultant_of_polynomials_with_a_common_factor_is_zero(k, m, n):
     rng = random.Random(10 * k + m + n)
@@ -430,6 +453,139 @@ def test_unit_residual_pairs():
         residual, removed, scale = simplify_resultant(a, b)
         assert residual.is_constant() and residual.constant_value() == 1
         assert scale != 0
+
+
+def _reference_simplify(r: MPolyQ) -> tuple[MPolyQ, tuple[str, ...], Fraction]:
+    """Trial lex division by one trivial form at a time, until it fails."""
+    removed = []
+    for name, form in TRIVIAL_FORMS:
+        while True:
+            q, rem = r.divmod_lex(form)
+            if rem.is_zero() and not q.is_zero():
+                r = q
+                removed.append(name)
+            else:
+                break
+    residual, scale = r.normalized()
+    return residual, tuple(removed), scale
+
+
+def _count_strip_paths(monkeypatch, first: tuple = ()) -> dict:
+    """Count the grid points `strip_trivial_factors` tries, and record how
+    many it had tried at each of its lex divisions; the points ``first``
+    are put in front of the grid."""
+    counts = {"points": 0, "divided_at": []}
+    grid, divmod_lex = hedge_iep.rigid._grid, MPolyQ.divmod_lex
+
+    def counted_grid():
+        for point in itertools.chain(first, grid()):
+            counts["points"] += 1
+            yield point
+
+    def counted_divmod(p, d):
+        counts["divided_at"].append(counts["points"])
+        return divmod_lex(p, d)
+
+    monkeypatch.setattr(hedge_iep.rigid, "_grid", counted_grid)
+    monkeypatch.setattr(MPolyQ, "divmod_lex", counted_divmod)
+    return counts
+
+
+def _strip_checked(r: MPolyQ, monkeypatch, first: tuple = ()) -> tuple[tuple, dict]:
+    """The stripped r, which must equal the reference, and the path counts."""
+    want = _reference_simplify(r)
+    counts = _count_strip_paths(monkeypatch, first)
+    got = strip_trivial_factors(r)
+    monkeypatch.undo()
+    assert got == want
+    return got, counts
+
+
+@pytest.mark.parametrize("a,b", SCAN_PAIRS)
+def test_strip_matches_the_reference_on_the_scan_pairs(a, b, monkeypatch):
+    got, counts = _strip_checked(level_resultant(a, b), monkeypatch)
+    assert simplify_resultant(a, b) == got
+    assert counts == {"points": 1, "divided_at": [1]}  # GRID_BASE is lucky for all 15
+
+
+def _random_cofactor(rng: random.Random) -> MPolyQ:
+    """A nonzero polynomial that no trivial form divides."""
+    while True:
+        out = MPolyQ(())
+        for _ in range(rng.randint(1, 4)):
+            mono = A1 ** rng.randint(0, 2) * A2 ** rng.randint(0, 2) * B3 ** rng.randint(0, 2)
+            out = out + mono * Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7)))
+        if out and all(not out.divmod_lex(form)[1].is_zero() for _, form in TRIVIAL_FORMS):
+            return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_strip_recovers_random_products(seed, monkeypatch):
+    rng = random.Random(seed)
+    ks = [rng.choice((0, 0, 1, 2, 3)) for _ in TRIVIAL_FORMS]
+    cofactor = _random_cofactor(rng)
+    r = cofactor * Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+    for (_, form), k in zip(TRIVIAL_FORMS, ks):
+        r = r * form**k
+    (residual, removed, scale), _ = _strip_checked(r, monkeypatch)
+    assert removed == tuple(name for (name, _), k in zip(TRIVIAL_FORMS, ks) for _ in range(k))
+    assert residual == cofactor.normalized()[0]
+
+
+def test_strip_skips_a_line_where_the_cofactor_vanishes(monkeypatch):
+    # alpha2 - b1 is zero on the alpha1 line through GRID_BASE: the
+    # restriction vanishes identically, and the point is skipped undivided
+    _, b1, _ = GRID_BASE
+    r = (A1 - A2) ** 2 * (B3 - 1) * (A2 - b1)
+    (_, removed, _), counts = _strip_checked(r, monkeypatch)
+    assert removed == ("alpha1-alpha2",) * 2 + ("beta3-beta4",)
+    assert counts["divided_at"][0] > 1
+
+
+def test_strip_retries_where_the_cofactor_vanishes_at_a_root(monkeypatch):
+    # alpha1 - b1 vanishes where alpha1 - alpha2 does on the alpha1 line
+    # through GRID_BASE, so k = 2 there, the division fails, and m = 1
+    _, b1, _ = GRID_BASE
+    r = (A1 - A2) * (A1 - b1) * (A2 + 1) * Fraction(-3, 4)
+    (_, removed, _), counts = _strip_checked(r, monkeypatch)
+    assert removed == ("alpha1-alpha2", "alpha2-beta2")
+    assert counts["divided_at"][:2] == [1, 2]
+
+
+def test_strip_retries_where_two_forms_share_a_root(monkeypatch):
+    # on the alpha1 line through (3, 0, 0), alpha1 - alpha2 and
+    # alpha1 - beta3 both vanish at alpha1 = 0, so the first division fails
+    r = (A1 - A2) * (A1 + A2 + B3 + 5)
+    (_, removed, _), counts = _strip_checked(r, monkeypatch, first=[(3, 0, 0)])
+    assert removed == ("alpha1-alpha2",)
+    assert counts["divided_at"][:2] == [1, 2]
+
+
+def test_strip_pure_products_and_zero(monkeypatch):
+    r = (A1 - A2) ** 2 * (B3 + 1) * (A2 - B3 - 2) ** 3 * Fraction(-5, 3)
+    (residual, removed, scale), counts = _strip_checked(r, monkeypatch)
+    assert residual == 1 and scale == Fraction(-5, 3)
+    assert removed == ("alpha1-alpha2",) * 2 + ("beta2-beta3",) + ("alpha2+beta2-beta3-beta4",) * 3
+    assert counts == {"points": 1, "divided_at": [1]}
+    got, counts = _strip_checked(MPolyQ(()), monkeypatch)
+    assert got == (MPolyQ(()), (), 1) and counts == {"points": 0, "divided_at": []}
+
+
+def test_grid_base_is_generic():
+    # on each axis line through GRID_BASE, the forms that vary along it have
+    # distinct roots, and every other form is a nonzero constant
+    for i in range(3):
+        roots = []
+        for _, form in TRIVIAL_FORMS:
+            at0, at1 = list(GRID_BASE), list(GRID_BASE)
+            at0[i], at1[i] = 0, 1
+            value = form.evaluate(*at0)
+            slope = form.evaluate(*at1) - value
+            if slope:
+                roots.append(-value / slope)
+            else:
+                assert value != 0
+        assert len(set(roots)) == len(roots)
 
 
 def test_companion_entry_matches_product():
