@@ -12,20 +12,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, pth
 from .lambdas import LambdaTuple, build_C, level_coefficients, path_weight
-from .numeric import cluster_multiplicities
 # unused here; perfbench/tests checks that its tracer rebinds this name
 from .numeric import eigenvalues_sym  # noqa: F401
 from .polys import X, PolyQ, level_values, root_multiplicities
-from .spectra import gap_vector
-from .tolerance import SPECTRUM_TOL, close
+from .spectra import SpectrumMultiset, gap_vector
+from .tolerance import SPECTRUM_TOL
 from .trees import RootedTree, ten_vertex_hedge, profile, smallest_lush_hedge
-from .weights import WeightFn, char_poly_of, spectrum_of
+from .weights import WeightFn, char_poly_of, inertia
 
 
 class UnknownExample(ValueError):
@@ -148,30 +148,37 @@ def repro_table2(report: RunReport, seed: int) -> None:
 
 def repro_bf_rs(report: RunReport, seed: int) -> None:
     """Realizations of the (1,2,4,2,1) list on the smallest height-2 lush
-    hedge all satisfy gap1 = gap4."""
-    import numpy as np
-
+    hedge all satisfy gap1 = gap4, on 25 exact members.  Each spectrum is
+    certified by inertia counts at five candidates, the four drawn values and
+    the forced fifth eigenvalue: the counts at them must sum to 10, and the
+    count below each must be the sum of the multiplicities before it."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     hedge10 = ten_vertex_hedge()
-    rng = np.random.default_rng(seed)
-    trials = 0
-    for _ in range(25):
-        b3, b2, a1, a2 = np.sort(rng.uniform(-3, 3, size=4))
-        lam = LambdaTuple(float(a1), float(a2), float(b2), float(b3))
-        try:
-            c = build_C(lam, 3)
-        except ValueError:  # NotInB, DuplicateValues, DegenerateSum
-            continue
-        spec = cluster_multiplicities(spectrum_of(pth.ph_construct(c, hedge10)))
-        if spec.ordered_multiplicities() != (1, 2, 4, 2, 1):
-            report.check("ordered list (1,2,4,2,1)", False, str(spec.entries))
+    rng, den, draws = random.Random(seed), 1000, 25
+    for _ in range(draws):
+        # four distinct multiples of 1/den in (-3, 3)
+        ks = rng.sample(range(1 - 3 * den, 3 * den), 4)
+        b3, b2, a1, a2 = sorted(Fraction(k, den) for k in ks)
+        member = pth.ph_construct(build_C(LambdaTuple(a1, a2, b2, b3), 3), hedge10)
+        values = sorted((b3, b2, a1, a2, pth.forced_fifth_eigenvalue((a1, a2, b2, b3))))
+        counts = [inertia(member, v) for v in values]
+        mults = tuple(at for _, at, _ in counts)
+        if sum(mults) != hedge10.n or any(
+            below != sum(mults[:i]) for i, (below, _, _) in enumerate(counts)
+        ):
+            detail = f"(below, at, above) {counts} at {[str(v) for v in values]}"
+            report.check("spectrum certified by inertia counts", False, detail)
             return
-        gv = gap_vector(spec)
-        if not close(gv.p[0], gv.p[3], SPECTRUM_TOL):
-            report.check("gap1 = gap4", False, f"{gv.p}")
+        if mults != (1, 2, 4, 2, 1):
+            report.check("ordered list (1,2,4,2,1)", False, str(mults))
             return
-        trials += 1
-    report.check("ordered list (1,2,4,2,1)", trials > 0, f"{trials} realizations")
-    report.check("gap1 = gap4 on every realization", trials > 0, f"{trials} checked")
+        gv = gap_vector(SpectrumMultiset(tuple(zip(values, mults))))
+        if gv.p[0] != gv.p[3]:
+            report.check("gap1 = gap4", False, str([str(g) for g in gv.p]))
+            return
+    report.check("ordered list (1,2,4,2,1)", True, f"{draws} realizations")
+    report.check("gap1 = gap4 on every realization", True, f"{draws} checked")
 
 
 def repro_t31_constraints(report: RunReport, seed: int) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
-from math import lcm
+from math import lcm, prod
 from typing import TYPE_CHECKING
 
 from .algebraic import QXi
@@ -243,17 +243,28 @@ def strip_trivial_factors(r: MPolyQ) -> tuple[MPolyQ, tuple[str, ...], Fraction]
     integer t_F.  If F^m divides r, (t - t_F)^m divides the restriction of r
     to that line, so F's order of vanishing k there satisfies k >= m.  One
     exact division of r by g = prod F^k then shows F^k | r, so m >= k and
-    m = k for every form at once.  Where a restriction vanishes identically
-    or the division leaves a remainder, the point is unlucky (two factors
-    share a root on a line, or the cofactor vanishes there), and the next
-    point of a growing grid is tried.  The unlucky points lie on a nonzero
-    polynomial's zero set, which contains no whole cube of side above its
-    degree (J. T. Schwartz, J. ACM 27 (1980)), so the loop ends.
+    m = k for every form at once.  A point where two forms that vary along
+    the same axis share a root on that line is skipped undivided, by integer
+    work alone: there one factor of r would be counted for both forms.
+    Where a restriction vanishes identically or the division leaves a
+    remainder, the point is unlucky too (the cofactor vanishes there), and
+    the next point of a growing grid is tried.  The unlucky points lie on a
+    nonzero polynomial's zero set (two forms share a root on a line only on
+    the plane where a nonzero linear form vanishes), which contains no whole
+    cube of side above its degree (J. T. Schwartz, J. ACM 27 (1980)), so the
+    loop ends.
     """
     if r.is_zero():
         return r, (), Fraction(1)
     degs = [max(m[i] for m, _ in r.nums) for i in range(3)]
     for point in _grid():
+        roots = []  # (axis i, root t_F) of each form on the x_i line through point
+        for _, form in TRIVIAL_FORMS:
+            lead, c = form.leading()  # form = c x_i + (later variables)
+            i = lead.index(1)
+            roots.append((i, int(-form.evaluate(*point[:i], 0, *point[i + 1:]) / c)))
+        if len(set(roots)) < len(roots):
+            continue  # two forms share a root on a line
         p0, p1, p2 = ([x**e for e in range(d + 1)] for x, d in zip(point, degs))
         lines = [[0] * (d + 1) for d in degs]
         c0, c1, c2 = lines
@@ -263,16 +274,8 @@ def strip_trivial_factors(r: MPolyQ) -> tuple[MPolyQ, tuple[str, ...], Fraction]
             c2[e2] += n * p0[e0] * p1[e1]
         if not all(any(c) for c in lines):
             continue
-        ks = []
-        g = MPolyQ.const(1)
-        for _, form in TRIVIAL_FORMS:
-            lead, c = form.leading()  # form = c x_i + (later variables)
-            i = lead.index(1)
-            on_axis = point[:i] + (0,) + point[i + 1:]
-            k = _order_at(lines[i], int(-form.evaluate(*on_axis) / c))
-            ks.append(k)
-            if k:
-                g = g * form**k
+        ks = [_order_at(lines[i], t) for i, t in roots]
+        g = prod((form**k for (_, form), k in zip(TRIVIAL_FORMS, ks) if k), start=MPolyQ.const(1))
         q, rem = r.divmod_lex(g)
         if rem.is_zero():
             residual, scale = q.normalized()

@@ -5,7 +5,9 @@ positive real per edge (the product of the two opposite off-diagonal
 entries); it is exactly the data of a diagonal-similarity class in the set
 of combinatorially symmetric matrices with the given tree pattern.  Weights
 support two scalar backends, floats and exact Fractions, with one spectral
-route each (`spectrum_of`, `char_poly_of`); conversions are explicit.
+route each (`spectrum_of`, `char_poly_of`); conversions are explicit.  On
+exact weights, `inertia` counts the eigenvalues on either side of a rational
+point in one pass.
 
 A concrete representative (`WeightedMatrix`) is stored by its 2n - 1
 nonzeros, never as an n-by-n table: `to_numpy` is the one dense fill, and
@@ -201,6 +203,28 @@ def char_poly_of(w: WeightFn) -> PolyQ:
         down = (Q[c] * Q[v].exact_div(P[c]) * w.e(v, c) for c in t.children[v])
         P[v] = (X - w.v(v)) * Q[v] - sum(down, PolyQ(()))
     return P[t.root]
+
+
+def inertia(w: WeightFn, q) -> tuple[int, int, int]:
+    """(below, at, above): the numbers of eigenvalues of an exact weight
+    below, equal to and above the rational q, from one leaves-first LDL^T
+    pass on A - qI and Sylvester's law of inertia.  The pivots are
+    d(v) = a_v - q - sum_c w_vc / d(c) over the children c of v.  For a zero
+    child pivot, the rule of D. P. Jacobs and V. Trevisan (Linear Algebra
+    Appl. 434 (2011) 81-88): the child gets 2, v gets -w_vc / 2, and v's
+    edge to its parent is cut."""
+    t, d, cut = w.tree, {}, set()
+    for v in reversed(t.depth):  # depth lists each vertex after its parent
+        kids = [c for c in t.children[v] if c not in cut]
+        zero = next((c for c in kids if d[c] == 0), None)
+        if zero is None:
+            d[v] = w.v(v) - q - sum(w.e(v, c) / d[c] for c in kids)
+        else:
+            d[zero], d[v] = 2, -w.e(v, zero) / 2
+            cut.add(v)
+    below = sum(x < 0 for x in d.values())
+    at = sum(x == 0 for x in d.values())
+    return below, at, t.n - below - at
 
 
 # ---------------------------------------------------------------------------

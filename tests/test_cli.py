@@ -17,7 +17,7 @@ from hedge_iep import pth, repro
 from hedge_iep.cli import main
 from hedge_iep.covers import ORACLE_MAX_VERTICES
 from hedge_iep.lambdas import LambdaTuple, build_C
-from hedge_iep.pth import ph_construct
+from hedge_iep.pth import forced_fifth_eigenvalue, ph_construct
 from hedge_iep.trees import (
     RootedTree,
     ten_vertex_hedge,
@@ -677,6 +677,50 @@ def test_realizability_check_catches_a_moved_vertex_weight(monkeypatch):
     checks = {name: ok for name, ok, _ in repro.run_repro("splitting-t31").checks}
     assert not checks["realizability by eigendecomposition"]
     assert checks["realizable list"] and checks["split list"]
+
+
+def _bf_rs_json(capsys, *argv) -> tuple[int, dict]:
+    code = main(["repro", "bf-rs", "--json", *argv])
+    out = capsys.readouterr().out
+    data = json.loads(out[out.index("{"):])
+    del data["wall_time_s"]
+    return code, data
+
+
+def test_bf_rs_checks_25_realizations_on_every_seed(capsys):
+    want = [
+        {"name": "ordered list (1,2,4,2,1)", "pass": True, "detail": "25 realizations"},
+        {"name": "gap1 = gap4 on every realization", "pass": True, "detail": "25 checked"},
+    ]
+    for seed in range(21):
+        code, data = _bf_rs_json(capsys, "--seed", str(seed))
+        assert code == 0 and data["checks"] == want and data["outputs"] == {}
+    assert _bf_rs_json(capsys, "--seed", "7") == _bf_rs_json(capsys, "--seed", "7")
+
+
+def test_bf_rs_rejects_a_negative_seed(capsys):
+    assert main(["repro", "bf-rs", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+
+def _scaled_edge(c, t, *args):
+    """The member of ph_construct with the weight of its edge (1, 2) doubled."""
+    w = ph_construct(c, t, *args)
+    return WeightFn(t, w.vertex_weight, {**w.edge_weight, (1, 2): 2 * w.e(1, 2)})
+
+
+@pytest.mark.parametrize(
+    "name,wrong",
+    [
+        ("ph_construct", _scaled_edge),
+        ("forced_fifth_eigenvalue", lambda lam4: forced_fifth_eigenvalue(lam4) + Fraction(1, 1000)),
+    ],
+    ids=["scaled edge", "shifted fifth candidate"],
+)
+def test_bf_rs_certificate_catches_a_wrong_member(name, wrong, monkeypatch, capsys):
+    monkeypatch.setattr(repro.pth, name, wrong)
+    assert main(["repro", "bf-rs"]) == 1
+    assert capsys.readouterr().out.startswith("[FAIL] spectrum certified by inertia counts: ")
 
 
 def test_repro_inputs_digest_follows_the_seed(capsys):

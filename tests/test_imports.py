@@ -2,8 +2,8 @@
 
 A cold `hedge-iep repro <id>` is mostly import, so each command loads only
 the modules it runs: `import hedge_iep` loads no submodule, the exact
-commands, the exact engine and the rigid list never load numpy, and only the
-rigid commands load the exact engine.  The cold cases run in a fresh
+commands (`bf-rs` among them), the exact engine and the rigid list never load
+numpy, and only the rigid commands load the exact engine.  The cold cases run in a fresh
 interpreter and read its `sys.modules` at exit.
 """
 
@@ -44,8 +44,9 @@ PUBLIC = {
 }
 NAMES = [(mod, name) for mod, names in PUBLIC.items() for name in names.split()]
 
-EXACT_IDS = ("table1", "table2", "t31-constraints", "nonconvexity", "splitting-t31", "zeroone-11")
-FLOAT_IDS = ("bf-rs",)
+EXACT_IDS = (
+    "table1", "table2", "bf-rs", "t31-constraints", "nonconvexity", "splitting-t31", "zeroone-11"
+)
 RIGID_IDS = ("rigid-values", "rigid-t8-list", "levels-40")
 ENGINE = {"hedge_iep.rigid", "hedge_iep.mpoly", "hedge_iep.algebraic"}
 
@@ -99,15 +100,15 @@ def test_a_name_loads_only_its_module():
 
 
 def test_the_repro_ids_split_into_exact_float_and_rigid():
-    assert sorted(REPROS) == sorted(EXACT_IDS + FLOAT_IDS + RIGID_IDS)
+    # no light repro takes a float route any more
+    assert sorted(REPROS) == sorted(EXACT_IDS + RIGID_IDS)
 
 
-@pytest.mark.parametrize("example", EXACT_IDS + FLOAT_IDS)
+@pytest.mark.parametrize("example", EXACT_IDS)
 def test_light_repro_loads_no_exact_engine(example):
     modules = _cli_loads("repro", example)
     assert modules & ENGINE == set()
-    if example in EXACT_IDS:
-        assert _heavy(modules) == set()
+    assert _heavy(modules) == set()
 
 
 def test_rigid_repro_loads_the_exact_engine():
@@ -132,16 +133,25 @@ def test_rigid_list_loads_the_engine_but_no_numpy(argv, tmp_path):
     assert _heavy(modules) == set()
 
 
-@pytest.mark.parametrize("example", ["levels-40", "bf-rs"])
+@pytest.mark.parametrize("example", ["levels-40"])
 def test_float_repros_still_load_numpy(example):
     assert "numpy" in _cli_loads("repro", example)
 
 
+NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n" + CLI_DRIVER
+
+
 def test_rigid_list_runs_where_numpy_cannot_load():
-    no_numpy = "import sys\nsys.modules['numpy'] = None\n" + CLI_DRIVER
-    code, modules = _loaded_after(no_numpy, "repro", "rigid-t8-list", "--json")
+    code, modules = _loaded_after(NO_NUMPY, "repro", "rigid-t8-list", "--json")
     assert code == 0
     assert "hedge_iep.rigid" in modules
+
+
+def test_bf_rs_runs_where_numpy_cannot_load():
+    # its members are exact and certified by inertia counts
+    code, modules = _loaded_after(NO_NUMPY, "repro", "bf-rs", "--json")
+    assert code == 0
+    assert "hedge_iep.pth" in modules and modules & ENGINE == set()
 
 
 def test_the_exact_engine_loads_no_numpy():

@@ -554,11 +554,12 @@ def test_strip_retries_where_the_cofactor_vanishes_at_a_root(monkeypatch):
 
 def test_strip_retries_where_two_forms_share_a_root(monkeypatch):
     # on the alpha1 line through (3, 0, 0), alpha1 - alpha2 and
-    # alpha1 - beta3 both vanish at alpha1 = 0, so the first division fails
+    # alpha1 - beta3 both vanish at alpha1 = 0: a division there would fail,
+    # so the point is skipped undivided and GRID_BASE divides once
     r = (A1 - A2) * (A1 + A2 + B3 + 5)
     (_, removed, _), counts = _strip_checked(r, monkeypatch, first=[(3, 0, 0)])
     assert removed == ("alpha1-alpha2",)
-    assert counts["divided_at"][:2] == [1, 2]
+    assert counts == {"points": 2, "divided_at": [2]}
 
 
 def test_strip_pure_products_and_zero(monkeypatch):

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 import hedge_iep
 from hedge_iep.cli import main
+from hedge_iep.lambdas import build_C, path_weight, sample_in_region
 from hedge_iep.numeric import char_poly_exact, eigenvalues_sym
+from hedge_iep.polys import X, level_counts
+from hedge_iep.pth import ph_construct
 from hedge_iep.tolerance import WEIGHT_TOL, close
 from hedge_iep.trees import (
     RootedTree,
@@ -31,6 +34,7 @@ from hedge_iep.weights import (
     char_poly_of,
     collapse_pendent_k_paths,
     duplicate_branch,
+    inertia,
     load_weight,
     save_weight,
     spectrum_of,
@@ -580,3 +584,109 @@ def test_json_round_trip(tmp_path):
     assert again == w
     wf = w.as_float()
     assert weight_from_json(weight_to_json(wf)) == wf
+
+
+# ---------------------------------------------------------------------------
+# the inertia kernel
+
+
+def _order_of_vanishing(p, q) -> int:
+    k = 0
+    while True:
+        quo, rem = p.divmod(X - q)
+        if not rem.is_zero():
+            return k
+        p, k = quo, k + 1
+
+
+def _subtree(w: WeightFn, v: int) -> WeightFn:
+    return WeightFn(*_restrict(w, w.tree.subtree_vertices(v)))
+
+
+def _with_subtree_eigenvalue(w: WeightFn, v: int, q: Fraction) -> WeightFn | None:
+    """w with a_v chosen so that q is an eigenvalue of the subtree at v, or
+    None where q is an eigenvalue of a child's subtree.  The subtree's
+    characteristic polynomial is (x - a_v) Q_v - S with Q_v the product of
+    the children's, so a_v = q - S(q) / Q_v(q) = P(q) / Q_v(q) for the P
+    of a_v = 0."""
+    t = w.tree
+    q_v = math.prod(char_poly_of(_subtree(w, c))(q) for c in t.children[v])
+    if q_v == 0:
+        return None
+    zeroed = WeightFn(t, {**w.vertex_weight, v: Fraction(0)}, w.edge_weight)
+    a_v = char_poly_of(_subtree(zeroed, v))(q) / q_v
+    return WeightFn(t, {**w.vertex_weight, v: a_v}, w.edge_weight)
+
+
+def _inertia_cases(rng):
+    """Exact weights and rational points, with zero pivots: leaves that share
+    a weight, vertices whose subtree has the point as an eigenvalue, and
+    path-to-hedge members at their distinguished values."""
+    for _ in range(30):
+        t = random_tree(int(rng.integers(1, 11)), rng)
+        w = random_weight(t, rng, exact=True)
+        leaves = {v: Fraction(int(rng.integers(-1, 2))) for v in t.vertices if not t.children[v]}
+        w = WeightFn(t, {**w.vertex_weight, **leaves}, w.edge_weight)
+        points = [Fraction(int(rng.integers(-12, 13)), 3) for _ in range(6)] + [-1, 0, 1]
+        yield w, points
+        inner = [v for v in t.vertices if t.children[v]]
+        if inner:
+            q = Fraction(int(rng.integers(-12, 13)), 5)
+            made = _with_subtree_eigenvalue(w, inner[int(rng.integers(len(inner)))], q)
+            if made is not None:
+                yield made, [q]
+    for t in (ten_vertex_hedge(), random_lush_hedge(rng, max_n=20), smallest_lush_hedge(3)):
+        lam = sample_in_region(1, rng, exact=True)
+        member = ph_construct(build_C(lam, t.height + 1), t)
+        yield member, list(lam.values())
+
+
+def test_inertia_at_is_the_order_of_vanishing(rng):
+    zero_pivots = 0
+    for w, points in _inertia_cases(rng):
+        p = char_poly_of(w)
+        for q in points:
+            at = inertia(w, q)[1]
+            assert at == _order_of_vanishing(p, q)
+            zero_pivots += at > 0
+    assert zero_pivots > 30
+
+
+def test_inertia_two_zero_children():
+    # vertex 2 has three children at pivot 0 under q = 0: one pairs with 2,
+    # the edge (1, 2) is cut, and the other two count as eigenvalues 0
+    t = RootedTree((0, 1, 2, 2, 2))
+    w = WeightFn(
+        t,
+        {1: Fraction(5), 2: Fraction(7), 3: Fraction(0), 4: Fraction(0), 5: Fraction(0)},
+        {(1, 2): Fraction(2), (2, 3): Fraction(1), (2, 4): Fraction(3), (2, 5): Fraction(4)},
+    )
+    p = char_poly_of(w)
+    assert _order_of_vanishing(p, 0) == 2
+    assert inertia(w, Fraction(0)) == (1, 2, 2)
+    eig = spectrum_of(w)
+    assert sum(eig < -1e-9) == 1 and sum(eig > 1e-9) == 2
+
+
+def test_inertia_below_matches_lapack(rng):
+    for _ in range(40):
+        t = random_tree(int(rng.integers(1, 13)), rng)
+        w = random_weight(t, rng, exact=True)
+        eig = spectrum_of(w)
+        for _ in range(8):
+            q = Fraction(int(rng.integers(-300, 301)), 37)
+            if np.min(np.abs(eig - float(q))) < 1e-6 * max(1.0, float(eig[-1] - eig[0])):
+                continue  # too close to an eigenvalue to trust the float count
+            below = int(np.sum(eig < float(q)))
+            assert inertia(w, q) == (below, 0, t.n - below)
+
+
+def test_inertia_matches_the_level_counts_on_paths(rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        a = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4))) for _ in range(n)]
+        b = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 4))) for _ in range(n - 1)]
+        w = path_weight(a, b)
+        points = [a[0], a[-1]] + [Fraction(int(rng.integers(-40, 41)), 7) for _ in range(6)]
+        for q in points:
+            assert inertia(w, q)[0] == level_counts(a, b, q)[-1]
