@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Run every self-verifying reproduction and summarize.
+"""Run every self-verifying reproduction through `hedge-iep repro` and
+summarize.  Exits with the largest code any run gave: 0 when all pass, 1
+when a check fails, 2 on a usage or input error.
 
 Usage: python scripts/run_repro.py [--seed N]
 """
@@ -7,26 +9,25 @@ Usage: python scripts/run_repro.py [--seed N]
 import argparse
 import sys
 
-from hedge_iep.repro import REPROS, run_repro
+from hedge_iep import cli
+from hedge_iep.repro import REPROS
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    failures = []
+    codes = {}
     for example_id in sorted(REPROS):
-        print(f"=== {example_id} ===")
-        report = run_repro(example_id, seed=args.seed)
-        report.print_lines()
-        if not report.passed:
-            failures.append(example_id)
-        print()
+        print(f"=== {example_id} ===", flush=True)
+        codes[example_id] = cli.main(["repro", example_id, "--seed", str(args.seed)])
+        print(flush=True)
+    failures = [example_id for example_id, code in codes.items() if code]
     if failures:
         print("FAILED:", ", ".join(failures))
-        return 1
-    print(f"all {len(REPROS)} reproductions passed")
-    return 0
+    else:
+        print(f"all {len(REPROS)} reproductions passed")
+    return max(codes.values())
 
 
 if __name__ == "__main__":

@@ -301,7 +301,7 @@ def step_lemma_checks_raw(a: list, b: list) -> list[str]:
     import numpy as np
 
     n = len(a)
-    specs = [np.array([])] + trailing_spectra(a, b, n)
+    specs = [np.array([])] + trailing_spectra(a, b)
     width = max(1.0, float(specs[n][-1] - specs[n][0]))
     cut = SINGULAR_TOL * width
     member = lambda x, spec: bool(np.min(np.abs(spec - x)) <= cut)

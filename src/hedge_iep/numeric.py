@@ -2,9 +2,10 @@
 multiplicity clustering.
 
 The floating-point eigensolver is LAPACK via numpy, imported inside the
-float routines, so the exact commands never load it; `char_poly_exact` is
-the test suite's oracle for the exact routes beside it.  `trailing_spectra`
-solves the levels of a path matrix for `rigid.level_figure_data`,
+float routines, so the exact commands never load it; it returns ascending
+eigenvalues, so none are sorted again.  `char_poly_exact` is the test
+suite's oracle for the exact routes.  `trailing_spectra(a, b)` solves every
+level of the path (a, b) for `rigid.level_figure_data`,
 `rigid.consecutive_interlacing_gap`, `pth._level_spectrum` and
 `lambdas.step_lemma_checks_raw`, where numpy is loaded anyway or the levels
 are many; the rigid list, with nine levels on T^(8), solves them in pure
@@ -33,7 +34,7 @@ class NoConvergence(RuntimeError):
 
 
 def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of a dense symmetric matrix."""
+    """Ascending eigenvalues of a dense symmetric matrix, as LAPACK gives them."""
     import numpy as np
 
     m = np.asarray(m, dtype=float)
@@ -43,23 +44,24 @@ def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
     if np.max(np.abs(m - m.T)) > ROUNDING_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     try:
-        return np.sort(np.linalg.eigvalsh(m))
+        return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
 
 
-def trailing_spectra(a, b, n: int) -> list[np.ndarray]:
-    """Sorted float spectra of the trailing k-by-k submatrices, k = 1..n, of
-    the path matrix with diagonal a_1..a_n (bottom to top), superdiagonal
-    products b_2..b_n and unit subdiagonal, each solved in its symmetric form
-    with off-diagonal sqrt(b_i).  C_n is filled once; each C_k is its
-    trailing block, passed to the solver as a slice."""
+def trailing_spectra(a, b) -> list[np.ndarray]:
+    """Ascending float spectra of the trailing k-by-k submatrices,
+    k = 1..n = len(a), of the path matrix with diagonal a_1..a_n (bottom to
+    top), superdiagonal products b_2..b_n and unit subdiagonal, each solved
+    in its symmetric form with off-diagonal sqrt(b_i).  C_n is filled once;
+    each C_k is its trailing block, passed to LAPACK as a slice."""
     import numpy as np
 
-    m = np.diag([float(x) for x in a[:n]][::-1])
+    n = len(a)
+    m = np.diag([float(x) for x in a][::-1])
     i = np.arange(n - 1)
     m[i, i + 1] = m[i + 1, i] = np.sqrt([float(x) for x in b[: n - 1]][::-1])
-    return [np.sort(np.linalg.eigvalsh(m[n - k :, n - k :])) for k in range(1, n + 1)]
+    return [np.linalg.eigvalsh(m[n - k :, n - k :]) for k in range(1, n + 1)]
 
 
 def char_poly_exact(entries) -> PolyQ:

@@ -82,28 +82,26 @@ class BadShape(ValueError):
 # forward construction
 
 
-def _path_weight(c, height: int) -> WeightFn:
-    """The weight of a path matrix with the height + 1 levels of a hedge."""
+def _path_levels(c, height: int) -> tuple[list, list]:
+    """(a_1.., b_2..) of a path matrix with the height + 1 levels of a hedge."""
     w = c.weight() if isinstance(c, WeightedMatrix) else c
-    t = w.tree
-    for v in t.vertices:
-        if len(t.children[v]) > 1:
-            raise HeightMismatch("the source matrix must live on a path")
-    if t.n != height + 1:
-        raise HeightMismatch(f"path has {t.n} vertices but the hedge needs {height + 1}")
-    return w
+    try:
+        a, b = level_coefficients(w)
+    except ValueError:
+        raise HeightMismatch("the source matrix must live on a path") from None
+    if len(a) != height + 1:
+        raise HeightMismatch(f"path has {len(a)} vertices but the hedge needs {height + 1}")
+    return a, b
 
 
 def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
     """A member of the path-to-hedge family: a vertex at height h carries
     the path's a_{h+1}, and the path's b_{h+1} is split over its child
-    edges."""
+    edges, each of which takes the scalar type of that b."""
     if not is_hedge(t):
         raise HeightMismatch("target must be a hedge")
-    w_c = _path_weight(c, t.height)
-    a, b = level_coefficients(w_c)
+    a, b = _path_levels(c, t.height)
     hm = t.height_map
-    exact = w_c.is_exact()
     vw, ew = {}, {}
     levels = {}  # the _levels table of the member, from the values as written
     # (height, arity) -> the child edge weights of a uniform split and their sum
@@ -118,7 +116,7 @@ def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
         if splits == "uniform":
             key = (h, len(kids))
             if key not in shared:
-                split = DuplicationSplit.uniform(len(kids), exact=exact)
+                split = DuplicationSplit.uniform(len(kids))
                 values = [tk * b[h - 1] for tk in split.t]
                 shared[key] = values, reduce(add, values)
             values, total = shared[key]
@@ -183,7 +181,7 @@ def _level_spectrum(a, b, prof: HedgeProfile, tol: float) -> SpectrumMultiset:
     """The level formula for the path (a_1.., b_2..): the union over levels
     i of ell_i copies of the spectrum of its trailing i-by-i block,
     clustered at tol."""
-    specs = trailing_spectra(a, b, prof.height + 1)
+    specs = trailing_spectra(a, b)
     values = [float(v) for i, s in enumerate(specs, start=1) for v in s for _ in range(prof.ell_at(i))]
     return cluster_multiplicities(values, tol)
 
@@ -191,7 +189,7 @@ def _level_spectrum(a, b, prof: HedgeProfile, tol: float) -> SpectrumMultiset:
 def ph_spectrum(c, prof: HedgeProfile) -> SpectrumMultiset:
     """Spectrum of any member of the family: the union over levels i of
     ell_i copies of the trailing i-by-i submatrix spectrum."""
-    return _level_spectrum(*level_coefficients(_path_weight(c, prof.height)), prof, CLUSTER_TOL)
+    return _level_spectrum(*_path_levels(c, prof.height), prof, CLUSTER_TOL)
 
 
 # ---------------------------------------------------------------------------

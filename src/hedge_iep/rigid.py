@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
-from math import lcm, prod
+from math import inf, lcm, prod
 from typing import TYPE_CHECKING
 
 from .algebraic import QXi
@@ -492,7 +492,7 @@ def rigid_level_spectra(max_level: int) -> tuple[np.ndarray, ...]:
     `level_figure_data` and `consecutive_interlacing_gap` as read-only
     arrays.  The rigid list, with nine levels on T^(8), takes its levels
     from the pure-Python `polys.level_spectra` instead and loads no numpy."""
-    specs = trailing_spectra(*abc_closed_forms(solve_rigid().lam, max_level), max_level)
+    specs = trailing_spectra(*abc_closed_forms(solve_rigid().lam, max_level))
     for s in specs:
         s.flags.writeable = False
     return tuple(specs)
@@ -508,11 +508,11 @@ class RigidList:
         return sum(self.ordered)
 
 
-def rigid_multiplicity_list(prof: HedgeProfile, tol: float = SPECTRUM_TOL) -> RigidList:
+def rigid_multiplicity_list(prof: HedgeProfile) -> RigidList:
     """Ordered multiplicity list of the rigid construction on a lush hedge
     with the given profile (height >= 8), assembled from the level spectra
-    of `polys.level_spectra`; no giant matrix is ever formed, and no numpy
-    is loaded.
+    of `polys.level_spectra` and clustered at SPECTRUM_TOL; no giant matrix
+    is ever formed, and no numpy is loaded.
 
     Raises UnexpectedCoincidence if the level clustering shows a coincidence
     outside the periodic pattern and the three engineered ones.
@@ -530,7 +530,7 @@ def rigid_multiplicity_list(prof: HedgeProfile, tol: float = SPECTRUM_TOL) -> Ri
     # (value, levels of its members) per cluster
     clusters = [
         (value, [points[i][1] for i in r])
-        for value, r in gap_clusters([v for v, _ in points], tol)
+        for value, r in gap_clusters([v for v, _ in points], SPECTRUM_TOL)
     ]
     # (value, levels) of each distinguished and each engineered eigenvalue
     named = {
@@ -548,7 +548,7 @@ def rigid_multiplicity_list(prof: HedgeProfile, tol: float = SPECTRUM_TOL) -> Ri
             raise UnexpectedCoincidence("two eigenvalues of one level clustered")
         label = ""
         for name, (target, _) in named.items():
-            if close(value, target, tol, max(1.0, width)):
+            if close(value, target, SPECTRUM_TOL, max(1.0, width)):
                 label = name
                 break
         if len(levels) > 1:
@@ -578,21 +578,15 @@ def level_figure_data(max_level: int = 40) -> list[tuple[int, int, float]]:
 
 def consecutive_interlacing_gap(max_level: int = 40) -> float:
     """Minimum gap between consecutive-level spectra after unit-width
-    normalization; strict interlacing keeps it positive.  The eigenvalue of
-    the next level nearest to a given one is one of the two that bracket it
-    in the next level's sorted spectrum; rounding is monotone, so no farther
-    one comes out nearer."""
-    import numpy as np
-
+    normalization.  As every b_i > 0, level k + 1's eigenvalues j and j + 1
+    bracket level k's eigenvalue j; the gap to these two is signed, so a
+    level that fails to interlace gives a negative gap."""
     specs = rigid_level_spectra(max_level)
-    lo = min(s[0] for s in specs)
-    hi = max(s[-1] for s in specs)
-    width = hi - lo
-    gap = np.inf
-    for lower, upper in zip(specs, specs[1:]):
-        above = np.searchsorted(upper, lower)
-        below = np.maximum(above - 1, 0)
-        above = np.minimum(above, len(upper) - 1)
-        near = np.minimum(np.abs(upper[below] - lower), np.abs(upper[above] - lower))
-        gap = min(gap, float(np.min(near)))
+    width = max(s[-1] for s in specs) - min(s[0] for s in specs)
+    gap = min(
+        (min(x - upper[j], upper[j + 1] - x)
+         for lower, upper in zip(specs, specs[1:])
+         for j, x in enumerate(lower)),
+        default=inf,
+    )
     return float(gap / width)

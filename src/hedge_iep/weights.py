@@ -4,10 +4,10 @@ A weight function carries one real per vertex (a diagonal entry) and one
 positive real per edge (the product of the two opposite off-diagonal
 entries); it is exactly the data of a diagonal-similarity class in the set
 of combinatorially symmetric matrices with the given tree pattern.  Weights
-support two scalar backends, floats and exact Fractions, with one spectral
-route each (`spectrum_of`, `char_poly_of`); conversions are explicit.  On
-exact weights, `inertia` counts the eigenvalues on either side of a rational
-point in one pass.
+support two scalar backends, floats and exact scalars (Fractions, or Q[xi]
+at the rigid tuple), with one spectral route each (`spectrum_of`,
+`char_poly_of`); conversions are explicit.  On exact weights, `inertia`
+counts the eigenvalues on either side of a rational point in one pass.
 
 A concrete representative (`WeightedMatrix`) is stored by its 2n - 1
 nonzeros, never as an n-by-n table: `to_numpy` is the one dense fill, and
@@ -91,9 +91,9 @@ class WeightFn:
         )
 
     def is_exact(self) -> bool:
-        return all(
-            isinstance(w, (Fraction, int)) for w in self.vertex_weight.values()
-        ) and all(isinstance(w, (Fraction, int)) for w in self.edge_weight.values())
+        """No float anywhere: every weight is an int, a Fraction or a QXi."""
+        tables = (self.vertex_weight, self.edge_weight)
+        return not any(isinstance(w, float) for table in tables for w in table.values())
 
 
 @dataclass(frozen=True)
@@ -157,10 +157,10 @@ class DuplicationSplit:
             raise BadSplit(f"split must sum to 1, got {s}")
 
     @classmethod
-    def uniform(cls, parts: int, exact: bool = True) -> "DuplicationSplit":
-        if exact:
-            return cls(tuple(Fraction(1, parts) for _ in range(parts)))
-        return cls(tuple(1.0 / parts for _ in range(parts)))
+    def uniform(cls, parts: int) -> "DuplicationSplit":
+        """Equal Fraction parts: times a float b a part gives (1.0 / parts) * b
+        bit for bit, and times an exact b it stays exact."""
+        return cls((Fraction(1, parts),) * parts)
 
     def __len__(self) -> int:
         return len(self.t)

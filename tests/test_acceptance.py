@@ -281,7 +281,7 @@ def test_criterion_6_rigid_solution():
 def test_criterion_7_rigid_list():
     t0 = time.time()
     prof = profile(smallest_lush_hedge(8))
-    rl = rigid_multiplicity_list(prof, tol=1e-9)
+    rl = rigid_multiplicity_list(prof)
     assert rl.ordered == (
         1, 2, 6, 18, 54, 1, 164, 492, 18, 1, 1514, 6, 163, 18, 2, 2734,
         1640, 1, 6, 54, 2, 505, 168, 2, 1, 54, 18, 6, 2, 1,

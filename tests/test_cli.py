@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -701,6 +703,20 @@ def test_bf_rs_checks_25_realizations_on_every_seed(capsys):
 def test_bf_rs_rejects_a_negative_seed(capsys):
     assert main(["repro", "bf-rs", "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+
+def test_run_repro_script_keeps_the_exit_code_contract():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_repro.py"), "--seed", "-1"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "error: expected non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "FAILED: bf-rs" in proc.stdout
 
 
 def _scaled_edge(c, t, *args):

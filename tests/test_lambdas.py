@@ -188,7 +188,7 @@ def test_abc_at_the_float_range_boundary(sign):
 def test_level_spectra_contain_distinguished(rng):
     for reg in (1, 5, 8):
         lam = sample_in_region(reg, rng)
-        specs = trailing_spectra(*abc_coefficients(lam, 7), 7)
+        specs = trailing_spectra(*abc_coefficients(lam, 7))
         width = specs[-1][-1] - specs[-1][0]
         member = lambda x, s: np.min(np.abs(s - float(x))) < 1e-8 * width
         assert member(lam.alpha1, specs[0]) and len(specs[0]) == 1

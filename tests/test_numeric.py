@@ -220,7 +220,7 @@ def test_trailing_interlacing(rng):
 
     for _ in range(10):
         lam = sample_in_region(int(rng.integers(1, 13)), rng)
-        specs = trailing_spectra(*abc_coefficients(lam, 8), 8)
+        specs = trailing_spectra(*abc_coefficients(lam, 8))
         for k in range(1, 8):
             small, big = specs[k - 1], specs[k]
             for i in range(k):
@@ -250,7 +250,7 @@ def test_trailing_spectra_are_the_per_block_fill_bitwise(rng):
             [Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 9))) for _ in range(n - 1)],
         ))
     for a, b in paths:
-        got, want = trailing_spectra(a, b, len(a)), _reference_trailing_spectra(a, b, len(a))
+        got, want = trailing_spectra(a, b), _reference_trailing_spectra(a, b, len(a))
         assert len(got) == len(want) == len(a)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 

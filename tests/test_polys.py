@@ -37,7 +37,7 @@ def _scale(spectrum) -> float:
 def test_level_spectra_match_lapack(rng):
     # LAPACK alone sits up to about 4.5 eps * scale from a 40-digit solve
     for a, b in _paths(rng):
-        got, want = level_spectra(a, b), trailing_spectra(a, b, len(a))
+        got, want = level_spectra(a, b), trailing_spectra(a, b)
         assert [len(s) for s in got] == list(range(1, len(a) + 1))
         tol = 8 * EPS * _scale(want[-1])
         assert all(np.max(np.abs(np.array(g) - w)) <= tol for g, w in zip(got, want))
@@ -68,7 +68,7 @@ def test_exact_counts_step_by_one_across_each_eigenvalue(rng):
 
 def test_one_sweep_counts_every_level(rng):
     for a, b in _paths(rng)[:50]:
-        specs = trailing_spectra(a, b, len(a))
+        specs = trailing_spectra(a, b)
         q = float(rng.uniform(specs[-1][0] - 1, specs[-1][-1] + 1))
         want = [int(np.sum(s < q)) for s in specs]
         assert level_counts([float(x) for x in a], [float(x) for x in b], q) == want
@@ -95,7 +95,7 @@ def test_nearly_equal_eigenvalues_stay_sorted_and_counted():
     assert top[2] - top[1] == pytest.approx(2 * b, rel=1e-3)
     assert level_counts([1.0, 0.0, 1.0], [b, b], top[1] - b)[-1] == 1
     assert level_counts([1.0, 0.0, 1.0], [b, b], (top[1] + top[2]) / 2)[-1] == 2
-    want = trailing_spectra([1.0, 0.0, 1.0], [b, b], 3)
+    want = trailing_spectra([1.0, 0.0, 1.0], [b, b])
     assert all(np.max(np.abs(np.array(g) - w)) <= 4 * EPS for g, w in zip(specs, want))
 
 

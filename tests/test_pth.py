@@ -163,7 +163,7 @@ def test_uniform_splits_match_one_split_per_vertex(rng):
             lam = _feasible_lam(rng, height + 1, exact)
             c = build_C(lam, height + 1)
             per_vertex = {
-                v: DuplicationSplit.uniform(len(t.children[v]), exact=exact)
+                v: DuplicationSplit.uniform(len(t.children[v]))
                 for v in t.vertices if t.children[v]
             }
             got, want = ph_construct(c, t), ph_construct(c, t, per_vertex)
@@ -181,15 +181,48 @@ def test_uniform_splits_are_built_once_per_height_and_arity(monkeypatch):
     calls = []
     uniform = DuplicationSplit.uniform.__func__
 
-    def counting(cls, parts, exact=True):
+    def counting(cls, parts):
         calls.append(parts)
-        return uniform(cls, parts, exact)
+        return uniform(cls, parts)
 
     monkeypatch.setattr(DuplicationSplit, "uniform", classmethod(counting))
     lam = LambdaTuple(Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(3))
     w = ph_construct(build_C(lam, 9), t)
     assert w.is_exact() and t.n == 7654
     assert len(calls) <= len(kinds) == 8
+
+
+def test_the_rigid_member_builds_over_the_number_field():
+    from hedge_iep.rigid import solve_rigid
+
+    sol = solve_rigid()
+    w = ph_construct(build_C(sol.lam, 9), smallest_lush_hedge(8))
+    assert w.tree.n == 7654 and w.is_exact()
+    assert recognize(w, sol.lam).region == 1
+
+
+def test_uniform_float_splits_are_the_float_parts_bit_for_bit(rng):
+    for height in (2, 3, 4, 5):
+        for _ in range(3):
+            t = _mixed_lush_hedge(rng, height)
+            a, b = rng.uniform(-3, 3, size=height + 1).tolist(), rng.uniform(0.1, 3, size=height).tolist()
+            c = path_weight(a, b)
+            # explicit float parts 1.0 / k at each vertex with k children
+            floats = {v: (1.0 / len(kids),) * len(kids) for v, kids in t.children.items() if kids}
+            got, want = ph_construct(c, t), ph_construct(c, t, floats)
+            for table, ref in ((got.vertex_weight, want.vertex_weight), (got.edge_weight, want.edge_weight)):
+                assert table.keys() == ref.keys()
+                assert all(type(x) is float and x.hex() == ref[key].hex() for key, x in table.items())
+
+
+def test_each_level_keeps_its_own_scalar_type():
+    # b_2 and b_4 exact, b_3 a float: the edges below heights 1 and 3 stay
+    # Fractions, those below height 2 are floats
+    b = [Fraction(2), 1.5, Fraction(3)]
+    t = smallest_lush_hedge(3)
+    w = ph_construct(path_weight([Fraction(1), 2.0, Fraction(3), 0.5], b), t)
+    hm = t.height_map
+    assert all(type(w.e(v, u)) is type(b[hm[v] - 1]) for v in t.vertices for u in t.children[v])
 
 
 def test_ph_construct_checks_the_recipe_on_the_values_it_writes(rng, monkeypatch, hedge10):

@@ -778,6 +778,21 @@ def test_interlacing_gap_matches_full_scan(max_level):
     assert consecutive_interlacing_gap(max_level) == _reference_interlacing_gap(max_level)
 
 
+def test_a_level_that_fails_to_interlace_gives_a_negative_gap(monkeypatch, capsys):
+    from hedge_iep.cli import main
+
+    real = rigid_level_spectra(40)
+    # level 10's eigenvalue 4 moves past level 11's eigenvalue 5, its upper
+    # bracket, halfway to level 10's eigenvalue 5: sorted still, not interlaced
+    moved = real[9].copy()
+    moved[3] = (real[10][4] + real[9][4]) / 2
+    specs = real[:9] + (moved,) + real[10:]
+    monkeypatch.setattr(hedge_iep.rigid, "rigid_level_spectra", lambda max_level: specs[:max_level])
+    assert consecutive_interlacing_gap(40) < 0
+    assert main(["repro", "levels-40"]) == 1
+    assert "[FAIL] consecutive levels stay disjoint: min gap -" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # the rigid list and the level diagram
 
@@ -814,10 +829,11 @@ def test_rigid_list_rejects_height_below_8():
         rigid_multiplicity_list(profile(smallest_lush_hedge(3)))
 
 
-def test_rigid_list_merging_tolerance_raises():
+def test_rigid_list_merging_tolerance_raises(monkeypatch):
     prof = profile(smallest_lush_hedge(8))
+    monkeypatch.setattr(hedge_iep.rigid, "SPECTRUM_TOL", 0.2)
     with pytest.raises(UnexpectedCoincidence):
-        rigid_multiplicity_list(prof, tol=0.2)
+        rigid_multiplicity_list(prof)
 
 
 def test_level_figure_data():
@@ -860,7 +876,7 @@ def test_build_c9_over_the_number_field():
 def test_level_spectra_are_shared_read_only():
     specs = rigid_level_spectra(12)
     assert rigid_level_spectra(12) is specs
-    fresh = trailing_spectra(*abc_closed_forms(solve_rigid().lam, 12), 12)
+    fresh = trailing_spectra(*abc_closed_forms(solve_rigid().lam, 12))
     assert len(specs) == len(fresh) == 12
     for got, want in zip(specs, fresh):
         assert np.array_equal(got, want)

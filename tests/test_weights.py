@@ -506,7 +506,7 @@ def test_duplicate_branch_matches_the_three_pass_reference(rng):
         w = random_weight(t, rng, exact=exact)
         v = [u for u in t.vertices if t.children[u]][int(rng.integers(0, t.n - len(t.leaves)))]
         b0 = t.children[v][int(rng.integers(0, len(t.children[v])))]
-        split = DuplicationSplit.uniform(int(rng.integers(1, 5)), exact=exact)
+        split = DuplicationSplit.uniform(int(rng.integers(1, 5)))
         got, want = duplicate_branch(w, v, b0, split), _reference_duplicate(w, v, b0, split)
         assert got.tree == want.tree
         assert list(got.vertex_weight.items()) == list(want.vertex_weight.items())
