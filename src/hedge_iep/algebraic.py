@@ -7,7 +7,8 @@ positive common denominator, in lowest terms, so the representation is
 canonical.  A product is a 6x6 integer convolution, reduced in degrees
 10..6 by the monic sextic's integer tail (xi^6 = 3 xi^5 + 11 xi^4
 - 24 xi^3 + 6 xi^2 + 48 xi - 16), which needs no division, and then one
-gcd; an inverse comes from ``poly_xgcd`` with the sextic.  Signs, floats
+gcd; an inverse solves the 6x6 integer system of multiplication by the
+element by fraction-free Gauss-Jordan elimination.  Signs, floats
 and approximations refine the isolating interval of xi by bisection and
 enclose the numerator polynomial on it with ``polys.horner_enclosure``, the
 one exact evaluator, so comparisons are exact decisions, never float
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
 
-from .polys import PolyQ, bisect_root, count_real_roots, horner_enclosure, poly_xgcd, sign_at
+from .polys import PolyQ, bisect_root, count_real_roots, horner_enclosure, sign_at
 
 # ascending coefficients of the defining sextic
 SEXTIC = PolyQ.of(16, -48, -6, 24, -11, -3, 1)
@@ -156,12 +157,41 @@ class QXi:
     __rmul__ = __mul__
 
     def inverse(self) -> "QXi":
+        """den / N(xi) for self = N(xi) / den: the solution v of M v = den e_0,
+        where column j of the integer matrix M holds N(xi) xi^j reduced by the
+        sextic, by fraction-free Gauss-Jordan elimination (E. H. Bareiss,
+        Math. Comp. 22 (1968) 565-578).  Step k divides exactly by the
+        previous pivot and leaves every diagonal entry so far equal to its
+        own pivot, so the last pivot d is +-det M and v = (last column) / d."""
         if self.is_zero():
             raise ZeroDivisionError("zero element of Q[xi]")
-        g, s, _ = poly_xgcd(PolyQ.of(*self.coords), SEXTIC)
-        if g.degree != 0:
-            raise ArithmeticError("element shares a factor with the sextic")
-        return QXi.of(*s.coeffs)
+        col = list(self.nums)
+        cols = [col]
+        for _ in range(5):
+            top, col = col[5], [0, *col[:5]]
+            if top:
+                col = [c + s * top for c, s in zip(col, _TAIL)]
+            cols.append(col)
+        rows = [[c[i] for c in cols] + [0] for i in range(6)]
+        rows[0][6] = self.den
+        prev = 1
+        for k in range(6):
+            p = next((i for i in range(k, 6) if rows[i][k]), None)
+            if p is None:
+                raise ArithmeticError("element shares a factor with the sextic")
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot_row = rows[k]
+            pivot = pivot_row[k]
+            for i, row in enumerate(rows):
+                if i != k:
+                    f = row[k]
+                    for j in range(k + 1, 7):
+                        row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+            prev = pivot
+        nums = [row[6] for row in rows]
+        if prev < 0:
+            nums, prev = [-n for n in nums], -prev
+        return _reduced(nums, prev)
 
     def __truediv__(self, other):
         o = _coerce(other)

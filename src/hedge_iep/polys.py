@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm, sqrt
+from math import gcd, inf, lcm, sqrt
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -148,8 +148,9 @@ def level_values(a, b, x) -> list:
     of its trailing k-by-k submatrix.  x is a point of any ring the a_i and
     b_i act on (a QXi value in `rigid.certify_coincidences`), or the
     indeterminate X, with a_i and b_i in Fraction, QXi or the trivariate
-    MPolyQ of `rigid.SYMBOLIC`; p_0 = x * 0 + 1 is the one of x's ring."""
-    ps = [x * 0 + 1, x - a[0]]
+    MPolyQ of `rigid.SYMBOLIC`; p_0 = x * 0 + 1 is the one of x's ring, and
+    empty a and b give [p_0]."""
+    ps = [x * 0 + 1, x - a[0]] if a else [x * 0 + 1]
     for k in range(1, len(a)):
         ps.append((x - a[k]) * ps[k] - ps[k - 1] * b[k - 1])
     return ps
@@ -253,39 +254,64 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     return a.monic() if not a.is_zero() else a
 
 
-def poly_xgcd(a: PolyQ, b: PolyQ) -> tuple[PolyQ, PolyQ, PolyQ]:
-    """Extended gcd: (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = PolyQ.of(1), PolyQ.of(0)
-    t0, t1 = PolyQ.of(0), PolyQ.of(1)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.leading()
-    return r0.scale(1 / lc), s0.scale(1 / lc), t0.scale(1 / lc)
+def _primitive(coeffs) -> tuple[int, ...]:
+    """The integer coefficients, with gcd 1, of the positive rational multiple
+    of the polynomial with rational coefficients ``coeffs`` (() for zero)."""
+    cs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = gcd(*ints)
+    return tuple(n // g for n in ints)
+
+
+def _negated_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive positive multiple of -(a mod b), () when b divides a, for
+    ascending integer coefficients with deg a >= deg b >= 1: the
+    pseudo-remainder with multiplier at most |lc(b)|^(deg a - deg b + 1),
+    over its content.  Each step with a nonzero leading term scales the
+    remainder by |lc(b)| and cancels that term, so it stays integral and a
+    positive multiple of the remainder over Q."""
+    lc = b[-1]
+    m = abs(lc)
+    low = b[:-1] if lc > 0 else [-c for c in b[:-1]]
+    r = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        top = r.pop()
+        if top:
+            r = [m * c for c in r]
+            for i, c in enumerate(low, k):
+                r[i] -= top * c
+    while r and r[-1] == 0:
+        r.pop()
+    g = gcd(*r)
+    return tuple(-c // g for c in r)
 
 
 def _remainder_chain(p: PolyQ) -> list[PolyQ]:
-    """p, p' and the negated remainders after them, down to the last nonzero
-    one, gcd(p, p') up to a scalar."""
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero():
-        rem = seq[-2].divmod(seq[-1])[1]
-        if rem.is_zero():
+    """Positive multiples of p, p' and the negated remainders after them,
+    down to the last nonzero one, gcd(p, p') up to a scalar: each member is
+    the primitive integer polynomial of its sign, so the chain is the
+    primitive pseudo-remainder sequence (G. E. Collins, J. ACM 14 (1967)
+    128-142), and its coefficients stay small."""
+    a = _primitive(p.coeffs)
+    seq = [a, _primitive([i * c for i, c in enumerate(a)][1:])]
+    while len(seq[-1]) > 1:
+        rem = _negated_remainder(seq[-2], seq[-1])
+        if not rem:
             break
-        seq.append(-rem)
-    return seq
+        seq.append(rem)
+    return [PolyQ(c) for c in seq]
 
 
 def sturm_sequence(p: PolyQ) -> list[PolyQ]:
-    """Sturm chain of the squarefree part q of p: the remainder chain of p,
-    or, when it ends in a nonconstant gcd(p, p'), that of q = p / gcd(p, p').
-    Its last member is a nonzero constant, so no point is a root of two
-    consecutive members, and counts hold at multiple roots of p too."""
+    """Sturm chain of the squarefree part q of p != 0: the remainder chain
+    of p, or, when it ends in a nonconstant gcd(p, p'), that of
+    q = p / gcd(p, p').  Its members are positive multiples of those of the
+    classical chain, with the same signs everywhere.  Its last member is a
+    nonzero constant, so no point is a root of two consecutive members, and
+    counts hold at multiple roots of p too."""
+    if p.is_zero():
+        raise ZeroPolynomial("the zero polynomial has no Sturm chain")
     seq = _remainder_chain(p)
     g = seq[-1]
     return seq if g.degree <= 0 else _remainder_chain(p.exact_div(g))
@@ -310,9 +336,7 @@ def horner_enclosure(ints, lo, hi) -> tuple[int, int, int]:
 def sign_at(p: PolyQ):
     """The exact sign (-1, 0 or 1) of a rational polynomial p as a function
     of a rational point: the enclosure of its integer-scaled coefficients."""
-    coeffs = [Fraction(c) for c in p.coeffs]
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    ints = _primitive(p.coeffs)
 
     def sign(x) -> int:
         v = horner_enclosure(ints, x, x)[0]
@@ -326,10 +350,19 @@ def _sign_changes(signs: list, x: Fraction) -> int:
     return sum(1 for a, b in zip(s, s[1:]) if a != b)
 
 
+def _interval(lo, hi) -> tuple[Fraction, Fraction]:
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError(f"the interval ({lo}, {hi}] has its ends reversed")
+    return lo, hi
+
+
 def count_real_roots(p: PolyQ, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi] via Sturm's theorem."""
+    """Number of distinct real roots of p != 0 in (lo, hi], lo <= hi, via
+    Sturm's theorem."""
+    lo, hi = _interval(lo, hi)
     signs = [sign_at(q) for q in sturm_sequence(p)]
-    return _sign_changes(signs, Fraction(lo)) - _sign_changes(signs, Fraction(hi))
+    return _sign_changes(signs, lo) - _sign_changes(signs, hi)
 
 
 def bisect_root(lo: Fraction, hi: Fraction, eps: Fraction, side) -> tuple[Fraction, Fraction]:
@@ -349,9 +382,11 @@ def bisect_root(lo: Fraction, hi: Fraction, eps: Fraction, side) -> tuple[Fracti
 
 
 def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Fraction]:
-    """All distinct real roots in (lo, hi], isolated by Sturm bisection and
-    refined to width below eps; returns midpoints.  Every root is a simple
-    sign change of the squarefree part q, the chain's first member."""
+    """All distinct real roots of p != 0 in (lo, hi], lo <= hi, isolated by
+    Sturm bisection and refined to width below eps; returns midpoints.  Every
+    root is a simple sign change of the squarefree part q, the chain's first
+    member."""
+    lo, hi = _interval(lo, hi)
     signs = [sign_at(q) for q in sturm_sequence(p)]
     sign_q = signs[0]
 
@@ -359,7 +394,7 @@ def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Frac
         return _sign_changes(signs, a) - _sign_changes(signs, b)
 
     out: list[Fraction] = []
-    stack = [(Fraction(lo), Fraction(hi))]
+    stack = [(lo, hi)]
     while stack:
         a, b = stack.pop()
         c = count(a, b)

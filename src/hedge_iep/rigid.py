@@ -89,8 +89,15 @@ TRIVIAL_FORMS: tuple[tuple[str, MPolyQ], ...] = (
 
 @lru_cache(maxsize=None)
 def char_poly_symbolic(n: int) -> PolyQ:
-    """p_n as a polynomial in x with trivariate coefficients."""
-    return level_values(*abc_closed_forms(SYMBOLIC, n), X)[n]
+    """p_n as a polynomial in x with trivariate coefficients.  For n >= 2 it
+    is one step of `level_values`, in its operand order, from the cached
+    p_{n-1} and p_{n-2}, so levels up to n cost n steps in all."""
+    if n < 0:
+        raise ValueError("levels start at n = 0")
+    a, b = abc_closed_forms(SYMBOLIC, n)
+    if n < 2:
+        return level_values(a, b, X)[n]
+    return (X - a[-1]) * char_poly_symbolic(n - 1) - char_poly_symbolic(n - 2) * b[-1]
 
 
 @lru_cache(maxsize=None)

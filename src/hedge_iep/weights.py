@@ -311,17 +311,25 @@ def collapse_pendent_k_paths(w: WeightFn, k: int) -> CollapseResult:
 
 
 def weight_to_json(w: WeightFn) -> dict:
+    """The JSON form of w; ValueError names the first weight that is not an
+    int, float or Fraction (a Q[xi] weight has no encoding)."""
     from .trees import tree_to_json
 
-    def num(x):
+    def num(key, x):
         if isinstance(x, Fraction):
             return str(x)
-        return x
+        if isinstance(x, (int, float)):
+            return x
+        raise ValueError(f"the weight of {key} is {x!r}, not an int, float or Fraction")
 
     return {
         "tree": tree_to_json(w.tree),
-        "vertexWeight": {str(u): num(x) for u, x in sorted(w.vertex_weight.items())},
-        "edgeWeight": {f"{u}-{v}": num(x) for (u, v), x in sorted(w.edge_weight.items())},
+        "vertexWeight": {
+            str(u): num(f"vertex {u}", x) for u, x in sorted(w.vertex_weight.items())
+        },
+        "edgeWeight": {
+            f"{u}-{v}": num(f"edge {u}-{v}", x) for (u, v), x in sorted(w.edge_weight.items())
+        },
     }
 
 
@@ -371,6 +379,9 @@ def load_weight(path: str | Path) -> WeightFn:
 
 
 def save_weight(w: WeightFn, path: str | Path) -> None:
+    """Write w as JSON; a weight with no JSON form raises before the file is
+    opened."""
+    data = weight_to_json(w)
     with open(path, "w") as fh:
-        json.dump(weight_to_json(w), fh)
+        json.dump(data, fh)
         fh.write("\n")

@@ -1,19 +1,35 @@
-"""The pure-Python level-spectrum kernel: `polys.level_counts`, the
-Givens-Sturm count of every level of a path matrix from one pivot sweep, and
-`polys.level_spectra`, which brackets each eigenvalue of a level between
-those of the level below and refines it.  Its oracles are LAPACK
-(`numeric.trailing_spectra`) and the same sweep run in exact rationals."""
+"""Two kernels of `polys`.  The pure-Python level-spectrum kernel:
+`polys.level_counts`, the Givens-Sturm count of every level of a path matrix
+from one pivot sweep, and `polys.level_spectra`, which brackets each
+eigenvalue of a level between those of the level below and refines it.  Its
+oracles are LAPACK (`numeric.trailing_spectra`) and the same sweep run in
+exact rationals.  The Sturm chain `polys.sturm_sequence`, on primitive
+integer pseudo-remainders; its oracle is the chain of remainders over Q."""
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hedge_iep.algebraic import SEXTIC
 from hedge_iep.lambdas import abc_closed_forms, abc_coefficients, sample_in_region
 from hedge_iep.numeric import trailing_spectra
-from hedge_iep.polys import level_counts, level_spectra
-from hedge_iep.rigid import solve_rigid
+from hedge_iep.polys import (
+    X,
+    PolyQ,
+    ZeroPolynomial,
+    count_real_roots,
+    level_counts,
+    level_spectra,
+    real_roots,
+    sign_at,
+    sturm_sequence,
+)
+from hedge_iep.rigid import eliminant, solve_rigid
 
 EPS = sys.float_info.epsilon
 
@@ -110,3 +126,98 @@ def test_a_scaled_path_whose_p_n_overflows_or_underflows(factor):
     tol = 8 * EPS * _scale(want[-1])
     for g, w in zip(got, want):
         assert max(abs(x / factor - y) for x, y in zip(g, w)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the Sturm chain
+
+
+def fraction_remainder_chain(p: PolyQ) -> list[PolyQ]:
+    """p, p' and the negated remainders over Q after them, down to the last
+    nonzero one."""
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero():
+        rem = seq[-2].divmod(seq[-1])[1]
+        if rem.is_zero():
+            break
+        seq.append(-rem)
+    return seq
+
+
+def fraction_sturm_sequence(p: PolyQ) -> list[PolyQ]:
+    seq = fraction_remainder_chain(p)
+    g = seq[-1]
+    return seq if g.degree <= 0 else fraction_remainder_chain(p.exact_div(g))
+
+
+def fraction_count(p: PolyQ, lo: Fraction, hi: Fraction) -> int:
+    def changes(x):
+        s = [v for v in (q(x) for q in fraction_sturm_sequence(p)) if v]
+        return sum(1 for a, b in zip(s, s[1:]) if (a > 0) != (b > 0))
+
+    return changes(lo) - changes(hi)
+
+
+def assert_chain_matches_the_fraction_chain(p: PolyQ, points):
+    got, want = sturm_sequence(p), fraction_sturm_sequence(p)
+    assert len(got) == len(want)
+    for q, r in zip(got, want):
+        # q is the primitive integer polynomial of r's signs
+        assert all(type(c) is int for c in q.coeffs) and gcd(*q.coeffs) in (0, 1)
+        assert q.degree == r.degree
+        if r.degree >= 0:
+            scale = q.leading() / r.leading()
+            assert scale > 0 and q.coeffs == tuple(scale * c for c in r.coeffs)
+        sign = sign_at(q)
+        for x in points:
+            v = r(x)
+            assert sign(x) == (v > 0) - (v < 0)
+    for lo, hi in zip(points, points[1:]):
+        lo, hi = min(lo, hi), max(lo, hi)
+        assert count_real_roots(p, lo, hi) == fraction_count(p, lo, hi)
+
+
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=5).filter(any),
+    st.lists(st.integers(-6, 6), min_size=2, max_size=3).filter(lambda cs: cs[-1] != 0),
+    st.integers(1, 3),
+    st.lists(small_rationals, min_size=2, max_size=6),
+)
+def test_integer_chain_matches_the_fraction_chain(f, g, k, points):
+    # f g^(k + 1): g's roots are repeated, so the squarefree step runs
+    p = PolyQ.of(*f)
+    for _ in range(k + 1):
+        p = p * PolyQ.of(*g)
+    assert_chain_matches_the_fraction_chain(p, points)
+
+
+def test_integer_chain_of_the_eliminant_and_the_sextic():
+    points = [Fraction(n, 7) for n in range(-21, 22)] + [Fraction(1, 3), Fraction(17, 50)]
+    for p in (eliminant(), SEXTIC):
+        assert_chain_matches_the_fraction_chain(p, points)
+    chain = sturm_sequence(eliminant())
+    # E = b^5 (b - 1)^3 (b + 1)^15 times cofactors: its squarefree part has degree 11
+    assert len(chain) == 12 and chain[0].degree == 11
+    assert max(abs(c) for q in chain[1:] for c in q.coeffs).bit_length() < 128
+
+
+def test_root_counts_reject_the_zero_polynomial_and_reversed_ends():
+    eps = Fraction(1, 100)
+    p = X * X - 1
+    with pytest.raises(ValueError, match="reversed"):
+        count_real_roots(p, Fraction(1), Fraction(0))
+    with pytest.raises(ZeroPolynomial):
+        count_real_roots(PolyQ(()), Fraction(0), Fraction(1))
+    with pytest.raises(ZeroPolynomial):
+        real_roots(PolyQ(()), Fraction(0), Fraction(1), eps)
+    # a reversed interval used to split forever around the root 1
+    with pytest.raises(ValueError, match="reversed"):
+        real_roots(p, Fraction(2), Fraction(0), eps)
+    # an empty interval (lo = hi) has no roots, and constants have none
+    assert count_real_roots(p, Fraction(1), Fraction(1)) == 0
+    assert real_roots(p, Fraction(1), Fraction(1), eps) == []
+    assert count_real_roots(PolyQ.of(3), Fraction(-5), Fraction(5)) == 0

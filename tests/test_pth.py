@@ -47,7 +47,14 @@ from hedge_iep.trees import (
     smallest_lush_hedge,
     ten_vertex_hedge,
 )
-from hedge_iep.weights import DuplicationSplit, WeightFn, spectrum_of, symmetric_representative
+from hedge_iep.weights import (
+    DuplicationSplit,
+    WeightFn,
+    save_weight,
+    spectrum_of,
+    symmetric_representative,
+    weight_to_json,
+)
 
 from conftest import expanded, move_weight, random_lush_hedge, random_splits, relabel
 
@@ -192,13 +199,30 @@ def test_uniform_splits_are_built_once_per_height_and_arity(monkeypatch):
     assert len(calls) <= len(kinds) == 8
 
 
-def test_the_rigid_member_builds_over_the_number_field():
+@pytest.fixture(scope="module")
+def rigid_member():
+    """The rigid tuple and its 7654-vertex T^(8) member, built over Q[xi]."""
     from hedge_iep.rigid import solve_rigid
 
     sol = solve_rigid()
-    w = ph_construct(build_C(sol.lam, 9), smallest_lush_hedge(8))
+    return sol, ph_construct(build_C(sol.lam, 9), smallest_lush_hedge(8))
+
+
+def test_the_rigid_member_builds_over_the_number_field(rigid_member):
+    sol, w = rigid_member
     assert w.tree.n == 7654 and w.is_exact()
     assert recognize(w, sol.lam).region == 1
+
+
+def test_saving_the_rigid_member_raises_before_writing(rigid_member, tmp_path):
+    # the JSON format has no Q[xi] encoding; the file used to be left truncated
+    _, w = rigid_member
+    with pytest.raises(ValueError, match=r"^the weight of vertex 1 is .*xi.*, not an int, float"):
+        weight_to_json(w)
+    path = tmp_path / "member.json"
+    with pytest.raises(ValueError, match="not an int, float or Fraction"):
+        save_weight(w, path)
+    assert not path.exists()
 
 
 def test_uniform_float_splits_are_the_float_parts_bit_for_bit(rng):

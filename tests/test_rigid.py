@@ -15,13 +15,22 @@ from hedge_iep.algebraic import SEXTIC, XI_INTERVAL, QXi, refined_xi, verify_iso
 from hedge_iep.lambdas import abc_closed_forms
 from hedge_iep.mpoly import InexactDivision, MPolyQ, bareiss_determinant
 from hedge_iep.numeric import trailing_spectra
-from hedge_iep.polys import PolyQ, ZeroPolynomial, count_real_roots, root_multiplicities
+from hedge_iep.polys import (
+    X,
+    PolyQ,
+    ZeroPolynomial,
+    count_real_roots,
+    level_values,
+    root_multiplicities,
+)
 from hedge_iep.rigid import (
     GRID_BASE,
+    SYMBOLIC,
     TRIVIAL_FORMS,
     RoutesDisagree,
     UnexpectedCoincidence,
     certify_coincidences,
+    char_poly_symbolic,
     coincidence_residuals,
     companion_double_root_entry,
     consecutive_interlacing_gap,
@@ -190,6 +199,31 @@ def canonical(x: QXi) -> QXi:
     return x
 
 
+def poly_xgcd(a: PolyQ, b: PolyQ) -> tuple[PolyQ, PolyQ, PolyQ]:
+    """Extended gcd over Q: (g, s, t) with s*a + t*b = g, g monic; the
+    cofactor s of an element against the sextic is its inverse."""
+    r0, r1 = a, b
+    s0, s1 = PolyQ.of(1), PolyQ.of(0)
+    t0, t1 = PolyQ.of(0), PolyQ.of(1)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, s0, t0
+    lc = r0.leading()
+    return r0.scale(1 / lc), s0.scale(1 / lc), t0.scale(1 / lc)
+
+
+def assert_inverse_is_the_xgcd_cofactor(a: QXi):
+    g, s, _ = poly_xgcd(PolyQ.of(*a.coords), SEXTIC)
+    assert g == PolyQ.of(1)
+    inv = canonical(a.inverse())
+    assert inv == QXi.of(*s.coeffs) and inv.coords == s.coeffs + (0,) * (6 - len(s.coeffs))
+    assert a * inv == 1
+
+
 @qxi_tests
 @given(qxis, qxis, coordinates)
 def test_qxi_ring_operations_are_canonical(a, b, q):
@@ -204,8 +238,14 @@ def test_qxi_ring_operations_are_canonical(a, b, q):
     assert canonical(-a).coords == tuple(-x for x in a.coords)
     assert QXi.of(*a.coords) == a and hash(QXi.of(*a.coords)) == hash(a)
     if a:
-        assert canonical(a.inverse()) * a == 1
+        assert_inverse_is_the_xgcd_cofactor(a)
         assert canonical(b / a) * a == b
+
+
+def test_inverse_of_the_route_b_values_is_the_xgcd_cofactor():
+    for v in route_b_values().values():
+        assert_inverse_is_the_xgcd_cofactor(v)
+        assert_inverse_is_the_xgcd_cofactor(v * v - 1)
 
 
 def per_term_value(p: MPolyQ, a1, a2, b3):
@@ -261,6 +301,18 @@ def test_evaluate_matches_per_term_sum(coeffs, point):
 
 # ---------------------------------------------------------------------------
 # resultants
+
+
+@pytest.mark.parametrize("order", [range(11), range(10, -1, -1)], ids=["ascending", "descending"])
+def test_char_poly_symbolic_is_the_level_recurrence(order):
+    # each level is one step from the two cached below it: levels 0..10 are
+    # eleven computes in either order, and each equals the full sweep's
+    char_poly_symbolic.cache_clear()
+    for n in order:
+        assert char_poly_symbolic(n) == level_values(*abc_closed_forms(SYMBOLIC, n), X)[n]
+    assert char_poly_symbolic.cache_info().misses == 11
+    with pytest.raises(ValueError, match="levels start at n = 0"):
+        char_poly_symbolic(-1)
 
 
 def test_resultant_classical_linear():
