@@ -3,22 +3,54 @@
 summarize.  Exits with the largest code any run gave: 0 when all pass, 1
 when a check fails, 2 on a usage or input error.
 
-Usage: python scripts/run_repro.py [--seed N]
+Usage: python scripts/run_repro.py [--seed N] [--json-dir DIR]
+
+With --json-dir, each id's `repro <id> --json` report is written to
+DIR/<id>.json without its `wall_time_s`, instead of printing the checks, so
+`diff -r` compares the reports of two checkouts.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import sys
+from pathlib import Path
 
 from hedge_iep import cli
 from hedge_iep.repro import REPROS
 
 
+def write_report(example_id: str, seed: int, out_dir: Path) -> int:
+    """Run `repro <id> --json` and write its report, untimed, to
+    out_dir/<id>.json; the check lines printed before it are dropped."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["repro", example_id, "--json", "--seed", str(seed)])
+    _, brace, rest = buf.getvalue().partition("\n{")
+    if brace:
+        report = json.loads("{" + rest)
+        report.pop("wall_time_s", None)
+        path = out_dir / f"{example_id}.json"
+        path.write_text(json.dumps(report, indent=1) + "\n")
+        print(f"{example_id}: exit {code}, wrote {path}", flush=True)
+    else:
+        print(f"{example_id}: exit {code}, no report", flush=True)
+    return code
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--json-dir", type=Path, help="write each report to DIR/<id>.json")
     args = ap.parse_args()
+    if args.json_dir:
+        args.json_dir.mkdir(parents=True, exist_ok=True)
     codes = {}
     for example_id in sorted(REPROS):
+        if args.json_dir:
+            codes[example_id] = write_report(example_id, args.seed, args.json_dir)
+            continue
         print(f"=== {example_id} ===", flush=True)
         codes[example_id] = cli.main(["repro", example_id, "--seed", str(args.seed)])
         print(flush=True)

@@ -105,19 +105,26 @@ class PolyQ:
 
     def divmod(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
         """Division when leading coefficients divide exactly (fields, or a
-        monic divisor over a ring)."""
+        monic divisor over a ring).  Two int coefficients divide as a
+        Fraction."""
         if other.is_zero():
             raise ZeroPolynomial("division by zero polynomial")
         rem = list(self.coeffs)
         q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         lc = other.leading()
+        unit, int_lc = lc == 1, type(lc) is int
         d = other.degree
         low = other.coeffs[:-1]
         for k in range(len(q) - 1, -1, -1):
             top = rem[k + d]
             if top == 0:
                 continue
-            factor = top / lc if lc != 1 else top
+            if unit:
+                factor = top
+            elif int_lc and type(top) is int:
+                factor = Fraction(top, lc)
+            else:
+                factor = top / lc
             q[k] = factor
             # the leading term cancels exactly, so rem[k + d] is left as is
             for i, c in enumerate(low):
@@ -379,40 +386,6 @@ def bisect_root(lo: Fraction, hi: Fraction, eps: Fraction, side) -> tuple[Fracti
         else:
             lo = mid
     return lo, hi
-
-
-def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Fraction]:
-    """All distinct real roots of p != 0 in (lo, hi], lo <= hi, isolated by
-    Sturm bisection and refined to width below eps; returns midpoints.  Every
-    root is a simple sign change of the squarefree part q, the chain's first
-    member."""
-    lo, hi = _interval(lo, hi)
-    signs = [sign_at(q) for q in sturm_sequence(p)]
-    sign_q = signs[0]
-
-    def count(a: Fraction, b: Fraction) -> int:
-        return _sign_changes(signs, a) - _sign_changes(signs, b)
-
-    out: list[Fraction] = []
-    stack = [(lo, hi)]
-    while stack:
-        a, b = stack.pop()
-        c = count(a, b)
-        if c == 0:
-            continue
-        if c == 1:
-            fb = sign_q(b)
-            if fb == 0:
-                out.append(b)
-                continue
-            # q has the sign fb on (root, b] and -fb on (a, root)
-            aa, bb = bisect_root(a, b, eps, lambda m: -fb * sign_q(m))
-            out.append((aa + bb) / 2)
-            continue
-        mid = (a + b) / 2
-        stack.append((a, mid))
-        stack.append((mid, b))
-    return sorted(out)
 
 
 def root_multiplicities(p: PolyQ) -> tuple[int, ...]:

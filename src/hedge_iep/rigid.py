@@ -2,6 +2,12 @@
 trivially-nonzero factor bookkeeping, the unique solution of the three
 coincidence constraints, and the completely rigid multiplicity list.
 
+The resultants come out of a factored subresultant PRS: the powers of the
+trivially nonzero linear forms in its members are carried as exponents,
+and every exact division in it is by a polynomial that no form divides.
+It returns r_{a,b} apart into residual, removed forms and scalar
+(`simplify_resultant`); `level_resultant` is the expansion of that product.
+
 Everything runs after the shift-and-scale normalization beta2 = -1,
 beta4 = 1, which leaves the three free parameters (alpha1, alpha2, beta3).
 Two independent routes produce the solution, both exact in Q[xi].  Route B
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
-from math import inf, lcm, prod
+from math import gcd, inf, lcm, prod
 from typing import TYPE_CHECKING
 
 from .algebraic import QXi
@@ -85,6 +91,8 @@ TRIVIAL_FORMS: tuple[tuple[str, MPolyQ], ...] = (
     ("beta3-beta4", B3 - 1),
     ("alpha2+beta2-beta3-beta4", A2 - B3 - 2),
 )
+NO_FORMS = (0,) * len(TRIVIAL_FORMS)
+ONE = MPolyQ.const(1)
 
 
 @lru_cache(maxsize=None)
@@ -136,18 +144,23 @@ def _pseudo_remainder(a: list[MPolyQ], b: list[MPolyQ]) -> list[MPolyQ]:
     return r
 
 
-def resultant(f: PolyQ, g: PolyQ) -> MPolyQ:
+def factored_resultant(f: PolyQ, g: PolyQ) -> tuple[MPolyQ, tuple[str, ...], Fraction]:
     """The resultant res(f, g), the determinant of the Sylvester matrix with
-    the rows of f first, by the subresultant PRS (G. E. Collins, J. ACM 14
-    (1967); W. S. Brown and J. F. Traub, J. ACM 18 (1971)).  It runs on
-    c f and d g, which clears every denominator, so the sequence stays in
-    Z[alpha1, alpha2, beta3]: each step (A, B) -> (B, R) takes the
-    pseudo-remainder lc(B)^(delta+1) A mod B, delta = deg A - deg B, and
-    divides it exactly by lead h^delta to get R, by lead and then by h,
-    delta times, each an exact division of its own; then lead = lc(B) and
-    h = lead^delta / h^(delta-1).  Once R is a constant, res = R^deg B /
-    h^(deg B - 1) up to the sign of the row swaps, and a zero R means a
-    common factor, res = 0.  res(c f, d g) = c^deg g d^deg f res(f, g)
+    the rows of f first, as `strip_trivial_factors` returns it.
+
+    The subresultant PRS (G. E. Collins, J. ACM 14 (1967); W. S. Brown and
+    J. F. Traub, J. ACM 18 (1971)) runs on c f and d g, which clears every
+    denominator.  Each member, lc and h is kept as s * prod F^e * P (`_split`):
+    a rational s, an exponent e >= 0 per trivial form F, and a part P that
+    no form divides.  A step (A, B) -> (B, R), delta = deg A - deg B, takes
+    the pseudo-remainder of the parts, as prem(s A, t B) = s t^(delta+1)
+    prem(A, B), splits it, and divides its part by the parts of lc and h,
+    delta times; R = prem(A, B) / (lc h^delta) keeps e >= 0 and these
+    divisions are exact because the forms are prime and the part of prem
+    has no form common to all its coefficients.  Then lc = lc(B) and
+    h = lc^delta / h^(delta-1), alike.  Once R is a constant, res =
+    R^deg B / h^(deg B - 1) up to the sign of the row swaps; a zero R means
+    a common factor, res = 0.  res(c f, d g) = c^deg g d^deg f res(f, g)
     undoes the scaling."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("resultants need two nonzero polynomials")
@@ -158,53 +171,81 @@ def resultant(f: PolyQ, g: PolyQ) -> MPolyQ:
     if m < n:
         a, b = b, a
         sign = (-1) ** (m * n)
-    lead = h = MPolyQ.const(1)
+    sa, ea, a = _split(a)
+    sb, eb, b = _split(b)
+    sl, el, lead = sh, eh, h = Fraction(1), NO_FORMS, ONE
     while len(b) > 1:
         delta = len(a) - len(b)
         if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
             sign = -sign
         r = _pseudo_remainder(a, b)
         if not r:
-            return MPolyQ(())
+            return MPolyQ(()), (), Fraction(1)
+        sr, er, r = _split(r)
         for div in (lead,) + (h,) * delta:
             if div != 1:
                 r = [x.exact_div(div) for x in r]
-        a, b = b, r
-        lead = a[0]
+        sr = sa * sb ** (delta + 1) * sr / (sl * sh**delta)
+        er = tuple(
+            x + (delta + 1) * y + z - u - delta * v for x, y, z, u, v in zip(ea, eb, er, el, eh)
+        )
+        sa, ea, a = sb, eb, b
+        sb, eb, b = sr, er, r
+        s, e, (lead,) = _split(a[:1])
+        sl, el = sa * s, tuple(x + y for x, y in zip(ea, e))
         if delta == 1:
-            h = lead
+            sh, eh, h = sl, el, lead
         elif delta > 1:
+            sh = sl**delta / sh ** (delta - 1)
+            eh = tuple(delta * x - (delta - 1) * y for x, y in zip(el, eh))
             h = (lead**delta).exact_div(h ** (delta - 1))
-    res = b[0] ** (len(a) - 1)
-    if len(a) > 2:
-        res = res.exact_div(h ** (len(a) - 2))
-    return res / (sign * c**n * d**m)
+    k = len(a) - 1  # res = lc(B)^k / h^(k-1)
+    if k == 0:  # two constants
+        return ONE, (), Fraction(1)
+    p = b[0] ** k
+    if k > 1 and h != 1:
+        p = p.exact_div(h ** (k - 1))
+    residual, scale = p.normalized()
+    e = tuple(k * x - (k - 1) * y for x, y in zip(eb, eh))
+    s = sb**k / sh ** (k - 1) * scale / (sign * c**n * d**m)
+    return residual, _names(e), s
 
 
-@lru_cache(maxsize=None)
-def level_resultant(a: int, b: int) -> MPolyQ:
-    """The eliminant r_{a,b} detecting a shared non-distinguished eigenvalue
-    between levels a and b."""
-    if not (3 <= a < b):
-        raise ValueError("need 3 <= a < b")
-    return resultant(remainder_symbolic(a), remainder_symbolic(b))
+def _expand(residual: MPolyQ, removed: tuple[str, ...], scalar: Fraction) -> MPolyQ:
+    """scalar * residual * prod(removed), the inverse of `strip_trivial_factors`."""
+    return residual * scalar * _form_product([removed.count(name) for name, _ in TRIVIAL_FORMS])
+
+
+def resultant(f: PolyQ, g: PolyQ) -> MPolyQ:
+    """The resultant res(f, g), expanded from `factored_resultant`."""
+    return _expand(*factored_resultant(f, g))
 
 
 @lru_cache(maxsize=None)
 def simplify_resultant(a: int, b: int) -> tuple[MPolyQ, tuple[str, ...], Fraction]:
-    """Divide r_{a,b} by maximal powers of the trivially nonzero forms
-    (`strip_trivial_factors`).
+    """The eliminant r_{a,b} detecting a shared non-distinguished eigenvalue
+    between levels a and b, with its trivial factors apart: (residual,
+    removed, scalar) as `strip_trivial_factors` returns them, computed
+    factored by `factored_resultant`.
 
     No solution in the open region 1 is lost: there beta2 = -1 < alpha1 <
     alpha2 < beta3 < 1 = beta4, so every difference form, which vanishes only
     where two distinguished values are equal, is nonzero, and the sum form
     alpha2 - beta3 - 2 is below -2.
     """
-    return strip_trivial_factors(level_resultant(a, b))
+    if not (3 <= a < b):
+        raise ValueError("need 3 <= a < b")
+    return factored_resultant(remainder_symbolic(a), remainder_symbolic(b))
 
 
-#: the first integer point `strip_trivial_factors` restricts to: on each of
-#: its three axis lines the forms have distinct roots, no form is a zero
+@lru_cache(maxsize=None)
+def level_resultant(a: int, b: int) -> MPolyQ:
+    """r_{a,b} in full, expanded from `simplify_resultant`."""
+    return _expand(*simplify_resultant(a, b))
+
+
+#: the first integer point `_form_content` restricts to: on each of its
+#: three axis lines the forms have distinct roots, no form is a zero
 #: constant, and every r_{a,b} with a < b <= 7, or a <= 5 and b = 8, or
 #: a <= 4 and b = 9 is stripped at this first point
 GRID_BASE = (2, -2, 3)
@@ -221,11 +262,23 @@ def _grid():
                 yield b0 + u, b1 + v, b2 + w
 
 
-def _order_at(coeffs: list[int], t: int) -> int:
-    """The order of vanishing at t of the nonzero integer polynomial with
-    ascending coefficients ``coeffs``, by synthetic division by x - t."""
+def _form_roots(point: tuple[int, int, int]) -> list[tuple[int, int]] | None:
+    """(axis i, root t_F) of each form on the x_i axis line through point,
+    or None where two forms that vary along the same axis share a root."""
+    roots = []
+    for _, form in TRIVIAL_FORMS:
+        (lead, c), *rest = form.nums  # form = c x_i + (later variables), c = +-1
+        i = lead.index(1)
+        roots.append((i, -c * sum(n * (point[m.index(1)] if any(m) else 1) for m, n in rest)))
+    return roots if len(set(roots)) == len(roots) else None
+
+
+def _order_at(coeffs: list[int], t: int, cap) -> int:
+    """The order of vanishing at t, or cap if that is smaller, of the
+    nonzero integer polynomial with ascending coefficients ``coeffs``, by
+    synthetic division by x - t."""
     k = 0
-    while True:
+    while k < cap:
         acc, quo = 0, []
         for c in reversed(coeffs):
             acc = acc * t + c
@@ -234,60 +287,105 @@ def _order_at(coeffs: list[int], t: int) -> int:
             return k
         coeffs = quo[::-1]
         k += 1
+    return k
+
+
+def _form_product(ks) -> MPolyQ:
+    """prod F^k over the `TRIVIAL_FORMS` F and the exponents ks."""
+    return prod((form**k for (_, form), k in zip(TRIVIAL_FORMS, ks) if k), start=ONE)
+
+
+def _names(ks) -> tuple[str, ...]:
+    return tuple(name for (name, _), k in zip(TRIVIAL_FORMS, ks) for _ in range(k))
+
+
+def _form_content(coeffs: list[MPolyQ]) -> tuple[tuple[int, ...], list[MPolyQ]]:
+    """The largest product g = prod F^m of powers of the `TRIVIAL_FORMS` that
+    divides every polynomial of ``coeffs`` (not all zero), as its exponents
+    m, and the polynomials divided by g.
+
+    Each form F is x_i + l (up to sign) with l free of x_i, so on the line
+    through an integer point p parallel to the x_i axis it is t - t_F for an
+    integer t_F.  If F^m divides a polynomial r, (t - t_F)^m divides the
+    restriction of r to that line, so F's order of vanishing there is an
+    upper bound on m, and k, the least such order over the polynomials
+    whose restriction is not identically zero and over the points tried so
+    far, bounds F's exponent in g.  Where every k is 0, g = 1.  Otherwise
+    one exact division of each polynomial by prod F^k shows that it divides
+    them all, so m = k for every form at once.  A point where two forms that
+    vary along the same axis share a root on that line is skipped, by
+    integer work alone: there one factor would be counted for both forms.
+    Where all restrictions to one line vanish identically, or a division
+    leaves a remainder, the point is unlucky too (a cofactor vanishes
+    there), and the next point of a growing grid is tried; one whose bounds
+    are those of the last failed division is not divided again.  The
+    unlucky points lie on a nonzero polynomial's zero set (two forms share
+    a root on a line only on the plane where a nonzero linear form
+    vanishes), which contains no whole cube of side above its degree (J. T.
+    Schwartz, J. ACM 27 (1980)), so the loop ends.
+    """
+    nonzero = sorted((x for x in coeffs if x), key=len)  # small ones first
+    degs = [max(m[i] for x in nonzero for m, _ in x.nums) for i in range(3)]
+    bound, failed = [inf] * len(TRIVIAL_FORMS), None
+    for point in _grid():
+        roots = _form_roots(point)
+        if roots is None:
+            continue
+        p0, p1, p2 = ([x**e for e in range(d + 1)] for x, d in zip(point, degs))
+        ks = bound = list(bound)
+        for x in nonzero:
+            lines = [[0] * (d + 1) for d in degs]
+            c0, c1, c2 = lines
+            for (e0, e1, e2), n in x.nums:
+                c0[e0] += n * p1[e1] * p2[e2]
+                c1[e1] += n * p0[e0] * p2[e2]
+                c2[e2] += n * p0[e0] * p1[e1]
+            nonvanishing = [any(c) for c in lines]
+            for j, (i, t) in enumerate(roots):
+                if ks[j] and nonvanishing[i]:
+                    ks[j] = _order_at(lines[i], t, ks[j])
+            if not any(ks):
+                return NO_FORMS, coeffs
+        if inf in ks or ks == failed:
+            continue
+        g = _form_product(ks)
+        out = []
+        for x in coeffs:
+            q, rem = x.divmod_lex(g)
+            if rem:
+                failed = ks
+                break
+            out.append(q)
+        else:
+            return tuple(ks), out
+
+
+def _split(coeffs: list[MPolyQ]) -> tuple[Fraction, tuple[int, ...], list[MPolyQ]]:
+    """A polynomial with coefficients ``coeffs``, not all zero, as (s, e, P)
+    with coeffs = s * prod F^e * P: P's coefficients are integral with gcd 1
+    and share no trivial form."""
+    ks, coeffs = _form_content(coeffs)
+    s = Fraction(
+        gcd(*(n for x in coeffs for _, n in x.nums)), lcm(*(x.den for x in coeffs))
+    )
+    return s, ks, coeffs if s == 1 else [x / s for x in coeffs]
 
 
 def strip_trivial_factors(r: MPolyQ) -> tuple[MPolyQ, tuple[str, ...], Fraction]:
-    """Divide r by the maximal power of each form of `TRIVIAL_FORMS`.
+    """Divide r by the maximal power of each form of `TRIVIAL_FORMS`, found
+    and proved by `_form_content`.
 
     Returns the primitive residual (positive leading coefficient, integral
     content 1), the removed factor names with multiplicity (in the order of
     `TRIVIAL_FORMS`), and the rational scalar such that r = scalar *
     residual * prod(removed).  A zero r has residual 0, nothing removed and
     scalar 1.
-
-    Each form F is x_i + l (up to sign) with l free of x_i, so on the line
-    through an integer point p parallel to the x_i axis it is t - t_F for an
-    integer t_F.  If F^m divides r, (t - t_F)^m divides the restriction of r
-    to that line, so F's order of vanishing k there satisfies k >= m.  One
-    exact division of r by g = prod F^k then shows F^k | r, so m >= k and
-    m = k for every form at once.  A point where two forms that vary along
-    the same axis share a root on that line is skipped undivided, by integer
-    work alone: there one factor of r would be counted for both forms.
-    Where a restriction vanishes identically or the division leaves a
-    remainder, the point is unlucky too (the cofactor vanishes there), and
-    the next point of a growing grid is tried.  The unlucky points lie on a
-    nonzero polynomial's zero set (two forms share a root on a line only on
-    the plane where a nonzero linear form vanishes), which contains no whole
-    cube of side above its degree (J. T. Schwartz, J. ACM 27 (1980)), so the
-    loop ends.
     """
     if r.is_zero():
         return r, (), Fraction(1)
-    degs = [max(m[i] for m, _ in r.nums) for i in range(3)]
-    for point in _grid():
-        roots = []  # (axis i, root t_F) of each form on the x_i line through point
-        for _, form in TRIVIAL_FORMS:
-            lead, c = form.leading()  # form = c x_i + (later variables)
-            i = lead.index(1)
-            roots.append((i, int(-form.evaluate(*point[:i], 0, *point[i + 1:]) / c)))
-        if len(set(roots)) < len(roots):
-            continue  # two forms share a root on a line
-        p0, p1, p2 = ([x**e for e in range(d + 1)] for x, d in zip(point, degs))
-        lines = [[0] * (d + 1) for d in degs]
-        c0, c1, c2 = lines
-        for (e0, e1, e2), n in r.nums:
-            c0[e0] += n * p1[e1] * p2[e2]
-            c1[e1] += n * p0[e0] * p2[e2]
-            c2[e2] += n * p0[e0] * p1[e1]
-        if not all(any(c) for c in lines):
-            continue
-        ks = [_order_at(lines[i], t) for i, t in roots]
-        g = prod((form**k for (_, form), k in zip(TRIVIAL_FORMS, ks) if k), start=MPolyQ.const(1))
-        q, rem = r.divmod_lex(g)
-        if rem.is_zero():
-            residual, scale = q.normalized()
-            removed = tuple(name for (name, _), k in zip(TRIVIAL_FORMS, ks) for _ in range(k))
-            return residual, removed, scale
+    s, ks, (q,) = _split([r])
+    residual, sign = q.normalized()
+    return residual, _names(ks), s * sign
 
 
 def companion_double_root_entry() -> tuple[MPolyQ, MPolyQ, Fraction]:

@@ -345,9 +345,3 @@ def read_json(path: str | Path):
 
 def load_tree(path: str | Path) -> RootedTree:
     return tree_from_json(read_json(path))
-
-
-def save_tree(t: RootedTree, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(tree_to_json(t), fh)
-        fh.write("\n")

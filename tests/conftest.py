@@ -1,14 +1,59 @@
-"""Shared fixtures and random generators for the suite."""
+"""Shared fixtures and random generators for the suite, and the helpers
+only the tests use: writing a tree file and isolating real roots."""
 
 from __future__ import annotations
 
 import heapq
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hedge_iep.trees import RootedTree, ten_vertex_hedge, smallest_lush_hedge
+from hedge_iep.polys import PolyQ, _interval, _sign_changes, bisect_root, sign_at, sturm_sequence
+from hedge_iep.trees import RootedTree, smallest_lush_hedge, ten_vertex_hedge, tree_to_json
+
+
+def save_tree(t: RootedTree, path: str | Path) -> None:
+    """Write t as the tree JSON that `trees.load_tree` reads."""
+    with open(path, "w") as fh:
+        json.dump(tree_to_json(t), fh)
+        fh.write("\n")
+
+
+def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Fraction]:
+    """All distinct real roots of p != 0 in (lo, hi], lo <= hi, isolated by
+    Sturm bisection and refined to width below eps; returns midpoints.  Every
+    root is a simple sign change of the squarefree part q, the chain's first
+    member."""
+    lo, hi = _interval(lo, hi)
+    signs = [sign_at(q) for q in sturm_sequence(p)]
+    sign_q = signs[0]
+
+    def count(a: Fraction, b: Fraction) -> int:
+        return _sign_changes(signs, a) - _sign_changes(signs, b)
+
+    out: list[Fraction] = []
+    stack = [(lo, hi)]
+    while stack:
+        a, b = stack.pop()
+        c = count(a, b)
+        if c == 0:
+            continue
+        if c == 1:
+            fb = sign_q(b)
+            if fb == 0:
+                out.append(b)
+                continue
+            # q has the sign fb on (root, b] and -fb on (a, root)
+            aa, bb = bisect_root(a, b, eps, lambda m: -fb * sign_q(m))
+            out.append((aa + bb) / 2)
+            continue
+        mid = (a + b) / 2
+        stack.append((a, mid))
+        stack.append((mid, b))
+    return sorted(out)
 
 
 def random_tree(n: int, rng: np.random.Generator) -> RootedTree:

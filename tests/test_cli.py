@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -23,12 +24,13 @@ from hedge_iep.pth import forced_fifth_eigenvalue, ph_construct
 from hedge_iep.trees import (
     RootedTree,
     ten_vertex_hedge,
-    save_tree,
     smallest_lush_hedge,
     tree_from_json,
     tree_to_json,
 )
 from hedge_iep.weights import WeightFn, save_weight, weight_to_json
+
+from conftest import save_tree
 
 
 @pytest.fixture
@@ -717,6 +719,18 @@ def test_run_repro_script_keeps_the_exit_code_contract():
     assert "error: expected non-negative integer" in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert "FAILED: bf-rs" in proc.stdout
+
+
+def test_run_repro_script_writes_untimed_reports(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("run_repro", root / "scripts" / "run_repro.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.write_report("table1", 3, tmp_path) == 0
+    assert capsys.readouterr().out == f"table1: exit 0, wrote {tmp_path / 'table1.json'}\n"
+    want = json.loads(json.dumps(repro.run_repro("table1", seed=3).to_json()))
+    del want["wall_time_s"]
+    assert json.loads((tmp_path / "table1.json").read_text()) == want
 
 
 def _scaled_edge(c, t, *args):

@@ -19,7 +19,9 @@ import pytest
 import hedge_iep
 from hedge_iep.cli import main
 from hedge_iep.repro import REPROS
-from hedge_iep.trees import save_tree, smallest_lush_hedge, ten_vertex_hedge
+from hedge_iep.trees import smallest_lush_hedge, ten_vertex_hedge
+
+from conftest import save_tree
 
 SRC = str(Path(hedge_iep.__file__).parents[1])
 

@@ -22,11 +22,11 @@ from hedge_iep.polys import (
     count_real_roots,
     horner_enclosure,
     level_values,
-    real_roots,
     root_multiplicities,
     sign_at,
 )
 
+from conftest import real_roots
 
 
 def test_eigenvalues_sym_examples():

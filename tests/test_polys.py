@@ -25,11 +25,12 @@ from hedge_iep.polys import (
     count_real_roots,
     level_counts,
     level_spectra,
-    real_roots,
     sign_at,
     sturm_sequence,
 )
 from hedge_iep.rigid import eliminant, solve_rigid
+
+from conftest import real_roots
 
 EPS = sys.float_info.epsilon
 
@@ -221,3 +222,14 @@ def test_root_counts_reject_the_zero_polynomial_and_reversed_ends():
     assert count_real_roots(p, Fraction(1), Fraction(1)) == 0
     assert real_roots(p, Fraction(1), Fraction(1), eps) == []
     assert count_real_roots(PolyQ.of(3), Fraction(-5), Fraction(5)) == 0
+
+
+def test_divmod_of_int_coefficients_is_exact():
+    # (1 + 2x) divmod 3x: the quotient 2/3 is a Fraction, not a float
+    q, r = PolyQ((1, 2)).divmod(PolyQ((0, 3)))
+    assert q.coeffs == (Fraction(2, 3),) and type(q.coeffs[0]) is Fraction
+    assert r.coeffs == (1,)
+    # x^2 - 1 over 2x + 2, int coefficients throughout, is exact too
+    q, r = PolyQ((-1, 0, 1)).divmod(PolyQ((2, 2)))
+    assert q.coeffs == (Fraction(-1, 2), Fraction(1, 2)) and r.is_zero()
+    assert PolyQ((-1, 0, 1)).exact_div(PolyQ((2, 2))) * PolyQ((2, 2)) == PolyQ((-1, 0, 1))

@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -29,6 +29,8 @@ from hedge_iep.rigid import (
     TRIVIAL_FORMS,
     RoutesDisagree,
     UnexpectedCoincidence,
+    _cleared,
+    _pseudo_remainder,
     certify_coincidences,
     char_poly_symbolic,
     coincidence_residuals,
@@ -37,6 +39,7 @@ from hedge_iep.rigid import (
     derive,
     eliminant,
     eliminate,
+    factored_resultant,
     level_figure_data,
     level_resultant,
     remainder_symbolic,
@@ -337,6 +340,39 @@ def _reference_resultant(f: PolyQ, g: PolyQ) -> MPolyQ:
     return bareiss_determinant(rows, MPolyQ.const(1)) / scale
 
 
+def _reference_prs(f: PolyQ, g: PolyQ) -> MPolyQ:
+    """res(f, g) by the plain subresultant PRS on c f and d g, every member
+    in full: each step divides the pseudo-remainder by lead and then by h,
+    delta times, then lead = lc(B) and h = lead^delta / h^(delta-1)."""
+    m, n = f.degree, g.degree
+    a, c = _cleared(f)
+    b, d = _cleared(g)
+    sign = 1
+    if m < n:
+        a, b = b, a
+        sign = (-1) ** (m * n)
+    lead = h = MPolyQ.const(1)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return MPolyQ(())
+        for div in (lead,) + (h,) * delta:
+            r = [x.exact_div(div) for x in r]
+        a, b = b, r
+        lead = a[0]
+        if delta == 1:
+            h = lead
+        elif delta > 1:
+            h = (lead**delta).exact_div(h ** (delta - 1))
+    res = b[0] ** (len(a) - 1)
+    if len(a) > 2:
+        res = res.exact_div(h ** (len(a) - 2))
+    return res / (sign * c**n * d**m)
+
+
 def _random_coefficient(rng: random.Random, nonconstant: bool = False):
     """A small MPolyQ with rational coefficients, or a Fraction."""
     if not nonconstant and rng.random() < 0.3:
@@ -363,6 +399,52 @@ def _random_poly(rng: random.Random, degree: int, monic: bool) -> PolyQ:
 DEGREE_PAIRS = [(m, n) for m in range(4) for n in range(4)] + [(4, 2), (2, 4)]
 
 
+def _forms(rng: random.Random, lo: int, hi: int) -> MPolyQ:
+    """A product of lo..hi trivial forms, drawn with repetition."""
+    return prod((rng.choice(TRIVIAL_FORMS)[1] for _ in range(rng.randint(lo, hi))), start=MPolyQ.const(1))
+
+
+def _with_forms(rng: random.Random, p: PolyQ, kind: str = "every") -> PolyQ:
+    """p with trivial forms in its coefficients: each coefficient multiplied
+    by a product of 1-3 forms of its own ("every"), all of them by one such
+    product ("common"), or the leading one only ("lead")."""
+    coeffs = list(p.coeffs)
+    common = _forms(rng, 1, 3)
+    for i in range(len(coeffs) - 1 if kind == "lead" else 0, len(coeffs)):
+        coeffs[i] = (common if kind == "common" else _forms(rng, 1, 3)) * coeffs[i]
+    return PolyQ(tuple(coeffs))
+
+
+def _exact_divisors(monkeypatch, fn, *args) -> tuple:
+    """fn(*args) and the divisor of each `MPolyQ.exact_div` call it made."""
+    divisors = []
+    exact_div = MPolyQ.exact_div
+    monkeypatch.setattr(MPolyQ, "exact_div", lambda p, d: divisors.append(d) or exact_div(p, d))
+    out = fn(*args)
+    monkeypatch.undo()
+    return out, divisors
+
+
+def _assert_form_free(divisors: list[MPolyQ]) -> None:
+    for d in divisors:
+        assert all(d.divmod_lex(form)[1] for _, form in TRIVIAL_FORMS)
+
+
+def _assert_factored_matches_the_references(
+    monkeypatch, f: PolyQ, g: PolyQ, sylvester: bool = True
+) -> None:
+    """The factored PRS against the plain one, stripped, and the plain one
+    against the Sylvester determinant, which is slow on the larger cases;
+    the factored PRS divides by form-free polynomials only."""
+    want = _reference_prs(f, g)
+    if sylvester:
+        assert want == _reference_resultant(f, g)
+    got, divisors = _exact_divisors(monkeypatch, factored_resultant, f, g)
+    _assert_form_free(divisors)
+    assert got == strip_trivial_factors(want) == _reference_simplify(want)
+    assert got[0] * got[2] * prod(dict(TRIVIAL_FORMS)[name] for name in got[1]) == want
+
+
 @pytest.mark.parametrize("m,n", DEGREE_PAIRS)
 def test_resultant_matches_the_sylvester_determinant(m, n):
     rng = random.Random(100 * m + n)
@@ -371,6 +453,40 @@ def test_resultant_matches_the_sylvester_determinant(m, n):
         want = _reference_resultant(f, g)
         assert resultant(f, g) == want
         assert resultant(g, f) == want * (-1) ** (m * n)
+
+
+@pytest.mark.parametrize("m,n", DEGREE_PAIRS)
+@pytest.mark.parametrize("kind", ["every", "common", "lead"])
+def test_factored_resultant_with_trivial_forms_in_the_coefficients(m, n, kind, monkeypatch):
+    # the forms in the coefficients are carried as exponents through every
+    # step; a constant operand and two constants (res = 1) are among the
+    # pairs
+    rng = random.Random(1000 + 100 * m + n)
+    f = _with_forms(rng, _random_poly(rng, m, True), kind)
+    g = _with_forms(rng, _random_poly(rng, n, False), kind)
+    _assert_factored_matches_the_references(monkeypatch, f, g, sylvester=m + n < 6)
+    _assert_factored_matches_the_references(monkeypatch, g, f, sylvester=m + n < 6)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factored_resultant_with_trivial_forms_and_delta_two(seed, monkeypatch):
+    # both steps have delta = 2, every coefficient carries forms
+    rng = random.Random(seed)
+    g = _with_forms(rng, _random_poly(rng, 3, False))
+    f = g * _random_poly(rng, 2, True) + _with_forms(rng, _random_poly(rng, 1, False))
+    _assert_factored_matches_the_references(monkeypatch, f, g, sylvester=False)
+    _assert_factored_matches_the_references(monkeypatch, g, f, sylvester=False)
+
+
+@pytest.mark.parametrize("m,n", [(0, 1), (1, 1), (2, 1), (1, 2)])
+def test_factored_resultant_of_polynomials_with_a_common_factor(m, n, monkeypatch):
+    rng = random.Random(10 * m + n)
+    common = _with_forms(rng, _random_poly(rng, 1, False))
+    f = common * _with_forms(rng, _random_poly(rng, m, False))
+    g = common * _with_forms(rng, _random_poly(rng, n, True), "lead")
+    for p, q in ((f, g), (g, f)):
+        _assert_factored_matches_the_references(monkeypatch, p, q, sylvester=False)
+        assert factored_resultant(p, q) == (MPolyQ(()), (), 1)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -386,20 +502,15 @@ def test_resultant_when_a_remainder_drops_two_degrees(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_resultant_divides_by_lead_and_h_in_turn(seed, monkeypatch):
     # f mod g has degree 1 and deg f - deg g = 2, so both steps have
-    # delta = 2, and the second divides by lead = lc(g) != 1 and then twice
-    # by h = lead^2 != lead (the test above reaches delta = 2 with h = lead)
+    # delta = 2 and divide by the parts of lead = lc(g) and of h = lead^2,
+    # which no trivial form divides (the tests above plant forms)
     rng = random.Random(seed)
     g = _random_poly(rng, 3, False)
     f = g * _random_poly(rng, 2, True) + _random_poly(rng, 1, False)
-    divisors = []
-    exact_div = MPolyQ.exact_div
-    monkeypatch.setattr(MPolyQ, "exact_div", lambda p, d: divisors.append(d) or exact_div(p, d))
-    got = resultant(f, g)
-    monkeypatch.undo()
+    got, divisors = _exact_divisors(monkeypatch, resultant, f, g)
     assert got == _reference_resultant(f, g)
-    lead = divisors[1]
-    assert not lead.is_constant()
-    assert divisors[1:4] == [lead, lead * lead, lead * lead]
+    assert any(not d.is_constant() for d in divisors)
+    _assert_form_free(divisors)
 
 
 @pytest.mark.parametrize("k,m,n", [(1, 0, 2), (1, 1, 1), (2, 1, 2), (1, 3, 2), (2, 1, 1)])
@@ -414,6 +525,7 @@ def test_resultant_of_polynomials_with_a_common_factor_is_zero(k, m, n):
 
 def test_resultant_of_constants_and_zero():
     assert resultant(PolyQ.of(3), PolyQ.of(Fraction(1, 2))) == 1
+    assert factored_resultant(PolyQ((A1 - A2,)), PolyQ((B3 + 1,))) == (1, (), 1)
     assert resultant(PolyQ((A1,)), PolyQ.of(-1, 0, 2)) == A1**2
     with pytest.raises(ZeroPolynomial):
         resultant(PolyQ(()), PolyQ.of(1, 1))
@@ -555,7 +667,10 @@ def _strip_checked(r: MPolyQ, monkeypatch, first: tuple = ()) -> tuple[tuple, di
 
 @pytest.mark.parametrize("a,b", SCAN_PAIRS)
 def test_strip_matches_the_reference_on_the_scan_pairs(a, b, monkeypatch):
-    got, counts = _strip_checked(level_resultant(a, b), monkeypatch)
+    # the factored PRS against the plain one, stripped by `strip_trivial_factors`
+    full = _reference_prs(remainder_symbolic(a), remainder_symbolic(b))
+    assert level_resultant(a, b) == full
+    got, counts = _strip_checked(full, monkeypatch)
     assert simplify_resultant(a, b) == got
     assert counts == {"points": 1, "divided_at": [1]}  # GRID_BASE is lucky for all 15
 
@@ -601,7 +716,10 @@ def test_strip_retries_where_the_cofactor_vanishes_at_a_root(monkeypatch):
     r = (A1 - A2) * (A1 - b1) * (A2 + 1) * Fraction(-3, 4)
     (_, removed, _), counts = _strip_checked(r, monkeypatch)
     assert removed == ("alpha1-alpha2", "alpha2-beta2")
-    assert counts["divided_at"][:2] == [1, 2]
+    # points 2-10 have alpha2 = b1 again, or two forms sharing a root, so
+    # they bound k by 2 again or are skipped, undivided; point 11 has
+    # alpha2 = b1 + 2, where k = 1
+    assert counts["divided_at"] == [1, 11]
 
 
 def test_strip_retries_where_two_forms_share_a_root(monkeypatch):

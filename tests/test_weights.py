@@ -18,7 +18,6 @@ from hedge_iep.tolerance import WEIGHT_TOL, close
 from hedge_iep.trees import (
     RootedTree,
     pendent_paths,
-    save_tree,
     smallest_lush_hedge,
     ten_vertex_hedge,
 )
@@ -44,7 +43,7 @@ from hedge_iep.weights import (
     weight_to_json,
 )
 
-from conftest import random_lush_hedge, random_splits, random_tree, random_weight, relabel
+from conftest import random_lush_hedge, random_splits, random_tree, random_weight, relabel, save_tree
 
 
 def c3_weight() -> WeightFn:
