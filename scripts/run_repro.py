@@ -11,31 +11,29 @@ DIR/<id>.json without its `wall_time_s`, instead of printing the checks, so
 """
 
 import argparse
-import contextlib
-import io
 import json
 import sys
 from pathlib import Path
 
-from hedge_iep import cli
+from hedge_iep import cli, repro
 from hedge_iep.repro import REPROS
 
 
 def write_report(example_id: str, seed: int, out_dir: Path) -> int:
-    """Run `repro <id> --json` and write its report, untimed, to
-    out_dir/<id>.json; the check lines printed before it are dropped."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(["repro", example_id, "--json", "--seed", str(seed)])
-    _, brace, rest = buf.getvalue().partition("\n{")
-    if brace:
-        report = json.loads("{" + rest)
-        report.pop("wall_time_s", None)
-        path = out_dir / f"{example_id}.json"
-        path.write_text(json.dumps(report, indent=1) + "\n")
-        print(f"{example_id}: exit {code}, wrote {path}", flush=True)
-    else:
-        print(f"{example_id}: exit {code}, no report", flush=True)
+    """Run `repro <id>` and write its JSON report, untimed, to
+    out_dir/<id>.json; the exit code is that of `repro <id> --json`."""
+    try:
+        report = repro.run_repro(example_id, seed=seed)
+    except (ValueError, OSError) as exc:
+        print(f"{example_id}: error: {exc}", file=sys.stderr)
+        print(f"{example_id}: exit 2, no report", flush=True)
+        return 2
+    data = report.to_json()
+    del data["wall_time_s"]
+    path = out_dir / f"{example_id}.json"
+    path.write_text(json.dumps(data, indent=1) + "\n")
+    code = 0 if report.passed else 1
+    print(f"{example_id}: exit {code}, wrote {path}", flush=True)
     return code
 
 

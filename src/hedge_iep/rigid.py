@@ -146,7 +146,12 @@ def _pseudo_remainder(a: list[MPolyQ], b: list[MPolyQ]) -> list[MPolyQ]:
 
 def factored_resultant(f: PolyQ, g: PolyQ) -> tuple[MPolyQ, tuple[str, ...], Fraction]:
     """The resultant res(f, g), the determinant of the Sylvester matrix with
-    the rows of f first, as `strip_trivial_factors` returns it.
+    the rows of f first, with its trivial factors apart: (residual, removed,
+    scalar) with res = scalar * residual * prod(removed).  The residual is
+    primitive (integral, content 1, positive lex-leading coefficient) and
+    no form of `TRIVIAL_FORMS` divides it; removed names the forms that
+    divide res, with multiplicity, in the order of `TRIVIAL_FORMS`.  A zero
+    res has residual 0, nothing removed and scalar 1.
 
     The subresultant PRS (G. E. Collins, J. ACM 14 (1967); W. S. Brown and
     J. F. Traub, J. ACM 18 (1971)) runs on c f and d g, which clears every
@@ -212,7 +217,7 @@ def factored_resultant(f: PolyQ, g: PolyQ) -> tuple[MPolyQ, tuple[str, ...], Fra
 
 
 def _expand(residual: MPolyQ, removed: tuple[str, ...], scalar: Fraction) -> MPolyQ:
-    """scalar * residual * prod(removed), the inverse of `strip_trivial_factors`."""
+    """scalar * residual * prod(removed), res(f, g) from `factored_resultant`."""
     return residual * scalar * _form_product([removed.count(name) for name, _ in TRIVIAL_FORMS])
 
 
@@ -225,8 +230,8 @@ def resultant(f: PolyQ, g: PolyQ) -> MPolyQ:
 def simplify_resultant(a: int, b: int) -> tuple[MPolyQ, tuple[str, ...], Fraction]:
     """The eliminant r_{a,b} detecting a shared non-distinguished eigenvalue
     between levels a and b, with its trivial factors apart: (residual,
-    removed, scalar) as `strip_trivial_factors` returns them, computed
-    factored by `factored_resultant`.
+    removed, scalar), r_{a,b} = scalar * residual * prod(removed), in the
+    convention of `factored_resultant`, which computes it.
 
     No solution in the open region 1 is lost: there beta2 = -1 < alpha1 <
     alpha2 < beta3 < 1 = beta4, so every difference form, which vanishes only
@@ -249,17 +254,33 @@ def level_resultant(a: int, b: int) -> MPolyQ:
 #: constant, and every r_{a,b} with a < b <= 7, or a <= 5 and b = 8, or
 #: a <= 4 and b = 9 is stripped at this first point
 GRID_BASE = (2, -2, 3)
+#: the step of the line GRID_BASE + k DIAGONAL that `_grid` takes turns
+#: with: every coordinate moves along it, no linear form with coefficients
+#: in {-1, 0, 1} is constant on it, and no two forms share a root on an
+#: axis line through any of its points with k >= 0
+DIAGONAL = (1, 2, 4)
 
 
 def _grid():
-    """The integer points GRID_BASE + (u, v, w), u, v, w >= 0, shell by
-    shell: every point of the cube [0, n]^3 comes before any point outside
-    it."""
+    """GRID_BASE, then in turn a point GRID_BASE + k DIAGONAL, k = 1, 2, ...,
+    and the next integer point GRID_BASE + (u, v, w), u, v, w >= 0, of the
+    cube grid, shell by shell: every point of the cube [0, n]^3 comes before
+    any point outside it.  A restriction to the x_i axis line does not
+    depend on the point's x_i, and neighbouring cube points share two
+    coordinates, so a diagonal point, where all three move, is the likelier
+    to be lucky; the cube points make sure every cube is covered."""
     b0, b1, b2 = GRID_BASE
-    for n in count():
-        for u, v, w in product(range(n + 1), repeat=3):
-            if max(u, v, w) == n:
-                yield b0 + u, b1 + v, b2 + w
+    d0, d1, d2 = DIAGONAL
+    cube = (
+        (b0 + u, b1 + v, b2 + w)
+        for n in count()
+        for u, v, w in product(range(n + 1), repeat=3)
+        if max(u, v, w) == n
+    )
+    yield next(cube)
+    for k in count(1):
+        yield b0 + k * d0, b1 + k * d1, b2 + k * d2
+        yield next(cube)
 
 
 def _form_roots(point: tuple[int, int, int]) -> list[tuple[int, int]] | None:
@@ -317,12 +338,12 @@ def _form_content(coeffs: list[MPolyQ]) -> tuple[tuple[int, ...], list[MPolyQ]]:
     integer work alone: there one factor would be counted for both forms.
     Where all restrictions to one line vanish identically, or a division
     leaves a remainder, the point is unlucky too (a cofactor vanishes
-    there), and the next point of a growing grid is tried; one whose bounds
-    are those of the last failed division is not divided again.  The
-    unlucky points lie on a nonzero polynomial's zero set (two forms share
-    a root on a line only on the plane where a nonzero linear form
-    vanishes), which contains no whole cube of side above its degree (J. T.
-    Schwartz, J. ACM 27 (1980)), so the loop ends.
+    there), and the next point of `_grid` is tried; one whose bounds are
+    those of the last failed division is not divided again.  The unlucky
+    points lie on a nonzero polynomial's zero set (two forms share a root on
+    a line only on the plane where a nonzero linear form vanishes), which
+    contains no whole cube of side above its degree (J. T. Schwartz, J. ACM
+    27 (1980)), so the loop ends.
     """
     nonzero = sorted((x for x in coeffs if x), key=len)  # small ones first
     degs = [max(m[i] for x in nonzero for m, _ in x.nums) for i in range(3)]
@@ -369,23 +390,6 @@ def _split(coeffs: list[MPolyQ]) -> tuple[Fraction, tuple[int, ...], list[MPolyQ
         gcd(*(n for x in coeffs for _, n in x.nums)), lcm(*(x.den for x in coeffs))
     )
     return s, ks, coeffs if s == 1 else [x / s for x in coeffs]
-
-
-def strip_trivial_factors(r: MPolyQ) -> tuple[MPolyQ, tuple[str, ...], Fraction]:
-    """Divide r by the maximal power of each form of `TRIVIAL_FORMS`, found
-    and proved by `_form_content`.
-
-    Returns the primitive residual (positive leading coefficient, integral
-    content 1), the removed factor names with multiplicity (in the order of
-    `TRIVIAL_FORMS`), and the rational scalar such that r = scalar *
-    residual * prod(removed).  A zero r has residual 0, nothing removed and
-    scalar 1.
-    """
-    if r.is_zero():
-        return r, (), Fraction(1)
-    s, ks, (q,) = _split([r])
-    residual, sign = q.normalized()
-    return residual, _names(ks), s * sign
 
 
 def companion_double_root_entry() -> tuple[MPolyQ, MPolyQ, Fraction]:

@@ -731,6 +731,10 @@ def test_run_repro_script_writes_untimed_reports(tmp_path, capsys):
     want = json.loads(json.dumps(repro.run_repro("table1", seed=3).to_json()))
     del want["wall_time_s"]
     assert json.loads((tmp_path / "table1.json").read_text()) == want
+    # an input error keeps the CLI's exit code 2 and writes no report
+    assert script.write_report("bf-rs", -1, tmp_path) == 2
+    assert capsys.readouterr().err == "bf-rs: error: expected non-negative integer\n"
+    assert not (tmp_path / "bf-rs.json").exists()
 
 
 def _scaled_edge(c, t, *args):

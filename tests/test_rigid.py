@@ -24,13 +24,16 @@ from hedge_iep.polys import (
     root_multiplicities,
 )
 from hedge_iep.rigid import (
+    DIAGONAL,
     GRID_BASE,
     SYMBOLIC,
     TRIVIAL_FORMS,
     RoutesDisagree,
     UnexpectedCoincidence,
     _cleared,
+    _names,
     _pseudo_remainder,
+    _split,
     certify_coincidences,
     char_poly_symbolic,
     coincidence_residuals,
@@ -51,7 +54,6 @@ from hedge_iep.rigid import (
     simplify_resultant,
     solve_rigid,
     solve_route_a,
-    strip_trivial_factors,
     unit_interval_roots,
 )
 from hedge_iep.trees import profile, smallest_lush_hedge
@@ -441,7 +443,7 @@ def _assert_factored_matches_the_references(
         assert want == _reference_resultant(f, g)
     got, divisors = _exact_divisors(monkeypatch, factored_resultant, f, g)
     _assert_form_free(divisors)
-    assert got == strip_trivial_factors(want) == _reference_simplify(want)
+    assert got == _strip(want) == _reference_simplify(want)
     assert got[0] * got[2] * prod(dict(TRIVIAL_FORMS)[name] for name in got[1]) == want
 
 
@@ -634,10 +636,20 @@ def _reference_simplify(r: MPolyQ) -> tuple[MPolyQ, tuple[str, ...], Fraction]:
     return residual, tuple(removed), scale
 
 
+def _strip(r: MPolyQ) -> tuple[MPolyQ, tuple[str, ...], Fraction]:
+    """r with its trivial factors apart, in the convention of
+    `factored_resultant`, by the PRS's content step (`_split`) on r alone."""
+    if r.is_zero():
+        return r, (), Fraction(1)
+    s, ks, (q,) = _split([r])
+    residual, sign = q.normalized()
+    return residual, _names(ks), s * sign
+
+
 def _count_strip_paths(monkeypatch, first: tuple = ()) -> dict:
-    """Count the grid points `strip_trivial_factors` tries, and record how
-    many it had tried at each of its lex divisions; the points ``first``
-    are put in front of the grid."""
+    """Count the grid points `_strip` tries, and record how many it had
+    tried at each of its lex divisions; the points ``first`` are put in
+    front of the grid."""
     counts = {"points": 0, "divided_at": []}
     grid, divmod_lex = hedge_iep.rigid._grid, MPolyQ.divmod_lex
 
@@ -659,7 +671,7 @@ def _strip_checked(r: MPolyQ, monkeypatch, first: tuple = ()) -> tuple[tuple, di
     """The stripped r, which must equal the reference, and the path counts."""
     want = _reference_simplify(r)
     counts = _count_strip_paths(monkeypatch, first)
-    got = strip_trivial_factors(r)
+    got = _strip(r)
     monkeypatch.undo()
     assert got == want
     return got, counts
@@ -667,7 +679,7 @@ def _strip_checked(r: MPolyQ, monkeypatch, first: tuple = ()) -> tuple[tuple, di
 
 @pytest.mark.parametrize("a,b", SCAN_PAIRS)
 def test_strip_matches_the_reference_on_the_scan_pairs(a, b, monkeypatch):
-    # the factored PRS against the plain one, stripped by `strip_trivial_factors`
+    # the factored PRS against the plain one, stripped by `_strip`
     full = _reference_prs(remainder_symbolic(a), remainder_symbolic(b))
     assert level_resultant(a, b) == full
     got, counts = _strip_checked(full, monkeypatch)
@@ -716,10 +728,19 @@ def test_strip_retries_where_the_cofactor_vanishes_at_a_root(monkeypatch):
     r = (A1 - A2) * (A1 - b1) * (A2 + 1) * Fraction(-3, 4)
     (_, removed, _), counts = _strip_checked(r, monkeypatch)
     assert removed == ("alpha1-alpha2", "alpha2-beta2")
-    # points 2-10 have alpha2 = b1 again, or two forms sharing a root, so
-    # they bound k by 2 again or are skipped, undivided; point 11 has
-    # alpha2 = b1 + 2, where k = 1
-    assert counts["divided_at"] == [1, 11]
+    # point 2, GRID_BASE + DIAGONAL, has alpha2 = b1 + 2, where k = 1
+    assert counts["divided_at"] == [1, 2]
+
+
+def test_strip_falls_back_to_the_cube_where_the_diagonal_is_unlucky(monkeypatch):
+    # beta3 - 2 alpha2 - 7 is zero at GRID_BASE and all along the diagonal,
+    # so the alpha1 lines through those points restrict r to 0; the cube
+    # point after the first diagonal one, GRID_BASE + (0, 0, 1), decides
+    assert [DIAGONAL[2] - 2 * DIAGONAL[1], GRID_BASE[2] - 2 * GRID_BASE[1]] == [0, 7]
+    r = (A1 - A2) * (B3 - 2 * A2 - 7)
+    (_, removed, _), counts = _strip_checked(r, monkeypatch)
+    assert removed == ("alpha1-alpha2",)
+    assert counts["divided_at"] == [3]
 
 
 def test_strip_retries_where_two_forms_share_a_root(monkeypatch):
@@ -757,6 +778,23 @@ def test_grid_base_is_generic():
             else:
                 assert value != 0
         assert len(set(roots)) == len(roots)
+
+
+def test_grid_interleaves_a_generic_diagonal_with_the_cube():
+    # no linear form with coefficients in {-1, 0, 1} is constant along
+    # DIAGONAL, and no point of it is skipped for a shared root
+    assert all(
+        sum(c * d for c, d in zip(cs, DIAGONAL))
+        for cs in itertools.product((-1, 0, 1), repeat=3)
+        if any(cs)
+    )
+    points = list(itertools.islice(hedge_iep.rigid._grid(), 2 * 4**3))
+    diagonal = [tuple(b + k * d for b, d in zip(GRID_BASE, DIAGONAL)) for k in range(4**3 + 1)]
+    assert points[0] == GRID_BASE and points[1::2] == diagonal[1:]
+    assert all(hedge_iep.rigid._form_roots(p) is not None for p in diagonal)
+    # the cube points come shell by shell: [0, 3]^3 first
+    cube = {tuple(b + x for b, x in zip(GRID_BASE, u)) for u in itertools.product(range(4), repeat=3)}
+    assert {points[0], *points[2::2]} == cube
 
 
 def test_companion_entry_matches_product():
