@@ -6,8 +6,52 @@ a cold process loads only what it uses.
 """
 
 from importlib import import_module
+from operator import attrgetter
 
 __version__ = "0.1.0"
+
+
+class Frozen:
+    """Base of the package's immutable value records, with no generated code.
+
+    A subclass lists its fields in ``__slots__`` (plus ``"__dict__"`` if it
+    caches properties) and sets them in its ``__init__`` with
+    ``object.__setattr__``.  It gets equality and a matching hash over the
+    tuple of its fields, a ``Name(field=value, ...)`` repr and an
+    AttributeError on assignment, as a frozen record of the standard
+    library would; but nothing is compiled when a subclass is defined, so a
+    cold process pays only for the class bodies."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        get = attrgetter(*fields)  # the bare value when there is one field
+        cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {self.__class__.__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {self.__class__.__name__} is frozen")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which rechecks the fields
+        return self.__class__, self._values(self)
+
 
 #: defining submodule -> the public names it exports through the package
 _EXPORTS = {

@@ -17,11 +17,11 @@ guesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
 
+from . import Frozen
 from .polys import PolyQ, bisect_root, count_real_roots, horner_enclosure, sign_at
 
 # ascending coefficients of the defining sextic
@@ -77,13 +77,15 @@ def _coerce(x) -> "QXi | None":
 
 
 @total_ordering
-@dataclass(frozen=True)
-class QXi:
+class QXi(Frozen):
     """sum(nums[i] * xi^i) / den, with six integer numerators, den > 0 and
     gcd(den, numerators) = 1 (so zero is all-zero over 1)."""
 
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: tuple[int, ...], den: int = 1) -> None:
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def of(cls, *coords) -> "QXi":

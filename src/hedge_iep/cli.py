@@ -8,14 +8,13 @@ take --seed (default from HEDGE_IEP_SEED, else 0) and report the seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 
-from . import covers, pth, repro
+from . import pth, repro
 from .lambdas import NAMES, LambdaTuple, build_C, region_of
 from .numeric import cluster_multiplicities
 # unused here; perfbench/tests checks that its tracer rebinds this name
@@ -91,6 +90,8 @@ def cmd_hedge_info(args) -> int:
 
 
 def cmd_covers(args) -> int:
+    from . import covers
+
     t = load_tree(args.treefile)
     if args.oracle and t.n > covers.ORACLE_MAX_VERTICES:
         raise ValueError(
@@ -187,8 +188,13 @@ def cmd_pth_recognize(args) -> int:
     if args.assign:
         vals = {}
         for piece in args.assign.split(","):
-            key, _, sval = piece.partition("=")
-            vals[key.strip()] = exact_number(sval.strip())
+            key, eq, sval = piece.partition("=")
+            key = key.strip()
+            if not eq:
+                raise BadLambda(f"--assign piece {piece!r} is not name=value")
+            if key in vals:
+                raise BadLambda(f"--assign gives {key!r} twice")
+            vals[key] = exact_number(sval.strip())
         lam = _lambda_tuple(vals)
     try:
         res = pth.recognize_search(w) if lam is None else pth.recognize(w, lam)
@@ -206,6 +212,8 @@ def cmd_pth_recognize(args) -> int:
 
 
 def cmd_pth_rs_sweep(args) -> int:
+    import csv
+
     t = load_tree(args.tree)
     prof = profile(t)
     lo, hi = exact_number(args.x_from), exact_number(args.x_to)
@@ -263,6 +271,8 @@ def cmd_rigid_list(args) -> int:
 
 
 def cmd_rigid_levels(args) -> int:
+    import csv
+
     from . import rigid
 
     rows = rigid.level_figure_data(args.max)
@@ -281,6 +291,17 @@ def cmd_repro(args) -> int:
     if args.json:
         print(json.dumps(report.to_json(), indent=1))
     return 0 if report.passed else 1
+
+
+class _OracleHelp(str):
+    """The --oracle help, which names `covers.ORACLE_MAX_VERTICES`: argparse
+    fills a help text in with ``%`` only when it prints it, so building the
+    parser loads no `covers`."""
+
+    def __mod__(self, params):
+        from .covers import ORACLE_MAX_VERTICES
+
+        return str.__mod__(self, {**params, "max": ORACLE_MAX_VERTICES})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -324,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument(
         "--oracle",
         action="store_true",
-        help=f"run brute-force cross-check (at most {covers.ORACLE_MAX_VERTICES} vertices)",
+        help=_OracleHelp("run brute-force cross-check (at most %(max)s vertices)"),
     )
     cov.set_defaults(func=cmd_covers)
 

@@ -10,10 +10,9 @@ minimum zero forcing set.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import combinations
 
-from . import numeric
+from . import Frozen, numeric
 from .trees import (
     HedgeProfile,
     NotLush,
@@ -101,9 +100,11 @@ def _path_partition(adj: Adjacency) -> list[tuple[int, ...]]:
     return [tuple(p) for p in paths + list(tails.values())]
 
 
-@dataclass(frozen=True)
-class PathCover:
-    paths: tuple[tuple[int, ...], ...]
+class PathCover(Frozen):
+    __slots__ = ("paths",)
+
+    def __init__(self, paths: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "paths", paths)
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -166,14 +167,16 @@ def brute_force_path_cover(t: RootedTree, vertices=None) -> int:
     return len(adj) - max(best.values())
 
 
-@dataclass(frozen=True)
-class ForcingState:
+class ForcingState(Frozen):
     """Final state of a forcing process: the derived blue set and the map
     recording who forced whom (each vertex forces at most once, and the
     forcing chains trace induced paths)."""
 
-    blue: frozenset[int]
-    chains: dict[int, int]
+    __slots__ = ("blue", "chains")
+
+    def __init__(self, blue: frozenset[int], chains: dict[int, int]) -> None:
+        object.__setattr__(self, "blue", blue)
+        object.__setattr__(self, "chains", chains)
 
     def chain_paths(self) -> tuple[tuple[int, ...], ...]:
         """The forcing chains as vertex paths, one per chain start."""

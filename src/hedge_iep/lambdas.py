@@ -11,11 +11,11 @@ the diagonal and beta values with period three on the superdiagonal.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from . import Frozen
 from .numeric import trailing_spectra
 from .polys import X, NonzeroRemainder, PolyQ, level_values
 from .tolerance import SINGULAR_TOL, close
@@ -115,21 +115,27 @@ def generic_multiplicities(prof: HedgeProfile) -> dict[str, int]:
     return mult
 
 
-@dataclass(frozen=True)
-class LambdaTuple:
+class LambdaTuple(Frozen):
     """The distinguished eigenvalues; beta4 (and beta3) may be omitted when
     only the short matrices C_1..C_3 are needed, but no value follows a
     missing one."""
 
-    alpha1: object
-    alpha2: object | None = None
-    beta2: object | None = None
-    beta3: object | None = None
-    beta4: object | None = None
+    __slots__ = NAMES
 
-    def __post_init__(self) -> None:
-        raw = (self.alpha1, self.alpha2, self.beta2, self.beta3, self.beta4)
-        given = [x is not None for x in raw]
+    def __init__(
+        self,
+        alpha1: object,
+        alpha2: object | None = None,
+        beta2: object | None = None,
+        beta3: object | None = None,
+        beta4: object | None = None,
+    ) -> None:
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "alpha2", alpha2)
+        object.__setattr__(self, "beta2", beta2)
+        object.__setattr__(self, "beta3", beta3)
+        object.__setattr__(self, "beta4", beta4)
+        given = [x is not None for x in (alpha1, alpha2, beta2, beta3, beta4)]
         if not given[0] or given != sorted(given, reverse=True):
             raise ValueError(f"give alpha1 and the values after it in the order {NAMES}")
 

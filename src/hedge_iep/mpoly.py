@@ -14,12 +14,12 @@ arithmetic bugs surface instead of silently corrupting a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
 from struct import iter_unpack
 
+from . import Frozen
 from .polys import PolyQ
 
 
@@ -55,13 +55,15 @@ def _lowest(items, den: int) -> "MPolyQ":
     return MPolyQ(tuple(items), den)
 
 
-@dataclass(frozen=True)
-class MPolyQ:
+class MPolyQ(Frozen):
     """sum(n * m for m, n in nums) / den, with nums sorted descending lex,
     no zero numerator, den > 0 and gcd(den, numerators) = 1."""
 
-    nums: tuple[tuple[Monomial, int], ...]
-    den: int = 1
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: tuple[tuple[Monomial, int], ...], den: int = 1) -> None:
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def const(cls, c) -> "MPolyQ":

@@ -12,9 +12,10 @@ a path matrix in pure Python from it and from the Sturm count
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm, sqrt
+
+from . import Frozen
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -32,11 +33,13 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs[:k])
 
 
-@dataclass(frozen=True)
-class PolyQ:
+class PolyQ(Frozen):
     """Polynomial with exact coefficients, ascending order."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def of(cls, *coeffs) -> "PolyQ":

@@ -13,12 +13,12 @@ must sum to b_{h+1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import add
 
+from . import Frozen
 from .lambdas import (
     LambdaTuple,
     NotInB3,
@@ -196,14 +196,21 @@ def ph_spectrum(c, prof: HedgeProfile) -> SpectrumMultiset:
 # critical lists
 
 
-@dataclass(frozen=True)
-class CriticalWitness:
+class CriticalWitness(Frozen):
     """Positions in a multiplicity list playing (m1, m2, n2, n3, n4); index
     None marks the zero-multiplicity placeholder for n4."""
 
-    indices: tuple[int | None, ...]
-    multiplicities: tuple[int, ...]
-    thresholds: tuple[int, ...]
+    __slots__ = ("indices", "multiplicities", "thresholds")
+
+    def __init__(
+        self,
+        indices: tuple[int | None, ...],
+        multiplicities: tuple[int, ...],
+        thresholds: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "thresholds", thresholds)
 
 
 def critical_thresholds(prof: HedgeProfile) -> tuple[int, ...]:
@@ -256,12 +263,19 @@ def forced_fifth_eigenvalue(lam4) -> object:
 # recognizer
 
 
-@dataclass(frozen=True)
-class RecognizeResult:
-    lam: LambdaTuple
-    region: int | None
-    path_weight: WeightFn  # recovered weight of C_{H+1}
-    target: WeightedMatrix  # C_{H+1}^Lambda built from the recipe
+class RecognizeResult(Frozen):
+    """The recognized tuple and its region, the recovered weight of C_{H+1}
+    (``path_weight``) and C_{H+1}^Lambda built from the recipe (``target``)."""
+
+    __slots__ = ("lam", "region", "path_weight", "target")
+
+    def __init__(
+        self, lam: LambdaTuple, region: int | None, path_weight: WeightFn, target: WeightedMatrix
+    ) -> None:
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "path_weight", path_weight)
+        object.__setattr__(self, "target", target)
 
 
 def _lush(t: RootedTree) -> RootedTree:
@@ -406,14 +420,34 @@ def t31_constraints_check(values) -> dict[str, bool]:
 # conjecture counterexamples
 
 
-@dataclass(frozen=True)
-class SplittingCounterexample:
-    lam: LambdaTuple
-    realizable: tuple[int, ...]  # unordered multiplicity list, descending
-    not_realizable: tuple[int, ...]
-    forced_eigenvalue: Fraction
-    forced_multiplicity: int
-    max_distinct: int
+class SplittingCounterexample(Frozen):
+    """A realizable multiplicity list (unordered, descending) and a critical
+    one that is not realizable, with the repeated eigenvalue that forbids it."""
+
+    __slots__ = (
+        "lam",
+        "realizable",
+        "not_realizable",
+        "forced_eigenvalue",
+        "forced_multiplicity",
+        "max_distinct",
+    )
+
+    def __init__(
+        self,
+        lam: LambdaTuple,
+        realizable: tuple[int, ...],
+        not_realizable: tuple[int, ...],
+        forced_eigenvalue: Fraction,
+        forced_multiplicity: int,
+        max_distinct: int,
+    ) -> None:
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "realizable", realizable)
+        object.__setattr__(self, "not_realizable", not_realizable)
+        object.__setattr__(self, "forced_eigenvalue", forced_eigenvalue)
+        object.__setattr__(self, "forced_multiplicity", forced_multiplicity)
+        object.__setattr__(self, "max_distinct", max_distinct)
 
     def report(self) -> str:
         return (
@@ -498,11 +532,15 @@ def splitting_counterexample(
     )
 
 
-@dataclass(frozen=True)
-class ZeroOneReport:
-    child_counts: dict[int, int]
-    critical_list: tuple[int, ...]
-    contradiction: bool
+class ZeroOneReport(Frozen):
+    __slots__ = ("child_counts", "critical_list", "contradiction")
+
+    def __init__(
+        self, child_counts: dict[int, int], critical_list: tuple[int, ...], contradiction: bool
+    ) -> None:
+        object.__setattr__(self, "child_counts", child_counts)
+        object.__setattr__(self, "critical_list", critical_list)
+        object.__setattr__(self, "contradiction", contradiction)
 
     def report(self) -> str:
         if self.contradiction:

@@ -12,12 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__, pth
+from . import Frozen, __version__, pth
 from .lambdas import LambdaTuple, build_C, level_coefficients, path_weight
 # unused here; perfbench/tests checks that its tracer rebinds this name
 from .numeric import eigenvalues_sym  # noqa: F401
@@ -32,13 +30,28 @@ class UnknownExample(ValueError):
     pass
 
 
-@dataclass
-class RunReport:
-    example: str
-    seed: int
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-    outputs: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+class RunReport(Frozen):
+    """A run's pass/fail entries and outputs; filled in as the run goes, so
+    mutable and unhashable."""
+
+    __slots__ = ("example", "seed", "checks", "outputs", "wall_time")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        example: str,
+        seed: int,
+        checks: list[tuple[str, bool, str]] | None = None,
+        outputs: dict | None = None,
+        wall_time: float = 0.0,
+    ) -> None:
+        self.example = example
+        self.seed = seed
+        self.checks = [] if checks is None else checks
+        self.outputs = {} if outputs is None else outputs
+        self.wall_time = wall_time
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append((name, bool(ok), detail))
@@ -152,6 +165,8 @@ def repro_bf_rs(report: RunReport, seed: int) -> None:
     certified by inertia counts at five candidates, the four drawn values and
     the forced fifth eigenvalue: the counts at them must sum to 10, and the
     count below each must be the sum of the multiplicities before it."""
+    import random
+
     if seed < 0:
         raise ValueError("expected non-negative integer")
     hedge10 = ten_vertex_hedge()

@@ -23,13 +23,13 @@ the solution in region 1 is unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
 from math import gcd, inf, lcm, prod
 from typing import TYPE_CHECKING
 
+from . import Frozen
 from .algebraic import QXi
 from .lambdas import (
     NAMES,
@@ -414,19 +414,30 @@ def companion_double_root_entry() -> tuple[MPolyQ, MPolyQ, Fraction]:
 # the rigid solution
 
 
-@dataclass(frozen=True)
-class RigidSolution:
+class RigidSolution(Frozen):
     """The unique (up to shift and scale) tuple with the three engineered
     coincidences, exactly in Q[xi], plus the float view of the values that
     the elimination route derives."""
 
-    xi: QXi
-    lam: LambdaTuple  # QXi scalars, beta2 = -1, beta4 = 1
-    lambda_37: QXi
-    lambda_48: QXi
-    lambda_49: QXi
-    region: int
-    route_a: dict[str, float]
+    __slots__ = ("xi", "lam", "lambda_37", "lambda_48", "lambda_49", "region", "route_a")
+
+    def __init__(
+        self,
+        xi: QXi,
+        lam: LambdaTuple,  # QXi scalars, beta2 = -1, beta4 = 1
+        lambda_37: QXi,
+        lambda_48: QXi,
+        lambda_49: QXi,
+        region: int,
+        route_a: dict[str, float],
+    ) -> None:
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lambda_37", lambda_37)
+        object.__setattr__(self, "lambda_48", lambda_48)
+        object.__setattr__(self, "lambda_49", lambda_49)
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "route_a", route_a)
 
     def exact_values(self) -> dict[str, QXi]:
         return {
@@ -607,10 +618,14 @@ def rigid_level_spectra(max_level: int) -> tuple[np.ndarray, ...]:
     return tuple(specs)
 
 
-@dataclass(frozen=True)
-class RigidList:
-    ordered: tuple[int, ...]
-    table: tuple[tuple[float, int, str], ...]  # (value, multiplicity, label)
+class RigidList(Frozen):
+    """The ordered list and its (value, multiplicity, label) table."""
+
+    __slots__ = ("ordered", "table")
+
+    def __init__(self, ordered: tuple[int, ...], table: tuple[tuple[float, int, str], ...]) -> None:
+        object.__setattr__(self, "ordered", ordered)
+        object.__setattr__(self, "table", table)
 
     @property
     def total(self) -> int:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import Frozen
 from .tolerance import ROUNDING_TOL, close
 
 
@@ -11,13 +10,13 @@ class SingleEigenvalue(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SpectrumMultiset:
+class SpectrumMultiset(Frozen):
     """Eigenvalues with multiplicities, strictly increasing values."""
 
-    entries: tuple[tuple[object, int], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[object, int], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
         vals = [v for v, _ in self.entries]
         for a, b in zip(vals, vals[1:]):
             if not a < b:
@@ -40,14 +39,14 @@ class SpectrumMultiset:
         return tuple(m for _, m in self.entries)
 
 
-@dataclass(frozen=True)
-class MultiplicityList:
+class MultiplicityList(Frozen):
     """Ordered multiplicity list; explicit zero placeholders are allowed and
     excluded from sums."""
 
-    ordered: tuple[int, ...]
+    __slots__ = ("ordered",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, ordered: tuple[int, ...]) -> None:
+        object.__setattr__(self, "ordered", ordered)
         if any(m < 0 for m in self.ordered):
             raise ValueError("multiplicities must be >= 0")
 
@@ -55,13 +54,13 @@ class MultiplicityList:
         return len(self.ordered)
 
 
-@dataclass(frozen=True)
-class GapVector:
+class GapVector(Frozen):
     """Rescaled gaps between consecutive distinct eigenvalues; positive, sum 1."""
 
-    p: tuple
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: tuple) -> None:
+        object.__setattr__(self, "p", p)
         if any(not x > 0 for x in self.p):
             raise ValueError("gaps must be strictly positive")
         if not close(sum(self.p), 1, ROUNDING_TOL):

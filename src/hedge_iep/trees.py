@@ -9,10 +9,11 @@ were duplicated to grow the hedge out of a bare path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from . import Frozen
 
 
 class TreeError(ValueError):
@@ -35,13 +36,13 @@ class NotLush(TreeError):
     pass
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(Frozen):
     """Immutable rooted tree given by a 1-based parent array (root maps to 0)."""
 
-    parent: tuple[int, ...]
+    __slots__ = ("parent", "__dict__")  # the dict holds the cached properties
 
-    def __post_init__(self) -> None:
+    def __init__(self, parent: tuple[int, ...]) -> None:
+        object.__setattr__(self, "parent", parent)
         n = len(self.parent)
         if n == 0:
             raise TreeError("empty vertex set")
@@ -142,13 +143,16 @@ class RootedTree:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class HedgeProfile:
-    """Level statistics of a hedge: sizes |V_i| and branching numbers ell_i."""
+class HedgeProfile(Frozen):
+    """Level statistics of a hedge: sizes |V_0|, ..., |V_H| and branching
+    numbers ell_1, ..., ell_{H+1}."""
 
-    height: int
-    level_sizes: tuple[int, ...]  # |V_0|, ..., |V_H|
-    ell: tuple[int, ...]  # ell_1, ..., ell_{H+1}
+    __slots__ = ("height", "level_sizes", "ell")
+
+    def __init__(self, height: int, level_sizes: tuple[int, ...], ell: tuple[int, ...]) -> None:
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "level_sizes", level_sizes)
+        object.__setattr__(self, "ell", ell)
 
     def ell_at(self, i: int) -> int:
         """ell_i with the convention ell_i = 0 for i outside 1..H+1."""
@@ -161,23 +165,28 @@ class HedgeProfile:
         return sum(self.level_sizes)
 
 
-@dataclass(frozen=True)
-class PendentPath:
-    """An induced path hanging off the tree, attached at exactly one end."""
+class PendentPath(Frozen):
+    """An induced path hanging off the tree, attached at exactly one end;
+    its vertices run from the attached end outwards."""
 
-    vertices: tuple[int, ...]  # ordered from the attached end outwards
-    attach_point: int
+    __slots__ = ("vertices", "attach_point")
+
+    def __init__(self, vertices: tuple[int, ...], attach_point: int) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "attach_point", attach_point)
 
     def __len__(self) -> int:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class SubtreeChain:
+class SubtreeChain(Frozen):
     """The chain T = T^(0) >= T^(1) >= ... >= T^(H) = P_{H+1} of a hedge."""
 
-    tree: RootedTree
-    vertex_sets: tuple[frozenset[int], ...]
+    __slots__ = ("tree", "vertex_sets")
+
+    def __init__(self, tree: RootedTree, vertex_sets: tuple[frozenset[int], ...]) -> None:
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "vertex_sets", vertex_sets)
 
     @property
     def height(self) -> int:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import Frozen
 from .numeric import eigenvalues_sym
 from .polys import X, PolyQ
 from .tolerance import ROUNDING_TOL, WEIGHT_TOL, close
@@ -61,13 +61,18 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class WeightFn:
-    tree: RootedTree
-    vertex_weight: dict[int, object]
-    edge_weight: dict[tuple[int, int], object]
+class WeightFn(Frozen):
+    __slots__ = ("tree", "vertex_weight", "edge_weight")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        tree: RootedTree,
+        vertex_weight: dict[int, object],
+        edge_weight: dict[tuple[int, int], object],
+    ) -> None:
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "vertex_weight", vertex_weight)
+        object.__setattr__(self, "edge_weight", edge_weight)
         t = self.tree
         if set(self.vertex_weight) != set(t.vertices):
             raise ValueError("vertex weights must cover exactly V(T)")
@@ -96,18 +101,20 @@ class WeightFn:
         return not any(isinstance(w, float) for table in tables for w in table.values())
 
 
-@dataclass(frozen=True)
-class WeightedMatrix:
+class WeightedMatrix(Frozen):
     """A concrete representative of a weight class, stored by its nonzeros:
     the diagonal (vertex u at index u - 1) and, for each edge (u, v) of
     ``tree.edges`` (u < v, in that order), the entries at (u, v) in
     ``upper`` and at (v, u) in ``lower``.  Entries stay exact when the
     weight is exact."""
 
-    tree: RootedTree
-    diagonal: tuple
-    upper: tuple
-    lower: tuple
+    __slots__ = ("tree", "diagonal", "upper", "lower")
+
+    def __init__(self, tree: RootedTree, diagonal: tuple, upper: tuple, lower: tuple) -> None:
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
 
     @property
     def n(self) -> int:
@@ -145,11 +152,11 @@ class WeightedMatrix:
         return WeightFn(t, vw, ew)
 
 
-@dataclass(frozen=True)
-class DuplicationSplit:
-    t: tuple
+class DuplicationSplit(Frozen):
+    __slots__ = ("t",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, t: tuple) -> None:
+        object.__setattr__(self, "t", t)
         if any(not x > 0 for x in self.t):
             raise BadSplit("split entries must be strictly positive")
         s = sum(self.t)
@@ -263,10 +270,12 @@ def duplicate_branch(
 # collapsing
 
 
-@dataclass(frozen=True)
-class CollapseResult:
-    weight: WeightFn
-    removed_count: int
+class CollapseResult(Frozen):
+    __slots__ = ("weight", "removed_count")
+
+    def __init__(self, weight: WeightFn, removed_count: int) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "removed_count", removed_count)
 
 
 def collapse_pendent_k_paths(w: WeightFn, k: int) -> CollapseResult:

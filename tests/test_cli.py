@@ -190,6 +190,22 @@ def test_pth_recognize_on_relabelled_hedge(tmp_path, capsys):
     assert capsys.readouterr().out.count("recognized:") == 4
 
 
+@pytest.mark.parametrize(
+    "assign, named",
+    [
+        # the last value used to win and the recipe check then rejected it
+        ("alpha1=0,alpha1=1,alpha2=1,beta2=-1,beta3=2", "'alpha1' twice"),
+        ("alpha1,alpha2=1,beta2=-1,beta3=2", "'alpha1' is not name=value"),
+    ],
+    ids=["repeated", "no-equals"],
+)
+def test_pth_recognize_assign_names_a_malformed_piece(tmp_path, capsys, assign, named):
+    w = ph_construct(build_C(LambdaTuple(0, 1, -1, 2), 3), ten_vertex_hedge())
+    save_weight(w, tmp_path / "w.json")
+    assert main(["pth", "recognize", str(tmp_path / "w.json"), "--assign", assign]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_pth_recognize_rejects(tmp_path, t31_file, capsys):
     w_file = tmp_path / "w.json"
     main(

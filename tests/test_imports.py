@@ -3,8 +3,11 @@
 A cold `hedge-iep repro <id>` is mostly import, so each command loads only
 the modules it runs: `import hedge_iep` loads no submodule, the exact
 commands (`bf-rs` among them), the exact engine and the rigid list never load
-numpy, and only the rigid commands load the exact engine.  The cold cases run in a fresh
-interpreter and read its `sys.modules` at exit.
+numpy, and only the rigid commands load the exact engine.  Only the `covers`
+command loads the brute-force cover code, and no command loads `dataclasses`,
+whose import and generated methods cost each process about 25 ms, or, unless
+it loads numpy, `inspect`.  The cold cases run in a fresh interpreter and
+read its `sys.modules` at exit.
 """
 
 import importlib
@@ -171,6 +174,27 @@ def test_hedge_info_loads_no_numpy(tmp_path):
     modules = _cli_loads("hedge", "info", "t.json", cwd=tmp_path)
     assert _heavy(modules) == set()
     assert modules & ENGINE == set()
+
+
+#: cold commands, each run with the ten-vertex hedge as t.json in its cwd
+COLD = [("repro", example) for example in sorted(REPROS)] + [
+    ("hedge", "info", "t.json"),
+    ("covers", "t.json"),
+    ("rigid", "solve"),
+]
+
+
+@pytest.mark.parametrize("argv", COLD, ids=" ".join)
+def test_a_cold_command_generates_no_code(argv, tmp_path):
+    # `dataclasses` (and the `inspect` it imports) cost every process about
+    # 25 ms, most of it compiling each class's generated methods at import
+    save_tree(ten_vertex_hedge(), tmp_path / "t.json")
+    modules = _cli_loads(*argv, cwd=tmp_path)
+    assert "dataclasses" not in modules
+    if argv != ("repro", "levels-40"):  # numpy imports inspect itself
+        assert "inspect" not in modules
+    if argv[0] != "covers":
+        assert "hedge_iep.covers" not in modules
 
 
 # --------------------------------------------------------------------------

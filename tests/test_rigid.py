@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -28,6 +27,7 @@ from hedge_iep.rigid import (
     GRID_BASE,
     SYMBOLIC,
     TRIVIAL_FORMS,
+    RigidSolution,
     RoutesDisagree,
     UnexpectedCoincidence,
     _cleared,
@@ -951,7 +951,16 @@ def test_coincidence_certificates():
 )
 def test_coincidence_certificate_rejects_a_moved_value(monkeypatch, name, moved):
     sol = solve_rigid()
-    moved_sol = dataclasses.replace(sol, **{name: moved(sol)})
+    fields = {
+        "xi": sol.xi,
+        "lam": sol.lam,
+        "lambda_37": sol.lambda_37,
+        "lambda_48": sol.lambda_48,
+        "lambda_49": sol.lambda_49,
+        "region": sol.region,
+        "route_a": sol.route_a,
+    }
+    moved_sol = RigidSolution(**{**fields, name: moved(sol)})
     monkeypatch.setattr(hedge_iep.rigid, "solve_rigid", lambda: moved_sol)
     certs = certify_coincidences()
     assert certs[name] is False
