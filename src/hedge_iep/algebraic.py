@@ -7,8 +7,9 @@ positive common denominator, in lowest terms, so the representation is
 canonical.  A product is a 6x6 integer convolution, reduced in degrees
 10..6 by the monic sextic's integer tail (xi^6 = 3 xi^5 + 11 xi^4
 - 24 xi^3 + 6 xi^2 + 48 xi - 16), which needs no division, and then one
-gcd; an inverse solves the 6x6 integer system of multiplication by the
-element by fraction-free Gauss-Jordan elimination.  Signs, floats
+gcd, and a product with 1 returns the other factor; an inverse solves the
+6x6 integer system of multiplication by the element by fraction-free
+Gauss-Jordan elimination.  Signs, floats
 and approximations refine the isolating interval of xi by bisection and
 enclose the numerator polynomial on it with ``polys.horner_enclosure``, the
 one exact evaluator, so comparisons are exact decisions, never float
@@ -29,6 +30,9 @@ SEXTIC = PolyQ.of(16, -48, -6, 24, -11, -3, 1)
 
 # xi^6 = sum(_TAIL[i] * xi^i): the monic sextic's lower coefficients, negated
 _TAIL = tuple(-int(c) for c in SEXTIC.coeffs[:6])
+
+# the numerators of 1
+_ONE = (1, 0, 0, 0, 0, 0)
 
 # the seed isolating interval (lo, hi] of xi
 XI_INTERVAL = (Fraction(1, 3), Fraction(17, 50))
@@ -140,9 +144,15 @@ class QXi(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             return _reduced([n * other.numerator for n in self.nums], self.den * other.denominator)
         if not isinstance(other, QXi):
             return NotImplemented
+        if other.nums == _ONE and other.den == 1:
+            return self
+        if self.nums == _ONE and self.den == 1:
+            return other
         c = [0] * 11
         b = other.nums
         for i, x in enumerate(self.nums):
@@ -220,6 +230,8 @@ class QXi(Frozen):
         return out
 
     def __eq__(self, other) -> bool:
+        if type(other) is int:
+            return self.den == 1 and self.nums == (other, 0, 0, 0, 0, 0)
         o = _coerce(other)
         if o is None:
             return NotImplemented

@@ -5,9 +5,15 @@ Monomials are exponent triples.  A polynomial is stored as integer
 numerators over one positive common denominator, in lowest terms, so the
 representation is canonical and integer polynomials (denominator 1) do all
 their arithmetic in Z; products of large operands are one big-integer
-product (Kronecker substitution, on ints alone, with no numpy).  Handed-out
-coefficients (``leading``, ``constant_value``, ``content``, ``evaluate``)
-are Fractions.  Division is exact multivariate division in lex order and
+product (Kronecker substitution, on ints alone, with no numpy).  Each
+result is normalized once, in `_canonical` or `_lowest`: its numerators
+are gathered in one dict, its monomials sorted once and the whole reduced
+to lowest terms once.  So a product with 1 and a sum with 0 return the
+operand, ``a.mul_sub(b, c, d)`` builds a b - c d as one result (the
+pseudo-remainder step of `rigid`), and ``evaluate`` sums the terms of each
+(alpha1, alpha2) exponent group before one product in the point's ring.
+Handed-out coefficients (``leading``, ``constant_value``, ``content``,
+``evaluate``) are Fractions.  Division is exact multivariate division in lex order and
 raises when a claimed-exact division leaves a remainder, which is how
 arithmetic bugs surface instead of silently corrupting a certificate.
 """
@@ -15,8 +21,11 @@ arithmetic bugs surface instead of silently corrupting a certificate.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heappop, heappush
+from itertools import groupby
 from math import gcd
+from operator import add
 from struct import iter_unpack
 
 from . import Frozen
@@ -40,8 +49,12 @@ KRONECKER_MIN_PAIRS = 256
 
 
 def _canonical(d: dict[Monomial, int], den: int) -> "MPolyQ":
-    """The polynomial sum(d[m] * m) / den (den > 0) in lowest terms."""
-    return _lowest(sorted(((m, n) for m, n in d.items() if n), reverse=True), den)
+    """The polynomial sum(d[m] * m) / den (den > 0) in lowest terms.  The
+    monomials alone are sorted, in place: their int-tuple comparisons are
+    cheaper than those of (monomial, numerator) pairs."""
+    ms = [m for m, n in d.items() if n]
+    ms.sort(reverse=True)
+    return _lowest([(m, d[m]) for m in ms], den)
 
 
 def _lowest(items, den: int) -> "MPolyQ":
@@ -53,6 +66,18 @@ def _lowest(items, den: int) -> "MPolyQ":
             items = [(m, n // g) for m, n in items]
             den //= g
     return MPolyQ(tuple(items), den)
+
+
+def _accumulate(d: dict[Monomial, int], a, b) -> None:
+    """Add the products of the numerator lists a and b, term by term, to d."""
+    get = d.get
+    for (a1, a2, a3), c1 in a:
+        for (b1, b2, b3), c2 in b:
+            m = (a1 + b1, a2 + b2, a3 + b3)
+            d[m] = get(m, 0) + c1 * c2
+
+
+_ONE_NUMS = (((0, 0, 0), 1),)
 
 
 class MPolyQ(Frozen):
@@ -99,6 +124,10 @@ class MPolyQ(Frozen):
         return len(self.nums)
 
     def __eq__(self, other) -> bool:
+        if type(other) is int:
+            if not other:
+                return not self.nums
+            return self.den == 1 and self.nums == (((0, 0, 0), other),)
         if isinstance(other, (int, Fraction)):
             other = MPolyQ.const(other)
         if not isinstance(other, MPolyQ):
@@ -113,9 +142,15 @@ class MPolyQ(Frozen):
 
     def _add(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return self
             other = MPolyQ.const(other)
         if not isinstance(other, MPolyQ):
             return NotImplemented
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other if sign == 1 else -other
         g = gcd(self.den, other.den)
         sa, sb = other.den // g, sign * (self.den // g)
         d = {m: n * sa for m, n in self.nums} if sa != 1 else dict(self.nums)
@@ -140,23 +175,44 @@ class MPolyQ(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return _canonical(
-                {m: n * c.numerator for m, n in self.nums}, self.den * c.denominator
-            )
+            if other == 1:
+                return self
+            if not other:
+                return MPolyQ(())
+            n, den = other.numerator, self.den * other.denominator
+            return _lowest(tuple((m, c * n) for m, c in self.nums), den)
         if not isinstance(other, MPolyQ):
             return NotImplemented
+        if other.den == 1 and other.nums == _ONE_NUMS:
+            return self
+        if self.den == 1 and self.nums == _ONE_NUMS:
+            return other
         if len(self.nums) * len(other.nums) >= KRONECKER_MIN_PAIRS:
             return _lowest(_kronecker_product(self.nums, other.nums), self.den * other.den)
         d: dict[Monomial, int] = {}
-        get = d.get
-        for (a1, a2, a3), c1 in self.nums:
-            for (b1, b2, b3), c2 in other.nums:
-                m = (a1 + b1, a2 + b2, a3 + b3)
-                d[m] = get(m, 0) + c1 * c2
+        _accumulate(d, self.nums, other.nums)
         return _canonical(d, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def mul_sub(self, b: "MPolyQ", c: "MPolyQ", d: "MPolyQ") -> "MPolyQ":
+        """self * b - c * d, normalized once: both products' numerators,
+        over one common denominator, are gathered in one dict.  A product of
+        at least `KRONECKER_MIN_PAIRS` term pairs is one `_kronecker_product`."""
+        den1, den2 = self.den * b.den, c.den * d.den
+        g = gcd(den1, den2)
+        acc: dict[Monomial, int] = {}
+        for x, y, s in ((self, b, den2 // g), (c, d, -(den1 // g))):
+            if not (x.nums and y.nums):
+                continue
+            if len(x.nums) * len(y.nums) >= KRONECKER_MIN_PAIRS:
+                get = acc.get
+                for m, n in _kronecker_product(x.nums, y.nums):
+                    acc[m] = get(m, 0) + n * s
+            else:
+                xs = x.nums if s == 1 else tuple((m, n * s) for m, n in x.nums)
+                _accumulate(acc, xs, y.nums)
+        return _canonical(acc, den1 // g * den2)
 
     def __pow__(self, k: int) -> "MPolyQ":
         """The k-th power (k >= 0) as a repeated product."""
@@ -277,20 +333,26 @@ class MPolyQ(Frozen):
         return MPolyQ(tuple((m, n // g) for m, n in self.nums)), Fraction(g, self.den)
 
     def evaluate(self, a1, a2, b3):
-        """Horner-free evaluation with cached power tables; the scalar type
-        just needs ring arithmetic (floats, Fractions, field extensions).
-        The terms are summed on the integer numerators, and the sum is
-        divided by the denominator once."""
-        d1 = max((m[0] for m, _ in self.nums), default=0)
-        d2 = max((m[1] for m, _ in self.nums), default=0)
-        d3 = max((m[2] for m, _ in self.nums), default=0)
-        p1 = _powers(a1, d1)
-        p2 = _powers(a2, d2)
-        p3 = _powers(b3, d3)
-        acc = a1 * 0
-        for (e1, e2, e3), n in self.nums:
-            acc = acc + p1[e1] * p2[e2] * p3[e3] * n
-        return acc * Fraction(1, self.den)
+        """The value at a point of any ring (floats, Fractions, field
+        extensions), from power tables.  Lex order keeps the terms of each
+        alpha1 exponent, and within it of each alpha2 exponent, together: a
+        group's beta3 powers are summed with their integer numerators as
+        multipliers, so each (alpha1, alpha2) group and each alpha1 exponent
+        costs one ring product, and the sum is divided by the denominator
+        once."""
+        if not self.nums:
+            return a1 * 0 * Fraction(1)
+        p1 = _powers(a1, self.nums[0][0][0])
+        p2 = _powers(a2, max(m[1] for m, _ in self.nums))
+        p3 = _powers(b3, max(m[2] for m, _ in self.nums))
+        outer = []
+        for e1, run in groupby(self.nums, key=lambda t: t[0][0]):
+            inner = [
+                p2[e2] * reduce(add, [p3[m[2]] * n for m, n in terms])
+                for e2, terms in groupby(run, key=lambda t: t[0][1])
+            ]
+            outer.append(p1[e1] * reduce(add, inner))
+        return reduce(add, outer) * Fraction(1, self.den)
 
     def __repr__(self) -> str:
         if self.is_zero():

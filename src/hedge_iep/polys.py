@@ -3,7 +3,11 @@ recurrence of a path matrix.
 
 Coefficients may be Fractions, integers, field extension elements or
 multivariate polynomials; the only requirements are ring arithmetic and an
-honest ``== 0`` test (so this type is not meant for floats).  The level
+honest ``== 0`` test (so this type is not meant for floats).  A sum or a
+product is trimmed once, and its coefficients are whatever the coefficient
+ring's own operations return, normalized there; a product takes the row of
+a coefficient equal to 1 without a multiplication and starts each slot at
+its first product, so the x p half of a level step costs nothing.  The level
 recurrence also runs at float points: `level_spectra` solves every level of
 a path matrix in pure Python from it and from the Sturm count
 `level_counts`.
@@ -80,18 +84,24 @@ class PolyQ(Frozen):
         return PolyQ(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other) -> "PolyQ":
-        """Product with a polynomial or a scalar."""
+        """Product with a polynomial or a scalar.  The rows of the
+        convolution come from the shorter factor, so the unit of x - a in a
+        level step (x - a) p is a row whichever side it is on."""
         if not isinstance(other, PolyQ):
             return self.scale(other)
-        if self.is_zero() or other.is_zero():
-            return PolyQ(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        out: list = []
+        for i, x in enumerate(a):
+            if x == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                # the product first: Fraction + int is Fraction's fast path
-                out[i + j] = a * b + out[i + j]
+            row = b if x == 1 else [x * y for y in b]
+            out.extend([0] * (i - len(out)))  # the slots that zero rows skipped
+            k = len(out) - i  # the slots that row shares with earlier rows
+            for j in range(k):
+                out[i + j] = row[j] + out[i + j]
+            out.extend(row[k:])
         return PolyQ(_trim(out))
 
     def scale(self, s) -> "PolyQ":
@@ -141,10 +151,14 @@ class PolyQ(Frozen):
         return q
 
     def monic(self) -> "PolyQ":
+        """The polynomial over its leading coefficient; an int one is
+        inverted as a Fraction, as `divmod` divides ints."""
         if self.is_zero():
             return self
         lc = self.leading()
-        return self.scale(1 / lc) if lc != 1 else self
+        if lc == 1:
+            return self
+        return self.scale(Fraction(1, lc) if type(lc) is int else 1 / lc)
 
 
 #: the indeterminate x

@@ -128,16 +128,17 @@ def _pseudo_remainder(a: list[MPolyQ], b: list[MPolyQ]) -> list[MPolyQ]:
     """lc(b)^(deg a - deg b + 1) a mod b for descending coefficient lists
     with deg a >= deg b >= 1, without its leading zeros: each step scales
     the remainder by lc(b) and cancels its leading term, so every
-    coefficient stays in the ring."""
+    coefficient stays in the ring.  An entry under b's tail becomes
+    r[j] lc(b) - top b[j] in one `MPolyQ.mul_sub`."""
     lead, tail = b[0], b[1:]
     r = list(a)
     steps = len(a) - len(b) + 1
     for k in range(steps):
         top = r[k]
-        for j in range(k + 1, len(r)):
-            r[j] = r[j] * lead
         for j, x in enumerate(tail, k + 1):
-            r[j] = r[j] - top * x
+            r[j] = r[j].mul_sub(lead, top, x)
+        for j in range(k + len(b), len(r)):
+            r[j] = r[j] * lead
     r = r[steps:]
     while r and r[0].is_zero():
         r.pop(0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import Frozen
 from .tolerance import ROUNDING_TOL, close
 
@@ -71,8 +73,12 @@ class GapVector(Frozen):
 
 
 def gap_vector(spectrum: SpectrumMultiset) -> GapVector:
+    """The gaps over the width; an int spectrum gives Fractions, a float
+    one floats."""
     vals = spectrum.values
     if len(vals) < 2:
         raise SingleEigenvalue("gap vector needs at least two distinct eigenvalues")
     width = vals[-1] - vals[0]
+    if type(width) is int:
+        width = Fraction(width)
     return GapVector(tuple((b - a) / width for a, b in zip(vals, vals[1:])))

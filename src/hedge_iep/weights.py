@@ -219,15 +219,18 @@ def inertia(w: WeightFn, q) -> tuple[int, int, int]:
     d(v) = a_v - q - sum_c w_vc / d(c) over the children c of v.  For a zero
     child pivot, the rule of D. P. Jacobs and V. Trevisan (Linear Algebra
     Appl. 434 (2011) 81-88): the child gets 2, v gets -w_vc / 2, and v's
-    edge to its parent is cut."""
+    edge to its parent is cut.  An int q becomes a Fraction, so no pivot
+    of int weights is divided as a float."""
     t, d, cut = w.tree, {}, set()
+    if type(q) is int:
+        q = Fraction(q)
     for v in reversed(t.depth):  # depth lists each vertex after its parent
         kids = [c for c in t.children[v] if c not in cut]
         zero = next((c for c in kids if d[c] == 0), None)
         if zero is None:
             d[v] = w.v(v) - q - sum(w.e(v, c) / d[c] for c in kids)
         else:
-            d[zero], d[v] = 2, -w.e(v, zero) / 2
+            d[zero], d[v] = 2, Fraction(-1, 2) * w.e(v, zero)
             cut.add(v)
     below = sum(x < 0 for x in d.values())
     at = sum(x == 0 for x in d.values())

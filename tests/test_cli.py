@@ -753,6 +753,26 @@ def test_run_repro_script_writes_untimed_reports(tmp_path, capsys):
     assert not (tmp_path / "bf-rs.json").exists()
 
 
+def test_repro_reports_match_the_golden_files(tmp_path):
+    # the ten untimed reports that `scripts/run_repro.py --json-dir` writes,
+    # byte for byte against tests/golden/repro; after an intended change,
+    # rewrite them with `python scripts/run_repro.py --json-dir tests/golden/repro`
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_repro.py"), "--json-dir", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    golden = root / "tests" / "golden" / "repro"
+    names = sorted(f"{example}.json" for example in repro.REPROS)
+    assert sorted(p.name for p in golden.iterdir()) == names
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_text() == (golden / name).read_text(), name
+
+
 def _scaled_edge(c, t, *args):
     """The member of ph_construct with the weight of its edge (1, 2) doubled."""
     w = ph_construct(c, t, *args)

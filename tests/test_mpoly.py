@@ -1,5 +1,7 @@
 """MPolyQ against a plain dict-of-Fraction reference: the ring operations,
-the scalar operations, univariate views, content, lex division and printing."""
+the scalar operations and their unit and zero short cuts, the
+multiply-subtract, univariate views, content, lex division, grouped
+evaluation and printing."""
 
 import random
 from fractions import Fraction
@@ -128,6 +130,22 @@ def test_univariate_view_matches_the_reference(a, i):
     assert [as_ref(c) for c in view.coeffs] == [
         want.get(k, {}) for k in range(max(want, default=-1) + 1)
     ]
+
+
+@ring_tests
+@given(ref_polys)
+def test_units_and_zeros_return_equal_values(a):
+    p, one, zero = build(a), MPolyQ.const(1), MPolyQ(())
+    for got in (p * 1, 1 * p, p * Fraction(1), p * one, one * p, p + 0, 0 + p, p - 0,
+                p + Fraction(0), p + zero, zero + p, p - zero):
+        assert as_ref(got) == a
+    for got in (0 - p, zero - p):
+        assert as_ref(got) == ref_add({}, a, -1)
+    for got in (p * 0, 0 * p, p * zero, zero * p):
+        assert as_ref(got) == {}
+    # the int comparisons take a short cut; they agree with the Fraction ones
+    for n in (-2, 0, 1, 3):
+        assert (p == n) == (p == Fraction(n)) == (a == ({(0, 0, 0): n} if n else {}))
 
 
 @ring_tests
@@ -316,3 +334,55 @@ def test_powers_are_repeated_products():
     assert MPolyQ(()) ** 0 == 1 and MPolyQ(()) ** 2 == 0
     with pytest.raises(ValueError):
         p ** -1
+
+
+#: (terms of a, b, c, d) for a * b - c * d: both products below the
+#: threshold, one on each side, both above, and zero operands
+MUL_SUB_SIZES = (
+    (3, 5, 4, 2), (1, KRONECKER_MIN_PAIRS - 1, 16, 15), (16, 16, 3, 3),
+    (2, KRONECKER_MIN_PAIRS, 16, 17), (0, 6, 5, 5), (4, 4, 7, 0), (0, 3, 0, 2),
+)
+
+
+@pytest.mark.parametrize("sizes", MUL_SUB_SIZES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("draw", [signed_ints(8), signed_ints(90), signed_fractions(20)],
+                         ids=["small", "multiword", "rational"])
+def test_mul_sub_matches_the_two_products(sizes, draw, monkeypatch):
+    calls = []
+    packed = mpoly._kronecker_product
+    monkeypatch.setattr(mpoly, "_kronecker_product", lambda a, b: calls.append(1) or packed(a, b))
+    rng = random.Random(sum(sizes))
+    refs = [random_ref(rng, n, draw) for n in sizes]
+    p, q, r, s = map(build, refs)
+    calls.clear()
+    got = p.mul_sub(q, r, s)
+    assert len(calls) == (sizes[0] * sizes[1] >= KRONECKER_MIN_PAIRS) + (
+        sizes[2] * sizes[3] >= KRONECKER_MIN_PAIRS
+    )
+    assert as_ref(got) == ref_add(ref_mul(refs[0], refs[1]), ref_mul(refs[2], refs[3]), -1)
+    assert got == p * q - r * s
+    # a * b - a * b cancels to zero over 1
+    assert p.mul_sub(q, q, p) == MPolyQ(()) and p.mul_sub(q, q, p).den == 1
+
+
+def test_evaluate_sums_each_group_of_terms():
+    # one (alpha1, alpha2) group, one alpha1 group of several alpha2 groups,
+    # and a full box, at Fraction and int points: grouped sums against the
+    # term-by-term sum, in Fractions
+    shapes = [
+        {(2, 1, k): Fraction(k + 1, 3) for k in range(5)},
+        {(1, j, k): Fraction(j - k, 2) or Fraction(1) for j in range(3) for k in range(3)},
+        random_ref(random.Random(7), 60, signed_fractions(30)),
+    ]
+    points = [(Fraction(1, 3), Fraction(-2), Fraction(5, 7)), (2, -1, 3), (0, 0, Fraction(1, 2))]
+    for ref in shapes:
+        p = build(ref)
+        for point in points:
+            got = p.evaluate(*point)
+            want = sum(
+                (c * Fraction(point[0]) ** m[0] * Fraction(point[1]) ** m[1]
+                 * Fraction(point[2]) ** m[2] for m, c in ref.items()),
+                Fraction(0),
+            )
+            assert got == want and type(got) is Fraction
+    assert MPolyQ(()).evaluate(2, 3, 4) == 0 and type(MPolyQ(()).evaluate(2, 3, 4)) is Fraction

@@ -4,8 +4,11 @@ from one pivot sweep, and `polys.level_spectra`, which brackets each
 eigenvalue of a level between those of the level below and refines it.  Its
 oracles are LAPACK (`numeric.trailing_spectra`) and the same sweep run in
 exact rationals.  The Sturm chain `polys.sturm_sequence`, on primitive
-integer pseudo-remainders; its oracle is the chain of remainders over Q."""
+integer pseudo-remainders; its oracle is the chain of remainders over Q.
+The product, whose unit rows skip their multiplications, against the plain
+convolution, and `monic` and `poly_gcd` on int coefficients."""
 
+import random
 import sys
 from fractions import Fraction
 from math import gcd
@@ -15,16 +18,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedge_iep.algebraic import SEXTIC
+from hedge_iep.algebraic import SEXTIC, QXi
 from hedge_iep.lambdas import abc_closed_forms, abc_coefficients, sample_in_region
+from hedge_iep.mpoly import MPolyQ
 from hedge_iep.numeric import trailing_spectra
 from hedge_iep.polys import (
     X,
     PolyQ,
     ZeroPolynomial,
+    _trim,
     count_real_roots,
     level_counts,
     level_spectra,
+    poly_gcd,
     sign_at,
     sturm_sequence,
 )
@@ -233,3 +239,62 @@ def test_divmod_of_int_coefficients_is_exact():
     q, r = PolyQ((-1, 0, 1)).divmod(PolyQ((2, 2)))
     assert q.coeffs == (Fraction(-1, 2), Fraction(1, 2)) and r.is_zero()
     assert PolyQ((-1, 0, 1)).exact_div(PolyQ((2, 2))) * PolyQ((2, 2)) == PolyQ((-1, 0, 1))
+
+
+def test_monic_and_gcd_of_int_coefficients_are_exact():
+    # 2 + 4x over its leading 4 is 1/2 + x in Fractions, not 0.5 + 1.0 x
+    half = (Fraction(1, 2), Fraction(1))
+    for p in (PolyQ((2, 4)).monic(), poly_gcd(PolyQ((2, 4)), PolyQ((4, 8)))):
+        assert p.coeffs == half and all(type(c) is Fraction for c in p.coeffs)
+    g = poly_gcd(PolyQ((-1, 0, 1)), PolyQ((3, 3)))  # gcd(x^2 - 1, 3x + 3) = x + 1
+    assert g.coeffs == (1, 1) and all(type(c) is not float for c in g.coeffs)
+    assert PolyQ((3,)).monic().coeffs == (1,) and PolyQ(()).monic() == PolyQ(())
+
+
+def _convolution(a: tuple, b: tuple) -> PolyQ:
+    """The plain product: every slot starts at 0 and adds every term pair."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return PolyQ(_trim(out))
+
+
+def _fraction(rng) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+
+
+def _qxi(rng) -> QXi:
+    return QXi.of(*(_fraction(rng) for _ in range(rng.randint(1, 6))))
+
+
+def _mpoly(rng) -> MPolyQ:
+    terms = (
+        MPolyQ.var(rng.choice(("alpha1", "beta3"))) ** rng.randint(0, 2) * _fraction(rng)
+        for _ in range(rng.randint(1, 4))
+    )
+    return sum(terms, MPolyQ(()))
+
+
+#: per coefficient ring: its one, and a random element
+RINGS = {"fraction": (Fraction(1), _fraction), "qxi": (QXi.of(1), _qxi), "mpoly": (MPolyQ.const(1), _mpoly)}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_products_with_unit_coefficients_match_the_convolution(ring):
+    one, draw = RINGS[ring]
+    rng = random.Random(ring)
+    with_units = 0
+    for _ in range(150):
+        # the int 1 and the ring's one both count as units
+        a, b = (
+            tuple(rng.choice((0, 1, one, one, draw(rng), draw(rng))) for _ in range(rng.randint(0, 5)))
+            for _ in range(2)
+        )
+        with_units += any(c == 1 for c in a + b)
+        assert PolyQ(a) * PolyQ(b) == _convolution(a, b) == PolyQ(b) * PolyQ(a)
+    assert with_units > 100
+    # the level step (x - c) p, with the unit in either factor
+    p, c = PolyQ(tuple(draw(rng) for _ in range(6))), draw(rng)
+    step = X - c
+    assert step * p == _convolution(step.coeffs, p.coeffs) == p * step == X * p - p * c

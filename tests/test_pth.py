@@ -811,6 +811,15 @@ def test_gap_vector_trivial_and_errors():
         gap_vector(SpectrumMultiset(((Fraction(0), 3),)))
 
 
+def test_gap_vector_of_an_int_spectrum_is_exact():
+    # (0, 1, 3) has the gaps 1/3 and 2/3, as Fractions, not floats
+    p = gap_vector(SpectrumMultiset(((0, 1), (1, 2), (3, 1)))).p
+    assert p == (Fraction(1, 3), Fraction(2, 3)) and all(type(g) is Fraction for g in p)
+    # a float spectrum keeps float gaps
+    p = gap_vector(SpectrumMultiset(((0.0, 1), (1.0, 2), (3.0, 1)))).p
+    assert p == (1 / 3, 2 / 3) and all(type(g) is float for g in p)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=20),

@@ -247,6 +247,17 @@ def test_qxi_ring_operations_are_canonical(a, b, q):
         assert canonical(b / a) * a == b
 
 
+@qxi_tests
+@given(qxis)
+def test_qxi_units_return_equal_values(a):
+    one = QXi.of(1)
+    for got in (a * 1, 1 * a, a * Fraction(1), a * one, one * a, a + 0, 0 + a):
+        assert canonical(got) == a
+    # the int comparison takes a short cut; it agrees with the Fraction one
+    for n in (-1, 0, 1, 2):
+        assert (a == n) == (a == Fraction(n)) == (a.coords == (n, 0, 0, 0, 0, 0))
+
+
 def test_inverse_of_the_route_b_values_is_the_xgcd_cofactor():
     for v in route_b_values().values():
         assert_inverse_is_the_xgcd_cofactor(v)

@@ -667,6 +667,27 @@ def test_inertia_two_zero_children():
     assert sum(eig < -1e-9) == 1 and sum(eig > 1e-9) == 2
 
 
+def test_inertia_of_int_weights_matches_their_fraction_copies(rng):
+    # the path 1 - 2 - 3 with a = (1, 3, -2) and edge weights 1 and 4 has
+    # the eigenvalue 4, which int pivots divided as floats missed
+    w = WeightFn(RootedTree((0, 1, 2)), {1: 1, 2: 3, 3: -2}, {(1, 2): 1, (2, 3): 4})
+    assert w.is_exact() and inertia(w, 4) == (2, 1, 0)
+    zero_pivots = 0
+    for _ in range(60):
+        t = random_tree(int(rng.integers(1, 9)), rng)
+        vw = {v: int(rng.integers(-2, 3)) for v in t.vertices}
+        ew = {e: int(rng.integers(1, 5)) for e in t.edges}
+        w = WeightFn(t, vw, ew)
+        copy = WeightFn(
+            t, {v: Fraction(x) for v, x in vw.items()}, {e: Fraction(x) for e, x in ew.items()}
+        )
+        for q in range(-3, 4):
+            assert inertia(w, q) == inertia(copy, Fraction(q))
+            # a leaf below the root with a_v = q has the pivot 0
+            zero_pivots += sum(vw[v] == q for v in t.vertices[1:] if not t.children[v])
+    assert zero_pivots > 100
+
+
 def test_inertia_below_matches_lapack(rng):
     for _ in range(40):
         t = random_tree(int(rng.integers(1, 13)), rng)
