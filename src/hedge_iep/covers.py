@@ -41,13 +41,9 @@ Adjacency = dict[int, set[int]]
 
 
 def _adjacency(t: RootedTree, vertices=None) -> Adjacency:
-    vs = set(t.vertices) if vertices is None else set(vertices)
-    adj: Adjacency = {v: set() for v in vs}
-    for u, v in t.edges:
-        if u in vs and v in vs:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
+    """The adjacency of the induced subforest; the whole tree's is the one
+    in the tree's memo, which no caller changes."""
+    return t.adjacency if vertices is None else t.induced_adjacency(vertices)
 
 
 def _walk(adj: Adjacency) -> tuple[list[int], list[tuple[int, int]]]:
@@ -100,6 +96,17 @@ def _path_partition(adj: Adjacency) -> list[tuple[int, ...]]:
     return [tuple(p) for p in paths + list(tails.values())]
 
 
+def _partition(t: RootedTree, vertices=None) -> tuple[tuple[int, ...], ...]:
+    """The leaves-up partition of the induced subforest.  The whole tree's
+    is computed once per tree and kept in its memo, so P and Z share it."""
+    if vertices is not None:
+        return tuple(_path_partition(_adjacency(t, vertices)))
+    memo = t.__dict__
+    if "path_partition" not in memo:
+        memo["path_partition"] = tuple(_path_partition(t.adjacency))
+    return memo["path_partition"]
+
+
 class PathCover(Frozen):
     __slots__ = ("paths",)
 
@@ -124,7 +131,7 @@ def _canonical_paths(paths) -> tuple[tuple[int, ...], ...]:
 def path_cover_number(t: RootedTree, vertices=None) -> tuple[int, PathCover]:
     """Minimum number of vertex-disjoint induced paths covering the induced
     subforest, with a witness cover."""
-    cover = PathCover(_canonical_paths(_path_partition(_adjacency(t, vertices))))
+    cover = PathCover(_canonical_paths(_partition(t, vertices)))
     return len(cover), cover
 
 
@@ -240,12 +247,12 @@ def zero_forcing_number(t: RootedTree, vertices=None) -> tuple[int, frozenset[in
     started, deep in its branch, from which the chain forces up to the join
     and down the other branch.  The witness is still checked by simulation
     before it is returned: the forcing process is near-linear, and a fault
-    in the pass then raises instead of returning a set that does not force.
+    in the pass, or in the partition it shares with `path_cover_number`,
+    then raises instead of returning a set that does not force.
     """
-    adj = _adjacency(t, vertices)
-    paths = _path_partition(adj)
+    paths = _partition(t, vertices)
     blue = frozenset(p[0] for p in paths)
-    if derived_set(t, blue, vertices) != set(adj):
+    if derived_set(t, blue, vertices) != set(t.vertices if vertices is None else vertices):
         raise AssertionError("constructed forcing set does not force the forest")
     return len(paths), blue
 

@@ -187,11 +187,21 @@ def level_counts(a, b, q) -> list[int]:
     386-393).  Level k's A - qI has the LDL^T pivots d_1..d_k, where
     d_j = (a_j - q) - b_j / d_{j-1}, and by Sylvester's law of inertia as
     many eigenvalues below q as negative pivots.  A zero pivot stands for its
-    limit as q rises to it, 0+, so the pivot after it is -inf."""
+    limit as q rises to it, 0+, so the pivot after it is -inf, and the one
+    after that is a_j - q, as b_j / -inf is 0.  Nothing is divided by -inf
+    and an int q becomes a Fraction, so int and Fraction pivots stay exact,
+    as in `weights.inertia`; float pivots stay floats."""
+    if type(q) is int:
+        q = Fraction(q)
     d = a[0] - q
     counts = [int(d < 0)]
     for aj, bj in zip(a[1:], b):
-        d = aj - q - bj / d if d else -inf
+        if not d:
+            d = -inf
+        elif d == -inf:
+            d = aj - q
+        else:
+            d = aj - q - bj / d
         counts.append(counts[-1] + (d < 0))
     return counts
 

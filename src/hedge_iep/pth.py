@@ -101,36 +101,32 @@ def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
     if not is_hedge(t):
         raise HeightMismatch("target must be a hedge")
     a, b = _path_levels(c, t.height)
-    hm = t.height_map
     vw, ew = {}, {}
     levels = {}  # the _levels table of the member, from the values as written
     # (height, arity) -> the child edge weights of a uniform split and their sum
     shared = {}
-    for v in t.vertices:
-        kids = t.children[v]
-        h = hm[v]
+    for v, (h, keys) in t.child_edges.items():
         vw[v] = a[h]
-        if not kids:
+        if not keys:
             levels[v] = (h, a[h], None)
             continue
         if splits == "uniform":
-            key = (h, len(kids))
-            if key not in shared:
-                split = DuplicationSplit.uniform(len(kids))
+            shape = (h, len(keys))
+            if shape not in shared:
+                split = DuplicationSplit.uniform(len(keys))
                 values = [tk * b[h - 1] for tk in split.t]
-                shared[key] = values, reduce(add, values)
-            values, total = shared[key]
+                shared[shape] = values, reduce(add, values)
+            values, total = shared[shape]
         else:
             if v not in splits:
                 raise BadSplit(f"no split supplied for vertex {v}")
             raw = splits[v]
             split = raw if isinstance(raw, DuplicationSplit) else DuplicationSplit(tuple(raw))
-            if len(split) != len(kids):
-                raise BadSplit(f"split at {v} has {len(split)} parts for {len(kids)} children")
+            if len(split) != len(keys):
+                raise BadSplit(f"split at {v} has {len(split)} parts for {len(keys)} children")
             values = [tk * b[h - 1] for tk in split.t]
             total = reduce(add, values)
-        for x, u in zip(values, kids):
-            ew[(min(v, u), max(v, u))] = x
+        ew.update(zip(keys, values))
         levels[v] = (h, a[h], total)
     out = WeightFn(t, vw, ew)
     miss = _recipe_miss(levels, a, b, ROUNDING_TOL, relative=True)
@@ -141,16 +137,15 @@ def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
 
 def _levels(w: WeightFn) -> dict[int, tuple]:
     """(height, vertex weight, sum of the child edge weights) of every vertex,
-    the sum taken over the children in label order; None at a leaf."""
-    t = w.tree
-    hm = t.height_map
+    the sum taken over the children in label order; None at a leaf.  The
+    edge weights are read by the keys of the tree's `child_edges` table."""
+    vw, ew = w.vertex_weight, w.edge_weight
     out = {}
-    for v in t.vertices:
-        kids = t.children[v]
-        total = w.e(v, kids[0]) if kids else None
-        for u in kids[1:]:
-            total = total + w.e(v, u)
-        out[v] = (hm[v], w.v(v), total)
+    for v, (h, keys) in w.tree.child_edges.items():
+        total = ew[keys[0]] if keys else None
+        for k in keys[1:]:
+            total = total + ew[k]
+        out[v] = (h, vw[v], total)
     return out
 
 

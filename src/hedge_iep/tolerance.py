@@ -8,6 +8,7 @@ applies only where a float takes part.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 #: cluster gap, relative to the spectrum width (`--cluster-tol` default)
 CLUSTER_TOL = 1e-7
@@ -24,9 +25,12 @@ SINGULAR_TOL = 1e-8
 
 def close(x, y, tol: float, scale: float = 1.0) -> bool:
     """x == y when neither side is a float; otherwise the two lie within
-    tol * scale.  NaN is never close."""
+    tol * scale.  NaN is never close.  Two Fractions, which are kept in
+    lowest terms, are equal when their numerators and denominators are."""
     if isinstance(x, float) or isinstance(y, float):
         return abs(float(x) - float(y)) <= tol * scale
+    if type(x) is Fraction and type(y) is Fraction:
+        return x.numerator == y.numerator and x.denominator == y.denominator
     return x == y
 
 

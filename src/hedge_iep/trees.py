@@ -9,7 +9,7 @@ were duplicated to grow the hedge out of a bare path.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,7 +39,10 @@ class NotLush(TreeError):
 class RootedTree(Frozen):
     """Immutable rooted tree given by a 1-based parent array (root maps to 0)."""
 
-    __slots__ = ("parent", "__dict__")  # the dict holds the cached properties
+    # the dict is the tree's memo: its cached properties, and the covers'
+    # adjacency and path partition.  Frozen compares, hashes and pickles the
+    # parent array alone, so the memo never reaches ==, hash, repr or a copy
+    __slots__ = ("parent", "__dict__")
 
     def __init__(self, parent: tuple[int, ...]) -> None:
         object.__setattr__(self, "parent", parent)
@@ -75,9 +78,8 @@ class RootedTree(Frozen):
     @cached_property
     def children(self) -> dict[int, tuple[int, ...]]:
         ch: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for v in self.vertices:
-            p = self.parent[v - 1]
-            if p not in (0, v):
+        for v, p in enumerate(self.parent, start=1):
+            if p and p != v:
                 ch[p].append(v)
         return {v: tuple(c) for v, c in ch.items()}  # appended in label order
 
@@ -87,12 +89,8 @@ class RootedTree(Frozen):
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for v in self.vertices:
-            p = self.parent[v - 1]
-            if p not in (0, v):
-                out.append((min(p, v), max(p, v)))
-        return tuple(sorted(out))
+        pairs = enumerate(self.parent, start=1)
+        return tuple(sorted([(p, v) if p < v else (v, p) for v, p in pairs if p and p != v]))
 
     @cached_property
     def depth(self) -> dict[int, int]:
@@ -125,13 +123,74 @@ class RootedTree(Frozen):
         """Height of every vertex (distance to the farthest leaf below it),
         read up `depth` from the leaves."""
         h: dict[int, int] = {}
+        ch = self.children
         for v in reversed(self.depth):
-            h[v] = 1 + max((h[c] for c in self.children[v]), default=-1)
+            kids = ch[v]
+            h[v] = 1 + max([h[c] for c in kids]) if kids else 0
         return h
 
     @property
     def height(self) -> int:
         return self.height_map[self.root]
+
+    @cached_property
+    def child_edges(self) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
+        """(height, keys of the edges to the children in label order) of every
+        vertex, in label order: the recipe tables read the child edge weights
+        by these keys."""
+        hm, ch = self.height_map, self.children
+        return {
+            v: (hm[v], tuple([(v, c) if v < c else (c, v) for c in ch[v]])) for v in self.vertices
+        }
+
+    def induced_adjacency(self, vertices: Iterable[int]) -> dict[int, set[int]]:
+        """The neighbours of every vertex of the subforest induced on vertices."""
+        vs = set(vertices)
+        adj: dict[int, set[int]] = {v: set() for v in vs}
+        for u, v in self.edges:
+            if u in vs and v in vs:
+                adj[u].add(v)
+                adj[v].add(u)
+        return adj
+
+    @cached_property
+    def adjacency(self) -> dict[int, set[int]]:
+        """The whole tree's adjacency, shared by its readers, which never
+        change it."""
+        return self.induced_adjacency(self.vertices)
+
+    @cached_property
+    def _hedge(self) -> bool:
+        if self.n == 1:
+            return True
+        return len({self.depth[v] for v in self.leaves}) == 1
+
+    @cached_property
+    def _lush(self) -> bool:
+        _require_hedge(self)
+        if self.n == 1:
+            return True
+        h = self.height_map
+        for v in self.vertices:
+            k = len(self.children[v])
+            if k == 0:
+                continue
+            if h[v] == 1 and k < 2:
+                return False
+            if h[v] >= 2 and k < 3:
+                return False
+        return True
+
+    @cached_property
+    def _profile(self) -> "HedgeProfile":
+        _require_hedge(self)
+        h = self.height_map
+        height = self.height
+        sizes = [0] * (height + 1)
+        for v in self.vertices:
+            sizes[h[v]] += 1
+        ell = [sizes[i - 1] - sizes[i] for i in range(1, height + 1)] + [1]
+        return HedgeProfile(height, tuple(sizes), tuple(ell))
 
     def subtree_vertices(self, v: int) -> tuple[int, ...]:
         out = []
@@ -197,10 +256,8 @@ class SubtreeChain(Frozen):
 
 
 def is_hedge(t: RootedTree) -> bool:
-    if t.n == 1:
-        return True
-    depths = {t.depth[v] for v in t.leaves}
-    return len(depths) == 1
+    """True iff every leaf lies at the same depth; computed once per tree."""
+    return t._hedge
 
 
 def _require_hedge(t: RootedTree) -> None:
@@ -210,31 +267,14 @@ def _require_hedge(t: RootedTree) -> None:
 
 def is_lush(t: RootedTree) -> bool:
     """True iff every height-1 vertex has >= 2 children and every higher
-    internal vertex has >= 3."""
-    _require_hedge(t)
-    if t.n == 1:
-        return True
-    h = t.height_map
-    for v in t.vertices:
-        k = len(t.children[v])
-        if k == 0:
-            continue
-        if h[v] == 1 and k < 2:
-            return False
-        if h[v] >= 2 and k < 3:
-            return False
-    return True
+    internal vertex has >= 3; computed once per tree."""
+    return t._lush
 
 
 def profile(t: RootedTree) -> HedgeProfile:
-    _require_hedge(t)
-    h = t.height_map
-    height = t.height
-    sizes = [0] * (height + 1)
-    for v in t.vertices:
-        sizes[h[v]] += 1
-    ell = [sizes[i - 1] - sizes[i] for i in range(1, height + 1)] + [1]
-    return HedgeProfile(height, tuple(sizes), tuple(ell))
+    """The level sizes and branching numbers of a hedge; computed once per
+    tree."""
+    return t._profile
 
 
 def build_hedge(parents: Sequence[int]) -> RootedTree:
@@ -242,9 +282,11 @@ def build_hedge(parents: Sequence[int]) -> RootedTree:
     return RootedTree(tuple(parents))
 
 
+@cache
 def smallest_lush_hedge(height: int) -> RootedTree:
     """Minimal lush hedge of the given height: three children at every
-    internal vertex above height 1, leaf pairs below, labelled level by level."""
+    internal vertex above height 1, leaf pairs below, labelled level by level.
+    Built once per height; the tree is immutable, so every caller shares it."""
     parent = [0]
     level = [1]
     for depth in range(height):

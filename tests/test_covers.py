@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hedge_iep import covers
 from hedge_iep.covers import (
     ForcingState,
     M_formula,
@@ -72,6 +73,17 @@ def test_zero_forcing_examples(hedge10):
     assert zero_forcing_number(star(4))[0] == 3
     assert brute_force_zero_forcing(hedge10) == 4
     assert brute_force_zero_forcing(star(4)) == 3
+
+
+def test_zero_forcing_simulates_the_partition_it_shares_with_p(hedge10, monkeypatch):
+    shared = covers._partition
+    assert zero_forcing_number(hedge10)[1] == {p[0] for p in shared(hedge10)}
+    # one path fewer: Z - 1 vertices, too few to force the tree
+    monkeypatch.setattr(covers, "_partition", lambda t, vertices=None: shared(t, vertices)[1:])
+    with pytest.raises(AssertionError, match="constructed forcing set does not force the forest"):
+        zero_forcing_number(hedge10)
+    with pytest.raises(AssertionError, match="constructed forcing set does not force the forest"):
+        zero_forcing_number(hedge10, set(hedge10.vertices) - {1})
 
 
 def test_derived_set_examples(hedge10):

@@ -25,6 +25,7 @@ from hedge_iep.polys import (
     root_multiplicities,
     sign_at,
 )
+from hedge_iep.tolerance import ROUNDING_TOL
 
 from conftest import real_roots
 
@@ -44,6 +45,24 @@ def test_eigenvalues_sym_rejects_asymmetric():
         eigenvalues_sym(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(NotSymmetric):
         eigenvalues_sym(np.ones((2, 3)))
+
+
+def test_the_symmetry_gate_of_eigenvalues_sym():
+    """A bit-symmetric matrix passes; any other is held to ROUNDING_TOL
+    times max(1, max |m_ij|), here 3; LAPACK reads the lower triangle."""
+    m = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert np.array_equal(eigenvalues_sym(m), np.linalg.eigvalsh(m))
+    near, far = m.copy(), m.copy()
+    near[0, 1] += 0.5 * ROUNDING_TOL * 3
+    far[0, 1] += 2 * ROUNDING_TOL * 3
+    assert near[0, 1] != near[1, 0]
+    assert np.array_equal(eigenvalues_sym(near), np.linalg.eigvalsh(m))
+    with pytest.raises(NotSymmetric):
+        eigenvalues_sym(far)
+    # a NaN entry fails every comparison, so it passes the gate as before
+    # and the eigenvalues are LAPACK's
+    nan = np.array([[1.0, math.nan], [0.5, 2.0]])
+    assert np.array_equal(eigenvalues_sym(nan), np.linalg.eigvalsh(nan))
 
 
 def test_char_poly_exact_c3():

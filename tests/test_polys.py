@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedge_iep.algebraic import SEXTIC, QXi
-from hedge_iep.lambdas import abc_closed_forms, abc_coefficients, sample_in_region
+from hedge_iep.lambdas import abc_closed_forms, abc_coefficients, path_weight, sample_in_region
 from hedge_iep.mpoly import MPolyQ
 from hedge_iep.numeric import trailing_spectra
 from hedge_iep.polys import (
@@ -35,6 +35,7 @@ from hedge_iep.polys import (
     sturm_sequence,
 )
 from hedge_iep.rigid import eliminant, solve_rigid
+from hedge_iep.weights import inertia
 
 from conftest import real_roots
 
@@ -101,6 +102,39 @@ def test_a_zero_pivot_counts_as_its_limit_from_below():
     # [[0, 1], [1, 0]] at q = 0: level 1 is {0}, level 2 is {-1, 1}
     assert level_counts([0.0, 0.0], [1.0], 0.0) == [0, 1]
     assert level_counts([Fraction(0)] * 3, [Fraction(1)] * 2, Fraction(0)) == [0, 1, 1]
+
+
+def test_int_and_fraction_pivots_are_exact():
+    # 4 is an eigenvalue of level 3: the last pivot is -6 + 6 = 0, which a
+    # float pivot -2/3 misses by one rounding
+    assert level_counts([1, 3, -2], [1, 4], 4) == [1, 2, 2]
+    # after the zero pivot at level 1 and the -inf at level 2, level 3's
+    # pivot is a_3 - q = -4, and level 6 meets the eigenvalue 2 exactly
+    a, b = [2, 0, -2, 0, 0, -1], [1, 3, 2, 2, 2]
+    want = [0, 1, 2, 3, 4, 4]
+    assert level_counts(a, b, 2) == level_counts(a, b, Fraction(2)) == want
+    assert level_counts([Fraction(x) for x in a], [Fraction(x) for x in b], Fraction(2)) == want
+    # floats stay floats: the same path divides as before
+    assert level_counts([1.0, 3.0, -2.0], [1.0, 4.0], 4.0) == [1, 2, 3]
+
+
+def test_level_counts_of_int_paths_match_their_fraction_copies():
+    """Small int paths, counted as ints, as Fraction copies and by the
+    exact tree inertia of each level; many q are eigenvalues."""
+    rng = random.Random(2023)
+    zero_pivots = 0
+    for _ in range(2000):
+        n = rng.randint(2, 6)
+        a = [rng.randint(-3, 3) for _ in range(n)]
+        b = [rng.randint(1, 5) for _ in range(n - 1)]
+        q = rng.randint(-4, 4)
+        fa, fb = [Fraction(x) for x in a], [Fraction(x) for x in b]
+        got = level_counts(a, b, q)
+        assert got == level_counts(fa, fb, Fraction(q)), (a, b, q)
+        exact = [inertia(path_weight(fa[:k], fb[: k - 1]), q) for k in range(1, n + 1)]
+        assert got == [below for below, _, _ in exact], (a, b, q)
+        zero_pivots += any(at for _, at, _ in exact)
+    assert zero_pivots > 300
 
 
 def test_eigenvalues_on_the_gershgorin_edge():

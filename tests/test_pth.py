@@ -1,4 +1,6 @@
+import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedge_iep.covers import M_formula, Mhat_formula
+from hedge_iep import covers
+from hedge_iep.covers import M_formula, Mhat_formula, path_cover_number, zero_forcing_number
 from hedge_iep.lambdas import (
     LambdaTuple,
     abc_coefficients,
@@ -760,6 +763,59 @@ def test_search_forms_no_dense_matrix(rng, monkeypatch):
     # beta4 enters only b_4 up to height 5, which two values of it can give
     (got_a, got_b), (want_a, want_b) = abc_coefficients(res.lam, 6), abc_coefficients(lam, 6)
     assert max(abs(x - y) for x, y in zip(got_a + got_b, want_a + want_b)) < 1e-9
+
+
+#: the tree structure a round trip reads, each computed once per tree
+MEMOIZED = ("height_map", "child_edges", "_profile", "_lush")
+
+
+def test_a_round_trip_computes_each_tree_structure_once(rng, monkeypatch):
+    """Construct, spectrum, recognize, search, the perturbed rejection, P and
+    Z on one hedge: every tree they build or read computes each memoized
+    structure at most once, and the hedge computes each, its adjacency and
+    its leaves-up path partition exactly once."""
+    computed = []  # (name, tree); the trees stay alive, so their ids stay distinct
+    for name in MEMOIZED:
+        compute = RootedTree.__dict__[name].func
+
+        def counting(self, name=name, compute=compute):
+            computed.append((name, self))
+            return compute(self)
+
+        spy = functools.cached_property(counting)
+        spy.__set_name__(RootedTree, name)
+        monkeypatch.setattr(RootedTree, name, spy)
+    induced = RootedTree.induced_adjacency
+    monkeypatch.setattr(
+        RootedTree,
+        "induced_adjacency",
+        lambda self, vs: computed.append(("adjacency", self)) or induced(self, vs),
+    )
+    partition = covers._path_partition
+    monkeypatch.setattr(
+        covers, "_path_partition", lambda adj: computed.append(("partition", adj)) or partition(adj)
+    )
+
+    t = build_hedge(smallest_lush_hedge(3).parent)
+    lam = LambdaTuple(*[float(v) for v in sample_in_region(4, rng).values()])
+    c = build_C(lam, t.height + 1)
+    w = ph_construct(c, t, random_splits(t, rng))
+    prof = profile(t)
+    dense = cluster_multiplicities(spectrum_of(w))
+    assert ph_spectrum(c, prof).ordered_multiplicities() == dense.ordered_multiplicities()
+    recognize(w, lam)
+    recognize_search(w)
+    edge = next(e for e in sorted(w.edge_weight) if t.root not in e)
+    ew = {**w.edge_weight, edge: w.edge_weight[edge] * 1.01}
+    with pytest.raises(NotFromConstruction):
+        recognize_search(WeightFn(t, w.vertex_weight, ew))
+    assert path_cover_number(t)[0] == zero_forcing_number(t)[0] == M_formula(prof, 0)
+
+    per_tree = Counter((name, id(x)) for name, x in computed)
+    assert max(per_tree.values()) == 1, per_tree
+    assert {name for name, x in computed if x is t} == {*MEMOIZED, "adjacency"}
+    partitions = [adj for name, adj in computed if name == "partition"]
+    assert len(partitions) == 1 and partitions[0] is t.adjacency
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@ compare, hash and print like the frozen dataclasses they replaced, refuse
 assignment, and their constructors still run the old field checks."""
 
 import copy
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hedge_iep import Frozen
 from hedge_iep.algebraic import QXi
-from hedge_iep.covers import ForcingState, PathCover
-from hedge_iep.lambdas import LambdaTuple
+from hedge_iep.covers import ForcingState, PathCover, path_cover_number
+from hedge_iep.lambdas import LambdaTuple, build_C, sample_in_region
 from hedge_iep.mpoly import MPolyQ
 from hedge_iep.polys import PolyQ
 from hedge_iep.pth import (
@@ -18,6 +20,8 @@ from hedge_iep.pth import (
     RecognizeResult,
     SplittingCounterexample,
     ZeroOneReport,
+    _levels,
+    ph_construct,
 )
 from hedge_iep.repro import RunReport
 from hedge_iep.rigid import RigidList, RigidSolution
@@ -28,6 +32,9 @@ from hedge_iep.trees import (
     PendentPath,
     RootedTree,
     SubtreeChain,
+    is_lush,
+    profile,
+    ten_vertex_hedge,
 )
 from hedge_iep.weights import (
     BadSplit,
@@ -132,6 +139,28 @@ def test_a_rooted_tree_still_caches_its_properties():
     t = RootedTree((0, 1, 1))
     assert t.root == 1 and t.__dict__["root"] == 1
     assert t == RootedTree((0, 1, 1))
+
+
+def test_the_tree_memo_stays_out_of_the_value():
+    """What a round trip memoizes on a tree (its profile, lushness, child
+    edge table, adjacency and path partition) changes none of its value
+    semantics, and an equal tree computes its own."""
+    t = ten_vertex_hedge()
+    before = (hash(t), repr(t), pickle.dumps(t))
+    lam = LambdaTuple(*[float(x) for x in sample_in_region(1, np.random.default_rng(0)).values()])
+    w = ph_construct(build_C(lam, 3), t)
+    prof, lush, cover, levels = profile(t), is_lush(t), path_cover_number(t), _levels(w)
+    assert {"_profile", "_lush", "child_edges", "adjacency", "path_partition"} <= t.__dict__.keys()
+    assert (hash(t), repr(t), pickle.dumps(t)) == before
+    twin = RootedTree(t.parent)
+    for other in (twin, copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert other == t and t == other and hash(other) == hash(t) and repr(other) == repr(t)
+        assert not {"_profile", "_lush", "child_edges", "adjacency"} & other.__dict__.keys()
+    assert profile(twin) == prof and profile(twin) is not prof
+    assert is_lush(twin) is lush and path_cover_number(twin) == cover
+    assert twin.adjacency == t.adjacency and twin.adjacency is not t.adjacency
+    assert _levels(WeightFn(twin, w.vertex_weight, w.edge_weight)) == levels
+    assert twin.__dict__["path_partition"] is not t.__dict__["path_partition"]
 
 
 def test_the_run_report_stays_mutable_and_unhashable():
