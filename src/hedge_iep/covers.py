@@ -40,10 +40,32 @@ class SubmatrixSingular(ValueError):
 Adjacency = dict[int, set[int]]
 
 
+def _memo(t: RootedTree, name: str, build):
+    """build(t) for the whole tree, computed once per tree and kept in the
+    tree's memo (its `__dict__`, which stays out of its value) under name.
+    The readers in this module share the value and never change it."""
+    memo = t.__dict__
+    if name not in memo:
+        memo[name] = build(t)
+    return memo[name]
+
+
+def _induced_adjacency(t: RootedTree, vertices) -> Adjacency:
+    vs = set(vertices)
+    adj: Adjacency = {v: set() for v in vs}
+    for u, v in t.edges:
+        if u in vs and v in vs:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
 def _adjacency(t: RootedTree, vertices=None) -> Adjacency:
-    """The adjacency of the induced subforest; the whole tree's is the one
-    in the tree's memo, which no caller changes."""
-    return t.adjacency if vertices is None else t.induced_adjacency(vertices)
+    """The adjacency of the induced subforest; the whole tree's is built once
+    per tree."""
+    if vertices is not None:
+        return _induced_adjacency(t, vertices)
+    return _memo(t, "covers.adjacency", lambda t: _induced_adjacency(t, t.vertices))
 
 
 def _walk(adj: Adjacency) -> tuple[list[int], list[tuple[int, int]]]:
@@ -98,13 +120,10 @@ def _path_partition(adj: Adjacency) -> list[tuple[int, ...]]:
 
 def _partition(t: RootedTree, vertices=None) -> tuple[tuple[int, ...], ...]:
     """The leaves-up partition of the induced subforest.  The whole tree's
-    is computed once per tree and kept in its memo, so P and Z share it."""
+    is computed once per tree, so P and Z share it."""
     if vertices is not None:
         return tuple(_path_partition(_adjacency(t, vertices)))
-    memo = t.__dict__
-    if "path_partition" not in memo:
-        memo["path_partition"] = tuple(_path_partition(t.adjacency))
-    return memo["path_partition"]
+    return _memo(t, "covers.path_partition", lambda t: tuple(_path_partition(_adjacency(t))))
 
 
 class PathCover(Frozen):

@@ -9,7 +9,7 @@ were duplicated to grow the hedge out of a bare path.
 from __future__ import annotations
 
 import json
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,9 +39,9 @@ class NotLush(TreeError):
 class RootedTree(Frozen):
     """Immutable rooted tree given by a 1-based parent array (root maps to 0)."""
 
-    # the dict is the tree's memo: its cached properties, and the covers'
-    # adjacency and path partition.  Frozen compares, hashes and pickles the
-    # parent array alone, so the memo never reaches ==, hash, repr or a copy
+    # the dict is the tree's memo: its cached properties, and what `covers`
+    # keeps there.  Frozen compares, hashes and pickles the parent array
+    # alone, so the memo never reaches ==, hash, repr or a copy
     __slots__ = ("parent", "__dict__")
 
     def __init__(self, parent: tuple[int, ...]) -> None:
@@ -78,8 +78,9 @@ class RootedTree(Frozen):
     @cached_property
     def children(self) -> dict[int, tuple[int, ...]]:
         ch: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for v, p in enumerate(self.parent, start=1):
-            if p and p != v:
+        for v in self.vertices:
+            p = self.parent[v - 1]
+            if p not in (0, v):
                 ch[p].append(v)
         return {v: tuple(c) for v, c in ch.items()}  # appended in label order
 
@@ -89,8 +90,12 @@ class RootedTree(Frozen):
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        pairs = enumerate(self.parent, start=1)
-        return tuple(sorted([(p, v) if p < v else (v, p) for v, p in pairs if p and p != v]))
+        out = []
+        for v in self.vertices:
+            p = self.parent[v - 1]
+            if p not in (0, v):
+                out.append((min(p, v), max(p, v)))
+        return tuple(sorted(out))
 
     @cached_property
     def depth(self) -> dict[int, int]:
@@ -123,10 +128,8 @@ class RootedTree(Frozen):
         """Height of every vertex (distance to the farthest leaf below it),
         read up `depth` from the leaves."""
         h: dict[int, int] = {}
-        ch = self.children
         for v in reversed(self.depth):
-            kids = ch[v]
-            h[v] = 1 + max([h[c] for c in kids]) if kids else 0
+            h[v] = 1 + max((h[c] for c in self.children[v]), default=-1)
         return h
 
     @property
@@ -142,22 +145,6 @@ class RootedTree(Frozen):
         return {
             v: (hm[v], tuple([(v, c) if v < c else (c, v) for c in ch[v]])) for v in self.vertices
         }
-
-    def induced_adjacency(self, vertices: Iterable[int]) -> dict[int, set[int]]:
-        """The neighbours of every vertex of the subforest induced on vertices."""
-        vs = set(vertices)
-        adj: dict[int, set[int]] = {v: set() for v in vs}
-        for u, v in self.edges:
-            if u in vs and v in vs:
-                adj[u].add(v)
-                adj[v].add(u)
-        return adj
-
-    @cached_property
-    def adjacency(self) -> dict[int, set[int]]:
-        """The whole tree's adjacency, shared by its readers, which never
-        change it."""
-        return self.induced_adjacency(self.vertices)
 
     @cached_property
     def _hedge(self) -> bool:
@@ -282,11 +269,9 @@ def build_hedge(parents: Sequence[int]) -> RootedTree:
     return RootedTree(tuple(parents))
 
 
-@cache
 def smallest_lush_hedge(height: int) -> RootedTree:
     """Minimal lush hedge of the given height: three children at every
-    internal vertex above height 1, leaf pairs below, labelled level by level.
-    Built once per height; the tree is immutable, so every caller shares it."""
+    internal vertex above height 1, leaf pairs below, labelled level by level."""
     parent = [0]
     level = [1]
     for depth in range(height):

@@ -20,7 +20,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import cache
 from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -165,11 +164,9 @@ class DuplicationSplit(Frozen):
             raise BadSplit(f"split must sum to 1, got {s}")
 
     @classmethod
-    @cache
     def uniform(cls, parts: int) -> "DuplicationSplit":
         """Equal Fraction parts: times a float b a part gives (1.0 / parts) * b
-        bit for bit, and times an exact b it stays exact.  Built once per
-        number of parts; the split is immutable, so its callers share it."""
+        bit for bit, and times an exact b it stays exact."""
         return cls((Fraction(1, parts),) * parts)
 
     def __len__(self) -> int:

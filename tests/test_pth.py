@@ -785,11 +785,11 @@ def test_a_round_trip_computes_each_tree_structure_once(rng, monkeypatch):
         spy = functools.cached_property(counting)
         spy.__set_name__(RootedTree, name)
         monkeypatch.setattr(RootedTree, name, spy)
-    induced = RootedTree.induced_adjacency
+    induced = covers._induced_adjacency
     monkeypatch.setattr(
-        RootedTree,
-        "induced_adjacency",
-        lambda self, vs: computed.append(("adjacency", self)) or induced(self, vs),
+        covers,
+        "_induced_adjacency",
+        lambda tree, vs: computed.append(("adjacency", tree)) or induced(tree, vs),
     )
     partition = covers._path_partition
     monkeypatch.setattr(
@@ -815,7 +815,7 @@ def test_a_round_trip_computes_each_tree_structure_once(rng, monkeypatch):
     assert max(per_tree.values()) == 1, per_tree
     assert {name for name, x in computed if x is t} == {*MEMOIZED, "adjacency"}
     partitions = [adj for name, adj in computed if name == "partition"]
-    assert len(partitions) == 1 and partitions[0] is t.adjacency
+    assert len(partitions) == 1 and partitions[0] is covers._adjacency(t)
 
 
 # ---------------------------------------------------------------------------

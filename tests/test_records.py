@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hedge_iep import Frozen
+from hedge_iep import Frozen, covers
 from hedge_iep.algebraic import QXi
 from hedge_iep.covers import ForcingState, PathCover, path_cover_number
 from hedge_iep.lambdas import LambdaTuple, build_C, sample_in_region
@@ -146,21 +146,28 @@ def test_the_tree_memo_stays_out_of_the_value():
     edge table, adjacency and path partition) changes none of its value
     semantics, and an equal tree computes its own."""
     t = ten_vertex_hedge()
+    fresh = set(t.__dict__)
     before = (hash(t), repr(t), pickle.dumps(t))
     lam = LambdaTuple(*[float(x) for x in sample_in_region(1, np.random.default_rng(0)).values()])
     w = ph_construct(build_C(lam, 3), t)
     prof, lush, cover, levels = profile(t), is_lush(t), path_cover_number(t), _levels(w)
-    assert {"_profile", "_lush", "child_edges", "adjacency", "path_partition"} <= t.__dict__.keys()
+    # each structure is kept: asked again, the tree hands back the same object
+    assert profile(t) is prof and t.child_edges is t.child_edges
+    assert covers._adjacency(t) is covers._adjacency(t)
+    assert covers._partition(t) is covers._partition(t)
     assert (hash(t), repr(t), pickle.dumps(t)) == before
     twin = RootedTree(t.parent)
     for other in (twin, copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert other == t and t == other and hash(other) == hash(t) and repr(other) == repr(t)
-        assert not {"_profile", "_lush", "child_edges", "adjacency"} & other.__dict__.keys()
+        assert set(other.__dict__) == fresh
     assert profile(twin) == prof and profile(twin) is not prof
     assert is_lush(twin) is lush and path_cover_number(twin) == cover
-    assert twin.adjacency == t.adjacency and twin.adjacency is not t.adjacency
+    assert twin.child_edges == t.child_edges and twin.child_edges is not t.child_edges
+    assert covers._adjacency(twin) == covers._adjacency(t)
+    assert covers._adjacency(twin) is not covers._adjacency(t)
+    assert covers._partition(twin) == covers._partition(t)
+    assert covers._partition(twin) is not covers._partition(t)
     assert _levels(WeightFn(twin, w.vertex_weight, w.edge_weight)) == levels
-    assert twin.__dict__["path_partition"] is not t.__dict__["path_partition"]
 
 
 def test_the_run_report_stays_mutable_and_unhashable():

@@ -214,11 +214,10 @@ def test_tree_walks_match_the_sorting_references(rng):
     shapes += [relabel(random_lush_hedge(rng, 60), rng)[0] for _ in range(60)]
     for t in shapes:
         assert t.height_map == _reference_height_map(t)
-        # the edge list and the per-vertex tables, against the parent array
+        # the edge list and the child edge table, against the parent array
         key = lambda u, v: tuple(sorted((u, v)))
         parent = dict(zip(t.vertices, t.parent))
         assert t.edges == tuple(sorted(key(v, p) for v, p in parent.items() if p not in (0, v)))
-        assert {v: set(t.neighbors(v)) for v in t.vertices} == t.adjacency
         assert list(t.child_edges) == list(t.vertices)
         for v, (h, keys) in t.child_edges.items():
             assert h == t.height_map[v] and keys == tuple(key(v, c) for c in t.children[v])
