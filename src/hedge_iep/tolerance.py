@@ -27,10 +27,10 @@ def close(x, y, tol: float, scale: float = 1.0) -> bool:
     """x == y when neither side is a float; otherwise the two lie within
     tol * scale.  NaN is never close.  Two Fractions, which are kept in
     lowest terms, are equal when their numerators and denominators are."""
-    if isinstance(x, float) or isinstance(y, float):
-        return abs(float(x) - float(y)) <= tol * scale
     if type(x) is Fraction and type(y) is Fraction:
         return x.numerator == y.numerator and x.denominator == y.denominator
+    if isinstance(x, float) or isinstance(y, float):
+        return abs(float(x) - float(y)) <= tol * scale
     return x == y
 
 

@@ -78,9 +78,8 @@ class RootedTree(Frozen):
     @cached_property
     def children(self) -> dict[int, tuple[int, ...]]:
         ch: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for v in self.vertices:
-            p = self.parent[v - 1]
-            if p not in (0, v):
+        for v, p in enumerate(self.parent, start=1):
+            if p and p != v:
                 ch[p].append(v)
         return {v: tuple(c) for v, c in ch.items()}  # appended in label order
 
@@ -90,12 +89,8 @@ class RootedTree(Frozen):
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for v in self.vertices:
-            p = self.parent[v - 1]
-            if p not in (0, v):
-                out.append((min(p, v), max(p, v)))
-        return tuple(sorted(out))
+        pairs = enumerate(self.parent, start=1)
+        return tuple(sorted([(p, v) if p < v else (v, p) for v, p in pairs if p and p != v]))
 
     @cached_property
     def depth(self) -> dict[int, int]:
@@ -128,8 +123,10 @@ class RootedTree(Frozen):
         """Height of every vertex (distance to the farthest leaf below it),
         read up `depth` from the leaves."""
         h: dict[int, int] = {}
+        ch = self.children
         for v in reversed(self.depth):
-            h[v] = 1 + max((h[c] for c in self.children[v]), default=-1)
+            kids = ch[v]
+            h[v] = 1 + max([h[c] for c in kids]) if kids else 0
         return h
 
     @property

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -79,7 +80,9 @@ class WeightFn(Frozen):
         if set(self.edge_weight) != set(t.edges):
             raise ValueError("edge weights must cover exactly E(T)")
         for e, w in self.edge_weight.items():
-            if not w > 0:
+            # a Fraction's sign is its numerator's: Fraction's own comparison
+            # costs most of this loop, through its numbers.Rational check
+            if not (w.numerator > 0 if type(w) is Fraction else w > 0):
                 raise NonPositiveEdgeWeight(f"edge {e} has weight {w}")
 
     def v(self, u: int):
@@ -164,9 +167,12 @@ class DuplicationSplit(Frozen):
             raise BadSplit(f"split must sum to 1, got {s}")
 
     @classmethod
+    @cache
     def uniform(cls, parts: int) -> "DuplicationSplit":
         """Equal Fraction parts: times a float b a part gives (1.0 / parts) * b
-        bit for bit, and times an exact b it stays exact."""
+        bit for bit, and times an exact b it stays exact.  Built once per
+        number of parts, so a process that constructs many members with
+        uniform splits validates each split once; the split is immutable."""
         return cls((Fraction(1, parts),) * parts)
 
     def __len__(self) -> int:

@@ -100,8 +100,11 @@ def test_dense_eigensolver_has_one_caller():
 
 def test_nonpositive_edge_rejected():
     p2 = RootedTree((0, 1))
-    with pytest.raises(NonPositiveEdgeWeight):
-        WeightFn(p2, {1: 0.0, 2: 0.0}, {(1, 2): 0.0})
+    for bad in (0.0, -0.0, -1.5, math.nan, 0, -2, Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(NonPositiveEdgeWeight):
+            WeightFn(p2, {1: 0.0, 2: 0.0}, {(1, 2): bad})
+    for good in (1e-300, 2, Fraction(1, 3)):
+        assert WeightFn(p2, {1: 0, 2: 0}, {(1, 2): good}).e(1, 2) == good
 
 
 def test_unit_lower_c3_exact():
