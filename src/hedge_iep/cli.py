@@ -14,21 +14,12 @@ import re
 import sys
 from fractions import Fraction
 
-from . import pth, repro
+from . import repro
 from .lambdas import NAMES, LambdaTuple, build_C, region_of
 from .numeric import cluster_multiplicities
 # unused here; perfbench/tests checks that its tracer rebinds this name
 from .numeric import eigenvalues_sym  # noqa: F401
-from .spectra import gap_vector
 from .tolerance import CLUSTER_TOL
-from .trees import NotLush, is_hedge, is_lush, load_tree, profile, read_json
-from .weights import (
-    exact_number,
-    load_weight,
-    save_weight,
-    spectrum_of,
-    weight_to_json,
-)
 
 
 def _default_seed() -> int:
@@ -57,6 +48,9 @@ def _lambda_tuple(vals: dict) -> LambdaTuple:
 
 
 def _lambda_from_args(args) -> LambdaTuple:
+    from .trees import read_json
+    from .weights import exact_number
+
     if getattr(args, "lambda_file", None):
         data = read_json(args.lambda_file)
         if not isinstance(data, dict):
@@ -76,6 +70,8 @@ def _lambda_from_args(args) -> LambdaTuple:
 
 
 def cmd_hedge_info(args) -> int:
+    from .trees import is_hedge, is_lush, load_tree, profile
+
     t = load_tree(args.treefile)
     print(f"vertices: {t.n}")
     print(f"hedge: {is_hedge(t)}")
@@ -91,6 +87,7 @@ def cmd_hedge_info(args) -> int:
 
 def cmd_covers(args) -> int:
     from . import covers
+    from .trees import load_tree
 
     t = load_tree(args.treefile)
     if args.oracle and t.n > covers.ORACLE_MAX_VERTICES:
@@ -116,6 +113,8 @@ def cmd_covers(args) -> int:
 
 
 def cmd_weights_spectrum(args) -> int:
+    from .weights import load_weight, spectrum_of
+
     w = load_weight(args.weightfile)
     spec = cluster_multiplicities(spectrum_of(w), args.cluster_tol)
     for v, m in spec.entries:
@@ -124,6 +123,8 @@ def cmd_weights_spectrum(args) -> int:
 
 
 def cmd_lambda_build(args) -> int:
+    from .weights import weight_to_json
+
     lam = _lambda_from_args(args)
     c = build_C(lam, args.n)
     w = c.weight()
@@ -143,6 +144,8 @@ def cmd_lambda_build(args) -> int:
 
 
 def cmd_lambda_region(args) -> int:
+    from .weights import exact_number
+
     vals = tuple(exact_number(v) for v in args.values)
     reg = region_of(vals)
     print(f"region: {reg if reg is not None else 'none'}")
@@ -151,6 +154,10 @@ def cmd_lambda_region(args) -> int:
 
 def cmd_pth_construct(args) -> int:
     import numpy as np
+
+    from . import pth
+    from .trees import load_tree, profile
+    from .weights import save_weight
 
     lam = _lambda_from_args(args)
     t = load_tree(args.tree)
@@ -172,6 +179,9 @@ def cmd_pth_construct(args) -> int:
 
 
 def cmd_pth_spectrum(args) -> int:
+    from . import pth
+    from .trees import load_tree, profile
+
     t = load_tree(args.tree)
     prof = profile(t)
     lam = _lambda_from_args(args)
@@ -183,6 +193,9 @@ def cmd_pth_spectrum(args) -> int:
 
 
 def cmd_pth_recognize(args) -> int:
+    from . import pth
+    from .weights import exact_number, load_weight
+
     w = load_weight(args.weightfile).as_float()
     lam = None
     if args.assign:
@@ -214,6 +227,11 @@ def cmd_pth_recognize(args) -> int:
 def cmd_pth_rs_sweep(args) -> int:
     import csv
 
+    from . import pth
+    from .spectra import gap_vector
+    from .trees import load_tree, profile
+    from .weights import exact_number
+
     t = load_tree(args.tree)
     prof = profile(t)
     lo, hi = exact_number(args.x_from), exact_number(args.x_to)
@@ -232,6 +250,9 @@ def cmd_pth_rs_sweep(args) -> int:
 
 
 def cmd_pth_counterexample(args) -> int:
+    from . import pth
+    from .trees import load_tree
+
     t = load_tree(args.treefile)
     if args.kind == "splitting":
         ce = pth.splitting_counterexample(t)
@@ -256,6 +277,7 @@ def cmd_rigid_solve(args) -> int:
 
 def cmd_rigid_list(args) -> int:
     from . import rigid
+    from .trees import NotLush, is_lush, load_tree, profile
 
     t = load_tree(args.tree)
     if not is_lush(t):

@@ -19,11 +19,12 @@ from . import Frozen
 from .numeric import trailing_spectra
 from .polys import X, NonzeroRemainder, PolyQ, level_values
 from .tolerance import SINGULAR_TOL, close
-from .trees import HedgeProfile, RootedTree
-from .weights import WeightedMatrix, WeightFn, unit_lower_representative
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .trees import HedgeProfile, RootedTree
+    from .weights import WeightedMatrix, WeightFn
 
 
 #: the largest float, an integer: exact values compare with it without a
@@ -230,6 +231,8 @@ def abc_coefficients(lam: LambdaTuple, n: int) -> tuple[list, list]:
 def _path_tree(n: int) -> RootedTree:
     """The path 1..n hanging from vertex 1, validated once per length;
     the tree is immutable, so every path weight of that length shares it."""
+    from .trees import RootedTree
+
     return RootedTree(tuple(range(n)))
 
 
@@ -237,6 +240,8 @@ def path_weight(a, b) -> WeightFn:
     """The path weight with level coefficients a_1..a_n and b_2..b_n: the
     path 1..n hanging from vertex 1, where the vertex at height h carries
     a_{h+1} and the edge to its child carries b_{h+1}."""
+    from .weights import WeightFn
+
     n = len(a)
     path = _path_tree(n)
     return WeightFn(
@@ -262,6 +267,8 @@ def level_coefficients(w: WeightFn) -> tuple[list, list]:
 def build_C(lam: LambdaTuple, n: int) -> WeightedMatrix:
     """The n-by-n greedy path matrix: unit subdiagonal, diagonal
     (a_n, ..., a_1), superdiagonal (b_n, ..., b_2)."""
+    from .weights import unit_lower_representative
+
     return unit_lower_representative(path_weight(*abc_coefficients(lam, n)))
 
 

@@ -18,11 +18,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .polys import X, PolyQ
-from .spectra import SpectrumMultiset
 from .tolerance import CLUSTER_TOL, ROUNDING_TOL, SINGULAR_TOL, gap_clusters
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .spectra import SpectrumMultiset
 
 
 class NotSymmetric(ValueError):
@@ -85,6 +86,8 @@ def char_poly_exact(entries) -> PolyQ:
 def cluster_multiplicities(values, tol: float = CLUSTER_TOL) -> SpectrumMultiset:
     """Greedy gap clustering of the sorted values, gaps relative to the
     spectrum's width."""
+    from .spectra import SpectrumMultiset
+
     vals = sorted(float(v) for v in values)
     return SpectrumMultiset(tuple((mean, len(r)) for mean, r in gap_clusters(vals, tol)))
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import add
+from typing import TYPE_CHECKING
 
 from . import Frozen
 from .lambdas import (
@@ -46,13 +47,9 @@ from .trees import (
     is_lush,
     profile,
 )
-from .weights import (
-    BadSplit,
-    DuplicationSplit,
-    WeightFn,
-    WeightedMatrix,
-    unit_lower_representative,
-)
+
+if TYPE_CHECKING:
+    from .weights import WeightedMatrix, WeightFn
 
 
 class HeightMismatch(ValueError):
@@ -78,12 +75,24 @@ class BadShape(ValueError):
     pass
 
 
+def __getattr__(name: str):
+    # ph_construct raises weights.BadSplit; it stays readable here without
+    # loading weights for the commands that never construct a member
+    if name == "BadSplit":
+        from .weights import BadSplit
+
+        return BadSplit
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # forward construction
 
 
 def _path_levels(c, height: int) -> tuple[list, list]:
     """(a_1.., b_2..) of a path matrix with the height + 1 levels of a hedge."""
+    from .weights import WeightedMatrix
+
     w = c.weight() if isinstance(c, WeightedMatrix) else c
     try:
         a, b = level_coefficients(w)
@@ -98,6 +107,8 @@ def ph_construct(c, t: RootedTree, splits="uniform") -> WeightFn:
     """A member of the path-to-hedge family: a vertex at height h carries
     the path's a_{h+1}, and the path's b_{h+1} is split over its child
     edges, each of which takes the scalar type of that b."""
+    from .weights import BadSplit, DuplicationSplit, WeightFn
+
     if not is_hedge(t):
         raise HeightMismatch("target must be a hedge")
     a, b = _path_levels(c, t.height)
@@ -298,6 +309,8 @@ def _accept(t: RootedTree, levels: dict[int, tuple], lam: LambdaTuple) -> Recogn
     miss = _recipe_miss(levels, a, b, WEIGHT_TOL)
     if miss is not None:
         raise NotFromConstruction(miss[0] + 1, miss[1])
+    from .weights import unit_lower_representative
+
     recovered = path_weight(*_chain_path(t, levels))
     target = unit_lower_representative(path_weight(a, b))  # build_C(lam, H + 1), from the checked a, b
     return RecognizeResult(lam, lam.region(), recovered, target)

@@ -14,16 +14,17 @@ import json
 import math
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import Frozen, __version__, pth
+from . import Frozen, __version__
 from .lambdas import LambdaTuple, build_C, level_coefficients, path_weight
 # unused here; perfbench/tests checks that its tracer rebinds this name
 from .numeric import eigenvalues_sym  # noqa: F401
 from .polys import X, PolyQ, level_values, root_multiplicities
-from .spectra import SpectrumMultiset, gap_vector
 from .tolerance import SPECTRUM_TOL
-from .trees import RootedTree, ten_vertex_hedge, profile, smallest_lush_hedge
-from .weights import WeightFn, char_poly_of, inertia
+
+if TYPE_CHECKING:
+    from .weights import WeightFn
 
 
 class UnknownExample(ValueError):
@@ -136,6 +137,10 @@ def _c3_weight(top: int) -> WeightFn:
 def _check_hedge10(report: RunReport, wc: WeightFn, factors) -> None:
     """Check the member of the path weight wc on the ten-vertex hedge against
     prod f^m over the (f, m) factors: by the level formula and by elimination."""
+    from . import pth
+    from .trees import profile, ten_vertex_hedge
+    from .weights import char_poly_of
+
     hedge10 = ten_vertex_hedge()
     prof = profile(hedge10)
     ps = level_values(*level_coefficients(wc), X)
@@ -167,6 +172,11 @@ def repro_bf_rs(report: RunReport, seed: int) -> None:
     count below each must be the sum of the multiplicities before it."""
     import random
 
+    from . import pth
+    from .spectra import SpectrumMultiset, gap_vector
+    from .trees import ten_vertex_hedge
+    from .weights import inertia
+
     if seed < 0:
         raise ValueError("expected non-negative integer")
     hedge10 = ten_vertex_hedge()
@@ -197,6 +207,10 @@ def repro_bf_rs(report: RunReport, seed: int) -> None:
 
 
 def repro_t31_constraints(report: RunReport, seed: int) -> None:
+    from . import pth
+    from .spectra import gap_vector
+    from .trees import profile, smallest_lush_hedge
+
     prof = profile(smallest_lush_hedge(3))
     # the 50 interior points of the published sweep of [1/3, 273/500]
     lo, hi = Fraction(1, 3), Fraction(273, 500)
@@ -218,6 +232,9 @@ def repro_t31_constraints(report: RunReport, seed: int) -> None:
 
 
 def repro_nonconvexity(report: RunReport, seed: int) -> None:
+    from . import pth
+    from .trees import profile, smallest_lush_hedge
+
     prof = profile(smallest_lush_hedge(3))
     s1 = pth.t31_exact_spectrum(Fraction(2, 5), prof)
     s2 = pth.t31_exact_spectrum(Fraction(1, 2), prof)
@@ -231,6 +248,10 @@ def repro_nonconvexity(report: RunReport, seed: int) -> None:
 
 
 def repro_splitting_t31(report: RunReport, seed: int) -> None:
+    from . import pth
+    from .trees import smallest_lush_hedge
+    from .weights import char_poly_of
+
     t31 = smallest_lush_hedge(3)
     ce = pth.splitting_counterexample(t31)
     report.check(
@@ -252,6 +273,9 @@ def repro_splitting_t31(report: RunReport, seed: int) -> None:
 
 
 def repro_zeroone_11(report: RunReport, seed: int) -> None:
+    from . import pth
+    from .trees import RootedTree
+
     # the 11-vertex tree: one extra leaf on a height-1 vertex of the
     # smallest height-2 lush hedge
     t = RootedTree((0, 1, 2, 1, 4, 1, 6, 2, 4, 6, 6))
@@ -294,6 +318,7 @@ def repro_rigid_values(report: RunReport, seed: int) -> None:
 
 def repro_rigid_t8_list(report: RunReport, seed: int) -> None:
     from . import rigid
+    from .trees import profile, smallest_lush_hedge
 
     prof = profile(smallest_lush_hedge(8))
     rl = rigid.rigid_multiplicity_list(prof)

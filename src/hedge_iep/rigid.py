@@ -53,10 +53,11 @@ from .polys import (
     poly_gcd,
 )
 from .tolerance import SPECTRUM_TOL, close, gap_clusters
-from .trees import HedgeProfile
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .trees import HedgeProfile
 
 
 class RoutesDisagree(RuntimeError):

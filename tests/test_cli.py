@@ -788,7 +788,7 @@ def _scaled_edge(c, t, *args):
     ids=["scaled edge", "shifted fifth candidate"],
 )
 def test_bf_rs_certificate_catches_a_wrong_member(name, wrong, monkeypatch, capsys):
-    monkeypatch.setattr(repro.pth, name, wrong)
+    monkeypatch.setattr(pth, name, wrong)  # the module repro.repro_bf_rs imports
     assert main(["repro", "bf-rs"]) == 1
     assert capsys.readouterr().out.startswith("[FAIL] spectrum certified by inertia counts: ")
 

@@ -1,13 +1,18 @@
 """Import budget of a cold process, and the package's lazy public names.
 
-A cold `hedge-iep repro <id>` is mostly import, so each command loads only
-the modules it runs: `import hedge_iep` loads no submodule, the exact
-commands (`bf-rs` among them), the exact engine and the rigid list never load
-numpy, and only the rigid commands load the exact engine.  Only the `covers`
-command loads the brute-force cover code, and no command loads `dataclasses`,
-whose import and generated methods cost each process about 25 ms, or, unless
-it loads numpy, `inspect`.  The cold cases run in a fresh interpreter and
-read its `sys.modules` at exit.
+A cold `hedge-iep repro <id>` is mostly import, and with no bytecode cache
+each module it imports is compiled as well, so each command loads only the
+modules it runs: `import hedge_iep` loads no submodule, the exact commands
+(`bf-rs` among them), the exact engine and the rigid list never load numpy,
+and only the rigid commands load the exact engine.  The rigid repros load
+none of the path-to-hedge modules (`pth`, `weights`, `spectra`, `covers`),
+and of them only `rigid-t8-list` loads `trees`; `t31-constraints` and
+`nonconvexity` load no `weights`; `hedge info` loads `trees` but no
+path-to-hedge module and no engine.  Only the `covers` command loads the
+brute-force cover code, and no command loads `dataclasses`, whose import and
+generated methods cost each process about 25 ms, or, unless it loads numpy,
+`inspect`.  The cold cases run in a fresh interpreter and read its
+`sys.modules` at exit.
 """
 
 import importlib
@@ -174,6 +179,28 @@ def test_hedge_info_loads_no_numpy(tmp_path):
     modules = _cli_loads("hedge", "info", "t.json", cwd=tmp_path)
     assert _heavy(modules) == set()
     assert modules & ENGINE == set()
+
+
+#: the path-to-hedge side of the package, which the exact engine never calls
+PATH_TO_HEDGE = {"hedge_iep.pth", "hedge_iep.weights", "hedge_iep.spectra", "hedge_iep.covers"}
+
+#: cold command -> package modules it must not load, each a module it never runs
+UNUSED = {
+    ("repro", "rigid-values"): PATH_TO_HEDGE | {"hedge_iep.trees"},
+    ("repro", "levels-40"): PATH_TO_HEDGE | {"hedge_iep.trees"},
+    # the rigid list reads the profile of T^(8), so it adds `trees` alone
+    ("repro", "rigid-t8-list"): PATH_TO_HEDGE,
+    # the explicit height-3 family is exact polynomials and a profile
+    ("repro", "t31-constraints"): {"hedge_iep.weights"},
+    ("repro", "nonconvexity"): {"hedge_iep.weights"},
+    ("hedge", "info", "t.json"): PATH_TO_HEDGE | ENGINE,
+}
+
+
+@pytest.mark.parametrize("argv", list(UNUSED), ids=" ".join)
+def test_a_cold_command_loads_no_module_it_does_not_run(argv, tmp_path):
+    save_tree(ten_vertex_hedge(), tmp_path / "t.json")
+    assert _cli_loads(*argv, cwd=tmp_path) & UNUSED[argv] == set()
 
 
 #: cold commands, each run with the ten-vertex hedge as t.json in its cwd

@@ -55,3 +55,15 @@ def test_benchmark_child_reads_resolve():
         ):
             missing.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
     assert not missing, missing
+
+
+def test_tracer_rebound_names_are_the_package_functions():
+    """The tracer rebinds a traced function in every module that holds it by
+    name, and the benchmark's own tests read `eigenvalues_sym` and `build_C`
+    in `cli`, `repro` and `pth`: each must stay bound there, at module level,
+    to the function itself."""
+    from hedge_iep import cli, lambdas, numeric, pth, repro
+
+    for mod in (cli, repro, pth):
+        assert mod.eigenvalues_sym is numeric.eigenvalues_sym, mod.__name__
+        assert mod.build_C is lambdas.build_C, mod.__name__
