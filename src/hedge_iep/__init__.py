@@ -14,13 +14,16 @@ __version__ = "0.1.0"
 class Frozen:
     """Base of the package's immutable value records, with no generated code.
 
-    A subclass lists its fields in ``__slots__`` (plus ``"__dict__"`` if it
-    caches properties) and sets them in its ``__init__`` with
-    ``object.__setattr__``.  It gets equality and a matching hash over the
-    tuple of its fields, a ``Name(field=value, ...)`` repr and an
-    AttributeError on assignment, as a frozen record of the standard
-    library would; but nothing is compiled when a subclass is defined, so a
-    cold process pays only for the class bodies."""
+    A subclass lists its fields once, in ``__slots__`` (plus ``"__dict__"``
+    if it caches properties).  It gets a constructor that takes them by
+    position or by keyword, equality and a matching hash over the tuple of
+    its fields, a ``Name(field=value, ...)`` repr and an AttributeError on
+    assignment, as a frozen record of the standard library would; but
+    nothing is compiled when a subclass is defined, so a cold process pays
+    only for the class bodies.  A subclass writes its own ``__init__``
+    (setting each field with ``object.__setattr__``) where it checks its
+    fields or has defaults, and in the exact scalars ``PolyQ``, ``MPolyQ``
+    and ``QXi``, which the exact engine builds in its inner loops."""
 
     __slots__ = ()
 
@@ -29,6 +32,19 @@ class Frozen:
         fields = cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
         get = attrgetter(*fields)  # the bare value when there is one field
         cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # bind as a call binds its arguments
+            values = dict(zip(fields, args))
+            if len(args) > len(fields) or kwargs.keys() & values or {*values, *kwargs} != {*fields}:
+                raise TypeError(
+                    f"{self.__class__.__qualname__}() takes {', '.join(fields)}; got {len(args)}"
+                    f" by position and {', '.join(kwargs) or 'none'} by keyword"
+                )
+            args = tuple({**values, **kwargs}[f] for f in fields)
+        for f, v in zip(fields, args):
+            object.__setattr__(self, f, v)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -21,6 +21,14 @@ from .numeric import cluster_multiplicities
 from .numeric import eigenvalues_sym  # noqa: F401
 from .tolerance import CLUSTER_TOL
 
+#: the largest tree --oracle runs `covers.brute_force_path_cover` on, which
+#: keeps the flag a cross-check on small trees; the search itself takes
+#: milliseconds there (and 0.02 s on smallest_lush_hedge(4), 94 vertices)
+ORACLE_MAX_VERTICES = 32
+#: the largest tree --oracle runs `covers.brute_force_zero_forcing` on; it
+#: tries vertex subsets in size order
+ZF_ORACLE_MAX_VERTICES = 12
+
 
 def _default_seed() -> int:
     raw = os.environ.get("HEDGE_IEP_SEED", "0")
@@ -90,9 +98,9 @@ def cmd_covers(args) -> int:
     from .trees import load_tree
 
     t = load_tree(args.treefile)
-    if args.oracle and t.n > covers.ORACLE_MAX_VERTICES:
+    if args.oracle and t.n > ORACLE_MAX_VERTICES:
         raise ValueError(
-            f"--oracle runs an exhaustive search, limited to {covers.ORACLE_MAX_VERTICES}"
+            f"--oracle runs an exhaustive search, limited to {ORACLE_MAX_VERTICES}"
             f" vertices; this tree has {t.n}"
         )
     p, cover = covers.path_cover_number(t)
@@ -103,7 +111,7 @@ def cmd_covers(args) -> int:
     print(f"witness forcing set: {sorted(forcing)}")
     if args.oracle:
         bf = covers.brute_force_path_cover(t)
-        small = t.n <= covers.ZF_ORACLE_MAX_VERTICES
+        small = t.n <= ZF_ORACLE_MAX_VERTICES
         bz = covers.brute_force_zero_forcing(t) if small else None
         ok = bf == p and (bz is None or bz == z)
         print(f"brute-force P = {bf}" + (f", Z = {bz}" if bz is not None else ""))
@@ -315,17 +323,6 @@ def cmd_repro(args) -> int:
     return 0 if report.passed else 1
 
 
-class _OracleHelp(str):
-    """The --oracle help, which names `covers.ORACLE_MAX_VERTICES`: argparse
-    fills a help text in with ``%`` only when it prints it, so building the
-    parser loads no `covers`."""
-
-    def __mod__(self, params):
-        from .covers import ORACLE_MAX_VERTICES
-
-        return str.__mod__(self, {**params, "max": ORACLE_MAX_VERTICES})
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads every argument starting with a minus
     sign and a digit, or a minus sign, a point and a digit, as a value:
@@ -367,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument(
         "--oracle",
         action="store_true",
-        help=_OracleHelp("run brute-force cross-check (at most %(max)s vertices)"),
+        help=f"run brute-force cross-check (at most {ORACLE_MAX_VERTICES} vertices)",
     )
     cov.set_defaults(func=cmd_covers)
 

@@ -127,10 +127,9 @@ def _partition(t: RootedTree, vertices=None) -> tuple[tuple[int, ...], ...]:
 
 
 class PathCover(Frozen):
-    __slots__ = ("paths",)
+    """Vertex-disjoint induced paths, each a tuple of vertices."""
 
-    def __init__(self, paths: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "paths", paths)
+    __slots__ = ("paths",)
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -152,15 +151,6 @@ def path_cover_number(t: RootedTree, vertices=None) -> tuple[int, PathCover]:
     subforest, with a witness cover."""
     cover = PathCover(_canonical_paths(_partition(t, vertices)))
     return len(cover), cover
-
-
-#: the largest tree the CLI's --oracle runs brute_force_path_cover on, which
-#: keeps the flag a cross-check on small trees; the search itself takes
-#: milliseconds there (and 0.02 s on smallest_lush_hedge(4), 94 vertices)
-ORACLE_MAX_VERTICES = 32
-#: the largest tree the CLI's --oracle runs brute_force_zero_forcing on; it
-#: tries vertex subsets in size order
-ZF_ORACLE_MAX_VERTICES = 12
 
 
 def brute_force_path_cover(t: RootedTree, vertices=None) -> int:
@@ -199,10 +189,6 @@ class ForcingState(Frozen):
     forcing chains trace induced paths)."""
 
     __slots__ = ("blue", "chains")
-
-    def __init__(self, blue: frozenset[int], chains: dict[int, int]) -> None:
-        object.__setattr__(self, "blue", blue)
-        object.__setattr__(self, "chains", chains)
 
     def chain_paths(self) -> tuple[tuple[int, ...], ...]:
         """The forcing chains as vertex paths, one per chain start."""

@@ -187,11 +187,14 @@ def abc_closed_forms(lam: LambdaTuple, n: int) -> tuple[list, list]:
         elif i == 3:
             bi = (lam.beta3 - lam.alpha2) * (lam.beta3 - lam.beta2)
         elif i == 4:
-            bi = (
+            num = (
                 (lam.beta4 - lam.alpha1)
                 * (lam.beta3 - lam.beta4)
                 * (lam.alpha2 + lam.beta2 - lam.beta3 - lam.beta4)
-            ) / (lam.beta4 - lam.beta2)
+            )
+            den = lam.beta4 - lam.beta2
+            # two ints divide as a Fraction, so an int tuple stays exact
+            bi = Fraction(num, den) if type(num) is int and type(den) is int else num / den
         else:
             bi = (lam.beta(i) - lam.alpha1) * (lam.beta(i) - lam.alpha2)
         b.append(bi)

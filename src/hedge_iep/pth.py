@@ -49,7 +49,7 @@ from .trees import (
 )
 
 if TYPE_CHECKING:
-    from .weights import WeightedMatrix, WeightFn
+    from .weights import WeightFn
 
 
 class HeightMismatch(ValueError):
@@ -208,16 +208,6 @@ class CriticalWitness(Frozen):
 
     __slots__ = ("indices", "multiplicities", "thresholds")
 
-    def __init__(
-        self,
-        indices: tuple[int | None, ...],
-        multiplicities: tuple[int, ...],
-        thresholds: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "multiplicities", multiplicities)
-        object.__setattr__(self, "thresholds", thresholds)
-
 
 def critical_thresholds(prof: HedgeProfile) -> tuple[int, ...]:
     """(m1, m2, n2, n3, n4): the generic multiplicities of the five
@@ -274,14 +264,6 @@ class RecognizeResult(Frozen):
     (``path_weight``) and C_{H+1}^Lambda built from the recipe (``target``)."""
 
     __slots__ = ("lam", "region", "path_weight", "target")
-
-    def __init__(
-        self, lam: LambdaTuple, region: int | None, path_weight: WeightFn, target: WeightedMatrix
-    ) -> None:
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "region", region)
-        object.__setattr__(self, "path_weight", path_weight)
-        object.__setattr__(self, "target", target)
 
 
 def _lush(t: RootedTree) -> RootedTree:
@@ -441,22 +423,6 @@ class SplittingCounterexample(Frozen):
         "max_distinct",
     )
 
-    def __init__(
-        self,
-        lam: LambdaTuple,
-        realizable: tuple[int, ...],
-        not_realizable: tuple[int, ...],
-        forced_eigenvalue: Fraction,
-        forced_multiplicity: int,
-        max_distinct: int,
-    ) -> None:
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "realizable", realizable)
-        object.__setattr__(self, "not_realizable", not_realizable)
-        object.__setattr__(self, "forced_eigenvalue", forced_eigenvalue)
-        object.__setattr__(self, "forced_multiplicity", forced_multiplicity)
-        object.__setattr__(self, "max_distinct", max_distinct)
-
     def report(self) -> str:
         return (
             f"m  = {set_notation(self.realizable)} is realizable;\n"
@@ -541,14 +507,10 @@ def splitting_counterexample(
 
 
 class ZeroOneReport(Frozen):
-    __slots__ = ("child_counts", "critical_list", "contradiction")
+    """The child count of each height-1 vertex, the generic critical list and
+    whether the counts differ, which unit off-diagonal entries forbid."""
 
-    def __init__(
-        self, child_counts: dict[int, int], critical_list: tuple[int, ...], contradiction: bool
-    ) -> None:
-        object.__setattr__(self, "child_counts", child_counts)
-        object.__setattr__(self, "critical_list", critical_list)
-        object.__setattr__(self, "contradiction", contradiction)
+    __slots__ = ("child_counts", "critical_list", "contradiction")
 
     def report(self) -> str:
         if self.contradiction:

@@ -419,27 +419,11 @@ def companion_double_root_entry() -> tuple[MPolyQ, MPolyQ, Fraction]:
 class RigidSolution(Frozen):
     """The unique (up to shift and scale) tuple with the three engineered
     coincidences, exactly in Q[xi], plus the float view of the values that
-    the elimination route derives."""
+    the elimination route derives.  ``lam`` holds QXi scalars normalised to
+    beta2 = -1 and beta4 = 1; ``lambda_37``, ``lambda_48`` and ``lambda_49``
+    are the coincident values in Q[xi]; ``route_a`` maps names to floats."""
 
     __slots__ = ("xi", "lam", "lambda_37", "lambda_48", "lambda_49", "region", "route_a")
-
-    def __init__(
-        self,
-        xi: QXi,
-        lam: LambdaTuple,  # QXi scalars, beta2 = -1, beta4 = 1
-        lambda_37: QXi,
-        lambda_48: QXi,
-        lambda_49: QXi,
-        region: int,
-        route_a: dict[str, float],
-    ) -> None:
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "lambda_37", lambda_37)
-        object.__setattr__(self, "lambda_48", lambda_48)
-        object.__setattr__(self, "lambda_49", lambda_49)
-        object.__setattr__(self, "region", region)
-        object.__setattr__(self, "route_a", route_a)
 
     def exact_values(self) -> dict[str, QXi]:
         return {
@@ -624,10 +608,6 @@ class RigidList(Frozen):
     """The ordered list and its (value, multiplicity, label) table."""
 
     __slots__ = ("ordered", "table")
-
-    def __init__(self, ordered: tuple[int, ...], table: tuple[tuple[float, int, str], ...]) -> None:
-        object.__setattr__(self, "ordered", ordered)
-        object.__setattr__(self, "table", table)
 
     @property
     def total(self) -> int:

@@ -192,11 +192,6 @@ class HedgeProfile(Frozen):
 
     __slots__ = ("height", "level_sizes", "ell")
 
-    def __init__(self, height: int, level_sizes: tuple[int, ...], ell: tuple[int, ...]) -> None:
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "level_sizes", level_sizes)
-        object.__setattr__(self, "ell", ell)
-
     def ell_at(self, i: int) -> int:
         """ell_i with the convention ell_i = 0 for i outside 1..H+1."""
         if 1 <= i <= self.height + 1:
@@ -214,22 +209,15 @@ class PendentPath(Frozen):
 
     __slots__ = ("vertices", "attach_point")
 
-    def __init__(self, vertices: tuple[int, ...], attach_point: int) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "attach_point", attach_point)
-
     def __len__(self) -> int:
         return len(self.vertices)
 
 
 class SubtreeChain(Frozen):
-    """The chain T = T^(0) >= T^(1) >= ... >= T^(H) = P_{H+1} of a hedge."""
+    """The chain T = T^(0) >= T^(1) >= ... >= T^(H) = P_{H+1} of a hedge,
+    each member given by its vertex set in ``tree``."""
 
     __slots__ = ("tree", "vertex_sets")
-
-    def __init__(self, tree: RootedTree, vertex_sets: tuple[frozenset[int], ...]) -> None:
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "vertex_sets", vertex_sets)
 
     @property
     def height(self) -> int:

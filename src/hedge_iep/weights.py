@@ -113,12 +113,6 @@ class WeightedMatrix(Frozen):
 
     __slots__ = ("tree", "diagonal", "upper", "lower")
 
-    def __init__(self, tree: RootedTree, diagonal: tuple, upper: tuple, lower: tuple) -> None:
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-
     @property
     def n(self) -> int:
         return self.tree.n
@@ -280,11 +274,9 @@ def duplicate_branch(
 
 
 class CollapseResult(Frozen):
-    __slots__ = ("weight", "removed_count")
+    """The collapsed weight function and how many pendent paths it deleted."""
 
-    def __init__(self, weight: WeightFn, removed_count: int) -> None:
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "removed_count", removed_count)
+    __slots__ = ("weight", "removed_count")
 
 
 def collapse_pendent_k_paths(w: WeightFn, k: int) -> CollapseResult:

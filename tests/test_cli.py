@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedge_iep import pth, repro
-from hedge_iep.cli import main
-from hedge_iep.covers import ORACLE_MAX_VERTICES
+from hedge_iep.cli import ORACLE_MAX_VERTICES, main
 from hedge_iep.lambdas import LambdaTuple, build_C
 from hedge_iep.pth import forced_fifth_eigenvalue, ph_construct
 from hedge_iep.trees import (

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hedge_iep import Frozen
 from hedge_iep.algebraic import QXi
 from hedge_iep.lambdas import (
     DegenerateSum,
@@ -27,10 +28,11 @@ from hedge_iep.lambdas import (
     step_lemma_checks_raw,
 )
 from hedge_iep.numeric import char_poly_exact, trailing_spectra
-from hedge_iep.polys import PolyQ
-from hedge_iep.pth import t31_lambda
-from hedge_iep.trees import RootedTree
-from hedge_iep.weights import WeightFn
+from hedge_iep.polys import PolyQ, level_counts
+from hedge_iep.pth import ph_construct, recognize, t31_lambda
+from hedge_iep.spectra import SpectrumMultiset, gap_vector
+from hedge_iep.trees import RootedTree, smallest_lush_hedge
+from hedge_iep.weights import WeightFn, char_poly_of, inertia
 
 from conftest import move_weight, relabel
 
@@ -93,6 +95,43 @@ def test_b4_closed_form_exact():
     )
     assert b[2] == want
     assert a == [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
+
+
+def _floats(x) -> list:
+    """Every float inside x: records by their fields, containers by their items."""
+    if isinstance(x, float):
+        return [x]
+    if isinstance(x, Frozen):
+        x = x._values(x)
+    elif isinstance(x, dict):
+        x = (*x.keys(), *x.values())
+    elif not isinstance(x, (tuple, list, set, frozenset)):
+        return []
+    return [f for item in x for f in _floats(item)]
+
+
+def test_exact_inputs_give_exact_results():
+    """An int or a Fraction tuple stays exact from the closed forms through
+    the construction, the recognizer and the characteristic polynomial; so
+    do the five routines that once divided two ints with `/`."""
+    t = smallest_lush_hedge(3)
+    for kind in (int, Fraction):
+        lam = LambdaTuple(*map(kind, (0, 1, -1, 2, 3)))
+        c = build_C(lam, 4)
+        w = ph_construct(c, t)
+        results = (abc_coefficients(lam, 4), c.weight(), w, recognize(w, lam), char_poly_of(w))
+        assert abc_coefficients(lam, 4)[1][2] == Fraction(15, 4)
+        assert [r for r in results if _floats(r)] == [], kind
+    path = WeightFn(RootedTree((0, 1, 2)), {1: 1, 2: 3, 3: -2}, {(1, 2): 1, (2, 3): 4})
+    results = (
+        PolyQ((1, 2)).divmod(PolyQ((0, 3))),
+        PolyQ((2, 4)).monic(),
+        gap_vector(SpectrumMultiset(((0, 1), (1, 2), (3, 1)))),
+    )
+    assert [r for r in results if _floats(r)] == []
+    # 4 is an eigenvalue of the path's level 3, which a float pivot misses
+    assert level_counts([1, 3, -2], [1, 4], 4) == [1, 2, 2]
+    assert inertia(path, 4) == (2, 1, 0)
 
 
 def test_c2_display():

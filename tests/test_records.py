@@ -77,6 +77,22 @@ RECORDS = {
     RigidSolution: lambda: (QXi.of(1), LambdaTuple(0, 1), QXi.of(2), QXi.of(3), QXi.of(4), 1, {}),
     RigidList: lambda: ((2, 1), ((0.5, 2, "a"), (1.5, 1, "b"))),
 }
+#: the records that `Frozen.__init__` builds, with no constructor of their own
+PLAIN = {
+    HedgeProfile,
+    PendentPath,
+    SubtreeChain,
+    WeightedMatrix,
+    CollapseResult,
+    PathCover,
+    ForcingState,
+    CriticalWitness,
+    RecognizeResult,
+    SplittingCounterexample,
+    ZeroOneReport,
+    RigidSolution,
+    RigidList,
+}
 #: the two exact scalars keep their own equality, hash and repr
 SCALARS = {
     QXi: lambda: ((1, 2, 0, 0, 0, 0), 3),
@@ -121,6 +137,18 @@ def test_records_compare_hash_and_print_by_their_fields(cls):
     pairs = ", ".join(f"{f}={v!r}" for f, v in zip(fields, args))
     assert repr(a) == f"{cls.__name__}({pairs})"
     assert copy.copy(a) == a and copy.deepcopy(a) == a
+
+    # the constructor binds its values as a call binds its arguments
+    if cls in PLAIN:
+        assert "__init__" not in cls.__dict__
+        for bad_args, bad_kwargs in (
+            (args[:-1], {}),  # a missing field
+            ((*args, None), {}),  # an extra positional value
+            (args, {"not_a_field": None}),  # an unknown keyword
+            (args, {fields[0]: args[0]}),  # a field by position and by keyword
+        ):
+            with pytest.raises(TypeError):
+                cls(*bad_args, **bad_kwargs)
 
 
 @pytest.mark.parametrize("cls", list(ALL), ids=lambda c: c.__name__)
