@@ -30,6 +30,8 @@ class Frozen:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         fields = cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        # each slot's own setter, which the refusing __setattr__ below does not see
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
         get = attrgetter(*fields)  # the bare value when there is one field
         cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
 
@@ -43,8 +45,8 @@ class Frozen:
                     f" by position and {', '.join(kwargs) or 'none'} by keyword"
                 )
             args = tuple({**values, **kwargs}[f] for f in fields)
-        for f, v in zip(fields, args):
-            object.__setattr__(self, f, v)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
