@@ -30,7 +30,7 @@ class Frozen:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         fields = cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
-        # each slot's own setter, which the refusing __setattr__ below does not see
+        # each slot's own setter, which goes past the refusing __setattr__ below
         cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
         get = attrgetter(*fields)  # the bare value when there is one field
         cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
