@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 when an assertion or comparison fails, 2 on
-usage errors.  The two randomized commands, `pth construct` and `repro`,
-take --seed (default from HEDGE_IEP_SEED, else 0) and report the seed.
+usage errors and where a command needs numpy and cannot import it.  The
+two randomized commands, `pth construct` and `repro`, take --seed (default
+from HEDGE_IEP_SEED, else 0) and report the seed.
 """
 
 from __future__ import annotations
@@ -447,6 +448,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print("error: this command needs numpy, which cannot be imported", file=sys.stderr)
         return 2
 
 

@@ -5,11 +5,11 @@ The floating-point eigensolver is LAPACK via numpy, imported inside the
 float routines, so the exact commands never load it; it returns ascending
 eigenvalues, so none are sorted again.  `char_poly_exact` is the test
 suite's oracle for the exact routes.  `trailing_spectra(a, b)` solves every
-level of the path (a, b) for `rigid.level_figure_data`,
-`rigid.consecutive_interlacing_gap`, `pth._level_spectrum` and
-`lambdas.step_lemma_checks_raw`, where numpy is loaded anyway or the levels
-are many; the rigid list, with nine levels on T^(8), solves them in pure
-Python with `polys.level_spectra` and loads no numpy.
+level of the path (a, b) for `pth._level_spectrum` and
+`lambdas.step_lemma_checks_raw`, where numpy is loaded anyway, and for
+`rigid.rigid_level_spectra` where numpy is already loaded; a process
+without it solves the rigid levels, and the rigid list, in pure Python
+with `polys.level_spectra` and loads no numpy.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ the solution in region 1 is unique.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
@@ -55,8 +56,6 @@ from .polys import (
 from .tolerance import SPECTRUM_TOL, close, gap_clusters
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .trees import HedgeProfile
 
 
@@ -592,16 +591,19 @@ def rigid_b_values(up_to: int = 41) -> list[QXi]:
 
 
 @lru_cache(maxsize=8)
-def rigid_level_spectra(max_level: int) -> tuple[np.ndarray, ...]:
-    """Float spectra of C_1..C_max at the rigid tuple (exact coefficients
-    rounded once, then LAPACK), solved once per max_level and shared by
-    `level_figure_data` and `consecutive_interlacing_gap` as read-only
-    arrays.  The rigid list, with nine levels on T^(8), takes its levels
-    from the pure-Python `polys.level_spectra` instead and loads no numpy."""
-    specs = trailing_spectra(*abc_closed_forms(solve_rigid().lam, max_level))
-    for s in specs:
-        s.flags.writeable = False
-    return tuple(specs)
+def rigid_level_spectra(max_level: int) -> tuple[tuple[float, ...], ...]:
+    """Ascending float spectra of C_1..C_max at the rigid tuple (exact
+    coefficients rounded once), solved once per max_level and shared by
+    `level_figure_data` and `consecutive_interlacing_gap` as tuples of
+    floats.  Where numpy is already loaded they come from LAPACK
+    (`numeric.trailing_spectra`); otherwise from the pure-Python
+    `polys.level_spectra`, which loads no numpy, as the rigid list does.
+    The two solvers agree to a few eps times the width."""
+    a, b = abc_closed_forms(solve_rigid().lam, max_level)
+    # 40 levels: LAPACK 1.6 ms, polys.level_spectra 40 ms, a cold numpy import 145 ms
+    if sys.modules.get("numpy") is not None:
+        return tuple(tuple(s.tolist()) for s in trailing_spectra(a, b))
+    return tuple(map(tuple, level_spectra(a, b)))
 
 
 class RigidList(Frozen):
@@ -678,7 +680,7 @@ def level_figure_data(max_level: int = 40) -> list[tuple[int, int, float]]:
     rows = []
     for level in range(1, max_level + 1):
         for idx, v in enumerate(specs[level - 1], start=1):
-            rows.append((level, idx, float(v)))
+            rows.append((level, idx, v))
     return rows
 
 
@@ -688,11 +690,12 @@ def consecutive_interlacing_gap(max_level: int = 40) -> float:
     bracket level k's eigenvalue j; the gap to these two is signed, so a
     level that fails to interlace gives a negative gap."""
     specs = rigid_level_spectra(max_level)
+    if len(specs) == 1:
+        return inf  # no consecutive pair, and one level's width is 0
     width = max(s[-1] for s in specs) - min(s[0] for s in specs)
     gap = min(
-        (min(x - upper[j], upper[j + 1] - x)
-         for lower, upper in zip(specs, specs[1:])
-         for j, x in enumerate(lower)),
-        default=inf,
+        min(x - upper[j], upper[j + 1] - x)
+        for lower, upper in zip(specs, specs[1:])
+        for j, x in enumerate(lower)
     )
-    return float(gap / width)
+    return gap / width

@@ -1,10 +1,13 @@
 """Shared fixtures and random generators for the suite, and the helpers
-only the tests use: writing a tree file and isolating real roots."""
+only the tests use: writing a tree file, isolating real roots and running
+code as a process without numpy would."""
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +23,24 @@ def save_tree(t: RootedTree, path: str | Path) -> None:
     with open(path, "w") as fh:
         json.dump(tree_to_json(t), fh)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def numpy_blocked():
+    """Run the body as a process without numpy: `import numpy` fails, and
+    `rigid.rigid_level_spectra` takes its pure-Python route.  Its cache is
+    emptied on entry and on exit, so neither route reads the other's
+    spectra."""
+    from hedge_iep.rigid import rigid_level_spectra
+
+    saved = sys.modules["numpy"]
+    rigid_level_spectra.cache_clear()
+    sys.modules["numpy"] = None
+    try:
+        yield
+    finally:
+        sys.modules["numpy"] = saved
+        rigid_level_spectra.cache_clear()
 
 
 def real_roots(p: PolyQ, lo: Fraction, hi: Fraction, eps: Fraction) -> list[Fraction]:

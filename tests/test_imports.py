@@ -2,17 +2,19 @@
 
 A cold `hedge-iep repro <id>` is mostly import, and with no bytecode cache
 each module it imports is compiled as well, so each command loads only the
-modules it runs: `import hedge_iep` loads no submodule, the exact commands
-(`bf-rs` among them), the exact engine and the rigid list never load numpy,
-and only the rigid commands load the exact engine.  The rigid repros load
+modules it runs: `import hedge_iep` loads no submodule, no repro loads
+numpy (the exact commands, `bf-rs` among them, the exact engine, the rigid
+list and the 40 rigid levels of `levels-40` and `rigid levels`), and only
+the rigid commands load the exact engine.  The rigid repros load
 none of the path-to-hedge modules (`pth`, `weights`, `spectra`, `covers`),
 and of them only `rigid-t8-list` loads `trees`; `t31-constraints` and
 `nonconvexity` load no `weights`; `hedge info` loads `trees` but no
 path-to-hedge module and no engine.  Only the `covers` command loads the
 brute-force cover code, and no command loads `dataclasses`, whose import and
-generated methods cost each process about 25 ms, or, unless it loads numpy,
-`inspect`.  The cold cases run in a fresh interpreter and read its
-`sys.modules` at exit.
+generated methods cost each process about 25 ms, or `inspect`.  The cold
+cases run in a fresh interpreter and read its `sys.modules` at exit; the
+cases without numpy block it there first, and a command that needs it
+exits 2 with one `error:` line.
 """
 
 import importlib
@@ -122,7 +124,10 @@ def test_light_repro_loads_no_exact_engine(example):
 
 
 def test_rigid_repro_loads_the_exact_engine():
-    assert ENGINE <= _cli_loads("repro", "levels-40")
+    # its 40 levels come from the pure-Python kernel in polys
+    modules = _cli_loads("repro", "levels-40")
+    assert ENGINE <= modules
+    assert _heavy(modules) == set()
 
 
 def test_rigid_values_loads_the_engine_but_no_numpy():
@@ -143,11 +148,6 @@ def test_rigid_list_loads_the_engine_but_no_numpy(argv, tmp_path):
     assert _heavy(modules) == set()
 
 
-@pytest.mark.parametrize("example", ["levels-40"])
-def test_float_repros_still_load_numpy(example):
-    assert "numpy" in _cli_loads("repro", example)
-
-
 NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n" + CLI_DRIVER
 
 
@@ -162,6 +162,34 @@ def test_bf_rs_runs_where_numpy_cannot_load():
     code, modules = _loaded_after(NO_NUMPY, "repro", "bf-rs", "--json")
     assert code == 0
     assert "hedge_iep.pth" in modules and modules & ENGINE == set()
+
+
+#: command run where numpy cannot load -> its exit code
+NO_NUMPY_EXITS = {
+    ("repro", "levels-40", "--json"): 0,
+    ("rigid", "levels", "--max", "40", "--out", "levels.csv"): 0,
+    # it seeds numpy's RNG before it reads its inputs
+    ("pth", "construct", "--alpha1", "0", "--tree", "t.json", "--out", "w.json"): 2,
+}
+
+
+@pytest.mark.parametrize("argv", list(NO_NUMPY_EXITS), ids=" ".join)
+def test_a_command_where_numpy_cannot_load_runs_or_exits_2(argv, tmp_path):
+    save_tree(ten_vertex_hedge(), tmp_path / "t.json")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, *argv],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == NO_NUMPY_EXITS[argv], proc.stderr
+    errors = proc.stderr.splitlines()[:-1]
+    if proc.returncode == 0:
+        assert errors == []
+    else:
+        assert errors == ["error: this command needs numpy, which cannot be imported"]
 
 
 def test_the_exact_engine_loads_no_numpy():
@@ -218,8 +246,7 @@ def test_a_cold_command_generates_no_code(argv, tmp_path):
     save_tree(ten_vertex_hedge(), tmp_path / "t.json")
     modules = _cli_loads(*argv, cwd=tmp_path)
     assert "dataclasses" not in modules
-    if argv != ("repro", "levels-40"):  # numpy imports inspect itself
-        assert "inspect" not in modules
+    assert "inspect" not in modules
     if argv[0] != "covers":
         assert "hedge_iep.covers" not in modules
 

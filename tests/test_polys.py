@@ -34,10 +34,10 @@ from hedge_iep.polys import (
     sign_at,
     sturm_sequence,
 )
-from hedge_iep.rigid import eliminant, solve_rigid
+from hedge_iep.rigid import consecutive_interlacing_gap, eliminant, solve_rigid
 from hedge_iep.weights import inertia
 
-from conftest import real_roots
+from conftest import numpy_blocked, real_roots
 
 EPS = sys.float_info.epsilon
 
@@ -59,12 +59,18 @@ def _scale(spectrum) -> float:
 
 
 def test_level_spectra_match_lapack(rng):
-    # LAPACK alone sits up to about 4.5 eps * scale from a 40-digit solve
-    for a, b in _paths(rng):
+    # LAPACK alone sits up to about 4.5 eps * scale from a 40-digit solve;
+    # the rigid tuple's 40 levels are `repro levels-40`'s, solved by either
+    for a, b in _paths(rng) + [abc_closed_forms(solve_rigid().lam, 40)]:
         got, want = level_spectra(a, b), trailing_spectra(a, b)
         assert [len(s) for s in got] == list(range(1, len(a) + 1))
         tol = 8 * EPS * _scale(want[-1])
         assert all(np.max(np.abs(np.array(g) - w)) <= tol for g, w in zip(got, want))
+    # and the interlacing gap it prints at .3e reads the same from both
+    lapack = consecutive_interlacing_gap(40)
+    with numpy_blocked():
+        pure = consecutive_interlacing_gap(40)
+    assert f"{pure:.3e}" == f"{lapack:.3e}"
 
 
 def test_each_eigenvalue_is_strictly_inside_its_interlacing_bracket(rng):

@@ -1,6 +1,6 @@
 """The package declares ``requires-python = ">=3.10"``: every module must
 parse under the 3.10 grammar, which rejects ``except*``, ``type X = ...``
-and PEP 695 generics, and the repros that need no numpy must run on a 3.10
+and PEP 695 generics, and every repro, as none needs numpy, must run on a 3.10
 interpreter where one is installed."""
 
 import ast
@@ -51,11 +51,11 @@ def _floor_python() -> str | None:
     return None
 
 
-@pytest.mark.parametrize("example", sorted(set(REPROS) - {"levels-40"}))
+@pytest.mark.parametrize("example", sorted(REPROS))
 def test_numpy_free_repro_runs_at_the_floor(example, tmp_path):
-    """The nine repros that need no numpy run on a 3.10 interpreter and
-    report what tests/golden/repro holds, which catches a 3.11-only API that
-    parsing cannot."""
+    """The ten repros, none of which needs numpy, run on a 3.10 interpreter
+    and report what tests/golden/repro holds, which catches a 3.11-only API
+    that parsing cannot."""
     python = _floor_python()
     if python is None:
         pytest.skip("no Python 3.10 interpreter found")

@@ -1,8 +1,9 @@
+import contextlib
 import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hedge_iep.polys import (
     PolyQ,
     ZeroPolynomial,
     count_real_roots,
+    level_spectra,
     level_values,
     root_multiplicities,
 )
@@ -57,6 +59,8 @@ from hedge_iep.rigid import (
     unit_interval_roots,
 )
 from hedge_iep.trees import profile, smallest_lush_hedge
+
+from conftest import numpy_blocked
 
 A1 = MPolyQ.var("alpha1")
 A2 = MPolyQ.var("alpha2")
@@ -993,17 +997,19 @@ def _reference_interlacing_gap(max_level):
     """The gap by comparing every eigenvalue of each level with the whole
     spectrum of the next."""
     specs = rigid_level_spectra(max_level)
+    if max_level == 1:
+        return inf
     width = max(s[-1] for s in specs) - min(s[0] for s in specs)
-    gap = np.inf
-    for k in range(1, max_level):
-        for x in specs[k - 1]:
-            gap = min(gap, float(np.min(np.abs(specs[k] - x))))
-    return float(gap / width)
+    gap = min(abs(y - x) for k in range(1, max_level) for x in specs[k - 1] for y in specs[k])
+    return gap / width
 
 
 @pytest.mark.parametrize("max_level", range(1, 41))
 def test_interlacing_gap_matches_full_scan(max_level):
+    # by LAPACK, with numpy loaded, and by polys.level_spectra without it
     assert consecutive_interlacing_gap(max_level) == _reference_interlacing_gap(max_level)
+    with numpy_blocked():
+        assert consecutive_interlacing_gap(max_level) == _reference_interlacing_gap(max_level)
 
 
 def test_a_level_that_fails_to_interlace_gives_a_negative_gap(monkeypatch, capsys):
@@ -1012,9 +1018,9 @@ def test_a_level_that_fails_to_interlace_gives_a_negative_gap(monkeypatch, capsy
     real = rigid_level_spectra(40)
     # level 10's eigenvalue 4 moves past level 11's eigenvalue 5, its upper
     # bracket, halfway to level 10's eigenvalue 5: sorted still, not interlaced
-    moved = real[9].copy()
+    moved = list(real[9])
     moved[3] = (real[10][4] + real[9][4]) / 2
-    specs = real[:9] + (moved,) + real[10:]
+    specs = real[:9] + (tuple(moved),) + real[10:]
     monkeypatch.setattr(hedge_iep.rigid, "rigid_level_spectra", lambda max_level: specs[:max_level])
     assert consecutive_interlacing_gap(40) < 0
     assert main(["repro", "levels-40"]) == 1
@@ -1102,16 +1108,23 @@ def test_build_c9_over_the_number_field():
 
 
 def test_level_spectra_are_shared_read_only():
-    specs = rigid_level_spectra(12)
-    assert rigid_level_spectra(12) is specs
-    fresh = trailing_spectra(*abc_closed_forms(solve_rigid().lam, 12))
-    assert len(specs) == len(fresh) == 12
-    for got, want in zip(specs, fresh):
-        assert np.array_equal(got, want)
-        with pytest.raises(ValueError, match="read-only"):
-            got[0] = 0.0
-    # a longer list solves the same levels to the same values
-    assert all(np.array_equal(x, y) for x, y in zip(specs, rigid_level_spectra(40)))
+    """One tuple of tuples of floats per max_level on either route: LAPACK's
+    spectra where numpy is loaded, polys.level_spectra's where it is not."""
+    a, b = abc_closed_forms(solve_rigid().lam, 12)
+    lapack = [s.tolist() for s in trailing_spectra(a, b)]
+    pure = level_spectra(a, b)
+    for blocked, fresh in ((contextlib.nullcontext(), lapack), (numpy_blocked(), pure)):
+        with blocked:
+            specs = rigid_level_spectra(12)
+            assert rigid_level_spectra(12) is specs
+            assert type(specs) is tuple and len(specs) == 12
+            for got, want in zip(specs, fresh):
+                assert type(got) is tuple and list(got) == want
+                assert all(type(v) is float for v in got)
+                with pytest.raises(TypeError):
+                    got[0] = 0.0
+            # a longer list solves the same levels to the same values
+            assert rigid_level_spectra(40)[:12] == specs
 
 
 def test_level_spectra_match_exact_values():
