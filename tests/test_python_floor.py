@@ -1,7 +1,7 @@
 """The package declares ``requires-python = ">=3.10"``: every module must
 parse under the 3.10 grammar, which rejects ``except*``, ``type X = ...``
-and PEP 695 generics, and every repro, as none needs numpy, must run on a 3.10
-interpreter where one is installed."""
+and PEP 695 generics, and every repro, as none needs numpy, must run on a
+3.10 interpreter where one is installed."""
 
 import ast
 import functools
